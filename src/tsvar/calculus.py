@@ -11,19 +11,13 @@ points plus composite trapezoid quadrature over dense segments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    AtScaleMaximum,
-    InvalidParameter,
-    PointNotInScale,
-    ReversedBounds,
-)
+from .errors import AtScaleMaximum, InvalidParameter, ReversedBounds
 from .timescale import POINT_TOLERANCE, TimeScale
 
 
@@ -52,7 +46,8 @@ class GridFunction:
 
     break_points lists the finitely many points where the delta derivative
     of the underlying function does not exist (corners of a piecewise
-    trajectory); sup-norms and scans take one-sided values there.
+    trajectory). The weak norm skips them where the derivative does not
+    exist; integration and excess scans take one-sided values there.
     """
 
     scale: TimeScale
@@ -111,31 +106,60 @@ class GridFunction:
         return any(abs(t - b) <= POINT_TOLERANCE for b in self.break_points)
 
 
-def _dense_slope(x: GridFunction, i: int, direction: int = 0) -> float:
-    """Difference approximation at a right-dense node (or a left-dense maximum).
+def _break_mask(x: GridFunction) -> np.ndarray:
+    """True at the nodes registered as break points of x."""
+    mask = np.zeros(len(x.scale), dtype=bool)
+    mask[[x.scale.index_of(b) for b in x.break_points]] = True
+    return mask
 
-    direction 0 chooses the best available stencil, +1 forces forward,
-    -1 forces backward. One-sided stencils are second order when two
-    uniformly spaced neighbours are available on that side.
+
+def _one_sided(x: GridFunction, idx, step):
+    """Difference quotients from the nodes idx towards idx + step.
+
+    step is +1 or -1, for all nodes or per node. The quotient is second
+    order when the node and its neighbour are dense on that side and the
+    next two gaps are uniform; first order otherwise, which is the exact
+    quotient across a scattered gap. A dense neighbour is never an end of
+    the scale, so the second node out exists whenever it is used.
     """
     ts = x.scale
     pts, v = ts.points, x.values
-    n = pts.size
-    has_left = ts.left_dense_mask[i]
-    has_right = ts.right_dense_mask[i]
-    if direction == 0 and has_left and has_right:
-        return float((v[i + 1] - v[i - 1]) / (pts[i + 1] - pts[i - 1]))
-    if direction >= 0 and has_right:
-        h = pts[i + 1] - pts[i]
-        if i + 2 < n and ts.right_dense_mask[i + 1] and abs(pts[i + 2] - pts[i + 1] - h) <= 1e-9 * h:
-            return float((-3.0 * v[i] + 4.0 * v[i + 1] - v[i + 2]) / (2.0 * h))
-        return float((v[i + 1] - v[i]) / h)
-    if has_left:
-        h = pts[i] - pts[i - 1]
-        if i - 2 >= 0 and ts.left_dense_mask[i - 1] and abs(pts[i - 1] - pts[i - 2] - h) <= 1e-9 * h:
-            return float((3.0 * v[i] - 4.0 * v[i - 1] + v[i - 2]) / (2.0 * h))
-        return float((v[i] - v[i - 1]) / h)
-    raise PointNotInScale(f"no dense neighbourhood around t={pts[i]!r}")
+    rd, ld = ts.right_dense_mask, ts.left_dense_mask
+    last = pts.size - 1
+    j1 = np.minimum(np.maximum(idx + step, 0), last)
+    j2 = np.minimum(np.maximum(idx + 2 * step, 0), last)
+    h = pts[j1] - pts[idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = (v[j1] - v[idx]) / h
+        second = (-3.0 * v[idx] + 4.0 * v[j1] - v[j2]) / (2.0 * h)
+    dense = np.where(step > 0, rd[idx] & rd[j1], ld[idx] & ld[j1])
+    uniform = np.abs(pts[j2] - pts[j1] - h) <= 1e-9 * np.abs(h)
+    return np.where(dense & uniform, second, first)
+
+
+def _slopes(x: GridFunction, idx, side: Optional[str] = None):
+    """x^Delta at the node index or index array idx.
+
+    side "right" / "left" gives the one-sided quotients; the nodes must
+    have a neighbour on that side. side None gives the exact forward
+    quotient at right-scattered nodes, the symmetric stencil where both
+    neighbours are dense, a one-sided stencil at the ends of a dense run,
+    and NaN at registered breaks that are not right-scattered, where the
+    derivative does not exist.
+    """
+    if side is not None:
+        return _one_sided(x, idx, +1 if side == "right" else -1)
+    ts = x.scale
+    pts, v = ts.points, x.values
+    last = pts.size - 1
+    lo, hi = np.maximum(idx - 1, 0), np.minimum(idx + 1, last)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        central = (v[hi] - v[lo]) / (pts[hi] - pts[lo])
+    one_sided = _one_sided(x, idx, np.where(idx == last, -1, 1))
+    out = np.where(ts.right_dense_mask[idx] & ts.left_dense_mask[idx], central, one_sided)
+    if x.break_points:
+        out = np.where(_break_mask(x)[idx] & (ts.mu_values()[idx] == 0.0), np.nan, out)
+    return out
 
 
 def delta_derivative(x: GridFunction, t: float, side: Optional[str] = None) -> DerivativeValue:
@@ -150,36 +174,27 @@ def delta_derivative(x: GridFunction, t: float, side: Optional[str] = None) -> D
     """
     ts = x.scale
     i = ts.index_of(t)
-    pts, v = ts.points, x.values
-    last = pts.size - 1
+    last = len(ts) - 1
     if i == last and not ts.left_dense_mask[i]:
         raise AtScaleMaximum(
             f"t={t!r} is the left-scattered maximum; the delta derivative needs t in T^kappa"
         )
-    if side == "right":
-        if i == last:
-            raise InvalidParameter("no right neighbour at the scale maximum")
-        if ts.right_dense_mask[i]:
-            return DerivativeValue(_dense_slope(x, i, direction=+1), DerivativeKind.RIGHT_LIMIT)
-        return DerivativeValue(
-            float((v[i + 1] - v[i]) / (pts[i + 1] - pts[i])), DerivativeKind.RIGHT_LIMIT
-        )
-    if side == "left":
-        if i == 0:
-            raise InvalidParameter("no left neighbour at the scale minimum")
-        if ts.left_dense_mask[i]:
-            return DerivativeValue(_dense_slope(x, i, direction=-1), DerivativeKind.LEFT_LIMIT)
-        return DerivativeValue(
-            float((v[i] - v[i - 1]) / (pts[i] - pts[i - 1])), DerivativeKind.LEFT_LIMIT
-        )
-    if side is not None:
+    if side == "right" and i == last:
+        raise InvalidParameter("no right neighbour at the scale maximum")
+    if side == "left" and i == 0:
+        raise InvalidParameter("no left neighbour at the scale minimum")
+    if side not in (None, "left", "right"):
         raise InvalidParameter(f"side must be None, 'left' or 'right', got {side!r}")
-    if i < last and not ts.right_dense_mask[i]:
-        mu = pts[i + 1] - pts[i]
-        return DerivativeValue(float((v[i + 1] - v[i]) / mu), DerivativeKind.EXACT_SCATTERED)
-    if x.is_break(t):
-        return DerivativeValue(math.nan, DerivativeKind.UNDEFINED_AT_BREAK)
-    return DerivativeValue(_dense_slope(x, i), DerivativeKind.DENSE_APPROX)
+    value = float(_slopes(x, i, side))
+    if side is not None:
+        kind = DerivativeKind.RIGHT_LIMIT if side == "right" else DerivativeKind.LEFT_LIMIT
+    elif ts.mu_values()[i] > 0.0:
+        kind = DerivativeKind.EXACT_SCATTERED
+    elif x.is_break(t):
+        kind = DerivativeKind.UNDEFINED_AT_BREAK
+    else:
+        kind = DerivativeKind.DENSE_APPROX
+    return DerivativeValue(value, kind)
 
 
 def delta_integral(g: GridFunction, c: float, d: float) -> float:
@@ -202,20 +217,11 @@ def delta_integral(g: GridFunction, c: float, d: float) -> float:
     return float(pieces.sum())
 
 
-def _kappa_index_range(ts: TimeScale, t0: float, t1: float) -> tuple[int, int]:
-    """Inclusive index range of [t0, t1]^kappa."""
-    i0, i1 = ts.window_indices(t0, t1)
-    if ts.rho(float(ts.points[i1])) < ts.points[i1] - POINT_TOLERANCE:
-        i1 -= 1
-    return i0, i1
-
-
 def norm_strong(x: GridFunction, t0: float, t1: float) -> float:
     """Strong norm: sup of |x(sigma(t))| over [t0, t1]^kappa."""
     ts = x.scale
-    i0, i1 = _kappa_index_range(ts, t0, t1)
-    sig = ts.sigma_indices()[i0 : i1 + 1]
-    return float(np.max(np.abs(x.values[sig])))
+    i0, ik = ts.kappa_range(t0, t1)
+    return float(np.max(np.abs(x.values[ts.sigma_indices()[i0 : ik + 1]])))
 
 
 def norm_weak(x: GridFunction, t0: float, t1: float) -> float:
@@ -224,12 +230,6 @@ def norm_weak(x: GridFunction, t0: float, t1: float) -> float:
     Points where the derivative does not exist (registered breaks at
     right-dense points) are excluded from the second supremum.
     """
-    ts = x.scale
-    i0, i1 = _kappa_index_range(ts, t0, t1)
-    sup_slope = 0.0
-    for i in range(i0, i1 + 1):
-        d = delta_derivative(x, float(ts.points[i]))
-        if d.kind is DerivativeKind.UNDEFINED_AT_BREAK:
-            continue
-        sup_slope = max(sup_slope, abs(d.value))
-    return norm_strong(x, t0, t1) + sup_slope
+    i0, ik = x.scale.kappa_range(t0, t1)
+    slopes = np.abs(_slopes(x, np.arange(i0, ik + 1)))
+    return norm_strong(x, t0, t1) + float(np.max(slopes, initial=0.0, where=~np.isnan(slopes)))

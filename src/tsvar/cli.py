@@ -14,6 +14,7 @@ Exit codes: 0 success / consistent-with-strong-min, 1 usage or input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from typing import Optional
@@ -26,6 +27,7 @@ from .errors import NonConvergence, TsvarError
 from .expressions import parse_lagrangian
 from .problemfile import (
     LoadedProblem,
+    ScanConfig,
     build_run_report,
     load_problem,
     make_provenance,
@@ -41,6 +43,7 @@ from .variational import (
     spike_perturbation,
 )
 from .weierstrass import (
+    DEFAULT_Q_COUNT,
     Verdict,
     check_convexity_condition,
     classify_candidate,
@@ -207,12 +210,16 @@ def cmd_solve(loaded: LoadedProblem, report_path: Optional[str], max_iter: int) 
     return EXIT_OK
 
 
-def _resolve_q_grid(loaded: LoadedProblem, args) -> Optional[np.ndarray]:
-    if args.q_min is not None or args.q_max is not None:
-        if args.q_min is None or args.q_max is None:
-            raise TsvarError("--q-min and --q-max must be given together")
-        return np.linspace(args.q_min, args.q_max, args.q_count or 41)
-    return loaded.scan.q_grid()
+def _scan_config(loaded: LoadedProblem, args) -> ScanConfig:
+    """The problem file's scan settings with the command-line flags laid over them."""
+    if (args.q_min is None) != (args.q_max is None):
+        raise TsvarError("--q-min and --q-max must be given together")
+    if args.q_min is not None and args.q_min >= args.q_max:
+        raise TsvarError("--q-min must be below --q-max")
+    if args.q_count is not None and args.q_count < 1:
+        raise TsvarError("--q-count must be at least 1")
+    flags = {"q_min": args.q_min, "q_max": args.q_max, "q_count": args.q_count, "tol": args.tol}
+    return dataclasses.replace(loaded.scan, **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_analyze(loaded: LoadedProblem, args) -> int:
@@ -224,8 +231,8 @@ def cmd_analyze(loaded: LoadedProblem, args) -> int:
         solved = solve_el_discrete(problem, max_iter=args.max_iter)
         x = solved.trajectory
         print(f"no trajectory in file; solved ({solved.iterations} iterations)")
-    tol = args.tol if args.tol is not None else (loaded.scan.tol or 1e-9)
-    report = classify_candidate(problem, x, q_grid=_resolve_q_grid(loaded, args), scan_tol=tol)
+    scan = _scan_config(loaded, args)
+    report = classify_candidate(problem, x, q_grid=scan.q_grid(), scan_tol=scan.tol)
     value = functional(problem, x)
     ns = norm_strong(x, problem.t0, problem.t1)
     nw = norm_weak(x, problem.t0, problem.t1)
@@ -478,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_an)
     p_an.add_argument("--q-min", type=float, help="scan grid lower bound")
     p_an.add_argument("--q-max", type=float, help="scan grid upper bound")
-    p_an.add_argument("--q-count", type=int, help="scan grid size (default 41)")
+    p_an.add_argument("--q-count", type=int, help=f"scan grid size (default {DEFAULT_Q_COUNT})")
     p_an.add_argument("--tol", type=float, help="violation reporting tolerance (default 1e-9)")
     p_an.add_argument("--max-iter", type=int, default=100, help="Newton iteration cap")
 

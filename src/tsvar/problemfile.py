@@ -37,24 +37,26 @@ from .timescale import (
     Geometric,
     TimeScale,
     Uniform,
+    make_harmonic,
 )
 from .variational import Trajectory, VariationalProblem
-from .weierstrass import AnalysisReport
+from .weierstrass import DEFAULT_Q_COUNT, AnalysisReport
 
 
 @dataclass(frozen=True)
 class ScanConfig:
     q_min: Optional[float] = None
     q_max: Optional[float] = None
-    q_count: Optional[int] = None
-    tol: Optional[float] = None
+    q_count: int = DEFAULT_Q_COUNT
+    tol: float = 1e-9
 
     def q_grid(self) -> Optional[np.ndarray]:
+        """The fixed comparison-slope grid, or None to derive one from the trajectory."""
         if self.q_min is None or self.q_max is None:
             return None
         if self.q_min >= self.q_max:
             raise ProblemFileError("scan.q_min", "must be below scan.q_max")
-        return np.linspace(self.q_min, self.q_max, self.q_count or 41)
+        return np.linspace(self.q_min, self.q_max, self.q_count)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ def _segment_from_spec(spec: dict, field: str, resolution: Optional[int]):
             n_max = _as_int(_need(spec, "n_max", f"{field}.n_max"), f"{field}.n_max")
             if n_max < 2:
                 raise ProblemFileError(f"{field}.n_max", "must be >= 2")
-            return DiscretePoints(tuple([0.0] + [1.0 / n for n in range(n_max, 0, -1)]))
+            return make_harmonic(n_max)
         if kind == "uniform":
             return Uniform(
                 _as_number(_need(spec, "start", f"{field}.start"), f"{field}.start"),
@@ -138,9 +140,10 @@ def scale_from_spec(spec, field: str = "scale", resolution: Optional[int] = None
     metadata = {}
     for i, s in enumerate(specs):
         sub = f"{field}[{i}]" if isinstance(spec, list) else field
-        segments.append(_segment_from_spec(s, sub, resolution))
-        if isinstance(s, dict) and s.get("kind") == "harmonic":
-            metadata = {"kind": "harmonic", "n_max": s["n_max"], "truncation_point": 0.0}
+        segment = _segment_from_spec(s, sub, resolution)
+        if isinstance(segment, TimeScale):  # harmonic: points and metadata from make_harmonic
+            segment, metadata = segment.segments[0], dict(segment.metadata)
+        segments.append(segment)
     if len(specs) == 1 and isinstance(specs[0], dict) and not metadata:
         metadata = {"kind": specs[0].get("kind")}
     try:
@@ -230,12 +233,10 @@ def load_problem(path: str, resolution: Optional[int] = None) -> LoadedProblem:
         s = doc["scan"]
         if not isinstance(s, dict):
             raise ProblemFileError("scan", "must be an object")
-        scan = ScanConfig(
-            q_min=_as_number(s["q_min"], "scan.q_min") if "q_min" in s else None,
-            q_max=_as_number(s["q_max"], "scan.q_max") if "q_max" in s else None,
-            q_count=_as_int(s["q_count"], "scan.q_count") if "q_count" in s else None,
-            tol=_as_number(s["tol"], "scan.tol") if "tol" in s else None,
-        )
+        parsers = {"q_min": _as_number, "q_max": _as_number, "q_count": _as_int, "tol": _as_number}
+        scan = ScanConfig(**{k: parse(s[k], f"scan.{k}") for k, parse in parsers.items() if k in s})
+        if scan.q_count < 1:
+            raise ProblemFileError("scan.q_count", "must be at least 1")
     return LoadedProblem(problem=problem, trajectory=trajectory, scan=scan, path=path)
 
 

@@ -203,14 +203,19 @@ class TimeScale:
             inside = pts[i0:i1]
             right_dense[i0:i1] |= inside < hi - POINT_TOLERANCE
             left_dense[i0:i1] |= inside > lo + POINT_TOLERANCE
-        right_dense.setflags(write=False)
-        left_dense.setflags(write=False)
+        mu = np.zeros(pts.size)
+        mu[:-1] = np.where(right_dense[:-1], 0.0, np.diff(pts))
+        sigma_idx = np.arange(pts.size) + (mu > 0.0)
+        for arr in (right_dense, left_dense, mu, sigma_idx):
+            arr.setflags(write=False)
 
         self._segments = segs
         self._points = pts
         self._spans = spans
         self._right_dense = right_dense
         self._left_dense = left_dense
+        self._mu = mu
+        self._sigma_idx = sigma_idx
         self.metadata = MappingProxyType(dict(metadata or {}))
 
     # -- basic introspection -------------------------------------------------
@@ -295,9 +300,7 @@ class TimeScale:
     def sigma(self, t: float) -> float:
         """Least scale point strictly above t; t itself at the maximum."""
         t, i = self._canonical(t)
-        if i is None or self._right_dense[i] or i == self._points.size - 1:
-            return t
-        return float(self._points[i + 1])
+        return t if i is None else float(self._points[self._sigma_idx[i]])
 
     def rho(self, t: float) -> float:
         """Greatest scale point strictly below t; t itself at the minimum."""
@@ -309,9 +312,7 @@ class TimeScale:
     def mu(self, t: float) -> float:
         """Graininess sigma(t) - t; zero at right-dense points and at the maximum."""
         t, i = self._canonical(t)
-        if i is None or self._right_dense[i] or i == self._points.size - 1:
-            return 0.0
-        return float(self._points[i + 1] - self._points[i])
+        return 0.0 if i is None else float(self._mu[i])
 
     def classify(self, t: float) -> PointClass:
         t, _ = self._canonical(t)
@@ -328,6 +329,11 @@ class TimeScale:
             raise EmptyInterval(f"interval requires t0 < t1, got [{t0!r}, {t1!r}]")
         return self.index_of(t0), self.index_of(t1)
 
+    def kappa_range(self, t0: float, t1: float) -> tuple[int, int]:
+        """Inclusive node-index range of [t0, t1]^kappa: t1 is dropped when left-scattered."""
+        i0, i1 = self.window_indices(t0, t1)
+        return i0, i1 - 1 if i1 > 0 and not self._left_dense[i1] else i1
+
     def kappa_points(self, t0: float, t1: float) -> np.ndarray:
         """Representative points of [t0, t1]^kappa.
 
@@ -335,26 +341,18 @@ class TimeScale:
         it is left-scattered. Dense segments contribute their quadrature
         nodes.
         """
-        i0, i1 = self.window_indices(t0, t1)
-        if self.rho(float(self._points[i1])) < self._points[i1] - POINT_TOLERANCE:
-            i1 -= 1
-        return self._points[i0 : i1 + 1].copy()
+        i0, ik = self.kappa_range(t0, t1)
+        return self._points[i0 : ik + 1].copy()
 
     # -- vectorized helpers (used by the calculus layer) ----------------------
 
     def mu_values(self) -> np.ndarray:
-        """Graininess per representative point, as an array."""
-        gaps = np.diff(self._points)
-        mu = np.zeros_like(self._points)
-        mu[:-1] = np.where(self._right_dense[:-1], 0.0, gaps)
-        return mu
+        """Graininess per representative point, as a read-only array."""
+        return self._mu
 
     def sigma_indices(self) -> np.ndarray:
-        """Per-node index of sigma(node): the node itself when right-dense or last."""
-        idx = np.arange(self._points.size)
-        shift = ~self._right_dense
-        shift[-1] = False
-        return idx + shift
+        """Per-node index of sigma(node), read-only; the node itself when right-dense or last."""
+        return self._sigma_idx
 
 
 def make_points(values: Sequence[float], metadata: Optional[dict] = None) -> TimeScale:

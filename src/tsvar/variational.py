@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .calculus import GridFunction, delta_derivative
+from .calculus import GridFunction, _break_mask, _slopes
 from .dual import Dual, primal_value, tangent_of
 from .errors import (
     EmptyInterval,
@@ -54,9 +54,11 @@ class VariationalProblem:
         i1 = self.scale.index_of(self.t1)
         object.__setattr__(self, "t0", float(self.scale.points[i0]))
         object.__setattr__(self, "t1", float(self.scale.points[i1]))
+        object.__setattr__(self, "_window", (i0, i1))
 
     def window(self) -> tuple[int, int]:
-        return self.scale.index_of(self.t0), self.scale.index_of(self.t1)
+        """Inclusive node-index range of [t0, t1]."""
+        return self._window
 
     def linear_trajectory(self) -> Trajectory:
         """Straight line from (t0, alpha) to (t1, beta), extended constantly."""
@@ -89,58 +91,73 @@ def is_admissible(problem: VariationalProblem, x: Trajectory) -> Admissibility:
     return Admissibility(not reasons, tuple(reasons))
 
 
-def candidate_slope(x: Trajectory, t: float, at_window_end: bool = False) -> float:
-    """x^Delta(t) with the conventions used for integration and scans.
+# Slope-kind codes of the sample rows; weierstrass maps them onto SlopeKind.
+_TWO_SIDED, _LEFT, _RIGHT = 0, 1, 2
 
-    Scattered points use the exact forward quotient. Registered breaks at
-    right-dense points take the right-sided value (the integration
-    direction); the window end takes the left-sided value.
+
+def _rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray, ...]:
+    """Samples (t, x, r, kind, weight) of the integrand over [t0, t1], ordered by t.
+
+    A right-going row (t, x(sigma(t)), r+) stands at every node of [t0, t1).
+    Its kind is RIGHT at a registered break and TWO_SIDED elsewhere. Its
+    weight is mu(t) at a right-scattered node; at a right-dense node it is
+    the trapezoid half-panels that no LEFT row closes.
+
+    A LEFT row (t, x(t), r-) with weight h/2 closes the dense panel to the
+    left of each left-dense node in (t0, t1] that is a registered break,
+    the window end, or right-scattered. It precedes the right-going row at
+    the same t.
     """
-    if at_window_end:
-        return delta_derivative(x, t, side="left").value
-    ts = x.scale
-    i = ts.index_of(t)
-    if i + 1 < len(ts) and not ts.right_dense_mask[i]:
-        return float((x.values[i + 1] - x.values[i]) / (ts.points[i + 1] - ts.points[i]))
-    if x.is_break(t):
-        return delta_derivative(x, t, side="right").value
-    return delta_derivative(x, t).value
+    ts = problem.scale
+    pts, v = ts.points, x.values
+    rd, ld = ts.right_dense_mask, ts.left_dense_mask
+    i0, i1 = problem.window()
+    brk = _break_mask(x)
+    gap = np.diff(pts)
+
+    inner = np.arange(i0 + 1, i1 + 1)
+    left = inner[ld[inner] & (brk[inner] | (inner == i1) | ~rd[inner])]
+
+    right = np.arange(i0, i1)
+    r_right = _slopes(x, right)
+    at_break = brk[right]
+    r_right[at_break] = _slopes(x, right[at_break], "right")
+    w_right = np.where(rd[right], 0.5 * gap[right], ts.mu_values()[right])
+    # a dense node inside the window with no LEFT row also closes the panel to its left
+    open_left = (right > i0) & ld[right] & rd[right] & ~at_break
+    w_right[open_left] += 0.5 * gap[right[open_left] - 1]
+
+    kind_right = np.where(at_break, _RIGHT, _TWO_SIDED).astype(np.int8)
+    order = np.argsort(np.concatenate((2 * left, 2 * right + 1)), kind="stable")
+    return tuple(
+        np.concatenate((left_column, right_column))[order]
+        for left_column, right_column in (
+            (pts[left], pts[right]),
+            (v[left], v[ts.sigma_indices()[right]]),
+            (_slopes(x, left, "left"), r_right),
+            (np.full(left.size, _LEFT, np.int8), kind_right),
+            (0.5 * gap[left - 1], w_right),
+        )
+    )
+
+
+def _row_tuples(*columns: np.ndarray):
+    """The rows of equal-length columns as tuples of Python scalars, a block at a time."""
+    for start in range(0, columns[0].size, 4096):
+        yield from zip(*(c[start : start + 4096].tolist() for c in columns))
 
 
 def functional(problem: VariationalProblem, x: Trajectory) -> float:
     """L[x], the delta integral of f(t, x^sigma(t), x^Delta(t)) over [t0, t1).
 
     Scattered points contribute mu(t) * f(...); dense segments contribute
-    composite-trapezoid quadrature at their configured resolution.
+    composite-trapezoid quadrature at their configured resolution, each
+    panel closed with its own one-sided slope at registered breaks.
     """
-    ts = problem.scale
+    t, xs, r, _, weight = _rows(problem, x)
     lagr = problem.lagrangian
-    i0, i1 = problem.window()
-    pts, v = ts.points, x.values
-    rd = ts.right_dense_mask
-    total = 0.0
-    last_integrand = None  # trapezoid neighbour carried across dense nodes
-    for i in range(i0, i1):
-        gap = pts[i + 1] - pts[i]
-        if not rd[i]:
-            slope = (v[i + 1] - v[i]) / gap
-            total += gap * float(lagr.eval(float(pts[i]), float(v[i + 1]), float(slope)))
-            last_integrand = None
-            continue
-        if last_integrand is None:
-            last_integrand = float(
-                lagr.eval(float(pts[i]), float(v[i]), candidate_slope(x, float(pts[i])))
-            )
-        nxt = float(
-            lagr.eval(
-                float(pts[i + 1]),
-                float(v[i + 1]),
-                candidate_slope(x, float(pts[i + 1]), at_window_end=(i + 1 == i1) or not rd[i + 1]),
-            )
-        )
-        total += 0.5 * gap * (last_integrand + nxt)
-        last_integrand = nxt
-    return float(total)
+    f = np.fromiter((lagr.eval(*row) for row in _row_tuples(t, xs, r)), float, t.size)
+    return float(np.dot(weight, f))
 
 
 def el_residual(problem: VariationalProblem, x: Trajectory) -> GridFunction:
@@ -150,25 +167,15 @@ def el_residual(problem: VariationalProblem, x: Trajectory) -> GridFunction:
     the window, i.e. all window points except the last two on a discrete
     scale. The result is returned as a grid function over those points.
     """
-    ts = problem.scale
     i0, i1 = problem.window()
     if i1 - i0 + 1 < 3:
         raise InsufficientPoints("el_residual needs at least 3 scale points in [t0, t1]")
-    kappa_end = i1
-    if ts.rho(float(ts.points[i1])) < ts.points[i1] - POINT_TOLERANCE:
-        kappa_end -= 1
-    pts, v = ts.points, x.values
-    fr = np.empty(kappa_end - i0 + 1)
-    fx = np.empty_like(fr)
-    for k, i in enumerate(range(i0, kappa_end + 1)):
-        t = float(pts[i])
-        scattered = i + 1 < len(ts) and not ts.right_dense_mask[i]
-        x_sigma = float(v[i + 1]) if scattered else float(v[i])
-        slope = candidate_slope(x, t, at_window_end=(i == i1))
-        _, fx[k], fr[k] = problem.lagrangian.partials(t, x_sigma, slope)
-    res_pts = pts[i0:kappa_end]
-    res = (fr[1:] - fr[:-1]) / np.diff(pts[i0 : kappa_end + 1]) - fx[:-1]
-    return GridFunction(make_points(res_pts), res, name="el_residual")
+    t, xs, r, kind, _ = _rows(problem, x)
+    one_per_node = (kind != _LEFT) | (t == problem.t1)
+    t, xs, r = t[one_per_node], xs[one_per_node], r[one_per_node]
+    _, fx, fr = np.array([problem.lagrangian.partials(*row) for row in _row_tuples(t, xs, r)]).T
+    res = (fr[1:] - fr[:-1]) / np.diff(t) - fx[:-1]
+    return GridFunction(make_points(t[:-1]), res, name="el_residual")
 
 
 # -- discrete Euler-Lagrange solver -------------------------------------------

@@ -18,17 +18,19 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import delta_derivative
 from .errors import InvalidParameter
 from .expressions import Lagrangian
-from .timescale import POINT_TOLERANCE
-from .variational import Trajectory, VariationalProblem, candidate_slope, el_residual
+from .variational import Trajectory, VariationalProblem, el_residual
+from .variational import _LEFT, _RIGHT, _TWO_SIDED, _row_tuples, _rows
 
 
 class SlopeKind(str, Enum):
     TWO_SIDED = "two-sided"
     LEFT = "left"
     RIGHT = "right"
+
+
+_SLOPE_KINDS = {_TWO_SIDED: SlopeKind.TWO_SIDED, _LEFT: SlopeKind.LEFT, _RIGHT: SlopeKind.RIGHT}
 
 
 class Verdict(str, Enum):
@@ -92,14 +94,6 @@ def excess(lagr: Lagrangian, t: float, x: float, r: float, q: float) -> float:
     return float(f_at_q - f_at_r - (q - r) * f_r)
 
 
-def _kappa_indices(problem: VariationalProblem) -> range:
-    ts = problem.scale
-    i0, i1 = problem.window()
-    if ts.rho(float(ts.points[i1])) < ts.points[i1] - POINT_TOLERANCE:
-        i1 -= 1
-    return range(i0, i1 + 1)
-
-
 def check_convexity_condition(
     problem: VariationalProblem,
     x_samples: Sequence[float],
@@ -118,11 +112,11 @@ def check_convexity_condition(
         raise InvalidParameter("sample lists must be nonempty")
     ts = problem.scale
     lagr = problem.lagrangian
+    mu = ts.mu_values()
+    i0, ik = ts.kappa_range(problem.t0, problem.t1)
     checks = 0
-    for i in _kappa_indices(problem):
+    for i in i0 + np.flatnonzero(mu[i0 : ik + 1]):  # trivially satisfied where mu = 0
         t = float(ts.points[i])
-        if ts.mu(t) == 0.0:
-            continue  # condition trivially satisfied
         for xv in x_samples:
             for r1 in r_samples:
                 for r2 in r_samples:
@@ -146,22 +140,6 @@ def check_convexity_condition(
     return ConvexityReport(True, None, checks)
 
 
-def _candidate_slopes(
-    problem: VariationalProblem, x: Trajectory, i: int
-) -> list[tuple[float, SlopeKind]]:
-    ts = problem.scale
-    t = float(ts.points[i])
-    if i == problem.window()[1]:
-        # left-dense window end: the scan takes the limit from the left
-        return [(delta_derivative(x, t, side="left").value, SlopeKind.LEFT)]
-    if x.is_break(t):
-        return [
-            (delta_derivative(x, t, side="left").value, SlopeKind.LEFT),
-            (delta_derivative(x, t, side="right").value, SlopeKind.RIGHT),
-        ]
-    return [(candidate_slope(x, t), SlopeKind.TWO_SIDED)]
-
-
 def weierstrass_scan(
     problem: VariationalProblem,
     x: Trajectory,
@@ -170,42 +148,40 @@ def weierstrass_scan(
 ) -> list[ExcessSample]:
     """Evaluate the excess along a trajectory; collect samples with E < -tol.
 
-    Every point of [t0, t1]^kappa is visited with its candidate slope
-    x^Delta(t); registered break points contribute both one-sided slopes,
-    and a left-dense window end uses the left limit. Violations are sorted
-    by (t, q) so concurrent evaluation would merge deterministically.
+    Every sample row of the functional is visited: each point of [t0, t1)
+    with x(sigma(t)) and its right-going slope, and a left limit (x(t), r-)
+    at registered breaks, at a left-dense window end and at the end of a
+    dense run. Violations are sorted by (t, q) so concurrent evaluation
+    would merge deterministically.
     """
     if not len(q_grid):
         raise InvalidParameter("q_grid must be nonempty")
     if tol < 0:
         raise InvalidParameter("tol must be nonnegative")
-    ts = problem.scale
     lagr = problem.lagrangian
-    kappa = _kappa_indices(problem)
+    t, xs, r, kind, _ = _rows(problem, x)
     violations: list[ExcessSample] = []
-    for i in kappa:
-        t = float(ts.points[i])
-        scattered = i + 1 < len(ts) and not ts.right_dense_mask[i]
-        x_sigma = float(x.values[i + 1]) if scattered else float(x.values[i])
-        for r, kind in _candidate_slopes(problem, x, i):
-            for q in q_grid:
-                e = excess(lagr, t, x_sigma, r, float(q))
-                if e < -tol:
-                    violations.append(ExcessSample(t, x_sigma, r, float(q), e, kind))
+    for ti, xi, ri, ki in _row_tuples(t, xs, r, kind):
+        for q in q_grid:
+            e = excess(lagr, ti, xi, ri, float(q))
+            if e < -tol:
+                violations.append(ExcessSample(ti, xi, ri, float(q), e, _SLOPE_KINDS[ki]))
     violations.sort(key=lambda s: (s.t, s.q, s.slope_kind.value))
     return violations
 
 
 def observed_slopes(problem: VariationalProblem, x: Trajectory) -> np.ndarray:
     """All candidate slopes along the trajectory (both sides at breaks)."""
-    kappa = _kappa_indices(problem)
-    out: list[float] = []
-    for i in kappa:
-        out.extend(s for s, _ in _candidate_slopes(problem, x, i))
-    return np.array(out)
+    return _rows(problem, x)[2]
 
 
-def default_q_grid(slopes: Iterable[float], count: int = 41, width: float = 5.0) -> np.ndarray:
+# Comparison slopes in a q grid unless a problem file or flag sets the count.
+DEFAULT_Q_COUNT = 41
+
+
+def default_q_grid(
+    slopes: Iterable[float], count: int = DEFAULT_Q_COUNT, width: float = 5.0
+) -> np.ndarray:
     """Comparison-slope grid spanning the observed slopes plus width*spread.
 
     The necessary condition quantifies over every real q, which is not
@@ -222,8 +198,8 @@ def default_q_grid(slopes: Iterable[float], count: int = 41, width: float = 5.0)
     return np.union1d(grid, s)
 
 
-def _default_x_samples(x_sigma_values: np.ndarray) -> np.ndarray:
-    lo, hi = float(np.min(x_sigma_values)), float(np.max(x_sigma_values))
+def _default_x_samples(x_values: np.ndarray) -> np.ndarray:
+    lo, hi = float(np.min(x_values)), float(np.max(x_values))
     if hi - lo < 1e-9:
         return np.array([lo - 1.0, lo, lo + 1.0])
     return np.linspace(lo, hi, 3)
@@ -256,13 +232,10 @@ def classify_candidate(
     residual = el_residual(problem, x)
     el_max = float(np.max(np.abs(residual.values)))
     slopes = observed_slopes(problem, x)
-    ts = problem.scale
-    sig = ts.sigma_indices()
-    kappa = _kappa_indices(problem)
-    xsig_vals = x.values[sig[kappa.start : kappa.stop]]
+    xs = _rows(problem, x)[1]
     convexity = check_convexity_condition(
         problem,
-        x_samples if x_samples is not None else _default_x_samples(xsig_vals),
+        x_samples if x_samples is not None else _default_x_samples(xs),
         r_samples if r_samples is not None else _default_r_samples(slopes),
         gamma_samples,
         tol=convexity_tol,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tsvar import ProblemFileError
+from tsvar import ProblemFileError, make_harmonic
 from tsvar.cli import main
 from tsvar.problemfile import load_problem, serialize_report
 
@@ -56,6 +56,24 @@ class TestProblemFileLoading:
         with pytest.raises(ProblemFileError) as exc:
             load_problem(str(path))
         assert exc.value.field == "scale.n_max"
+
+    def test_harmonic_scale_matches_make_harmonic(self, tmp_path):
+        loaded = load_problem(write_problem(tmp_path, scale={"kind": "harmonic", "n_max": 7}))
+        expected = make_harmonic(7)
+        assert list(loaded.problem.scale.points) == list(expected.points)
+        assert dict(loaded.problem.scale.metadata) == dict(expected.metadata)
+        with pytest.raises(ProblemFileError) as exc:
+            load_problem(write_problem(tmp_path, scale={"kind": "harmonic", "n_max": 1}))
+        assert exc.value.field == "scale.n_max"
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_scan_q_count_below_one_rejected(self, tmp_path, count, capsys):
+        path = write_problem(tmp_path, scan={"q_min": -2.5, "q_max": 2.5, "q_count": count})
+        with pytest.raises(ProblemFileError) as exc:
+            load_problem(path)
+        assert exc.value.field == "scan.q_count"
+        assert main(["analyze", path]) == 1
+        assert "scan.q_count" in capsys.readouterr().err
 
     def test_bad_kind(self, tmp_path):
         path = write_problem(tmp_path, scale={"kind": "cantor"})
@@ -255,6 +273,20 @@ class TestAnalyze:
             trajectory={"kind": "expr", "formula": "0"},
         )
         assert main(["analyze", path, "--q-min", "-40", "--q-max", "40"]) == 3
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_q_count_flag_below_one_rejected(self, tmp_path, count, capsys):
+        path = write_problem(tmp_path)
+        argv = ["analyze", path, "--q-min", "-1", "--q-max", "1", "--q-count", count]
+        assert main(argv) == 1
+        assert "--q-count" in capsys.readouterr().err
+
+    def test_flags_overlay_the_file_scan_settings(self, tmp_path):
+        report = tmp_path / "analysis.json"
+        path = write_problem(tmp_path, scan={"q_min": -2.5, "q_max": 2.5, "q_count": 11})
+        assert main(["analyze", path, "--q-count", "3", "--report", str(report)]) == 4
+        doc = json.loads(report.read_text())
+        assert {v["q"] for v in doc["weierstrass_violations"]} == {-2.5, 2.5}
 
     def test_solves_when_no_trajectory(self, tmp_path, capsys):
         path = write_problem(

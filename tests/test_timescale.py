@@ -164,6 +164,13 @@ class TestKappaPoints:
         with pytest.raises(PointNotInScale):
             make_points([0, 1, 2]).kappa_points(0.25, 2.0)
 
+    def test_scale_minimum_is_not_left_scattered(self):
+        # t1 within the point tolerance of t0 = min snaps onto the minimum,
+        # which rho leaves in place, so it stays in the kappa window
+        ts = make_points([0, 1, 2])
+        assert ts.kappa_range(0.0, 1e-13) == (0, 0)
+        assert list(ts.kappa_points(0.0, 1e-13)) == [0.0]
+
 
 class TestConstructors:
     def test_harmonic_enumeration(self):

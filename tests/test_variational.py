@@ -100,6 +100,15 @@ class TestFunctional:
         # integral of 1 + t dt over [0, 1] = 1.5
         assert functional(P, x) == pytest.approx(1.5, abs=1e-6)
 
+    @pytest.mark.parametrize("res", [10, 100, 1000])
+    def test_trapezoid_closes_each_panel_at_a_dense_break_with_its_own_slope(self, res):
+        # f = r integrates x^Delta, so L = x(1) - x(0) = 0 for x = |t - 1/2|;
+        # a single slope for both panels next to the corner would give h
+        ts = make_dense(0.0, 1.0, res)
+        P = VariationalProblem(ts, 0.0, 1.0, parse_lagrangian("r"), 0.5, 0.5)
+        x = GridFunction.from_callable(ts, lambda t: abs(t - 0.5), break_points=(0.5,))
+        assert abs(functional(P, x)) <= 1e-12
+
     def test_invariant_under_removable_break_registration(self, rng):
         ts = random_discrete_scale(rng, 12)
         P = VariationalProblem(

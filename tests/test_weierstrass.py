@@ -11,14 +11,21 @@ from tsvar import (
     check_convexity_condition,
     classify_candidate,
     default_q_grid,
+    el_residual,
     excess,
+    functional,
     make_dense,
     make_geometric,
+    make_harmonic,
+    make_points,
     make_uniform,
+    norm_weak,
     parse_lagrangian,
     solve_el_discrete,
+    union,
     weierstrass_scan,
 )
+from tsvar.weierstrass import observed_slopes
 from conftest import SMOOTH_TEMPLATES, random_point
 
 
@@ -116,12 +123,38 @@ class TestScan:
         assert {round(v.r, 6) for v in at_break} == {-1.0, 1.0}
 
     def test_left_dense_window_end_uses_left_limit(self):
+        # the window end takes x(t1), also when scale points follow the window
+        for ts in (make_dense(0.0, 1.0, 10), union(make_dense(0.0, 1.0, 10), make_points([2.0]))):
+            P = VariationalProblem(ts, 0.0, 1.0, parse_lagrangian("0 - r^2"), 0.0, 1.0)
+            x = GridFunction.from_callable(ts, lambda t: t if t <= 1.0 else 7.0)
+            violations = weierstrass_scan(P, x, q_grid=[4.0])
+            end = [v for v in violations if v.t == 1.0]
+            assert len(end) == 1 and end[0].slope_kind is SlopeKind.LEFT
+            assert end[0].x_sigma == 1.0
+
+    def test_break_at_the_scale_minimum(self):
         ts = make_dense(0.0, 1.0, 10)
         P = VariationalProblem(ts, 0.0, 1.0, parse_lagrangian("0 - r^2"), 0.0, 1.0)
-        x = GridFunction.from_callable(ts, lambda t: t)
-        violations = weierstrass_scan(P, x, q_grid=[4.0])
-        end = [v for v in violations if v.t == 1.0]
-        assert len(end) == 1 and end[0].slope_kind is SlopeKind.LEFT
+        x = GridFunction.from_callable(ts, lambda t: t, break_points=(0.0,))
+        at_start = [v for v in weierstrass_scan(P, x, q_grid=[4.0]) if v.t == 0.0]
+        assert [v.slope_kind for v in at_start] == [SlopeKind.RIGHT]
+        report = classify_candidate(P, x, q_grid=[4.0])
+        assert report.verdict is Verdict.NECESSARY_CONDITION_VIOLATED
+
+    def test_left_limit_at_a_dense_run_end(self):
+        # the dense run [0, 1] ends at a right-scattered node: the functional
+        # closes its last panel with (1, x(1), r-), so the scan checks that row
+        ts = union(make_dense(0.0, 1.0, 10), make_points([2.0]))
+        P = VariationalProblem(ts, 0.0, 2.0, parse_lagrangian("0 - r^2"), 0.0, 3.0)
+        x = GridFunction.from_callable(ts, lambda t: t if t <= 1.0 else 3.0)
+        at_join = [v for v in weierstrass_scan(P, x, q_grid=[4.0]) if v.t == 1.0]
+        assert [(v.slope_kind, v.x_sigma) for v in at_join] == [
+            (SlopeKind.LEFT, 1.0),
+            (SlopeKind.TWO_SIDED, 3.0),
+        ]
+        assert at_join[0].r == pytest.approx(1.0, abs=1e-12)
+        assert at_join[1].r == 2.0
+        assert observed_slopes(P, x).size == 12  # 11 nodes of [0, 2) plus the left limit
 
     def test_convex_integrand_never_violates(self, rng):
         # excess of an integrand convex in the slope is a perfect square here
@@ -193,6 +226,20 @@ class TestClassification:
         assert report.convexity_ok
         assert len(report.weierstrass_violations) > 0
 
+    def test_left_limit_pairs_with_x_at_t_not_x_sigma(self):
+        # at the right-scattered break t = 1 the left limit r- = 5 belongs
+        # with x(1) = 0, where E(1, 0, 5, q) = (q - 5)^2 >= 0; pairing it
+        # with x(sigma(1)) = 0.01 would report a false violation
+        ts = union(make_dense(0.0, 1.0, 10), make_points([2.0]))
+        P = VariationalProblem(ts, 0.0, 2.0, parse_lagrangian("r^2 - x*r^4"), -5.0, 0.01)
+        x = GridFunction.from_callable(
+            ts, lambda t: -5.0 * (1.0 - t) if t <= 1.0 else 0.01, break_points=(1.0,)
+        )
+        report = classify_candidate(P, x, q_grid=np.linspace(-3.0, 3.0, 13))
+        assert report.convexity_ok
+        assert report.weierstrass_violations == ()
+        assert report.verdict is Verdict.CONSISTENT_WITH_STRONG_MIN
+
     def test_nonextremal_reports_residual(self):
         P = VariationalProblem(
             make_uniform(0.0, 4.0, 1.0), 0.0, 4.0, parse_lagrangian("r^2"), 0.0, 16.0
@@ -212,3 +259,77 @@ class TestClassification:
         grid = default_q_grid([2.0, 2.0, 2.0])
         assert grid.min() == pytest.approx(-3.0)
         assert grid.max() == pytest.approx(7.0)
+
+
+PINNED_WINDOWS = {
+    "dense-uniform": (
+        lambda: union(make_dense(0.0, 1.0, 8), make_uniform(1.0, 2.0, 0.25)), 0.0, 2.0,
+    ),
+    "dense-harmonic": (lambda: union(make_harmonic(6), make_dense(1.0, 2.0, 8)), 0.0, 2.0),
+    "window-inside-dense": (
+        lambda: union(make_points([-1.0, -0.5]), make_dense(0.0, 1.0, 10)), -1.0, 0.6,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, functional_value, weak, el_max, el_sum, el_count, scan",
+    [
+        (
+            "dense-uniform",
+            18.61163440075671,
+            5.480136707767317,
+            10.53752825311348,
+            -21.12013534492293,
+            11,
+            (36, 27.0, 53.62473367406943, 62.87963748870453, -39.867568658867604),
+        ),
+        (
+            "dense-harmonic",
+            18.321683990838448,
+            5.903415750115949,
+            13.647559278337312,
+            -61.21751037853694,
+            14,
+            (45, 44.85, 81.79604181888293, 76.23781969909486, -48.66152987094491),
+        ),
+        (
+            "window-inside-dense",
+            1.6920999034018305,
+            3.531727828921588,
+            2.8191682275567995,
+            -2.678610940195942,
+            8,
+            (24, 4.800000000000001, 13.660788924520181, 48.06416286516646, -33.29318985423957),
+        ),
+    ],
+)
+def test_mixed_windows_keep_their_values(
+    case, functional_value, weak, el_max, el_sum, el_count, scan
+):
+    """Pinned outputs of the per-point implementation on mixed windows."""
+    make, t0, t1 = PINNED_WINDOWS[case]
+    ts = make()
+    x = GridFunction.from_callable(ts, lambda t: np.sin(2 * t) + t * t)
+    P = VariationalProblem(
+        ts, t0, t1, parse_lagrangian("sin(r) + x*r + t*x^2"), x.value_at(t0), x.value_at(t1)
+    )
+    assert functional(P, x) == pytest.approx(functional_value, rel=1e-12)
+    assert norm_weak(x, t0, t1) == pytest.approx(weak, rel=1e-12)
+    res = el_residual(P, x).values
+    assert res.size == el_count
+    assert float(np.max(np.abs(res))) == pytest.approx(el_max, rel=1e-12)
+    assert float(res.sum()) == pytest.approx(el_sum, rel=1e-12)
+    violations = weierstrass_scan(P, x, q_grid=[-1.0, 0.5, 2.0])
+    if case == "dense-uniform":
+        # leave out the left limit at the end of the dense run, which the
+        # per-point scan did not visit (test_left_limit_at_a_dense_run_end)
+        violations = [v for v in violations if not (v.t == 1.0 and v.slope_kind is SlopeKind.LEFT)]
+    got = (
+        len(violations),
+        sum(v.t for v in violations),
+        sum(v.x_sigma for v in violations),
+        sum(v.r for v in violations),
+        sum(v.E for v in violations),
+    )
+    assert got == pytest.approx(scan, rel=1e-12)
