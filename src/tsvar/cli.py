@@ -232,7 +232,9 @@ def cmd_analyze(loaded: LoadedProblem, args) -> int:
         x = solved.trajectory
         print(f"no trajectory in file; solved ({solved.iterations} iterations)")
     scan = _scan_config(loaded, args)
-    report = classify_candidate(problem, x, q_grid=scan.q_grid(), scan_tol=scan.tol)
+    report = classify_candidate(
+        problem, x, q_grid=scan.q_grid(), scan_tol=scan.tol, q_count=scan.q_count
+    )
     value = functional(problem, x)
     ns = norm_strong(x, problem.t0, problem.t1)
     nw = norm_weak(x, problem.t0, problem.t1)

@@ -9,22 +9,29 @@ with the functions sin, cos, exp, log, sqrt, abs:
     base   := number | ident | ident '(' expr ')' | '(' expr ')'
 
 '^' is right-associative and binds tighter than unary minus, so -x^2 parses
-as -(x^2). Evaluation accepts floats or Dual numbers in any variable slot,
-which is what powers both the partial derivatives and the solver Jacobian.
+as -(x^2). Evaluation accepts floats, Dual numbers or numpy arrays in any
+variable slot. Dual numbers power both the partial derivatives and the
+solver Jacobian; arrays evaluate the expression on many (t, x, r) rows at
+once, with the domain checks applied as masks, and eval_rows makes such an
+evaluation fail exactly where a loop over the rows would.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from math import isfinite
+from typing import Any, Callable, Mapping, Optional, Union
+
+import numpy as np
 
 from . import dual
-from .dual import Dual, Number, primal_value, tangent_of
+from .dual import Dual, Number, check, is_finite, primal_value, tangent_of
 from .errors import (
     DomainError,
     ExpressionSyntaxError,
     NonDifferentiablePoint,
+    TsvarError,
     UnknownIdentifier,
 )
 
@@ -200,58 +207,146 @@ class _Parser:
 # -- evaluation ---------------------------------------------------------------
 
 
+def _power(lhs: Number, rhs: Number) -> Number:
+    if isinstance(rhs, Dual):
+        # varying exponent: Dual.__pow__ and __rpow__ require a positive base
+        return lhs**rhs if isinstance(lhs, Dual) else rhs.__rpow__(lhs)
+    if isinstance(lhs, Dual):
+        return lhs ** float(rhs)
+    if isinstance(rhs, np.ndarray):
+        negative, fractional = rhs < 0.0, rhs != np.round(rhs)
+    else:
+        rhs = float(rhs)
+        negative, fractional = rhs < 0.0, not rhs.is_integer()
+        if not isinstance(lhs, np.ndarray):
+            lhs = float(lhs)
+    # a scalar exponent rules most checks out without touching the base
+    if negative is not False:
+        check((lhs == 0.0) & negative, DomainError, "zero base with negative exponent")
+    if fractional is not False:
+        check((lhs < 0.0) & fractional, DomainError, "negative base with non-integer exponent")
+    return lhs**rhs
+
+
+def _check_finite(out: Number, operands: tuple) -> None:
+    """DomainError where out is not finite although every operand is (an overflow)."""
+    ok = is_finite(out)
+    if isinstance(ok, np.ndarray):
+        if ok.all():
+            return
+        ok = ~ok
+    elif ok:
+        return
+    else:
+        ok = True
+    for operand in operands:
+        ok = ok & is_finite(operand)
+    check(ok, DomainError, "overflow")
+
+
 def eval_ast(node: ExprAst, env: Mapping[str, Number]) -> Number:
-    """Evaluate an AST over float/Dual values, with per-node domain checks."""
-    if isinstance(node, Num):
+    """Evaluate an AST over float, array or Dual values, with per-node domain checks.
+
+    Every function call and binary operation must stay finite: a result that
+    overflows from finite operands raises DomainError like a domain violation.
+    Errors name the failing sub-expression and keep the `index` of the
+    check that raised them (see dual.check).
+    """
+    kind = node.__class__
+    if kind is Num:
         return node.value
-    if isinstance(node, Var):
+    if kind is Var:
         try:
             return env[node.name]
         except KeyError:
             raise UnknownIdentifier(f"variable {node.name!r} is not available here") from None
-    if isinstance(node, Neg):
+    if kind is Neg:
         return -eval_ast(node.arg, env)
-    if isinstance(node, Call):
-        arg = eval_ast(node.arg, env)
-        try:
-            return _FUNCTIONS[node.fn](arg)
-        except (DomainError, NonDifferentiablePoint) as e:
-            raise type(e)(f"{e.args[0]} in '{node.to_source()}'") from None
-    lhs = eval_ast(node.lhs, env)
-    rhs = eval_ast(node.rhs, env)
+    if kind is Call:
+        lhs = eval_ast(node.arg, env)
+    else:
+        lhs, rhs = eval_ast(node.lhs, env), eval_ast(node.rhs, env)
     try:
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if node.op == "/":
-            if primal_value(rhs) == 0.0:
-                raise DomainError("division by zero")
-            return lhs / rhs
-        if node.op == "^":
-            return _power(lhs, rhs)
+        try:
+            if kind is Call:
+                out = _FUNCTIONS[node.fn](lhs)
+            elif (op := node.op) == "+":
+                out = lhs + rhs
+            elif op == "-":
+                out = lhs - rhs
+            elif op == "*":
+                out = lhs * rhs
+            elif op == "/":
+                if (bad := primal_value(rhs) == 0.0) is not False:
+                    check(bad, DomainError, "division by zero")
+                out = lhs / rhs
+            else:
+                out = _power(lhs, rhs)
+        except (OverflowError, ZeroDivisionError):  # a float result beyond the range, or a
+            check(True, DomainError, "overflow")  # divisor that underflowed to 0 in a Dual
+        # inline tests for a float and a first-order Dual of floats, the solver's hot path
+        if isinstance(out, float):
+            if isfinite(out):
+                return out
+        elif isinstance(out, Dual) and isinstance(out.primal, float) and isinstance(out.tangent, float):
+            if isfinite(out.primal) and isfinite(out.tangent):
+                return out
+        _check_finite(out, (lhs,) if kind is Call else (lhs, rhs))
+        return out
     except (DomainError, NonDifferentiablePoint) as e:
-        raise type(e)(f"{e.args[0]} in '{node.to_source()}'") from None
-    raise AssertionError(f"unhandled operator {node.op!r}")
+        located = type(e)(f"{e.args[0]} in '{node.to_source()}'")
+        located.index = getattr(e, "index", 0)
+        raise located from None
 
 
-def _power(lhs: Number, rhs: Number) -> Number:
-    if isinstance(rhs, Dual):
-        if isinstance(lhs, Dual):
-            return lhs**rhs
-        if lhs <= 0.0:
-            raise DomainError("power with varying exponent requires a positive base")
-        return rhs.__rpow__(lhs)
-    if isinstance(lhs, Dual):
-        return lhs ** float(rhs)
-    base, n = float(lhs), float(rhs)
-    if base == 0.0 and n < 0.0:
-        raise DomainError("zero base with negative exponent")
-    if base < 0.0 and n != round(n):
-        raise DomainError("negative base with non-integer exponent")
-    return base**n
+def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> tuple[Any, Optional[TsvarError]]:
+    """fn over the rows of env's values, broadcast together and flattened in C order.
+
+    fn maps a dict of equal-length float columns to an array, a float, or a
+    tuple of them; it is evaluated on all rows at once. Returns (out, error).
+    Without a DomainError or NonDifferentiablePoint, error is None and out is
+    broadcast to env's shape. Otherwise error is the one a loop over the rows
+    would meet first: fn is re-run on the rows before the first bad row its
+    error names until those rows evaluate cleanly. error.index is then that
+    row, its message gives the row's values, and out covers the rows before
+    it, flattened. out is None where fn fails even on no rows (a failing
+    constant sub-expression).
+    """
+    names = list(env)
+    full = np.broadcast_arrays(*(np.asarray(env[k], dtype=float) for k in names))
+    columns = [c.ravel() for c in full]
+    stop, error = columns[0].size, None
+    while True:
+        try:
+            with np.errstate(all="ignore"):
+                out = fn({k: c[:stop] for k, c in zip(names, columns)})
+            break
+        except (DomainError, NonDifferentiablePoint) as e:
+            if stop == 0:  # fails on no rows at all: nothing for a row loop to meet
+                out = None
+                break
+            stop, error = e.index, e
+    shape = full[0].shape if error is None else (stop,)
+    if out is not None:
+        out = (
+            tuple(np.broadcast_to(o, (stop,)).reshape(shape) for o in out)
+            if isinstance(out, tuple)
+            else np.broadcast_to(out, (stop,)).reshape(shape)
+        )
+    if error is not None:
+        where = ", ".join(f"{k}={float(c[stop])!r}" for k, c in zip(names, columns))
+        located = type(error)(f"{error.args[0]} at {where}")
+        located.index = stop
+        error = located
+    return out, error
+
+
+def evaluate(ast: ExprAst, env: Mapping[str, np.ndarray]) -> np.ndarray:
+    """eval_ast over the rows of array-valued env, raising the first bad row's error."""
+    out, error = eval_rows(lambda columns: eval_ast(ast, columns), env)
+    if error is not None:
+        raise error
+    return out
 
 
 @dataclass(frozen=True)
@@ -262,15 +357,30 @@ class Lagrangian:
     source: str
 
     def eval(self, t: Number, x: Number, r: Number) -> Number:
-        return eval_ast(self.ast, {"t": t, "x": x, "r": r})
+        """f(t, x, r); array arguments are broadcast and evaluated row by row (see eval_rows)."""
+        env = {"t": t, "x": x, "r": r}
+        if isinstance(t, np.ndarray) or isinstance(x, np.ndarray) or isinstance(r, np.ndarray):
+            return evaluate(self.ast, env)
+        return eval_ast(self.ast, env)
 
     def partials(self, t: Number, x: Number, r: Number) -> tuple[Number, Number, Number]:
         """(f, f_x, f_r) at (t, x, r) via two forward passes.
 
         Every argument is wrapped at a fresh seeding level, so the inputs may
         themselves be Dual; the returned partials then carry the callers'
-        tangents (nested differentiation).
+        tangents (nested differentiation). Array arguments are broadcast and
+        evaluated row by row, like eval.
         """
+        if not (isinstance(t, np.ndarray) or isinstance(x, np.ndarray) or isinstance(r, np.ndarray)):
+            return self._partials(t, x, r)
+        out, error = eval_rows(
+            lambda c: self._partials(c["t"], c["x"], c["r"]), {"t": t, "x": x, "r": r}
+        )
+        if error is not None:
+            raise error
+        return out
+
+    def _partials(self, t: Number, x: Number, r: Number) -> tuple[Number, Number, Number]:
         fx_pass = eval_ast(
             self.ast, {"t": Dual(t), "x": Dual(x, 1.0), "r": Dual(r)}
         )

@@ -29,7 +29,7 @@ import numpy as np
 
 from .calculus import GridFunction
 from .errors import ProblemFileError, TsvarError
-from .expressions import eval_ast, parse_lagrangian
+from .expressions import evaluate, parse_lagrangian
 from .timescale import (
     POINT_TOLERANCE,
     DenseInterval,
@@ -159,11 +159,10 @@ def _trajectory_from_spec(spec: dict, scale: TimeScale, field: str) -> Trajector
     if kind == "expr":
         formula = _need(spec, "formula", f"{field}.formula")
         try:
-            ast = parse_lagrangian(str(formula)).ast
-            values = [eval_ast(ast, {"t": float(t)}) for t in scale.points]
+            values = evaluate(parse_lagrangian(str(formula)).ast, {"t": scale.points})
         except TsvarError as e:
             raise ProblemFileError(f"{field}.formula", str(e)) from None
-        return GridFunction(scale, np.array(values, dtype=float), name=str(formula))
+        return GridFunction(scale, values, name=str(formula))
     if kind == "samples":
         pts = _need(spec, "points", f"{field}.points")
         vals = _need(spec, "values", f"{field}.values")

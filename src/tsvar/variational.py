@@ -52,6 +52,10 @@ class VariationalProblem:
             raise EmptyInterval(f"problem requires t0 < t1, got [{self.t0!r}, {self.t1!r}]")
         i0 = self.scale.index_of(self.t0)
         i1 = self.scale.index_of(self.t1)
+        if i0 == i1:
+            raise EmptyInterval(
+                f"t0={self.t0!r} and t1={self.t1!r} are the same scale point; the window is empty"
+            )
         object.__setattr__(self, "t0", float(self.scale.points[i0]))
         object.__setattr__(self, "t1", float(self.scale.points[i1]))
         object.__setattr__(self, "_window", (i0, i1))
@@ -141,12 +145,6 @@ def _rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray, ...]:
     )
 
 
-def _row_tuples(*columns: np.ndarray):
-    """The rows of equal-length columns as tuples of Python scalars, a block at a time."""
-    for start in range(0, columns[0].size, 4096):
-        yield from zip(*(c[start : start + 4096].tolist() for c in columns))
-
-
 def functional(problem: VariationalProblem, x: Trajectory) -> float:
     """L[x], the delta integral of f(t, x^sigma(t), x^Delta(t)) over [t0, t1).
 
@@ -155,9 +153,7 @@ def functional(problem: VariationalProblem, x: Trajectory) -> float:
     panel closed with its own one-sided slope at registered breaks.
     """
     t, xs, r, _, weight = _rows(problem, x)
-    lagr = problem.lagrangian
-    f = np.fromiter((lagr.eval(*row) for row in _row_tuples(t, xs, r)), float, t.size)
-    return float(np.dot(weight, f))
+    return float(np.dot(weight, problem.lagrangian.eval(t, xs, r)))
 
 
 def el_residual(problem: VariationalProblem, x: Trajectory) -> GridFunction:
@@ -173,7 +169,7 @@ def el_residual(problem: VariationalProblem, x: Trajectory) -> GridFunction:
     t, xs, r, kind, _ = _rows(problem, x)
     one_per_node = (kind != _LEFT) | (t == problem.t1)
     t, xs, r = t[one_per_node], xs[one_per_node], r[one_per_node]
-    _, fx, fr = np.array([problem.lagrangian.partials(*row) for row in _row_tuples(t, xs, r)]).T
+    _, fx, fr = problem.lagrangian.partials(t, xs, r)
     res = (fr[1:] - fr[:-1]) / np.diff(t) - fx[:-1]
     return GridFunction(make_points(t[:-1]), res, name="el_residual")
 
@@ -242,14 +238,14 @@ def solve_el_discrete(
 
     def assemble(values: np.ndarray) -> np.ndarray:
         return np.array(
-            [primal_value(e) for e in _residual_entries(problem.lagrangian, pts, list(values))]
+            [primal_value(e) for e in _residual_entries(problem.lagrangian, pts, values.tolist())]
         )
 
     def jacobian(values: np.ndarray) -> np.ndarray:
         m = n - 2
         jac = np.zeros((m, m))
         for j in range(m):
-            seeded: list = list(values)
+            seeded: list = values.tolist()
             seeded[j + 1] = Dual(float(values[j + 1]), 1.0)
             entries = _residual_entries(problem.lagrangian, pts, seeded)
             jac[:, j] = [primal_value(tangent_of(e)) for e in entries]

@@ -18,10 +18,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter
-from .expressions import Lagrangian
+from .errors import DomainError, InvalidParameter, NonDifferentiablePoint
+from .expressions import Lagrangian, eval_ast, eval_rows
 from .variational import Trajectory, VariationalProblem, el_residual
-from .variational import _LEFT, _RIGHT, _TWO_SIDED, _row_tuples, _rows
+from .variational import _LEFT, _RIGHT, _TWO_SIDED, _rows
 
 
 class SlopeKind(str, Enum):
@@ -31,6 +31,8 @@ class SlopeKind(str, Enum):
 
 
 _SLOPE_KINDS = {_TWO_SIDED: SlopeKind.TWO_SIDED, _LEFT: SlopeKind.LEFT, _RIGHT: SlopeKind.RIGHT}
+# rank of each slope-kind code by its name, the last key of the violation order
+_KIND_NAME_RANK = np.argsort(np.argsort([_SLOPE_KINDS[code].value for code in range(3)]))
 
 
 class Verdict(str, Enum):
@@ -94,6 +96,11 @@ def excess(lagr: Lagrangian, t: float, x: float, r: float, q: float) -> float:
     return float(f_at_q - f_at_r - (q - r) * f_r)
 
 
+# Rows of one block of the convexity sweep or of the excess scan: the
+# array temporaries stay bounded whatever the window and sample sizes.
+_BLOCK_ROWS = 1 << 15
+
+
 def check_convexity_condition(
     problem: VariationalProblem,
     x_samples: Sequence[float],
@@ -105,8 +112,10 @@ def check_convexity_condition(
 
     At right-dense points the weighted condition holds vacuously (mu = 0);
     at right-scattered points it is plain convexity of f in the slope, so
-    the midpoint inequality is tested over all sampled (x, r1, r2, gamma).
-    Returns the first counterexample found, in deterministic scan order.
+    the midpoint inequality is tested over all sampled (x, r1, r2, gamma)
+    with r1 != r2. Returns the first counterexample found, in deterministic
+    scan order (t, x, r1, r2, gamma), with the number of checks made up to
+    it; a domain error is raised only if no counterexample precedes it.
     """
     if not len(x_samples) or not len(r_samples) or not len(gamma_samples):
         raise InvalidParameter("sample lists must be nonempty")
@@ -114,29 +123,48 @@ def check_convexity_condition(
     lagr = problem.lagrangian
     mu = ts.mu_values()
     i0, ik = ts.kappa_range(problem.t0, problem.t1)
+    points = ts.points[i0 + np.flatnonzero(mu[i0 : ik + 1])]  # trivially satisfied where mu = 0
+    xs, rs, gs = (np.asarray(s, dtype=float) for s in (x_samples, r_samples, gamma_samples))
+    first, second = np.nonzero(rs[:, None] != rs[None, :])
+    # one check per (t, x, pair, gamma), in scan order
+    x_col = xs[None, :, None, None]
+    r1, r2 = rs[first][None, None, :, None], rs[second][None, None, :, None]
+    g = gs[None, None, None, :]
+    per_point = xs.size * first.size * gs.size
+    block = max(1, _BLOCK_ROWS // max(per_point, 1))
+
+    def midpoint_sides(c: dict) -> tuple:
+        """(f at the midpoint, the chord) for each check; f1, f2, mid in the loop's order."""
+
+        def f(r):
+            return eval_ast(lagr.ast, {"t": c["t"], "x": c["x"], "r": r})
+
+        f1, f2 = f(c["r1"]), f(c["r2"])
+        lhs = f(c["g"] * c["r1"] + (1.0 - c["g"]) * c["r2"])
+        return lhs, c["g"] * f1 + (1.0 - c["g"]) * f2
+
     checks = 0
-    for i in i0 + np.flatnonzero(mu[i0 : ik + 1]):  # trivially satisfied where mu = 0
-        t = float(ts.points[i])
-        for xv in x_samples:
-            for r1 in r_samples:
-                for r2 in r_samples:
-                    if r1 == r2:
-                        continue
-                    f1 = lagr.eval(t, xv, r1)
-                    f2 = lagr.eval(t, xv, r2)
-                    for g in gamma_samples:
-                        checks += 1
-                        mid = g * r1 + (1.0 - g) * r2
-                        lhs = lagr.eval(t, xv, mid)
-                        rhs = g * f1 + (1.0 - g) * f2
-                        if lhs > rhs + tol:
-                            return ConvexityReport(
-                                False,
-                                ConvexityCounterexample(
-                                    t, float(xv), float(r1), float(r2), float(g), float(lhs), float(rhs)
-                                ),
-                                checks,
-                            )
+    for start in range(0, points.size, block):
+        t = points[start : start + block, None, None, None]
+        env = {"t": t, "x": x_col, "r1": r1, "r2": r2, "g": g}
+        sides, error = eval_rows(midpoint_sides, env)
+        if sides is not None:
+            lhs, rhs = (np.ravel(side) for side in sides)
+            hit = np.flatnonzero(lhs > rhs + tol)
+            if hit.size:
+                k = int(hit[0])
+                it, ix, ip, ig = np.unravel_index(k, (t.shape[0], xs.size, first.size, gs.size))
+                return ConvexityReport(
+                    False,
+                    ConvexityCounterexample(
+                        float(t[it, 0, 0, 0]), float(xs[ix]), float(rs[first[ip]]),
+                        float(rs[second[ip]]), float(gs[ig]), float(lhs[k]), float(rhs[k]),
+                    ),
+                    checks + k + 1,
+                )
+        if error is not None:
+            raise error
+        checks += t.shape[0] * per_point
     return ConvexityReport(True, None, checks)
 
 
@@ -151,23 +179,47 @@ def weierstrass_scan(
     Every sample row of the functional is visited: each point of [t0, t1)
     with x(sigma(t)) and its right-going slope, and a left limit (x(t), r-)
     at registered breaks, at a left-dense window end and at the end of a
-    dense run. Violations are sorted by (t, q) so concurrent evaluation
-    would merge deterministically.
+    dense run. f and f_r are computed once per row and E over rows x q, a
+    block of rows at a time; a domain error names the row and q where a
+    loop over rows and q, as in excess(), would fail first. Violations are
+    sorted by (t, q) so concurrent evaluation would merge deterministically.
     """
     if not len(q_grid):
         raise InvalidParameter("q_grid must be nonempty")
     if tol < 0:
         raise InvalidParameter("tol must be nonnegative")
     lagr = problem.lagrangian
+    q = np.asarray(q_grid, dtype=float)
     t, xs, r, kind, _ = _rows(problem, x)
-    violations: list[ExcessSample] = []
-    for ti, xi, ri, ki in _row_tuples(t, xs, r, kind):
-        for q in q_grid:
-            e = excess(lagr, ti, xi, ri, float(q))
-            if e < -tol:
-                violations.append(ExcessSample(ti, xi, ri, float(q), e, _SLOPE_KINDS[ki]))
-    violations.sort(key=lambda s: (s.t, s.q, s.slope_kind.value))
-    return violations
+    block = max(1, _BLOCK_ROWS // q.size)
+    hits = []
+    for start in range(0, t.size, block):
+        rows = slice(start, start + block)
+        tb, xb, rb = t[rows, None], xs[rows, None], r[rows, None]
+        try:
+            f_q = lagr.eval(tb, xb, q)
+            stop, error = tb.shape[0], None
+        except (DomainError, NonDifferentiablePoint) as e:
+            # excess() evaluates f at q before the partials at r, row by row
+            row, col = divmod(e.index, q.size)
+            stop, error = row + (col > 0), e
+        if stop:
+            f, _, f_r = lagr.partials(tb[:stop], xb[:stop], rb[:stop])
+        if error is not None:
+            raise error
+        E = f_q - f - (q - rb) * f_r
+        i, j = np.nonzero(E < -tol)
+        hits.append((i + start, j, E[i, j]))
+    i, j, e = (np.concatenate(column) for column in zip(*hits))
+    # the stable (t, q, slope-kind name) order, ties kept in row and q order
+    order = np.lexsort((_KIND_NAME_RANK[kind[i]], q[j], t[i]))
+    # one float object per row and per q, shared by its violations
+    t, xs, r, q = t.tolist(), xs.tolist(), r.tolist(), q.tolist()
+    kinds = [_SLOPE_KINDS[k] for k in kind.tolist()]
+    return [
+        ExcessSample(t[a], xs[a], r[a], q[b], value, kinds[a])
+        for a, b, value in zip(i[order].tolist(), j[order].tolist(), e[order].tolist())
+    ]
 
 
 def observed_slopes(problem: VariationalProblem, x: Trajectory) -> np.ndarray:
@@ -222,8 +274,12 @@ def classify_candidate(
     gamma_samples: Sequence[float] = DEFAULT_GAMMAS,
     scan_tol: float = 1e-9,
     convexity_tol: float = 1e-10,
+    q_count: int = DEFAULT_Q_COUNT,
 ) -> AnalysisReport:
     """Run the Euler-Lagrange, convexity, and excess checks on a candidate.
+
+    Without a q_grid the scan uses default_q_grid over the observed slopes
+    with q_count grid points.
 
     A violated excess condition under a satisfied hypothesis certifies the
     candidate is NOT a strong local minimum; all other outcomes are
@@ -242,7 +298,10 @@ def classify_candidate(
     )
     violations = tuple(
         weierstrass_scan(
-            problem, x, q_grid if q_grid is not None else default_q_grid(slopes), tol=scan_tol
+            problem,
+            x,
+            q_grid if q_grid is not None else default_q_grid(slopes, q_count),
+            tol=scan_tol,
         )
     )
     if not convexity.ok:

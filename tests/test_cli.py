@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from tsvar import ProblemFileError, make_harmonic
+from tsvar import ProblemFileError, make_harmonic, weierstrass
 from tsvar.cli import main
 from tsvar.problemfile import load_problem, serialize_report
 
@@ -197,6 +198,24 @@ class TestEval:
         assert main(["eval", path]) == 1
         assert "trajectory" in capsys.readouterr().err
 
+    def test_overflowing_trajectory_formula_is_an_input_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path, trajectory={"kind": "expr", "formula": "exp(1000)"})
+        assert main(["eval", path]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "trajectory.formula" in err and "overflow" in err
+
+    def test_overflowing_lagrangian_is_an_input_error(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path,
+            scale={"kind": "uniform", "start": 0, "end": 1, "step": 0.1},
+            lagrangian="r^400",
+            beta=10.0,
+            trajectory={"kind": "expr", "formula": "10*t"},
+        )
+        assert main(["eval", path]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "overflow in '(r ^ 400.0)'" in err
+
 
 class TestSolve:
     def test_integer_window(self, tmp_path, capsys):
@@ -287,6 +306,32 @@ class TestAnalyze:
         assert main(["analyze", path, "--q-count", "3", "--report", str(report)]) == 4
         doc = json.loads(report.read_text())
         assert {v["q"] for v in doc["weierstrass_violations"]} == {-2.5, 2.5}
+
+    @pytest.mark.parametrize(
+        "scan, argv", [({"q_count": 3}, []), (None, ["--q-count", "3"])]
+    )
+    def test_q_count_sizes_the_default_grid(self, tmp_path, monkeypatch, scan, argv):
+        grids = []
+        original = weierstrass.weierstrass_scan
+
+        def spy(problem, x, q_grid, tol=1e-9):
+            grids.append(np.asarray(q_grid))
+            return original(problem, x, q_grid, tol)
+
+        monkeypatch.setattr(weierstrass, "weierstrass_scan", spy)
+        path = write_problem(
+            tmp_path,
+            scale={"kind": "harmonic", "n_max": 10},
+            trajectory={"kind": "expr", "formula": "t*(1 - t)"},
+            scan=scan,
+        )
+        main(["analyze", path, *argv])
+        loaded = load_problem(path)
+        slopes = np.unique(weierstrass.observed_slopes(loaded.problem, loaded.trajectory))
+        (grid,) = grids
+        # 3 evenly spaced comparison slopes plus every observed slope
+        assert grid.size == 3 + slopes.size
+        assert set(slopes) <= set(grid)
 
     def test_solves_when_no_trajectory(self, tmp_path, capsys):
         path = write_problem(

@@ -48,6 +48,11 @@ class TestProblemConstruction:
         with pytest.raises(EmptyInterval):
             VariationalProblem(make_points([0, 1, 2]), 2.0, 0.0, parse_lagrangian("r^2"), 0, 0)
 
+    def test_window_collapsing_to_one_node_is_rejected(self):
+        # t1 lies within the point tolerance of t0, so both snap to the node 0
+        with pytest.raises(EmptyInterval, match="same scale point"):
+            VariationalProblem(make_points([0, 1, 2]), 0.0, 1e-13, parse_lagrangian("r^2"), 0, 0)
+
 
 class TestAdmissibility:
     def test_zero_trajectory(self, harmonic_problem):

@@ -1,0 +1,405 @@
+"""Array evaluation against the scalar row-by-row path it replaces.
+
+Each array consumer is compared with a loop over the same rows through the
+scalar evaluator: the values, the order of the results, and which error is
+raised where a loop would fail.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from tsvar import (
+    DomainError,
+    GridFunction,
+    NonDifferentiablePoint,
+    TsvarError,
+    VariationalProblem,
+    check_convexity_condition,
+    el_residual,
+    excess,
+    functional,
+    make_points,
+    make_uniform,
+    parse_lagrangian,
+    weierstrass_scan,
+)
+from tsvar import weierstrass
+from tsvar.dual import Dual
+from tsvar.expressions import VARIABLES, BinOp, Call, Lagrangian, Neg, Num, Var, eval_ast
+from tsvar.variational import _rows
+from tsvar.weierstrass import (
+    _SLOPE_KINDS,
+    ConvexityCounterexample,
+    ConvexityReport,
+    ExcessSample,
+)
+from conftest import SMOOTH_TEMPLATES, random_discrete_scale
+
+# -- scalar references: the per-row loops the array path replaced ----------------
+
+
+def outcomes(fn, rows):
+    """fn over rows in order: (results before the first error, its class or None)."""
+    done = []
+    for row in rows:
+        try:
+            done.append(fn(*row))
+        except TsvarError as e:
+            return done, type(e)
+    return done, None
+
+
+def convexity_loop(problem, x_samples, r_samples, gamma_samples, tol=1e-10):
+    ts, lagr = problem.scale, problem.lagrangian
+    mu = ts.mu_values()
+    i0, ik = ts.kappa_range(problem.t0, problem.t1)
+    checks = 0
+    for i in i0 + np.flatnonzero(mu[i0 : ik + 1]):
+        t = float(ts.points[i])
+        for xv in x_samples:
+            for r1 in r_samples:
+                for r2 in r_samples:
+                    if r1 == r2:
+                        continue
+                    f1 = lagr.eval(t, xv, r1)
+                    f2 = lagr.eval(t, xv, r2)
+                    for g in gamma_samples:
+                        checks += 1
+                        mid = g * r1 + (1.0 - g) * r2
+                        lhs = lagr.eval(t, xv, mid)
+                        rhs = g * f1 + (1.0 - g) * f2
+                        if lhs > rhs + tol:
+                            cx = ConvexityCounterexample(
+                                t, float(xv), float(r1), float(r2), float(g), float(lhs), float(rhs)
+                            )
+                            return ConvexityReport(False, cx, checks)
+    return ConvexityReport(True, None, checks)
+
+
+def scan_loop(problem, x, q_grid, tol=1e-9):
+    t, xs, r, kind, _ = _rows(problem, x)
+    found = []
+    for ti, xi, ri, ki in zip(t.tolist(), xs.tolist(), r.tolist(), kind.tolist()):
+        for q in q_grid:
+            e = excess(problem.lagrangian, ti, xi, ri, float(q))
+            if e < -tol:
+                found.append(ExcessSample(ti, xi, ri, float(q), e, _SLOPE_KINDS[ki]))
+    found.sort(key=lambda s: (s.t, s.q, s.slope_kind.value))
+    return found
+
+
+def assert_same_report(got, want):
+    """Equal reports; lhs and rhs may differ in the last digits (numpy vs math)."""
+    assert (got.ok, got.checks) == (want.ok, want.checks)
+    if want.counterexample is not None:
+        g, w = got.counterexample, want.counterexample
+        assert (g.t, g.x, g.r1, g.r2, g.gamma) == (w.t, w.x, w.r1, w.r2, w.gamma)
+        assert (g.lhs, g.rhs) == pytest.approx((w.lhs, w.rhs), rel=1e-12, abs=1e-12)
+
+
+def assert_same_violations(got, want):
+    assert [(v.t, v.x_sigma, v.r, v.q, v.slope_kind) for v in got] == [
+        (v.t, v.x_sigma, v.r, v.q, v.slope_kind) for v in want
+    ]
+    np.testing.assert_allclose([v.E for v in got], [v.E for v in want], rtol=1e-9, atol=1e-12)
+
+
+def row_columns(problem, x):
+    t, xs, r, kind, weight = _rows(problem, x)
+    return list(zip(t.tolist(), xs.tolist(), r.tolist())), kind, weight
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except TsvarError as e:
+        return None, type(e)
+
+
+# -- random expressions over the whole grammar -----------------------------------
+
+_CONSTANTS = st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0, 1e-3, 2.5))
+_EXPONENTS = st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0))
+_LEAVES = st.one_of(st.builds(Num, _CONSTANTS), st.builds(Var, st.sampled_from(VARIABLES)))
+
+
+def _extend(children):
+    exponent = st.one_of(
+        st.builds(Num, _EXPONENTS), st.builds(Neg, st.builds(Num, _EXPONENTS)), children
+    )
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(Call, st.sampled_from(("sin", "cos", "exp", "log", "sqrt", "abs")), children),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(BinOp, st.just("^"), children, exponent),
+    )
+
+
+_ASTS = st.recursive(_LEAVES, _extend, max_leaves=8)
+# coordinates at the edges of sqrt, log, abs and division, and in between
+_COORDINATE = st.one_of(
+    st.sampled_from((0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 1e-9, -1e-9)),
+    st.floats(-3.0, 3.0, allow_subnormal=False),
+)
+_ROWS = st.lists(st.tuples(_COORDINATE, _COORDINATE, _COORDINATE), min_size=1, max_size=6)
+
+
+def _components(u):
+    if isinstance(u, Dual):
+        return _components(u.primal) + _components(u.tangent)
+    return [abs(float(u))]
+
+
+def _magnitude(node, env) -> float:
+    """Largest component of any sub-expression: the scale its rounding errors live on."""
+    own = max(_components(eval_ast(node, env)))
+    for child in ("arg", "lhs", "rhs"):
+        if hasattr(node, child):
+            own = max(own, _magnitude(getattr(node, child), env))
+    return own
+
+
+def _assert_rows_close(got, want, scales):
+    got, want, scales = (np.asarray(v, dtype=float) for v in (got, want, scales))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), scales)), (got, want)
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(ast=_ASTS, rows=_ROWS)
+def test_array_eval_and_partials_match_the_scalar_path(ast, rows):
+    lagr = Lagrangian(ast, ast.to_source())
+    t, x, r = (np.array(column) for column in zip(*rows))
+    for method, wrap in ((lagr.eval, lambda v: (v,)), (lagr.partials, tuple)):
+        scalar, error = outcomes(method, rows)
+        if error is not None:
+            with pytest.raises(error) as info:
+                method(t, x, r)
+            assert info.value.index == len(scalar)  # the first bad row
+            continue
+        got = wrap(method(t, x, r))
+        want = [wrap(v) for v in scalar]
+        if method == lagr.eval:
+            scales = [_magnitude(ast, {"t": a, "x": b, "r": c}) for a, b, c in rows]
+        else:  # both forward passes of the partials
+            scales = [
+                max(
+                    _magnitude(ast, {"t": Dual(a), "x": Dual(b, 1.0), "r": Dual(c)}),
+                    _magnitude(ast, {"t": Dual(a), "x": Dual(b), "r": Dual(c, 1.0)}),
+                )
+                for a, b, c in rows
+            ]
+        for k, column in enumerate(got):
+            assert np.shape(column) == t.shape
+            _assert_rows_close(column, [w[k] for w in want], scales)
+
+
+class TestArrayErrors:
+    def test_first_bad_row_wins_over_the_first_bad_node(self):
+        # log(t) first fails at row 2, sqrt(r) already at row 1: a row loop meets sqrt first
+        lagr = parse_lagrangian("log(t) + sqrt(r)")
+        t = np.array([1.0, 1.0, -1.0])
+        r = np.array([1.0, -1.0, 1.0])
+        with pytest.raises(DomainError, match=r"sqrt.*at t=1\.0, x=0\.0, r=-1\.0") as info:
+            lagr.eval(t, 0.0, r)
+        assert info.value.index == 1
+
+    def test_class_follows_the_first_bad_row(self):
+        # abs at 0 is a NonDifferentiablePoint in the partials; log(t) a DomainError
+        lagr = parse_lagrangian("log(t) + abs(r)")
+        with pytest.raises(NonDifferentiablePoint):
+            lagr.partials(np.array([1.0, -1.0]), 0.0, np.array([0.0, 1.0]))
+        with pytest.raises(DomainError):
+            lagr.partials(np.array([-1.0, 1.0]), 0.0, np.array([1.0, 0.0]))
+
+    def test_constant_failure_fails_every_row(self):
+        with pytest.raises(DomainError) as info:
+            parse_lagrangian("r + log(0 - 1)").eval(np.zeros(3), 0.0, np.ones(3))
+        assert info.value.index == 0
+
+    def test_broadcast_shape_is_kept(self):
+        lagr = parse_lagrangian("t + x*r")
+        out = lagr.eval(np.arange(3.0)[:, None], 2.0, np.arange(4.0))
+        assert out.shape == (3, 4)
+        assert out[2, 3] == 2.0 + 2.0 * 3.0
+        assert parse_lagrangian("1").eval(np.zeros(5), 0.0, 0.0).shape == (5,)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("src", ["exp(r)", "r^400", "r^200*r^200", "exp(r)*exp(r) - 1"])
+    def test_scalar_and_array_raise_domain_error(self, src):
+        lagr = parse_lagrangian(src)
+        with pytest.raises(DomainError, match="overflow in"):
+            lagr.eval(0.0, 0.0, 1000.0 if "exp" in src else 10.0)
+        with pytest.raises(DomainError, match="overflow in") as info:
+            lagr.eval(np.zeros(2), 0.0, np.array([1.0, 1000.0 if "exp" in src else 10.0]))
+        assert info.value.index == 1
+
+    def test_overflow_is_caught_where_it_happens(self):
+        # the product overflows although the whole expression would be 0
+        with pytest.raises(DomainError, match=r"'\(r \* r\)'"):
+            parse_lagrangian("1/(r*r)").eval(0.0, 0.0, 1e200)
+
+    def test_divisor_underflowing_in_the_partials(self):
+        # x^3 is tiny but not 0; the derivative of t/x^3 divides by its square, which is 0
+        lagr = parse_lagrangian("t/x^3")
+        with pytest.raises(DomainError, match="overflow"):
+            lagr.partials(1.0, 6.7e-68, 0.0)
+        with pytest.raises(DomainError, match="overflow") as info:
+            lagr.partials(np.ones(2), np.array([1.0, 6.7e-68]), 0.0)
+        assert info.value.index == 1
+
+    def test_non_finite_inputs_propagate(self):
+        assert parse_lagrangian("r + 1").eval(0.0, 0.0, math.inf) == math.inf
+
+
+# -- consumers of the sample table ------------------------------------------------
+
+EDGE_TEMPLATES = SMOOTH_TEMPLATES + ("log(t) + r^2", "sqrt(r) + x", "abs(r) - r^4", "r^2/(x - 0.5)")
+
+
+def random_problem(rng, src, points=None):
+    ts = random_discrete_scale(rng) if points is None else make_points(points)
+    pts = ts.points
+    lagr = parse_lagrangian(src)
+    x = GridFunction(ts, rng.uniform(-1.5, 1.5, len(ts)))
+    return VariationalProblem(ts, pts[0], pts[-1], lagr, x.values[0], x.values[-1]), x
+
+
+@pytest.mark.parametrize("src", EDGE_TEMPLATES)
+def test_functional_and_el_residual_match_the_row_loop(src, rng):
+    for _ in range(5):
+        problem, x = random_problem(rng, src)
+        rows, kind, weight = row_columns(problem, x)
+        values, error = outcomes(problem.lagrangian.eval, rows)
+        got, got_error = outcome(functional, problem, x)
+        assert got_error is error
+        if error is None:
+            assert got == pytest.approx(float(np.dot(weight, values)), rel=1e-12, abs=1e-12)
+        partials, error = outcomes(problem.lagrangian.partials, rows)
+        res, got_error = outcome(el_residual, problem, x)
+        assert got_error is error
+        if error is None:
+            _, fx, fr = np.array(partials).T
+            t = np.array([row[0] for row in rows])
+            want = (fr[1:] - fr[:-1]) / np.diff(t) - fx[:-1]
+            np.testing.assert_allclose(res.values, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("src", EDGE_TEMPLATES)
+def test_scan_matches_the_row_loop(src, rng):
+    for _ in range(5):
+        problem, x = random_problem(rng, src)
+        q = np.concatenate((rng.uniform(-3.0, 3.0, 6), [0.0, -0.5]))
+        want, error = outcome(scan_loop, problem, x, q)
+        got, got_error = outcome(weierstrass_scan, problem, x, q)
+        assert got_error is error
+        if error is None:
+            assert_same_violations(got, want)
+
+
+@pytest.mark.parametrize(
+    "q_grid, error", [([1.0, -1.0], NonDifferentiablePoint), ([-1.0, 1.0], DomainError)]
+)
+def test_scan_fails_where_excess_would(q_grid, error):
+    # excess() evaluates f at q before the partials at r: the q order decides the class
+    problem = VariationalProblem(
+        make_uniform(0.0, 3.0, 1.0), 0.0, 3.0, parse_lagrangian("sqrt(r)"), 0.0, 0.0
+    )
+    x = problem.zero_trajectory()
+    with pytest.raises(error):
+        scan_loop(problem, x, q_grid)
+    with pytest.raises(error):
+        weierstrass_scan(problem, x, q_grid)
+
+
+def test_scan_with_a_failing_constant_raises():
+    problem = VariationalProblem(
+        make_uniform(0.0, 3.0, 1.0), 0.0, 3.0, parse_lagrangian("r + log(0 - 1)"), 0.0, 0.0
+    )
+    x = problem.zero_trajectory()
+    with pytest.raises(DomainError):
+        scan_loop(problem, x, [1.0])
+    with pytest.raises(DomainError, match="log"):
+        weierstrass_scan(problem, x, [1.0])
+
+
+def test_scan_runs_in_row_blocks(monkeypatch):
+    problem = VariationalProblem(
+        make_uniform(0.0, 2.0, 0.05), 0.0, 2.0, parse_lagrangian("r^2 - r^4 + t*x"), 0.0, 0.0
+    )
+    x = GridFunction.from_callable(problem.scale, lambda t: math.sin(3 * t) * t * (2 - t))
+    q = np.linspace(-2.0, 2.0, 7)
+    whole = weierstrass_scan(problem, x, q)
+    monkeypatch.setattr(weierstrass, "_BLOCK_ROWS", 20)  # blocks of two rows
+    assert weierstrass_scan(problem, x, q) == whole
+    assert_same_violations(whole, scan_loop(problem, x, q))
+
+
+class TestConvexitySweep:
+    def test_domain_error_after_the_first_counterexample_does_not_raise(self):
+        points = [0.1, 0.2, 0.7, 0.8, 0.9]
+        problem = VariationalProblem(
+            make_points(points), 0.1, 0.9, parse_lagrangian("r^2 - r^4 + log(0.5 - t)"), 0.0, 0.0
+        )
+        args = ([0.0], [-2.0, -1.0, 1.0, 2.0], [0.5])
+        report = check_convexity_condition(problem, *args)
+        assert_same_report(report, convexity_loop(problem, *args))
+        assert not report.ok and report.counterexample.t == 0.1 and report.checks == 1
+
+    def test_domain_error_before_any_counterexample_raises(self):
+        problem = VariationalProblem(
+            make_points([0.1, 0.2, 0.7]), 0.1, 0.7, parse_lagrangian("r^2 + log(0.15 - t)"), 0.0, 0.0
+        )
+        args = ([0.0, 1.0], [-1.0, 1.0], [0.5])
+        with pytest.raises(DomainError):
+            convexity_loop(problem, *args)
+        with pytest.raises(DomainError, match=r"at t=0\.2"):
+            check_convexity_condition(problem, *args)
+
+    @pytest.mark.parametrize("src", ["r^2 - (t - 1)*r^4", "r^2 - (t - 1)*r^4 + log(1.12 - t)"])
+    def test_counterexample_in_a_later_block(self, src, monkeypatch):
+        problem = VariationalProblem(
+            make_uniform(0.0, 2.0, 0.05), 0.0, 2.0, parse_lagrangian(src), 0.0, 0.0
+        )
+        args = ([0.0, 1.0], [-2.0, -1.0, 1.0, 2.0], [0.25, 0.5, 0.75])
+        per_point = 2 * 12 * 3
+        monkeypatch.setattr(weierstrass, "_BLOCK_ROWS", 3 * per_point)  # three points a block
+        report = check_convexity_condition(problem, *args)
+        assert_same_report(report, convexity_loop(problem, *args))
+        assert not report.ok and report.checks > 3 * per_point
+        monkeypatch.setattr(weierstrass, "_BLOCK_ROWS", 1)  # one point a block
+        assert check_convexity_condition(problem, *args) == report
+
+    def test_repeated_slopes_are_skipped(self):
+        problem = VariationalProblem(
+            make_uniform(0.0, 2.0, 1.0), 0.0, 2.0, parse_lagrangian("r^2 + log(0 - 1)"), 0.0, 0.0
+        )
+        # with one distinct slope no pair is checked, so f is never evaluated
+        assert check_convexity_condition(problem, [0.0], [1.0, 1.0], [0.5]) == ConvexityReport(
+            True, None, 0
+        )
+
+    @pytest.mark.parametrize("src", EDGE_TEMPLATES + ("r^2 - (t - 0.5)*r^4", "r^2 + log(0.9 - t)"))
+    def test_random_sweeps_match_the_loop(self, src, rng, monkeypatch):
+        monkeypatch.setattr(weierstrass, "_BLOCK_ROWS", 64)
+        for _ in range(4):
+            problem, _ = random_problem(rng, src, np.sort(rng.uniform(0.0, 1.0, 12)))
+            args = (
+                rng.uniform(-1.0, 1.0, 2).tolist(),
+                np.round(rng.uniform(-2.0, 2.0, 4), 1).tolist() + [0.0],
+                [0.25, 0.5],
+            )
+            got, error = outcome(check_convexity_condition, problem, *args)
+            want, want_error = outcome(convexity_loop, problem, *args)
+            assert error is want_error
+            if error is None:
+                assert_same_report(got, want)
