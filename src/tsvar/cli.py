@@ -204,6 +204,9 @@ def cmd_solve(loaded: LoadedProblem, report_path: Optional[str], max_iter: int) 
                 },
                 "iterations": result.iterations,
                 "residual_max": result.residual_max,
+                "history": [
+                    {"residual_max": res, "step": lam} for res, lam in result.history
+                ],
             },
         )
         write_report(report_path, doc)

@@ -1,16 +1,19 @@
 """First-order dual numbers for forward-mode differentiation.
 
 Components may themselves be Dual, which makes second-order (nested)
-differentiation work out of the box; the Newton solver relies on this to
-push Jacobian tangents through Lagrangian partials. Plain ints/floats are
-lifted automatically, so mixed arithmetic is safe as long as previously
-created Dual values are re-wrapped at the new seeding level (see
-Lagrangian.partials).
+differentiation work out of the box: Lagrangian.partials wraps its inputs at
+a fresh seeding level, so partials of Dual inputs carry the inputs'
+tangents. Plain ints/floats are lifted automatically, so mixed arithmetic is
+safe as long as previously created Dual values are re-wrapped at the new
+seeding level.
 
 Components may also be numpy arrays, which evaluates many points at once:
 the functions below then use numpy ufuncs instead of math, and each domain
 check becomes a mask check whose error records the first bad flat index in
-its `index` attribute (0 for a scalar check, which fails everywhere).
+its `index` attribute (0 for a scalar check, which fails everywhere). A Dual
+of arrays is indexed component-wise. The Newton solver pushes three such
+Duals, each seeded on every third unknown, through its array residual to
+fill the tridiagonal Jacobian.
 """
 
 from __future__ import annotations
@@ -84,6 +87,9 @@ class Dual:
 
     def __hash__(self):
         return hash((self.primal, self.tangent))
+
+    def __getitem__(self, index):
+        return Dual(self.primal[index], self.tangent[index])
 
     def __add__(self, other):
         if isinstance(other, Dual):
@@ -166,7 +172,7 @@ def _pow_const(u: Dual, n: float) -> Dual:
             check(p == 0.0, DomainError, "zero base with negative exponent")
         elif n < 1.0:
             check(p == 0.0, NonDifferentiablePoint, f"power {n} is not differentiable at base 0")
-        elif p.__class__ is float and p == 0.0:
+        elif u.primal.__class__ is float and p == 0.0:  # a nested primal keeps its tangent
             return Dual(u.primal * 0.0, u.tangent * 0.0)
         if not n.is_integer():
             check(p < 0.0, DomainError, "negative base with non-integer exponent")

@@ -62,11 +62,20 @@ class SingularJacobian(TsvarError):
 class NonConvergence(TsvarError):
     """Newton iteration did not reach tolerance; carries the best iterate and diagnostics."""
 
-    def __init__(self, message: str, best=None, iterations: int = 0, residual_max: float = float("inf")):
+    def __init__(
+        self,
+        message: str,
+        best=None,
+        iterations: int = 0,
+        residual_max: float = float("inf"),
+        history: tuple = (),
+    ):
         super().__init__(message)
         self.best = best
         self.iterations = iterations
         self.residual_max = residual_max
+        # (residual max-norm, accepted step length) per completed Newton iteration
+        self.history = history
 
 
 class ProblemFileError(TsvarError):

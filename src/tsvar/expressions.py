@@ -341,6 +341,13 @@ def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> tuple[Any, O
     return out, error
 
 
+def _broadcast(u: Number, shape: tuple) -> Number:
+    """u with every float or array component broadcast to shape."""
+    if isinstance(u, Dual):
+        return Dual(_broadcast(u.primal, shape), _broadcast(u.tangent, shape))
+    return np.broadcast_to(u, shape)
+
+
 def evaluate(ast: ExprAst, env: Mapping[str, np.ndarray]) -> np.ndarray:
     """eval_ast over the rows of array-valued env, raising the first bad row's error."""
     out, error = eval_rows(lambda columns: eval_ast(ast, columns), env)
@@ -369,8 +376,18 @@ class Lagrangian:
         Every argument is wrapped at a fresh seeding level, so the inputs may
         themselves be Dual; the returned partials then carry the callers'
         tangents (nested differentiation). Array arguments are broadcast and
-        evaluated row by row, like eval.
+        evaluated row by row, like eval. Duals of arrays are evaluated in one
+        pass and every component of the result is broadcast to the rows'
+        shape; a domain error then names the sub-expression but no row, so a
+        caller that needs the row evaluates the plain arrays first.
         """
+        if isinstance(t, Dual) or isinstance(x, Dual) or isinstance(r, Dual):
+            shape = np.broadcast_shapes(*(np.shape(primal_value(a)) for a in (t, x, r)))
+            if not shape:
+                return self._partials(t, x, r)
+            with np.errstate(all="ignore"):
+                out = self._partials(t, x, r)
+            return tuple(_broadcast(o, shape) for o in out)
         if not (isinstance(t, np.ndarray) or isinstance(x, np.ndarray) or isinstance(r, np.ndarray)):
             return self._partials(t, x, r)
         out, error = eval_rows(

@@ -5,19 +5,20 @@ subject to x(t0) = alpha, x(t1) = beta,
 
 over trajectories sampled on the scale. Provides functional evaluation,
 admissibility, the Euler-Lagrange residual f_r^Delta - f_x, a damped-Newton
-solver for discrete scales, spike perturbations, and the constructive
-searches used to falsify strong/weak local minimality.
+solver for discrete scales (O(n) per iteration: array residual, tridiagonal
+Jacobian), spike perturbations, and the constructive searches used to
+falsify strong/weak local minimality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .calculus import GridFunction, _break_mask, _slopes
-from .dual import Dual, primal_value, tangent_of
+from .dual import Dual, Number, tangent_of
 from .errors import (
     EmptyInterval,
     InsufficientPoints,
@@ -169,9 +170,14 @@ def el_residual(problem: VariationalProblem, x: Trajectory) -> GridFunction:
     t, xs, r, kind, _ = _rows(problem, x)
     one_per_node = (kind != _LEFT) | (t == problem.t1)
     t, xs, r = t[one_per_node], xs[one_per_node], r[one_per_node]
-    _, fx, fr = problem.lagrangian.partials(t, xs, r)
-    res = (fr[1:] - fr[:-1]) / np.diff(t) - fx[:-1]
+    res = _el_terms(problem.lagrangian, t, xs, r)
     return GridFunction(make_points(t[:-1]), res, name="el_residual")
+
+
+def _el_terms(lagr: Lagrangian, t: np.ndarray, xs: Number, r: Number) -> Number:
+    """f_r^Delta - f_x between consecutive rows (t, x^sigma, r): the EL residual at t[:-1]."""
+    _, fx, fr = lagr.partials(t, xs, r)
+    return (fr[1:] - fr[:-1]) / np.diff(t) - fx[:-1]
 
 
 # -- discrete Euler-Lagrange solver -------------------------------------------
@@ -183,23 +189,80 @@ class SolveResult:
     iterations: int
     residual_max: float
     converged: bool = True
+    # (residual max-norm after the step, accepted step length) per Newton iteration
+    history: tuple[tuple[float, float], ...] = ()
 
 
-def _residual_entries(lagr: Lagrangian, pts: np.ndarray, xvals: Sequence) -> list:
-    """EL residual entries over a purely discrete window; dual-safe.
+def _window_residual(lagr: Lagrangian, t: np.ndarray, x: Number) -> Number:
+    """EL residual R_k, k < n - 2, of the values x at the n nodes t of a discrete window.
 
-    xvals may mix floats and Dual seeds; the returned entries then carry the
-    corresponding Jacobian tangents.
+    R_k depends on x_k, x_{k+1} and x_{k+2} only. x may be an array or a Dual
+    of arrays; R then carries x's tangents.
     """
-    n = len(xvals)
-    mu = [float(pts[i + 1] - pts[i]) for i in range(n - 1)]
-    fr, fx = [], []
-    for i in range(n - 1):
-        slope = (xvals[i + 1] - xvals[i]) / mu[i]
-        _, fxi, fri = lagr.partials(float(pts[i]), xvals[i + 1], slope)
-        fr.append(fri)
-        fx.append(fxi)
-    return [(fr[i + 1] - fr[i]) / mu[i] - fx[i] for i in range(n - 2)]
+    return _el_terms(lagr, t[:-1], x[1:], (x[1:] - x[:-1]) / np.diff(t))
+
+
+def _window_jacobian(lagr: Lagrangian, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The tridiagonal Jacobian of R with respect to the unknowns x_1 .. x_{n-2}.
+
+    Column k of the (3, n - 2) result holds dR_k/dx_k, dR_k/dx_{k+1} and
+    dR_k/dx_{k+2}: the sub-, main and super-diagonal entries of row k. The
+    pinned x_0 and x_{n-1} contribute 0.
+
+    Pass c seeds the unknowns j = c (mod 3), so row k meets exactly one seeded
+    unknown, at offset (c - k) mod 3; three passes fill all three bands.
+    """
+    n = x.size
+    j, k = np.arange(n), np.arange(n - 2)
+    bands = np.zeros((3, n - 2))
+    for c in range(3):
+        seed = ((j % 3 == c) & (j > 0) & (j < n - 1)).astype(float)
+        bands[(c - k) % 3, k] = tangent_of(_window_residual(lagr, t, Dual(x, seed)))
+    return bands
+
+
+def _solve_tridiagonal(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A y = b, A tridiagonal with bands as _window_jacobian returns them.
+
+    Gaussian elimination with partial pivoting, swapping rows in the order
+    of LAPACK's gtsv; an exactly zero pivot raises SingularJacobian. Each
+    multiplier is formed from the pivot's reciprocal, as LAPACK's dense LU
+    (getf2) forms it.
+    """
+    dl, d, du = bands[0, 1:].tolist(), bands[1].tolist(), bands[2, :-1].tolist()
+    du2 = [0.0] * len(d)  # second superdiagonal, filled in by row swaps
+    y = b.tolist()
+    m = len(d)
+    for i in range(m - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise SingularJacobian(f"Jacobian is singular: zero pivot in column {i}")
+            fact = _over_pivot(dl[i], d[i])
+            d[i + 1] -= fact * du[i]
+            y[i + 1] -= fact * y[i]
+        else:
+            fact = _over_pivot(d[i], dl[i])
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i + 2 < m:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du2[i]
+            y[i], y[i + 1] = y[i + 1], y[i] - fact * y[i + 1]
+    if d[m - 1] == 0.0:
+        raise SingularJacobian(f"Jacobian is singular: zero pivot in column {m - 1}")
+    y[m - 1] /= d[m - 1]
+    if m > 1:
+        y[m - 2] = (y[m - 2] - du[m - 2] * y[m - 1]) / d[m - 2]
+    for i in range(m - 3, -1, -1):
+        y[i] = (y[i] - du[i] * y[i + 1] - du2[i] * y[i + 2]) / d[i]
+    return np.array(y)
+
+
+_SAFE_MIN = float(np.finfo(float).tiny)
+
+
+def _over_pivot(a: float, pivot: float) -> float:
+    """a / pivot as a times the pivot's reciprocal, unless that reciprocal overflows."""
+    return a * (1.0 / pivot) if abs(pivot) >= _SAFE_MIN else a / pivot
 
 
 def _window_is_discrete(ts: TimeScale, t0: float, t1: float) -> bool:
@@ -217,9 +280,12 @@ def solve_el_discrete(
     """Solve the discrete Euler-Lagrange equations by damped Newton iteration.
 
     Interior values are the unknowns; boundary values stay pinned to alpha
-    and beta. The Jacobian is exact, obtained by seeding dual-number
-    tangents on each unknown and pushing them through the residual. Steps
-    are halved until the residual max-norm decreases.
+    and beta. The residual is array arithmetic over the window. Residual k
+    depends on three consecutive values only, so the exact Jacobian is
+    tridiagonal: three passes of dual-number tangents through the same
+    residual fill it, and a pivoted tridiagonal elimination solves for the
+    step, so an iteration costs O(n). Steps are halved until the residual
+    max-norm decreases.
 
     Raises NonConvergence (carrying the best iterate and diagnostics) or
     SingularJacobian.
@@ -231,47 +297,31 @@ def solve_el_discrete(
     n = i1 - i0 + 1
     if n < 3:
         raise InsufficientPoints("solver needs at least 3 scale points in [t0, t1]")
+    lagr = problem.lagrangian
     pts = ts.points[i0 : i1 + 1]
     base = x_init if x_init is not None else problem.linear_trajectory()
     xw = base.values[i0 : i1 + 1].astype(float).copy()
     xw[0], xw[-1] = problem.alpha, problem.beta
-
-    def assemble(values: np.ndarray) -> np.ndarray:
-        return np.array(
-            [primal_value(e) for e in _residual_entries(problem.lagrangian, pts, values.tolist())]
-        )
-
-    def jacobian(values: np.ndarray) -> np.ndarray:
-        m = n - 2
-        jac = np.zeros((m, m))
-        for j in range(m):
-            seeded: list = values.tolist()
-            seeded[j + 1] = Dual(float(values[j + 1]), 1.0)
-            entries = _residual_entries(problem.lagrangian, pts, seeded)
-            jac[:, j] = [primal_value(tangent_of(e)) for e in entries]
-        return jac
 
     def rebuild(values: np.ndarray) -> Trajectory:
         full = base.values.copy()
         full[i0 : i1 + 1] = values
         return GridFunction(ts, full, name="el_solution")
 
-    residual = assemble(xw)
+    residual = _window_residual(lagr, pts, xw)
     res_max = float(np.max(np.abs(residual)))
     best, best_max = xw.copy(), res_max
+    history: list[tuple[float, float]] = []
     iterations = 0
     for _ in range(max_iter):
         if res_max <= tol:
-            return SolveResult(rebuild(xw), iterations, res_max)
-        try:
-            step = np.linalg.solve(jacobian(xw), residual)
-        except np.linalg.LinAlgError as e:
-            raise SingularJacobian(f"Jacobian is singular: {e}") from None
+            return SolveResult(rebuild(xw), iterations, res_max, history=tuple(history))
+        step = _solve_tridiagonal(_window_jacobian(lagr, pts, xw), residual)
         lam = 1.0
         while True:
             trial = xw.copy()
             trial[1:-1] -= lam * step
-            trial_res = assemble(trial)
+            trial_res = _window_residual(lagr, pts, trial)
             trial_max = float(np.max(np.abs(trial_res)))
             if trial_max < res_max or trial_max <= tol:
                 break
@@ -282,18 +332,21 @@ def solve_el_discrete(
                     best=rebuild(best),
                     iterations=iterations,
                     residual_max=best_max,
+                    history=tuple(history),
                 )
         xw, residual, res_max = trial, trial_res, trial_max
         iterations += 1
+        history.append((res_max, lam))
         if res_max < best_max:
             best, best_max = xw.copy(), res_max
     if res_max <= tol:
-        return SolveResult(rebuild(xw), iterations, res_max)
+        return SolveResult(rebuild(xw), iterations, res_max, history=tuple(history))
     raise NonConvergence(
         f"no convergence within {max_iter} iterations (residual {best_max:.3e})",
         best=rebuild(best),
         iterations=iterations,
         residual_max=best_max,
+        history=tuple(history),
     )
 
 

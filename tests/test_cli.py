@@ -235,6 +235,24 @@ class TestSolve:
         assert doc["trajectory"]["values"] == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert doc["residual_max"] <= 1e-10
 
+    def test_report_history_round_trips_byte_identical(self, tmp_path):
+        path = write_problem(
+            tmp_path,
+            scale={"kind": "uniform", "start": 0, "end": 6, "step": 1},
+            t1=6.0,
+            lagrangian="r^2 + exp(x)",
+            beta=1.0,
+            trajectory=None,
+        )
+        report = tmp_path / "solve.json"
+        assert main(["solve", path, "--report", str(report)]) == 0
+        text = report.read_text()
+        doc = json.loads(text)
+        assert len(doc["history"]) == doc["iterations"] > 1
+        assert doc["history"][-1]["residual_max"] == doc["residual_max"]
+        assert all(0.0 < entry["step"] <= 1.0 for entry in doc["history"])
+        assert serialize_report(doc) == text
+
     def test_dense_scale_rejected(self, tmp_path, capsys):
         path = write_problem(
             tmp_path,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from tsvar import (
@@ -195,6 +196,39 @@ class TestDualNumbers:
         assert primal_value(tangent_of(f_x)) == 0.0  # f_x = r, independent of x
         assert primal_value(f_r2) == 3.0
         assert primal_value(tangent_of(f_r2)) == 1.0  # f_r = x, seeded on x
+
+    @pytest.mark.parametrize("src, f_rr", [("r^2", 2.0), ("r^3", 0.0), ("r^2.5", 0.0)])
+    def test_nested_tangent_survives_base_zero(self, src, f_rr):
+        _, f_x, f_r = parse_lagrangian(src).partials(0.0, 0.0, Dual(0.0, 1.0))
+        assert f_r == Dual(0.0, f_rr)
+        assert primal_value(f_x) == 0.0 and primal_value(tangent_of(f_x)) == 0.0
+
+    @pytest.mark.parametrize("src", ["r^2", "r^3", "r^2.5", "x*r^2 + r^4/4"])
+    def test_nested_scalar_partials_match_the_array_path_at_zero(self, src):
+        L = parse_lagrangian(src)
+        scalar = L.partials(0.5, 2.0, Dual(0.0, 1.0))
+        array = L.partials(np.array([0.5]), np.array([2.0]), Dual(np.zeros(1), np.ones(1)))
+        for s, a in zip(scalar, array):
+            assert primal_value(s) == primal_value(a)[0]
+            assert primal_value(tangent_of(s)) == primal_value(tangent_of(a))[0]
+
+    def test_partials_of_array_duals_are_broadcast_to_the_rows(self):
+        # f_x and f_r of x + r are constants; they still come back one per row
+        f, f_x, f_r = parse_lagrangian("x + r").partials(
+            np.zeros(3), Dual(np.arange(3.0), np.ones(3)), Dual(np.ones(3), np.zeros(3))
+        )
+        assert primal_value(f).tolist() == [1.0, 2.0, 3.0]
+        assert tangent_of(f).tolist() == [1.0, 1.0, 1.0]
+        for partial in (f_x, f_r):
+            assert primal_value(partial).tolist() == [1.0, 1.0, 1.0]
+            assert np.all(tangent_of(partial) == 0.0)
+
+    def test_array_dual_error_names_the_sub_expression(self):
+        # r^1.5 has a first derivative at r = 0 but no second one
+        L = parse_lagrangian("r^1.5")
+        L.partials(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
+        with pytest.raises(NonDifferentiablePoint, match=r"in '\(r \^ 1\.5\)'"):
+            L.partials(np.zeros(2), np.zeros(2), Dual(np.array([1.0, 0.0]), np.ones(2)))
 
     def test_pow_dual_exponent_requires_positive_base(self):
         L = parse_lagrangian("x^r")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tsvar import (
     EmptyInterval,
@@ -28,9 +29,10 @@ from tsvar import (
     spike_perturbation,
     union,
 )
-from tsvar.dual import Dual, primal_value, tangent_of
-from tsvar.variational import _residual_entries
-from conftest import random_discrete_scale
+from tsvar.dual import Dual, tangent_of
+from tsvar.expressions import Lagrangian
+from tsvar.variational import _solve_tridiagonal, _window_jacobian, _window_residual
+from conftest import SMOOTH_TEMPLATES, random_discrete_scale
 
 
 def quadratic_problem():
@@ -227,19 +229,69 @@ class TestSolver:
     def test_dual_jacobian_matches_finite_differences(self):
         lagr = parse_lagrangian("r^2 + exp(x) + t*x*r")
         pts = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        xv = [0.0, 0.3, -0.2, 0.7, 1.0]
+        xv = np.array([0.0, 0.3, -0.2, 0.7, 1.0])
         h = 1e-7
+        ad = _dense(_window_jacobian(lagr, pts, xv))
         for j in range(1, 4):
-            seeded = list(xv)
-            seeded[j] = Dual(xv[j], 1.0)
-            ad = [primal_value(tangent_of(e)) for e in _residual_entries(lagr, pts, seeded)]
-            bumped = list(xv)
+            bumped = xv.copy()
             bumped[j] = xv[j] + h
-            f1 = [primal_value(e) for e in _residual_entries(lagr, pts, bumped)]
+            f1 = _window_residual(lagr, pts, bumped)
             bumped[j] = xv[j] - h
-            f0 = [primal_value(e) for e in _residual_entries(lagr, pts, bumped)]
-            fd = [(a - b) / (2 * h) for a, b in zip(f1, f0)]
-            assert np.allclose(ad, fd, atol=1e-6)
+            f0 = _window_residual(lagr, pts, bumped)
+            fd = (f1 - f0) / (2 * h)
+            assert np.allclose(ad[:, j - 1], fd, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "src, n", [("r^2 + r^4/4 + x^2", 60), ("sqrt(r^2+1) + x^2/2", 70), ("r^2 + r^4/4 + x^2", 10_000)]
+    )
+    def test_converges_on_unit_windows(self, src, n):
+        # the smaller two raised SingularJacobian while a nested Dual lost its
+        # tangent at slope 0 (an r^2 whose base is exactly 0)
+        P = VariationalProblem(
+            make_uniform(0.0, float(n), 1.0), 0.0, float(n), parse_lagrangian(src), 0.0, 1.0
+        )
+        result = solve_el_discrete(P)
+        assert result.residual_max <= 1e-10
+        assert np.max(np.abs(el_residual(P, result.trajectory).values)) <= 1e-10
+
+    def test_partials_calls_per_iteration_do_not_grow_with_n(self, monkeypatch):
+        calls = []
+        partials = Lagrangian.partials
+
+        def counted(self, *args):
+            calls.append(1)
+            return partials(self, *args)
+
+        monkeypatch.setattr(Lagrangian, "partials", counted)
+        per_iteration = []
+        for n in (20, 2000):
+            calls.clear()
+            P = VariationalProblem(
+                make_uniform(0.0, float(n), 1.0), 0.0, float(n), parse_lagrangian("r^2 + x^2/100"), 0.0, 1.0
+            )
+            result = solve_el_discrete(P)
+            assert result.iterations == 1
+            per_iteration.append(len(calls) / result.iterations)
+        assert per_iteration[0] == per_iteration[1]
+
+    def test_history_records_each_iteration(self):
+        P = VariationalProblem(
+            make_uniform(0.0, 4.0, 1.0), 0.0, 4.0, parse_lagrangian("r^2 + exp(x)"), 0.0, 1.0
+        )
+        result = solve_el_discrete(P)
+        assert len(result.history) == result.iterations > 1
+        assert result.history[-1][0] == result.residual_max
+        residuals = [res for res, _ in result.history]
+        assert residuals == sorted(residuals, reverse=True)
+        assert all(0.0 < step <= 1.0 for _, step in result.history)
+
+    def test_nonconvergence_carries_history(self):
+        P = VariationalProblem(
+            make_uniform(0.0, 4.0, 1.0), 0.0, 4.0, parse_lagrangian("r^2 + exp(x)"), 0.0, 1.0
+        )
+        with pytest.raises(NonConvergence) as exc:
+            solve_el_discrete(P, max_iter=2)
+        assert len(exc.value.history) == exc.value.iterations == 2
 
     def test_dense_scale_rejected(self):
         P = VariationalProblem(
@@ -269,6 +321,70 @@ class TestSolver:
         P = VariationalProblem(make_points([0, 1]), 0.0, 1.0, parse_lagrangian("r^2"), 0, 1)
         with pytest.raises(InsufficientPoints):
             solve_el_discrete(P)
+
+
+def _dense(bands: np.ndarray) -> np.ndarray:
+    """The tridiagonal matrix whose row k holds bands[:, k] at columns k-1, k, k+1."""
+    return np.diag(bands[1]) + np.diag(bands[0, 1:], -1) + np.diag(bands[2, :-1], 1)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    src=st.sampled_from(SMOOTH_TEMPLATES),
+    gaps=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=12),
+    start=st.floats(-2.0, 2.0),
+    data=st.data(),
+)
+def test_colored_jacobian_matches_one_seed_per_unknown(src, gaps, start, data):
+    lagr = parse_lagrangian(src)
+    pts = start + np.concatenate(([0.0], np.cumsum(gaps)))
+    n = pts.size
+    xv = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    want = np.zeros((n - 2, n - 2))
+    for j in range(1, n - 1):
+        want[:, j - 1] = tangent_of(_window_residual(lagr, pts, Dual(xv, np.eye(n)[j])))
+    got = _dense(_window_jacobian(lagr, pts, xv))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+class TestTridiagonalSolve:
+    def test_matches_dense_solve_on_random_systems(self, rng):
+        for m in (1, 2, 3, 7, 40):
+            for _ in range(20):
+                bands, b = rng.normal(size=(3, m)), rng.normal(size=m)
+                want = np.linalg.solve(_dense(bands), b)
+                assert np.allclose(_solve_tridiagonal(bands, b), want, rtol=1e-10, atol=1e-12)
+
+    def test_zero_leading_diagonal_swaps_rows(self):
+        bands = np.array([[0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 4.0, 2.0], [5.0, 1.0, 2.0, 0.0]])
+        b = np.array([1.0, -2.0, 3.0, 0.5])
+        A = _dense(bands)
+        assert A[0, 0] == 0.0
+        y = _solve_tridiagonal(bands, b)
+        assert np.allclose(y, np.linalg.solve(A, b), rtol=1e-13, atol=1e-14)
+        assert np.allclose(A @ y, b, rtol=1e-13, atol=1e-14)
+
+    def test_small_pivot_is_swapped_out(self):
+        # eliminating with the pivot 1e-20 would lose y0 = 1 to cancellation
+        bands = np.array([[0.0, 1.0], [1e-20, 1.0], [1.0, 0.0]])
+        y = _solve_tridiagonal(bands, np.array([1.0, 2.0]))
+        assert np.allclose(y, [1.0, 1.0], rtol=1e-15)
+
+    def test_singular_system_raises(self):
+        # det [[1, 1, 0], [1, 2, 2], [0, 2, 4]] = 0: elimination meets an exact zero pivot
+        bands = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 4.0], [1.0, 2.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(_dense(bands), np.ones(3))
+        with pytest.raises(SingularJacobian):
+            _solve_tridiagonal(bands, np.ones(3))
+        with pytest.raises(SingularJacobian):
+            _solve_tridiagonal(np.zeros((3, 4)), np.ones(4))
 
 
 class TestSpikePerturbation:
