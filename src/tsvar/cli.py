@@ -38,6 +38,7 @@ from .variational import (
     VariationalProblem,
     find_spike_below,
     functional,
+    is_admissible,
     random_bounded_slope_trajectory,
     solve_el_discrete,
     spike_perturbation,
@@ -158,15 +159,18 @@ def cmd_eval(loaded: LoadedProblem, report_path: Optional[str]) -> int:
     value = functional(problem, x)
     ns = norm_strong(x, problem.t0, problem.t1)
     nw = norm_weak(x, problem.t0, problem.t1)
+    admissible = is_admissible(problem, x)
     print(f"functional value: {value!r}")
     print(f"norm_strong:      {ns!r}")
     print(f"norm_weak:        {nw!r}")
+    print("admissible:       " + ("yes" if admissible else "no; " + "; ".join(admissible.reasons)))
     if report_path:
         doc = build_run_report(
             make_provenance(loaded.path, __version__),
             functional_value=value,
             norm_strong=ns,
             norm_weak=nw,
+            extra={"admissibility": {"ok": admissible.ok, "reasons": list(admissible.reasons)}},
         )
         write_report(report_path, doc)
     return EXIT_OK
@@ -448,7 +452,9 @@ def cmd_repro(example_id: str) -> int:
     start = time.perf_counter()
     ok = True
     for i in ids:
+        scenario_start = time.perf_counter()
         ok &= _REPROS[i]()
+        print(f"time: {time.perf_counter() - scenario_start:.3f} s")
     elapsed = time.perf_counter() - start
     print(f"total time: {elapsed:.2f} s")
     return EXIT_OK if ok else EXIT_ERROR

@@ -23,6 +23,9 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import compress, count
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter, not_
 from typing import Optional
 
 import numpy as np
@@ -310,10 +313,140 @@ def build_run_report(
 
 
 def serialize_report(doc: dict) -> str:
-    """Canonical rendering; serialize -> parse -> serialize is byte-identical."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical rendering; serialize -> parse -> serialize is byte-identical.
+
+    The text is that of json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) + "\n" for any document with string keys. A list of
+    flat objects sharing one key set, such as the excess-scan violations, is
+    rendered column by column, each distinct float once. A non-finite float
+    raises TsvarError naming its field.
+    """
+    out: list[str] = []
+    try:
+        _write(doc, "\n", out)
+    except _NotFinite as e:
+        field = "".join(
+            f"[{part}]" if isinstance(part, int) else f".{part}" if i else part
+            for i, part in enumerate(reversed(e.path))
+        )
+        where = f"report field {field}" if e.path else "report"
+        raise TsvarError(f"{where}: {e.value!r} is not a finite number") from None
+    out.append("\n")
+    return "".join(out)
 
 
 def write_report(path: str, doc: dict) -> None:
+    text = serialize_report(doc)  # before opening, so a failed render leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_report(doc))
+        fh.write(text)
+
+
+class _NotFinite(Exception):
+    """A NaN or infinity met by _write; the keys and indices above it join path."""
+
+    def __init__(self, value: float):
+        super().__init__(value)
+        self.value = value
+        self.path: list = []  # innermost first
+
+
+def _write(value, pad: str, out: list[str]) -> None:
+    """Append the JSON text of value, whose line starts with pad (a newline and the indentation)."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        rows = _table(value, inner)
+        if rows is not None:
+            out.append("[" + inner)
+            out.append(("," + inner).join(rows))
+        else:
+            separator = "[" + inner
+            for i, item in enumerate(value):
+                out.append(separator)
+                separator = "," + inner
+                try:
+                    _write(item, inner, out)
+                except _NotFinite as e:
+                    e.path.append(i)
+                    raise
+        out.append(pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            separator = "," + inner
+            try:
+                _write(value[key], inner, out)
+            except _NotFinite as e:
+                e.path.append(key)
+                raise
+        out.append(pad + "}")
+    else:
+        out.append(_scalar(value))
+
+
+def _scalar(value) -> str:
+    """A JSON scalar, checked in json's order, so bool and int subclasses render as json does."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise _NotFinite(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _table(rows, pad: str) -> Optional[list[str]]:
+    """The items of a list of flat dicts sharing one key set, rendered column by column.
+
+    None for any other list, and for a table holding a value that _write
+    must report (a container, a non-finite float, a type json rejects).
+    """
+    first = rows[0]
+    if set(map(type, rows)) != {dict} or not first or set(map(len, rows)) != {len(first)}:
+        return None
+    inner = pad + "  "
+    try:
+        keys = sorted(first)
+        template = "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+        ) + pad + "}"
+        # a row without one of the first row's keys raises KeyError here
+        columns = [_column(list(map(itemgetter(key), rows))) for key in keys]
+    except (KeyError, TypeError, ValueError, _NotFinite):
+        return None
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _column(values: list) -> list[str]:
+    """JSON texts of one column; an all-float column renders each distinct value once."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    # 1, 1.0 and True are one dict key, so only exact floats are deduplicated
+    if kinds != {float}:
+        return list(map(_scalar, values))
+    distinct = list(dict.fromkeys(values))
+    # json's C encoder renders a flat float list; allow_nan=False raises ValueError
+    texts = json.dumps(distinct, allow_nan=False)[1:-1].split(", ")
+    if len(distinct) == len(values):
+        return texts
+    rendered = list(map(dict(zip(distinct, texts)).__getitem__, values))
+    if 0.0 in distinct:  # 0.0 and -0.0 are one dict key, so zeros are rendered one by one
+        for i in compress(count(), map(not_, values)):
+            rendered[i] = float.__repr__(values[i])
+    return rendered

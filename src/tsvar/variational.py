@@ -12,6 +12,7 @@ falsify strong/weak local minimality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,6 +21,7 @@ import numpy as np
 from .calculus import GridFunction, _break_mask, _slopes
 from .dual import Dual, Number, tangent_of
 from .errors import (
+    DomainError,
     EmptyInterval,
     InsufficientPoints,
     InvalidParameter,
@@ -151,10 +153,17 @@ def functional(problem: VariationalProblem, x: Trajectory) -> float:
 
     Scattered points contribute mu(t) * f(...); dense segments contribute
     composite-trapezoid quadrature at their configured resolution, each
-    panel closed with its own one-sided slope at registered breaks.
+    panel closed with its own one-sided slope at registered breaks. A sum
+    that overflows although every term is finite raises DomainError.
     """
+    lagr = problem.lagrangian
     t, xs, r, _, weight = _rows(problem, x)
-    return float(np.dot(weight, problem.lagrangian.eval(t, xs, r)))
+    terms = lagr.eval(t, xs, r)  # finite, or eval raised
+    with np.errstate(over="ignore"):
+        value = float(np.dot(weight, terms))
+    if not math.isfinite(value):
+        raise DomainError(f"overflow in the functional of '{lagr.source}'")
+    return value
 
 
 def el_residual(problem: VariationalProblem, x: Trajectory) -> GridFunction:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -41,8 +41,9 @@ class Verdict(str, Enum):
     HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 
 
-@dataclass(frozen=True)
-class ExcessSample:
+class ExcessSample(NamedTuple):
+    """One (t, q) sample of the excess scan with E < -tol."""
+
     t: float
     x_sigma: float
     r: float

@@ -1,6 +1,7 @@
 """Command-line interface: problem files, commands, exit codes, reports."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,45 @@ class TestEval:
         err = capsys.readouterr().err
         assert "error:" in err and "overflow in '(r ^ 400.0)'" in err
 
+    def test_overflowing_functional_is_an_input_error_and_writes_no_report(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path,
+            scale={"kind": "uniform", "start": 0, "end": 100, "step": 1},
+            t1=100.0,
+            lagrangian="exp(x)",
+            alpha=709.0,
+            beta=709.0,
+            trajectory={"kind": "expr", "formula": "709"},
+        )
+        report = tmp_path / "run.json"
+        assert main(["eval", path, "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert "error: overflow in the functional of 'exp(x)'" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "beta, shown, reasons",
+        [
+            (4.0, "yes", []),
+            (0.0, "no; right boundary: x(t1)=4.0, expected beta=0.0",
+             ["right boundary: x(t1)=4.0, expected beta=0.0"]),
+        ],
+    )
+    def test_admissibility_is_reported(self, tmp_path, capsys, beta, shown, reasons):
+        path = write_problem(
+            tmp_path,
+            scale={"kind": "uniform", "start": 0, "end": 4, "step": 1},
+            t1=4.0,
+            lagrangian="r^2",
+            beta=beta,
+            trajectory={"kind": "expr", "formula": "t"},
+        )
+        report = tmp_path / "run.json"
+        assert main(["eval", path, "--report", str(report)]) == 0
+        assert f"admissible:       {shown}\n" in capsys.readouterr().out
+        doc = json.loads(report.read_text())
+        assert doc["admissibility"] == {"ok": not reasons, "reasons": reasons}
+
 
 class TestSolve:
     def test_integer_window(self, tmp_path, capsys):
@@ -417,6 +457,17 @@ class TestRepro:
         assert main(["repro", example_id]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and "PASS" in out
+
+    def test_each_scenario_is_timed(self, capsys):
+        assert main(["repro", "all"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        titles = [i for i, line in enumerate(lines) if line.startswith("== ")]
+        times = [i for i, line in enumerate(lines) if re.fullmatch(r"time: \d+\.\d{3} s", line)]
+        assert len(titles) == len(times) == 3
+        # each time closes its own scenario's checks
+        assert titles[0] < times[0] < titles[1] < times[1] < titles[2] < times[2]
+        assert times[2] == len(lines) - 2
+        assert re.fullmatch(r"total time: \d+\.\d{2} s", lines[-1])
 
     def test_unknown_id(self, capsys):
         assert main(["repro", "example-9.9"]) == 1

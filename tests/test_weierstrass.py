@@ -95,6 +95,9 @@ class TestScan:
         assert len(violations) == 2 * len(kappa)
         assert all(abs(v.E + 12.0) <= 1e-9 for v in violations)
         assert all(v.slope_kind is SlopeKind.TWO_SIDED for v in violations)
+        assert violations[0]._fields == ("t", "x_sigma", "r", "q", "E", "slope_kind")
+        with pytest.raises(AttributeError):
+            violations[0].E = 0.0
         # deterministic order
         keys = [(v.t, v.q) for v in violations]
         assert keys == sorted(keys)
