@@ -18,8 +18,9 @@ evaluation fail exactly where a loop over the rows would.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
 from typing import Any, Callable, Mapping, Optional, Union
 
@@ -45,6 +46,16 @@ _FUNCTIONS = {
     "sqrt": dual.sqrt,
     "abs": dual.fabs,
 }
+
+
+def _sign(u):
+    if isinstance(u, np.ndarray):
+        return np.sign(u)
+    return 0.0 if u == 0.0 else math.copysign(1.0, u)
+
+
+# sign appears in derivative ASTs only: the parser does not accept it
+_EVAL_FUNCTIONS = {**_FUNCTIONS, "sign": _sign}
 
 
 # -- AST ----------------------------------------------------------------------
@@ -78,6 +89,8 @@ class Neg:
 class Call:
     fn: str
     arg: "ExprAst"
+    # the user's sub-expression that a node of a derivative AST came from
+    origin: Optional["ExprAst"] = field(default=None, compare=False, repr=False)
 
     def to_source(self) -> str:
         return f"{self.fn}({self.arg.to_source()})"
@@ -88,12 +101,31 @@ class BinOp:
     op: str
     lhs: "ExprAst"
     rhs: "ExprAst"
+    origin: Optional["ExprAst"] = field(default=None, compare=False, repr=False)
 
     def to_source(self) -> str:
         return f"({self.lhs.to_source()} {self.op} {self.rhs.to_source()})"
 
 
-ExprAst = Union[Num, Var, Neg, Call, BinOp]
+@dataclass(frozen=True)
+class Guard:
+    """arg's value where the derivative of origin exists; a node of derivative ASTs only.
+
+    arg is the tangent of origin's argument test. Both are evaluated first,
+    as forward-mode differentiation meets them. Then rule checks them:
+    "nonzero" (test != 0), "positive" (test > 0) or "abs" (test != 0 unless
+    arg is 0). The error carries message and names origin, the user's
+    sub-expression.
+    """
+
+    rule: str
+    message: str
+    test: "ExprAst"
+    arg: "ExprAst"
+    origin: "ExprAst"
+
+
+ExprAst = Union[Num, Var, Neg, Call, BinOp, Guard]
 
 
 # -- tokenizer / parser -------------------------------------------------------
@@ -249,7 +281,8 @@ def eval_ast(node: ExprAst, env: Mapping[str, Number]) -> Number:
 
     Every function call and binary operation must stay finite: a result that
     overflows from finite operands raises DomainError like a domain violation.
-    Errors name the failing sub-expression and keep the `index` of the
+    Errors name the failing sub-expression (for a node of a derivative AST,
+    the user's sub-expression it came from) and keep the `index` of the
     check that raised them (see dual.check).
     """
     kind = node.__class__
@@ -262,6 +295,8 @@ def eval_ast(node: ExprAst, env: Mapping[str, Number]) -> Number:
             raise UnknownIdentifier(f"variable {node.name!r} is not available here") from None
     if kind is Neg:
         return -eval_ast(node.arg, env)
+    if kind is Guard:
+        return _guard(node, env)
     if kind is Call:
         lhs = eval_ast(node.arg, env)
     else:
@@ -269,7 +304,7 @@ def eval_ast(node: ExprAst, env: Mapping[str, Number]) -> Number:
     try:
         try:
             if kind is Call:
-                out = _FUNCTIONS[node.fn](lhs)
+                out = _EVAL_FUNCTIONS[node.fn](lhs)
             elif (op := node.op) == "+":
                 out = lhs + rhs
             elif op == "-":
@@ -277,13 +312,15 @@ def eval_ast(node: ExprAst, env: Mapping[str, Number]) -> Number:
             elif op == "*":
                 out = lhs * rhs
             elif op == "/":
-                if (bad := primal_value(rhs) == 0.0) is not False:
+                # a derived divisor is nonzero wherever f is defined, unless it
+                # underflowed: dividing by it then reports an overflow
+                if node.origin is None and (bad := primal_value(rhs) == 0.0) is not False:
                     check(bad, DomainError, "division by zero")
                 out = lhs / rhs
             else:
                 out = _power(lhs, rhs)
         except (OverflowError, ZeroDivisionError):  # a float result beyond the range, or a
-            check(True, DomainError, "overflow")  # divisor that underflowed to 0 in a Dual
+            check(True, DomainError, "overflow")  # divisor that underflowed to 0
         # inline tests for a float and a first-order Dual of floats, the solver's hot path
         if isinstance(out, float):
             if isfinite(out):
@@ -294,9 +331,30 @@ def eval_ast(node: ExprAst, env: Mapping[str, Number]) -> Number:
         _check_finite(out, (lhs,) if kind is Call else (lhs, rhs))
         return out
     except (DomainError, NonDifferentiablePoint) as e:
-        located = type(e)(f"{e.args[0]} in '{node.to_source()}'")
-        located.index = getattr(e, "index", 0)
-        raise located from None
+        raise _located(e, node) from None
+
+
+def _located(e: TsvarError, node: ExprAst) -> TsvarError:
+    """e, its message naming node's sub-expression of the user's text."""
+    source = node if node.origin is None else node.origin
+    located = type(e)(f"{e.args[0]} in '{source.to_source()}'")
+    located.index = getattr(e, "index", 0)
+    return located
+
+
+def _guard(node: Guard, env: Mapping[str, Number]) -> Number:
+    test, value = eval_ast(node.test, env), eval_ast(node.arg, env)
+    if node.rule == "positive":
+        bad = test <= 0.0
+    elif node.rule == "nonzero":
+        bad = test == 0.0
+    else:  # abs at 0 is differentiable along a direction that does not move it
+        bad = (test == 0.0) & (value != 0.0)
+    try:
+        check(bad, DomainError if node.rule == "positive" else NonDifferentiablePoint, node.message)
+    except TsvarError as e:
+        raise _located(e, node) from None
+    return value
 
 
 def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> tuple[Any, Optional[TsvarError]]:
@@ -356,12 +414,158 @@ def evaluate(ast: ExprAst, env: Mapping[str, np.ndarray]) -> np.ndarray:
     return out
 
 
+# -- symbolic differentiation ---------------------------------------------------
+
+_ZERO, _ONE, _TWO = Num(0.0), Num(1.0), Num(2.0)
+
+
+def _is_num(node: ExprAst, value: float) -> bool:
+    return node.__class__ is Num and node.value == value
+
+
+def _varies(node: ExprAst) -> bool:
+    """Whether node contains a variable."""
+    kind = node.__class__
+    if kind is Num or kind is Var:
+        return kind is Var
+    if kind is BinOp:
+        return _varies(node.lhs) or _varies(node.rhs)
+    return (kind is Guard and _varies(node.test)) or _varies(node.arg)
+
+
+# Builders of derivative nodes that drop 0 terms and factors of 1.
+
+
+def _neg(a: ExprAst) -> ExprAst:
+    if a.__class__ is Num:
+        return Num(-a.value)
+    return a.arg if a.__class__ is Neg else Neg(a)
+
+
+def _add(a: ExprAst, b: ExprAst, origin: ExprAst) -> ExprAst:
+    if _is_num(a, 0.0):
+        return b
+    return a if _is_num(b, 0.0) else BinOp("+", a, b, origin)
+
+
+def _sub(a: ExprAst, b: ExprAst, origin: ExprAst) -> ExprAst:
+    if _is_num(b, 0.0):
+        return a
+    return _neg(b) if _is_num(a, 0.0) else BinOp("-", a, b, origin)
+
+
+def _mul(a: ExprAst, b: ExprAst, origin: ExprAst) -> ExprAst:
+    if _is_num(a, 0.0) or _is_num(b, 0.0):
+        return _ZERO
+    if _is_num(a, 1.0):
+        return b
+    return a if _is_num(b, 1.0) else BinOp("*", a, b, origin)
+
+
+def _div(a: ExprAst, b: ExprAst, origin: ExprAst) -> ExprAst:
+    if _is_num(a, 0.0):
+        return _ZERO
+    return a if _is_num(b, 1.0) else BinOp("/", a, b, origin)
+
+
+def derivative(node: ExprAst, v: str) -> ExprAst:
+    """The AST of d(node)/dv, for v one of t, x, r, by the chain rule.
+
+    Every new node records the user's sub-expression it came from, which
+    its errors name. Guard nodes keep the derivative's own domain: sqrt and
+    powers 0 < n < 1 at 0, abs at 0 where its argument moves with v, and a
+    power with a varying exponent at a non-positive base. As in
+    forward-mode differentiation, the first two guards and the last one
+    hold whenever their argument contains a variable, even if it does not
+    depend on v.
+    """
+    if not _varies(node):
+        return _ZERO
+    kind = node.__class__
+    if kind is Var:
+        return _ONE if node.name == v else _ZERO
+    if kind is Neg:
+        return _neg(derivative(node.arg, v))
+    origin = node.origin or node
+    if kind is Guard:
+        d = derivative(node.arg, v)
+        if node.rule == "abs" and _is_num(d, 0.0):
+            return _ZERO
+        return Guard(node.rule, node.message, node.test, d, origin)
+    if kind is Call:
+        u, fn = node.arg, node.fn
+        du = derivative(u, v)
+        if fn == "sqrt":
+            moving = Guard("nonzero", "sqrt is not differentiable at 0", u, du, origin)
+            return moving if _is_num(du, 0.0) else _div(moving, _mul(_TWO, node, origin), origin)
+        if _is_num(du, 0.0) or fn == "sign":
+            return _ZERO
+        if fn == "abs":
+            moving = Guard("abs", "abs is not differentiable at 0", u, du, origin)
+            return _mul(Call("sign", u, origin), moving, origin)
+        if fn == "sin":
+            return _mul(Call("cos", u, origin), du, origin)
+        if fn == "cos":
+            return _neg(_mul(Call("sin", u, origin), du, origin))
+        if fn == "exp":
+            return _mul(node, du, origin)
+        return _div(du, u, origin)  # log
+    u, w, op = node.lhs, node.rhs, node.op
+    if op == "^":
+        return _power_derivative(node, v, origin)
+    du, dw = derivative(u, v), derivative(w, v)
+    if op == "+":
+        return _add(du, dw, origin)
+    if op == "-":
+        return _sub(du, dw, origin)
+    if op == "*":
+        return _add(_mul(du, w, origin), _mul(u, dw, origin), origin)
+    if _is_num(dw, 0.0):
+        return _div(du, w, origin)
+    numerator = _sub(_mul(du, w, origin), _mul(u, dw, origin), origin)
+    return _div(numerator, _mul(w, w, origin), origin)
+
+
+def _power_derivative(node: BinOp, v: str, origin: ExprAst) -> ExprAst:
+    u, w = node.lhs, node.rhs
+    if _varies(w):  # d(u^w) = u^w (w du/u + dw log u), for u > 0 only
+        du, dw = derivative(u, v), derivative(w, v)
+        message = "power with varying exponent requires a positive base"
+        if _is_num(du, 0.0):
+            checked = Guard("positive", message, u, dw, origin)
+            return _mul(node, _mul(checked, Call("log", u, origin), origin), origin)
+        checked = Guard("positive", message, u, du, origin)
+        rate = _add(
+            _mul(w, _div(checked, u, origin), origin), _mul(dw, Call("log", u, origin), origin), origin
+        )
+        return _mul(node, rate, origin)
+    try:
+        n = float(eval_ast(w, {}))
+    except TsvarError:
+        return node  # the exponent fails wherever f is evaluated, and so does node
+    if n == 0.0:
+        return _ZERO
+    du = derivative(u, v)
+    if n == 1.0:
+        return du
+    slope = _mul(Num(n), u if n == 2.0 else BinOp("^", u, Num(n - 1.0), origin), origin)
+    if 0.0 < n < 1.0:  # the guard comes first: u^(n - 1) fails at u = 0 itself
+        moving = Guard("nonzero", f"power {n} is not differentiable at base 0", u, du, origin)
+        return moving if _is_num(du, 0.0) else _mul(moving, slope, origin)
+    return _mul(slope, du, origin)
+
+
 @dataclass(frozen=True)
 class Lagrangian:
-    """A parsed integrand f(t, x, r) with dual-number partial derivatives."""
+    """A parsed integrand f(t, x, r) with the ASTs of its first and second partials."""
 
     ast: ExprAst
     source: str
+
+    def __post_init__(self):
+        fx, fr = derivative(self.ast, "x"), derivative(self.ast, "r")
+        second = (derivative(fx, "x"), derivative(fx, "r"), derivative(fr, "r"))
+        object.__setattr__(self, "_asts", (self.ast, fx, fr) + second)
 
     def eval(self, t: Number, x: Number, r: Number) -> Number:
         """f(t, x, r); array arguments are broadcast and evaluated row by row (see eval_rows)."""
@@ -371,15 +575,11 @@ class Lagrangian:
         return eval_ast(self.ast, env)
 
     def partials(self, t: Number, x: Number, r: Number) -> tuple[Number, Number, Number]:
-        """(f, f_x, f_r) at (t, x, r) via two forward passes.
+        """(f, f_x, f_r) at (t, x, r).
 
-        Every argument is wrapped at a fresh seeding level, so the inputs may
-        themselves be Dual; the returned partials then carry the callers'
-        tangents (nested differentiation). Array arguments are broadcast and
-        evaluated row by row, like eval. Duals of arrays are evaluated in one
-        pass and every component of the result is broadcast to the rows'
-        shape; a domain error then names the sub-expression but no row, so a
-        caller that needs the row evaluates the plain arrays first.
+        f is evaluated first, so its own domain errors come before those of
+        the derivatives. Array arguments are broadcast and evaluated row by
+        row, like eval.
         """
         if isinstance(t, Dual) or isinstance(x, Dual) or isinstance(r, Dual):
             shape = np.broadcast_shapes(*(np.shape(primal_value(a)) for a in (t, x, r)))
@@ -388,11 +588,17 @@ class Lagrangian:
             with np.errstate(all="ignore"):
                 out = self._partials(t, x, r)
             return tuple(_broadcast(o, shape) for o in out)
+        return self._evaluate(self._asts[:3], t, x, r)
+
+    def second_partials(self, t: Number, x: Number, r: Number) -> tuple[Number, ...]:
+        """(f, f_x, f_r, f_xx, f_xr, f_rr) at (t, x, r), in that order; arrays as in partials."""
+        return self._evaluate(self._asts, t, x, r)
+
+    def _evaluate(self, asts: tuple, t: Number, x: Number, r: Number) -> tuple:
+        env = {"t": t, "x": x, "r": r}
         if not (isinstance(t, np.ndarray) or isinstance(x, np.ndarray) or isinstance(r, np.ndarray)):
-            return self._partials(t, x, r)
-        out, error = eval_rows(
-            lambda c: self._partials(c["t"], c["x"], c["r"]), {"t": t, "x": x, "r": r}
-        )
+            return tuple(eval_ast(a, env) for a in asts)
+        out, error = eval_rows(lambda columns: tuple(eval_ast(a, columns) for a in asts), env)
         if error is not None:
             raise error
         return out

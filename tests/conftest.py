@@ -4,8 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from tsvar import VariationalProblem, make_harmonic, make_points, parse_lagrangian
+
+# Every property test runs derandomized, so a run repeats exactly; each test
+# sets only its own max_examples.
+settings.register_profile(
+    "tsvar",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile("tsvar")
 
 # Smooth expression templates whose domains cover t, x, r in [-2, 2].
 SMOOTH_TEMPLATES = (

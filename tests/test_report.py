@@ -12,7 +12,7 @@ import math
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tsvar import TsvarError
 from tsvar.problemfile import _table, serialize_report, write_report
@@ -79,13 +79,7 @@ def slots(value, path=None):
             yield from slots(item, sub)
 
 
-PROPERTY = settings(
-    max_examples=200,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+PROPERTY = settings(max_examples=200)
 
 
 @PROPERTY

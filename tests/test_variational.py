@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tsvar import (
     EmptyInterval,
@@ -328,13 +328,7 @@ def _dense(bands: np.ndarray) -> np.ndarray:
     return np.diag(bands[1]) + np.diag(bands[0, 1:], -1) + np.diag(bands[2, :-1], 1)
 
 
-@settings(
-    max_examples=60,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=60)
 @given(
     src=st.sampled_from(SMOOTH_TEMPLATES),
     gaps=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=12),
