@@ -2,9 +2,11 @@
 
 On a purely discrete window the Euler-Lagrange condition
 f_r^D(t) = f_x(t, x(sigma(t)), x^D(t)) is a finite system of nonlinear
-equations in the interior trajectory values. The solver pins the boundary
-values and runs damped Newton iteration with an exact Jacobian obtained by
-pushing dual-number tangents through the residual.
+equations in the interior trajectory values, and the gradient of the
+discrete functional L up to the factors -mu. The solver pins the boundary
+values and runs Newton's method on L with its exact tridiagonal Hessian,
+built from symbolic second partials of f, and reports whether the solution
+is a strict local minimum of L.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ for ts, label in [
     err = float(np.max(np.abs(result.trajectory.values - ts.points)))
     print(
         f"{label:>16}: x(t) = t to {err:.2e}, residual {result.residual_max:.2e}, "
-        f"{result.iterations} iteration(s)"
+        f"{result.iterations} iteration(s), {result.second_order}"
     )
 
 # State coupling makes the extremal curve: f = r^2 + x^2 on the integers

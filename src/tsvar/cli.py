@@ -194,6 +194,7 @@ def cmd_solve(loaded: LoadedProblem, report_path: Optional[str], max_iter: int) 
     print(f"converged in {result.iterations} Newton iteration(s)")
     print(f"el residual max-norm: {result.residual_max!r}")
     print(f"functional value:     {value!r}")
+    print(f"second order:         {result.second_order}")
     if report_path:
         i0, i1 = problem.window()
         doc = build_run_report(
@@ -208,8 +209,10 @@ def cmd_solve(loaded: LoadedProblem, report_path: Optional[str], max_iter: int) 
                 },
                 "iterations": result.iterations,
                 "residual_max": result.residual_max,
+                "second_order": result.second_order,
                 "history": [
-                    {"residual_max": res, "step": lam} for res, lam in result.history
+                    {"residual_max": res, "step": lam, "merit": merit}
+                    for res, lam, merit in result.history
                 ],
             },
         )
@@ -237,7 +240,7 @@ def cmd_analyze(loaded: LoadedProblem, args) -> int:
     else:
         solved = solve_el_discrete(problem, max_iter=args.max_iter)
         x = solved.trajectory
-        print(f"no trajectory in file; solved ({solved.iterations} iterations)")
+        print(f"no trajectory in file; solved ({solved.iterations} iterations, {solved.second_order})")
     scan = _scan_config(loaded, args)
     report = classify_candidate(
         problem, x, q_grid=scan.q_grid(), scan_tol=scan.tol, q_count=scan.q_count

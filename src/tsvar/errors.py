@@ -56,7 +56,7 @@ class InvalidSpikeLocation(TsvarError):
 
 
 class SingularJacobian(TsvarError):
-    """Newton step failed because the residual Jacobian is singular."""
+    """Newton step failed because the Hessian of L has a zero pivot."""
 
 
 class NonConvergence(TsvarError):
@@ -74,7 +74,7 @@ class NonConvergence(TsvarError):
         self.best = best
         self.iterations = iterations
         self.residual_max = residual_max
-        # (residual max-norm, accepted step length) per completed Newton iteration
+        # (residual max-norm, accepted step length, L) per completed Newton iteration
         self.history = history
 
 

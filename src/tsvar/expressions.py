@@ -9,11 +9,12 @@ with the functions sin, cos, exp, log, sqrt, abs:
     base   := number | ident | ident '(' expr ')' | '(' expr ')'
 
 '^' is right-associative and binds tighter than unary minus, so -x^2 parses
-as -(x^2). Evaluation accepts floats, Dual numbers or numpy arrays in any
-variable slot. Dual numbers power both the partial derivatives and the
-solver Jacobian; arrays evaluate the expression on many (t, x, r) rows at
-once, with the domain checks applied as masks, and eval_rows makes such an
-evaluation fail exactly where a loop over the rows would.
+as -(x^2). Evaluation accepts floats or numpy arrays in any variable slot;
+arrays evaluate the expression on many (t, x, r) rows at once, with the
+domain checks applied as masks, and eval_rows makes such an evaluation fail
+exactly where a loop over the rows would. The partial derivatives of f are
+ASTs too, derived once per Lagrangian by the chain rule (see derivative)
+and evaluated by the same walker.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isfinite
 from typing import Any, Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from . import dual
-from .dual import Dual, Number, check, is_finite, primal_value, tangent_of
 from .errors import (
     DomainError,
     ExpressionSyntaxError,
@@ -38,25 +38,7 @@ from .errors import (
 
 VARIABLES = ("t", "x", "r")
 
-_FUNCTIONS = {
-    "sin": dual.sin,
-    "cos": dual.cos,
-    "exp": dual.exp,
-    "log": dual.log,
-    "sqrt": dual.sqrt,
-    "abs": dual.fabs,
-}
-
-
-def _sign(u):
-    if isinstance(u, np.ndarray):
-        return np.sign(u)
-    return 0.0 if u == 0.0 else math.copysign(1.0, u)
-
-
-# sign appears in derivative ASTs only: the parser does not accept it
-_EVAL_FUNCTIONS = {**_FUNCTIONS, "sign": _sign}
-
+Number = Union[float, np.ndarray]
 
 # -- AST ----------------------------------------------------------------------
 
@@ -239,12 +221,62 @@ class _Parser:
 # -- evaluation ---------------------------------------------------------------
 
 
+def check(bad, error: type, message: str) -> None:
+    """Raise error(message) where the bool or bool array bad holds anywhere.
+
+    The error's `index` attribute is the first bad flat index (0 for a
+    scalar check, which fails everywhere). Hot scalar paths skip the call
+    while bad is False: `if (bad := ...) is not False: check(bad, ...)`.
+    """
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return
+        index = int(np.argmax(bad))
+    elif bad:
+        index = 0
+    else:
+        return
+    e = error(message)
+    e.index = index
+    raise e
+
+
+def _lib(u):
+    """The math module for scalars, numpy for arrays."""
+    return np if isinstance(u, np.ndarray) else math
+
+
+def _log(u: Number) -> Number:
+    if (bad := u <= 0.0) is not False:
+        check(bad, DomainError, "log of a non-positive value")
+    return _lib(u).log(u)
+
+
+def _sqrt(u: Number) -> Number:
+    if (bad := u < 0.0) is not False:
+        check(bad, DomainError, "sqrt of a negative value")
+    return _lib(u).sqrt(u)
+
+
+def _sign(u: Number) -> Number:
+    if isinstance(u, np.ndarray):
+        return np.sign(u)
+    return 0.0 if u == 0.0 else math.copysign(1.0, u)
+
+
+_FUNCTIONS = {
+    "sin": lambda u: _lib(u).sin(u),
+    "cos": lambda u: _lib(u).cos(u),
+    "exp": lambda u: _lib(u).exp(u),
+    "log": _log,
+    "sqrt": _sqrt,
+    "abs": abs,
+}
+# sign appears in derivative ASTs only: the parser does not accept it
+_EVAL_FUNCTIONS = {**_FUNCTIONS, "sign": _sign}
+
+
 def _power(lhs: Number, rhs: Number) -> Number:
-    if isinstance(rhs, Dual):
-        # varying exponent: Dual.__pow__ and __rpow__ require a positive base
-        return lhs**rhs if isinstance(lhs, Dual) else rhs.__rpow__(lhs)
-    if isinstance(lhs, Dual):
-        return lhs ** float(rhs)
     if isinstance(rhs, np.ndarray):
         negative, fractional = rhs < 0.0, rhs != np.round(rhs)
     else:
@@ -262,28 +294,23 @@ def _power(lhs: Number, rhs: Number) -> Number:
 
 def _check_finite(out: Number, operands: tuple) -> None:
     """DomainError where out is not finite although every operand is (an overflow)."""
-    ok = is_finite(out)
-    if isinstance(ok, np.ndarray):
-        if ok.all():
-            return
-        ok = ~ok
-    elif ok:
+    ok = np.isfinite(out)
+    if ok.all():
         return
-    else:
-        ok = True
+    bad = ~ok
     for operand in operands:
-        ok = ok & is_finite(operand)
-    check(ok, DomainError, "overflow")
+        bad = bad & np.isfinite(operand)
+    check(bad, DomainError, "overflow")
 
 
 def eval_ast(node: ExprAst, env: Mapping[str, Number]) -> Number:
-    """Evaluate an AST over float, array or Dual values, with per-node domain checks.
+    """Evaluate an AST over float or array values, with per-node domain checks.
 
     Every function call and binary operation must stay finite: a result that
     overflows from finite operands raises DomainError like a domain violation.
     Errors name the failing sub-expression (for a node of a derivative AST,
     the user's sub-expression it came from) and keep the `index` of the
-    check that raised them (see dual.check).
+    check that raised them (see check).
     """
     kind = node.__class__
     if kind is Num:
@@ -314,20 +341,15 @@ def eval_ast(node: ExprAst, env: Mapping[str, Number]) -> Number:
             elif op == "/":
                 # a derived divisor is nonzero wherever f is defined, unless it
                 # underflowed: dividing by it then reports an overflow
-                if node.origin is None and (bad := primal_value(rhs) == 0.0) is not False:
+                if node.origin is None and (bad := rhs == 0.0) is not False:
                     check(bad, DomainError, "division by zero")
                 out = lhs / rhs
             else:
                 out = _power(lhs, rhs)
         except (OverflowError, ZeroDivisionError):  # a float result beyond the range, or a
             check(True, DomainError, "overflow")  # divisor that underflowed to 0
-        # inline tests for a float and a first-order Dual of floats, the solver's hot path
-        if isinstance(out, float):
-            if isfinite(out):
-                return out
-        elif isinstance(out, Dual) and isinstance(out.primal, float) and isinstance(out.tangent, float):
-            if isfinite(out.primal) and isfinite(out.tangent):
-                return out
+        if isinstance(out, float) and isfinite(out):  # the scalar fast path
+            return out
         _check_finite(out, (lhs,) if kind is Call else (lhs, rhs))
         return out
     except (DomainError, NonDifferentiablePoint) as e:
@@ -399,13 +421,6 @@ def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> tuple[Any, O
     return out, error
 
 
-def _broadcast(u: Number, shape: tuple) -> Number:
-    """u with every float or array component broadcast to shape."""
-    if isinstance(u, Dual):
-        return Dual(_broadcast(u.primal, shape), _broadcast(u.tangent, shape))
-    return np.broadcast_to(u, shape)
-
-
 def evaluate(ast: ExprAst, env: Mapping[str, np.ndarray]) -> np.ndarray:
     """eval_ast over the rows of array-valued env, raising the first bad row's error."""
     out, error = eval_rows(lambda columns: eval_ast(ast, columns), env)
@@ -416,7 +431,7 @@ def evaluate(ast: ExprAst, env: Mapping[str, np.ndarray]) -> np.ndarray:
 
 # -- symbolic differentiation ---------------------------------------------------
 
-_ZERO, _ONE, _TWO = Num(0.0), Num(1.0), Num(2.0)
+_ZERO, _ONE = Num(0.0), Num(1.0)
 
 
 def _is_num(node: ExprAst, value: float) -> bool:
@@ -497,7 +512,7 @@ def derivative(node: ExprAst, v: str) -> ExprAst:
         du = derivative(u, v)
         if fn == "sqrt":
             moving = Guard("nonzero", "sqrt is not differentiable at 0", u, du, origin)
-            return moving if _is_num(du, 0.0) else _div(moving, _mul(_TWO, node, origin), origin)
+            return moving if _is_num(du, 0.0) else _div(moving, _mul(Num(2.0), node, origin), origin)
         if _is_num(du, 0.0) or fn == "sign":
             return _ZERO
         if fn == "abs":
@@ -557,15 +572,21 @@ def _power_derivative(node: BinOp, v: str, origin: ExprAst) -> ExprAst:
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """A parsed integrand f(t, x, r) with the ASTs of its first and second partials."""
+    """A parsed integrand f(t, x, r); the ASTs of its partials are derived on first use."""
 
     ast: ExprAst
     source: str
 
-    def __post_init__(self):
-        fx, fr = derivative(self.ast, "x"), derivative(self.ast, "r")
-        second = (derivative(fx, "x"), derivative(fx, "r"), derivative(fr, "r"))
-        object.__setattr__(self, "_asts", (self.ast, fx, fr) + second)
+    @cached_property
+    def _first(self) -> tuple[ExprAst, ExprAst, ExprAst]:
+        """The ASTs of f, f_x and f_r."""
+        return self.ast, derivative(self.ast, "x"), derivative(self.ast, "r")
+
+    @cached_property
+    def _second(self) -> tuple[ExprAst, ...]:
+        """The ASTs of f, f_x, f_r, f_xx, f_xr and f_rr."""
+        _, fx, fr = self._first
+        return self._first + (derivative(fx, "x"), derivative(fx, "r"), derivative(fr, "r"))
 
     def eval(self, t: Number, x: Number, r: Number) -> Number:
         """f(t, x, r); array arguments are broadcast and evaluated row by row (see eval_rows)."""
@@ -581,18 +602,11 @@ class Lagrangian:
         the derivatives. Array arguments are broadcast and evaluated row by
         row, like eval.
         """
-        if isinstance(t, Dual) or isinstance(x, Dual) or isinstance(r, Dual):
-            shape = np.broadcast_shapes(*(np.shape(primal_value(a)) for a in (t, x, r)))
-            if not shape:
-                return self._partials(t, x, r)
-            with np.errstate(all="ignore"):
-                out = self._partials(t, x, r)
-            return tuple(_broadcast(o, shape) for o in out)
-        return self._evaluate(self._asts[:3], t, x, r)
+        return self._evaluate(self._first, t, x, r)
 
     def second_partials(self, t: Number, x: Number, r: Number) -> tuple[Number, ...]:
         """(f, f_x, f_r, f_xx, f_xr, f_rr) at (t, x, r), in that order; arrays as in partials."""
-        return self._evaluate(self._asts, t, x, r)
+        return self._evaluate(self._second, t, x, r)
 
     def _evaluate(self, asts: tuple, t: Number, x: Number, r: Number) -> tuple:
         env = {"t": t, "x": x, "r": r}
@@ -602,16 +616,6 @@ class Lagrangian:
         if error is not None:
             raise error
         return out
-
-    def _partials(self, t: Number, x: Number, r: Number) -> tuple[Number, Number, Number]:
-        fx_pass = eval_ast(
-            self.ast, {"t": Dual(t), "x": Dual(x, 1.0), "r": Dual(r)}
-        )
-        fr_pass = eval_ast(
-            self.ast, {"t": Dual(t), "x": Dual(x), "r": Dual(r, 1.0)}
-        )
-        f = fx_pass.primal if isinstance(fx_pass, Dual) else fx_pass
-        return f, tangent_of(fx_pass), tangent_of(fr_pass)
 
     def to_source(self) -> str:
         """Parenthesized rendering that re-parses to an equivalent AST."""

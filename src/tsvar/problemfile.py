@@ -43,7 +43,7 @@ from .timescale import (
     make_harmonic,
 )
 from .variational import Trajectory, VariationalProblem
-from .weierstrass import DEFAULT_Q_COUNT, AnalysisReport
+from .weierstrass import DEFAULT_Q_COUNT, AnalysisReport, SlopeKind
 
 
 @dataclass(frozen=True)
@@ -253,6 +253,10 @@ def make_provenance(path: str, tool_version: str) -> dict:
     }
 
 
+# the report text of each slope kind, read once rather than through the Enum per violation
+_SLOPE_KIND_TEXT = {kind: kind.value for kind in SlopeKind}
+
+
 def analysis_to_document(analysis: Optional[AnalysisReport]) -> dict:
     if analysis is None:
         return {
@@ -284,7 +288,7 @@ def analysis_to_document(analysis: Optional[AnalysisReport]) -> dict:
                 "r": v.r,
                 "q": v.q,
                 "E": v.E,
-                "slope_kind": v.slope_kind.value,
+                "slope_kind": _SLOPE_KIND_TEXT[v.slope_kind],
             }
             for v in analysis.weierstrass_violations
         ],

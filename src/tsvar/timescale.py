@@ -27,6 +27,15 @@ from .errors import EmptyInterval, InvalidParameter, PointNotInScale
 # are canonicalized at construction, so repeated sigma/rho chains cannot drift.
 POINT_TOLERANCE = 1e-12
 
+# Most points one segment may have; each constructor checks before it allocates.
+MAX_SEGMENT_POINTS = 10**7
+
+
+def _check_count(kind: str, count: float) -> None:
+    if not count <= MAX_SEGMENT_POINTS:
+        limit = f"a segment has at most {MAX_SEGMENT_POINTS:,}"
+        raise InvalidParameter(f"{kind} would have {count:.0f} points; {limit}")
+
 
 @dataclass(frozen=True)
 class DiscretePoints:
@@ -64,7 +73,9 @@ class Uniform:
             raise InvalidParameter("Uniform step must be positive")
         if self.end <= self.start:
             raise InvalidParameter("Uniform requires end > start")
-        k = round((self.end - self.start) / self.step)
+        steps = (self.end - self.start) / self.step
+        _check_count("Uniform", steps + 1)
+        k = round(steps)
         if k < 1 or abs(self.start + k * self.step - self.end) > POINT_TOLERANCE:
             raise InvalidParameter(
                 "Uniform span must be an integer multiple of the step"
@@ -93,7 +104,9 @@ class Geometric:
             raise InvalidParameter("Geometric ratio must exceed 1")
         if self.maximum < self.minimum:
             raise InvalidParameter("Geometric requires maximum >= minimum")
-        k = round(math.log(self.maximum / self.minimum) / math.log(self.ratio))
+        steps = math.log(self.maximum / self.minimum) / math.log(self.ratio)
+        _check_count("Geometric", steps + 1)
+        k = round(steps)
         if abs(self.minimum * self.ratio**k - self.maximum) > 1e-12 * abs(self.maximum):
             raise InvalidParameter(
                 "Geometric maximum must equal minimum * ratio**k for integer k"
@@ -126,6 +139,7 @@ class DenseInterval:
             raise InvalidParameter("DenseInterval requires lo < hi")
         if int(self.resolution) != self.resolution or self.resolution < 1:
             raise InvalidParameter("DenseInterval resolution must be a positive integer")
+        _check_count("DenseInterval", self.resolution + 1)
         object.__setattr__(self, "resolution", int(self.resolution))
 
     def realize(self) -> np.ndarray:
@@ -398,6 +412,7 @@ def make_harmonic(n_max: int) -> TimeScale:
     """
     if isinstance(n_max, bool) or int(n_max) != n_max or n_max < 2:
         raise InvalidParameter("make_harmonic requires an integer n_max >= 2")
+    _check_count("make_harmonic", n_max + 1)
     pts = [0.0] + [1.0 / n for n in range(int(n_max), 0, -1)]
     return TimeScale(
         [DiscretePoints(tuple(pts))],

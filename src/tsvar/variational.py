@@ -4,10 +4,10 @@ minimize  L[x] = integral from t0 to t1 of f(t, x(sigma(t)), x^Delta(t))
 subject to x(t0) = alpha, x(t1) = beta,
 
 over trajectories sampled on the scale. Provides functional evaluation,
-admissibility, the Euler-Lagrange residual f_r^Delta - f_x, a damped-Newton
-solver for discrete scales (O(n) per iteration: array residual, tridiagonal
-Jacobian), spike perturbations, and the constructive searches used to
-falsify strong/weak local minimality.
+admissibility, the Euler-Lagrange residual f_r^Delta - f_x, a Newton solver
+for discrete scales that seeks local minimizers of L (O(n) per iteration:
+the Hessian of L is tridiagonal), spike perturbations, and the constructive
+searches used to falsify strong/weak local minimality.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .calculus import GridFunction, _break_mask, _slopes
-from .dual import Dual, Number, tangent_of
 from .errors import (
     DomainError,
     EmptyInterval,
@@ -179,13 +178,12 @@ def el_residual(problem: VariationalProblem, x: Trajectory) -> GridFunction:
     t, xs, r, kind, _ = _rows(problem, x)
     one_per_node = (kind != _LEFT) | (t == problem.t1)
     t, xs, r = t[one_per_node], xs[one_per_node], r[one_per_node]
-    res = _el_terms(problem.lagrangian, t, xs, r)
-    return GridFunction(make_points(t[:-1]), res, name="el_residual")
+    _, fx, fr = problem.lagrangian.partials(t, xs, r)
+    return GridFunction(make_points(t[:-1]), _el_terms(t, fx, fr), name="el_residual")
 
 
-def _el_terms(lagr: Lagrangian, t: np.ndarray, xs: Number, r: Number) -> Number:
-    """f_r^Delta - f_x between consecutive rows (t, x^sigma, r): the EL residual at t[:-1]."""
-    _, fx, fr = lagr.partials(t, xs, r)
+def _el_terms(t: np.ndarray, fx: np.ndarray, fr: np.ndarray) -> np.ndarray:
+    """f_r^Delta - f_x between consecutive rows at the times t: the EL residual at t[:-1]."""
     return (fr[1:] - fr[:-1]) / np.diff(t) - fx[:-1]
 
 
@@ -197,81 +195,96 @@ class SolveResult:
     trajectory: Trajectory
     iterations: int
     residual_max: float
+    # the pivot signs of L's Hessian at the solution: "strict-minimum",
+    # "not-minimum" (a saddle or a maximum) or "degenerate"
+    second_order: str
     converged: bool = True
-    # (residual max-norm after the step, accepted step length) per Newton iteration
-    history: tuple[tuple[float, float], ...] = ()
+    # (residual max-norm, accepted step length, L) after each Newton iteration
+    history: tuple[tuple[float, float, float], ...] = ()
 
 
-def _window_residual(lagr: Lagrangian, t: np.ndarray, x: Number) -> Number:
-    """EL residual R_k, k < n - 2, of the values x at the n nodes t of a discrete window.
+def _window_state(lagr: Lagrangian, t: np.ndarray, x: np.ndarray) -> tuple:
+    """(L, sum of mu |f|, EL residual R, Hessian diagonal, Hessian off-diagonal) at x.
 
-    R_k depends on x_k, x_{k+1} and x_{k+2} only. x may be an array or a Dual
-    of arrays; R then carries x's tangents.
+    t holds the n nodes of a discrete window and x the values there. Row k,
+    k < n - 1, is (t_k, x_{k+1}, (x_{k+1} - x_k)/mu_k), and L is the sum of
+    mu_k f over the rows. R_k, k < n - 2, is the EL residual, and
+    dL/dx_{k+1} = -mu_k R_k. Term k adds a 2x2 block in x_k and x_{k+1} to
+    the Hessian of L in the unknowns x_1 .. x_{n-2}. With a = f_rr/mu,
+    b = f_xr and c = mu f_xx per row, its diagonal entry j is
+    (c + 2b + a)_{j-1} + a_j and its entry (j, j+1) is -(a + b)_j.
     """
-    return _el_terms(lagr, t[:-1], x[1:], (x[1:] - x[:-1]) / np.diff(t))
+    mu = np.diff(t)
+    f, fx, fr, fxx, fxr, frr = lagr.second_partials(t[:-1], x[1:], np.diff(x) / mu)
+    a = frr / mu
+    diag = (mu * fxx + 2.0 * fxr + a)[:-1] + a[1:]
+    off = -(a + fxr)[1:-1]
+    return float(np.dot(mu, f)), float(np.dot(mu, np.abs(f))), _el_terms(t[:-1], fx, fr), diag, off
 
 
-def _window_jacobian(lagr: Lagrangian, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The tridiagonal Jacobian of R with respect to the unknowns x_1 .. x_{n-2}.
+def _merit(lagr: Lagrangian, t: np.ndarray, x: np.ndarray) -> float:
+    """L at the window values x; infinite where f is not defined."""
+    mu = np.diff(t)
+    try:
+        f = lagr.eval(t[:-1], x[1:], np.diff(x) / mu)
+    except DomainError:
+        return math.inf
+    with np.errstate(over="ignore"):
+        return float(np.dot(mu, f))
 
-    Column k of the (3, n - 2) result holds dR_k/dx_k, dR_k/dx_{k+1} and
-    dR_k/dx_{k+2}: the sub-, main and super-diagonal entries of row k. The
-    pinned x_0 and x_{n-1} contribute 0.
 
-    Pass c seeds the unknowns j = c (mod 3), so row k meets exactly one seeded
-    unknown, at offset (c - k) mod 3; three passes fill all three bands.
+def _ldl(diag: list, off: list, shift: float = 0.0) -> tuple[list, list]:
+    """Pivots d and multipliers l of the LDL^T factorization of H + shift*I, without pivoting.
+
+    H is symmetric tridiagonal with diagonal diag and off-diagonal off. The
+    factorization stops at the first zero pivot, which is then d[-1].
     """
-    n = x.size
-    j, k = np.arange(n), np.arange(n - 2)
-    bands = np.zeros((3, n - 2))
-    for c in range(3):
-        seed = ((j % 3 == c) & (j > 0) & (j < n - 1)).astype(float)
-        bands[(c - k) % 3, k] = tangent_of(_window_residual(lagr, t, Dual(x, seed)))
-    return bands
+    d, l = [diag[0] + shift], []
+    for j in range(1, len(diag)):
+        if d[-1] == 0.0:
+            break
+        m = off[j - 1] / d[-1]
+        l.append(m)
+        d.append(diag[j] + shift - m * off[j - 1])
+    return d, l
 
 
-def _solve_tridiagonal(bands: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A y = b, A tridiagonal with bands as _window_jacobian returns them.
+def _newton_step(diag: np.ndarray, off: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """s with (H + lam*I) s = -grad, lam = 0 when every pivot of H is positive.
 
-    Gaussian elimination with partial pivoting, swapping rows in the order
-    of LAPACK's gtsv; an exactly zero pivot raises SingularJacobian. Each
-    multiplier is formed from the pivot's reciprocal, as LAPACK's dense LU
-    (getf2) forms it.
+    Otherwise lam starts at 1e-3 * max|diag| and doubles until every pivot
+    is, so s descends. A zero pivot of H itself raises SingularJacobian.
     """
-    dl, d, du = bands[0, 1:].tolist(), bands[1].tolist(), bands[2, :-1].tolist()
-    du2 = [0.0] * len(d)  # second superdiagonal, filled in by row swaps
-    y = b.tolist()
-    m = len(d)
-    for i in range(m - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                raise SingularJacobian(f"Jacobian is singular: zero pivot in column {i}")
-            fact = _over_pivot(dl[i], d[i])
-            d[i + 1] -= fact * du[i]
-            y[i + 1] -= fact * y[i]
-        else:
-            fact = _over_pivot(d[i], dl[i])
-            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
-            if i + 2 < m:
-                du2[i] = du[i + 1]
-                du[i + 1] = -fact * du2[i]
-            y[i], y[i + 1] = y[i + 1], y[i] - fact * y[i + 1]
-    if d[m - 1] == 0.0:
-        raise SingularJacobian(f"Jacobian is singular: zero pivot in column {m - 1}")
-    y[m - 1] /= d[m - 1]
-    if m > 1:
-        y[m - 2] = (y[m - 2] - du[m - 2] * y[m - 1]) / d[m - 2]
-    for i in range(m - 3, -1, -1):
-        y[i] = (y[i] - du[i] * y[i + 1] - du2[i] * y[i + 2]) / d[i]
-    return np.array(y)
+    diag, off = diag.tolist(), off.tolist()
+    d, l = _ldl(diag, off)
+    if d[-1] == 0.0:
+        raise SingularJacobian(f"Hessian of L is singular: zero pivot in column {len(d) - 1}")
+    shift = 1e-3 * max(map(abs, diag))
+    while min(d) <= 0.0:
+        d, l = _ldl(diag, off, shift)
+        shift *= 2.0
+    y = (-grad).tolist()
+    for j in range(1, len(y)):
+        y[j] -= l[j - 1] * y[j - 1]
+    s = [yj / dj for yj, dj in zip(y, d)]
+    for j in range(len(s) - 2, -1, -1):
+        s[j] -= l[j] * s[j + 1]
+    return np.array(s)
 
 
-_SAFE_MIN = float(np.finfo(float).tiny)
+def _second_order(diag: np.ndarray, off: np.ndarray) -> str:
+    """Whether the unshifted pivots of H are all positive, one negative, or one zero."""
+    d, _ = _ldl(diag.tolist(), off.tolist())
+    if min(d) < 0.0:
+        return "not-minimum"
+    return "degenerate" if d[-1] == 0.0 else "strict-minimum"
 
 
-def _over_pivot(a: float, pivot: float) -> float:
-    """a / pivot as a times the pivot's reciprocal, unless that reciprocal overflows."""
-    return a * (1.0 / pivot) if abs(pivot) >= _SAFE_MIN else a / pivot
+# Armijo's sufficient-decrease constant, and the rounding error of L's sum
+# relative to the sum of mu |f|: a step whose decrease L cannot resolve is
+# taken, so the residual can fall below what L itself can show.
+_ARMIJO = 1e-4
+_MERIT_ROUNDING = 1e-12
 
 
 def _window_is_discrete(ts: TimeScale, t0: float, t1: float) -> bool:
@@ -286,18 +299,21 @@ def solve_el_discrete(
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> SolveResult:
-    """Solve the discrete Euler-Lagrange equations by damped Newton iteration.
+    """Solve the discrete Euler-Lagrange equations by Newton's method on L.
 
     Interior values are the unknowns; boundary values stay pinned to alpha
-    and beta. The residual is array arithmetic over the window. Residual k
-    depends on three consecutive values only, so the exact Jacobian is
-    tridiagonal: three passes of dual-number tangents through the same
-    residual fill it, and a pivoted tridiagonal elimination solves for the
-    step, so an iteration costs O(n). Steps are halved until the residual
-    max-norm decreases.
+    and beta. On a discrete window the EL residual is the gradient of L up
+    to the factors -mu, so a solution is a stationary point of L. Each
+    iteration solves H s = -grad L, H the tridiagonal Hessian of L from
+    the symbolic second partials, by LDL^T without pivoting. Where H has
+    a negative pivot, it is shifted to H + lam*I, so s descends. The step
+    length is halved until Armijo's condition on L holds. An iteration
+    costs O(n). The iteration stops when the residual max-norm is at most
+    tol, and the result's second_order reports the pivot signs of the
+    unshifted H there.
 
     Raises NonConvergence (carrying the best iterate and diagnostics) or
-    SingularJacobian.
+    SingularJacobian (a zero pivot of the unshifted H).
     """
     ts = problem.scale
     if not _window_is_discrete(ts, problem.t0, problem.t1):
@@ -308,6 +324,7 @@ def solve_el_discrete(
         raise InsufficientPoints("solver needs at least 3 scale points in [t0, t1]")
     lagr = problem.lagrangian
     pts = ts.points[i0 : i1 + 1]
+    mu = np.diff(pts)
     base = x_init if x_init is not None else problem.linear_trajectory()
     xw = base.values[i0 : i1 + 1].astype(float).copy()
     xw[0], xw[-1] = problem.alpha, problem.beta
@@ -317,46 +334,41 @@ def solve_el_discrete(
         full[i0 : i1 + 1] = values
         return GridFunction(ts, full, name="el_solution")
 
-    residual = _window_residual(lagr, pts, xw)
+    def failure(message: str) -> NonConvergence:
+        return NonConvergence(
+            message, rebuild(best), iterations, residual_max=best_max, history=tuple(history)
+        )
+
+    merit, size, residual, diag, off = _window_state(lagr, pts, xw)
     res_max = float(np.max(np.abs(residual)))
     best, best_max = xw.copy(), res_max
-    history: list[tuple[float, float]] = []
+    history: list[tuple[float, float, float]] = []
     iterations = 0
-    for _ in range(max_iter):
-        if res_max <= tol:
-            return SolveResult(rebuild(xw), iterations, res_max, history=tuple(history))
-        step = _solve_tridiagonal(_window_jacobian(lagr, pts, xw), residual)
+    while res_max > tol and iterations < max_iter:
+        grad = -mu[:-1] * residual
+        step = _newton_step(diag, off, grad)
+        decrease = _ARMIJO * float(np.dot(grad, step))
         lam = 1.0
         while True:
             trial = xw.copy()
-            trial[1:-1] -= lam * step
-            trial_res = _window_residual(lagr, pts, trial)
-            trial_max = float(np.max(np.abs(trial_res)))
-            if trial_max < res_max or trial_max <= tol:
+            trial[1:-1] += lam * step
+            if _merit(lagr, pts, trial) <= merit + lam * decrease + _MERIT_ROUNDING * size:
                 break
             lam *= 0.5
             if lam < 1e-10:
-                raise NonConvergence(
-                    "Newton stalled: no step reduces the residual",
-                    best=rebuild(best),
-                    iterations=iterations,
-                    residual_max=best_max,
-                    history=tuple(history),
-                )
-        xw, residual, res_max = trial, trial_res, trial_max
+                raise failure("Newton stalled: no step decreases L")
+        xw = trial
+        merit, size, residual, diag, off = _window_state(lagr, pts, xw)
+        res_max = float(np.max(np.abs(residual)))
         iterations += 1
-        history.append((res_max, lam))
+        history.append((res_max, lam, merit))
         if res_max < best_max:
             best, best_max = xw.copy(), res_max
     if res_max <= tol:
-        return SolveResult(rebuild(xw), iterations, res_max, history=tuple(history))
-    raise NonConvergence(
-        f"no convergence within {max_iter} iterations (residual {best_max:.3e})",
-        best=rebuild(best),
-        iterations=iterations,
-        residual_max=best_max,
-        history=tuple(history),
-    )
+        return SolveResult(
+            rebuild(xw), iterations, res_max, _second_order(diag, off), history=tuple(history)
+        )
+    raise failure(f"no convergence within {max_iter} iterations (residual {best_max:.3e})")
 
 
 # -- spike perturbations and minimality falsification --------------------------

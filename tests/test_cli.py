@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,29 @@ class TestProblemFileLoading:
         )
         loaded = load_problem(path)
         assert len(loaded.problem.scale) == 4
+
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            {"kind": "uniform", "start": 0, "end": 1e9, "step": 1},
+            {"kind": "harmonic", "n_max": 10**9},
+            [{"kind": "points", "values": [-1.0]}, {"kind": "dense", "lo": 0, "hi": 1, "resolution": 10**9}],
+        ],
+    )
+    def test_oversized_scale_fails_at_once(self, tmp_path, capsys, scale):
+        path = write_problem(tmp_path, scale=scale)
+        start = time.perf_counter()
+        assert main(["eval", path]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: scale") and "a segment has at most 10,000,000" in err
+
+    def test_oversized_resolution_override_fails_at_once(self, tmp_path, capsys):
+        path = write_problem(tmp_path, scale={"kind": "dense", "lo": 0, "hi": 1, "resolution": 10})
+        start = time.perf_counter()
+        assert main(["eval", path, "--resolution", str(10**9)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "a segment has at most 10,000,000" in capsys.readouterr().err
 
     def test_missing_field_path(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -271,9 +295,11 @@ class TestSolve:
         assert main(["solve", path, "--report", str(report)]) == 0
         out = capsys.readouterr().out
         assert "converged" in out
+        assert "second order:         strict-minimum" in out
         doc = json.loads(report.read_text())
         assert doc["trajectory"]["values"] == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert doc["residual_max"] <= 1e-10
+        assert doc["second_order"] == "strict-minimum"
 
     def test_report_history_round_trips_byte_identical(self, tmp_path):
         path = write_problem(
@@ -291,6 +317,7 @@ class TestSolve:
         assert len(doc["history"]) == doc["iterations"] > 1
         assert doc["history"][-1]["residual_max"] == doc["residual_max"]
         assert all(0.0 < entry["step"] <= 1.0 for entry in doc["history"])
+        assert doc["history"][-1]["merit"] == doc["functional_value"]
         assert serialize_report(doc) == text
 
     def test_dense_scale_rejected(self, tmp_path, capsys):
@@ -401,7 +428,7 @@ class TestAnalyze:
             trajectory=None,
         )
         assert main(["analyze", path]) == 0
-        assert "solved" in capsys.readouterr().out
+        assert "solved (0 iterations, strict-minimum)" in capsys.readouterr().out
 
     def test_nonextremal_residual_reported(self, tmp_path):
         report = tmp_path / "analysis.json"

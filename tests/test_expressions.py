@@ -1,4 +1,4 @@
-"""Expression parsing, evaluation, and dual-number differentiation."""
+"""Expression parsing, evaluation, and symbolic differentiation."""
 
 import math
 
@@ -7,13 +7,11 @@ import pytest
 
 from tsvar import (
     DomainError,
-    Dual,
     ExpressionSyntaxError,
     NonDifferentiablePoint,
     UnknownIdentifier,
     parse_lagrangian,
 )
-from tsvar.dual import primal_value, tangent_of
 from conftest import SMOOTH_TEMPLATES, random_point
 
 
@@ -156,84 +154,87 @@ class TestRoundTrip:
 
 
 class TestDualNumbers:
+    """The forward-mode rules that dual numbers implemented, on the symbolic partials.
+
+    Each test keeps the case of the dual-number test it replaced. Second
+    derivatives, which nested dual numbers gave, come from second_partials.
+    """
+
     def test_arithmetic_chain_rule(self):
-        u = Dual(2.0, 1.0)
-        y = u * u * u  # d/du u^3 = 3u^2
-        assert y.primal == 8.0 and y.tangent == 12.0
+        # d/dx x*x*x = 3x^2 and d2/dx2 = 6x, at x = 2
+        f, f_x, _, f_xx, _, _ = parse_lagrangian("x * x * x").second_partials(0.0, 2.0, 0.0)
+        assert (f, f_x, f_xx) == (8.0, 12.0, 12.0)
 
     def test_division(self):
-        y = Dual(1.0, 1.0) / Dual(2.0, 0.0)
-        assert y.primal == 0.5 and y.tangent == 0.5
+        f, f_x, _ = parse_lagrangian("x / t").partials(2.0, 1.0, 0.0)
+        assert f == 0.5 and f_x == 0.5
+        # x/r: f_r = -x/r^2, f_xr = -1/r^2, f_rr = 2x/r^3, at x = 1, r = 2
+        _, f_x, f_r, f_xx, f_xr, f_rr = parse_lagrangian("x / r").second_partials(0.0, 1.0, 2.0)
+        assert (f_x, f_r, f_xx, f_xr, f_rr) == (0.5, -0.25, 0.0, -0.25, 0.25)
 
     def test_transcendentals(self):
-        from tsvar.dual import cos, exp, log, sin, sqrt
-
-        u = Dual(0.7, 1.0)
-        assert sin(u).tangent == pytest.approx(math.cos(0.7), abs=1e-15)
-        assert cos(u).tangent == pytest.approx(-math.sin(0.7), abs=1e-15)
-        assert exp(u).tangent == pytest.approx(math.exp(0.7), abs=1e-15)
-        assert log(u).tangent == pytest.approx(1 / 0.7, abs=1e-15)
-        assert sqrt(u).tangent == pytest.approx(0.5 / math.sqrt(0.7), abs=1e-15)
+        u = 0.7
+        for src, first, second in [
+            ("sin(x)", math.cos(u), -math.sin(u)),
+            ("cos(x)", -math.sin(u), -math.cos(u)),
+            ("exp(x)", math.exp(u), math.exp(u)),
+            ("log(x)", 1 / u, -1 / u**2),
+            ("sqrt(x)", 0.5 / math.sqrt(u), -0.25 / u**1.5),
+        ]:
+            _, f_x, f_r, f_xx, f_xr, f_rr = parse_lagrangian(src).second_partials(0.0, u, 0.0)
+            assert f_x == pytest.approx(first, abs=1e-15)
+            assert f_xx == pytest.approx(second, abs=1e-15)
+            assert f_r == f_xr == f_rr == 0.0
 
     def test_nested_duals_give_second_derivative(self):
-        # f(u) = u^3, f''(2) = 12, via a dual whose components are dual
-        u = Dual(Dual(2.0, 1.0), Dual(1.0, 0.0))
-        y = u * u * u
-        assert primal_value(y) == 8.0
-        assert y.tangent.tangent == 12.0
+        # f(u) = u^3, f''(2) = 12
+        f, _, _, f_xx, _, _ = parse_lagrangian("x^3").second_partials(0.0, 2.0, 0.0)
+        assert f == 8.0
+        assert f_xx == 12.0
 
     def test_partials_accept_dual_inputs_without_confusion(self):
-        # seeding r with an outer tangent must flow through f_r, not leak
-        # into the other arguments' slots
-        L = parse_lagrangian("r^2")
-        _, _, f_r = L.partials(0.0, 0.0, Dual(3.0, 1.0))
-        assert primal_value(f_r) == 6.0
-        assert primal_value(tangent_of(f_r)) == 2.0  # d(2r)/dr
-
-        L2 = parse_lagrangian("x*r")
-        _, f_x, f_r2 = L2.partials(0.0, Dual(3.0, 1.0), 5.0)
-        assert primal_value(f_x) == 5.0
-        assert primal_value(tangent_of(f_x)) == 0.0  # f_x = r, independent of x
-        assert primal_value(f_r2) == 3.0
-        assert primal_value(tangent_of(f_r2)) == 1.0  # f_r = x, seeded on x
+        # each second partial differentiates in its own pair of variables
+        _, _, f_r, f_xx, f_xr, f_rr = parse_lagrangian("r^2").second_partials(0.0, 0.0, 3.0)
+        assert (f_r, f_xx, f_xr, f_rr) == (6.0, 0.0, 0.0, 2.0)
+        _, f_x, f_r, f_xx, f_xr, f_rr = parse_lagrangian("x*r").second_partials(0.0, 3.0, 5.0)
+        assert (f_x, f_r) == (5.0, 3.0)
+        assert (f_xx, f_xr, f_rr) == (0.0, 1.0, 0.0)  # f_x = r does not move with x
 
     @pytest.mark.parametrize("src, f_rr", [("r^2", 2.0), ("r^3", 0.0), ("r^2.5", 0.0)])
     def test_nested_tangent_survives_base_zero(self, src, f_rr):
-        _, f_x, f_r = parse_lagrangian(src).partials(0.0, 0.0, Dual(0.0, 1.0))
-        assert f_r == Dual(0.0, f_rr)
-        assert primal_value(f_x) == 0.0 and primal_value(tangent_of(f_x)) == 0.0
+        _, f_x, f_r, f_xx, f_xr, got = parse_lagrangian(src).second_partials(0.0, 0.0, 0.0)
+        assert (f_r, got) == (0.0, f_rr)
+        assert f_x == f_xx == f_xr == 0.0
 
     @pytest.mark.parametrize("src", ["r^2", "r^3", "r^2.5", "x*r^2 + r^4/4"])
     def test_nested_scalar_partials_match_the_array_path_at_zero(self, src):
         L = parse_lagrangian(src)
-        scalar = L.partials(0.5, 2.0, Dual(0.0, 1.0))
-        array = L.partials(np.array([0.5]), np.array([2.0]), Dual(np.zeros(1), np.ones(1)))
+        scalar = L.second_partials(0.5, 2.0, 0.0)
+        array = L.second_partials(np.array([0.5]), np.array([2.0]), np.zeros(1))
         for s, a in zip(scalar, array):
-            assert primal_value(s) == primal_value(a)[0]
-            assert primal_value(tangent_of(s)) == primal_value(tangent_of(a))[0]
+            assert a.shape == (1,)
+            assert s == a[0]
 
     def test_partials_of_array_duals_are_broadcast_to_the_rows(self):
-        # f_x and f_r of x + r are constants; they still come back one per row
-        f, f_x, f_r = parse_lagrangian("x + r").partials(
-            np.zeros(3), Dual(np.arange(3.0), np.ones(3)), Dual(np.ones(3), np.zeros(3))
+        # every partial of x + r is a constant; each still comes back one per row
+        f, *partials = parse_lagrangian("x + r").second_partials(
+            np.zeros(3), np.arange(3.0), np.ones(3)
         )
-        assert primal_value(f).tolist() == [1.0, 2.0, 3.0]
-        assert tangent_of(f).tolist() == [1.0, 1.0, 1.0]
-        for partial in (f_x, f_r):
-            assert primal_value(partial).tolist() == [1.0, 1.0, 1.0]
-            assert np.all(tangent_of(partial) == 0.0)
+        assert f.tolist() == [1.0, 2.0, 3.0]
+        assert [p.tolist() for p in partials] == [[1.0] * 3, [1.0] * 3] + [[0.0] * 3] * 3
 
     def test_array_dual_error_names_the_sub_expression(self):
         # r^1.5 has a first derivative at r = 0 but no second one
         L = parse_lagrangian("r^1.5")
         L.partials(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
-        with pytest.raises(NonDifferentiablePoint, match=r"in '\(r \^ 1\.5\)'"):
-            L.partials(np.zeros(2), np.zeros(2), Dual(np.array([1.0, 0.0]), np.ones(2)))
+        with pytest.raises(NonDifferentiablePoint, match=r"in '\(r \^ 1\.5\)' at t=0\.0, x=0\.0, r=0\.0") as info:
+            L.second_partials(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
+        assert info.value.index == 1
 
     def test_pow_dual_exponent_requires_positive_base(self):
         L = parse_lagrangian("x^r")
         f, _, f_r = L.partials(0.0, 2.0, 3.0)
         assert f == pytest.approx(8.0, rel=1e-14)
-        assert primal_value(f_r) == pytest.approx(8.0 * math.log(2.0), rel=1e-12)
+        assert f_r == pytest.approx(8.0 * math.log(2.0), rel=1e-12)
         with pytest.raises(DomainError):
             L.partials(0.0, -2.0, 3.0)

@@ -20,6 +20,7 @@ from tsvar import (
     make_uniform,
     union,
 )
+from tsvar.timescale import MAX_SEGMENT_POINTS
 from conftest import random_discrete_scale
 
 
@@ -65,6 +66,28 @@ class TestSegments:
     def test_shared_endpoints_deduplicated(self):
         ts = TimeScale([Uniform(0.0, 2.0, 1.0), Uniform(2.0, 4.0, 1.0)])
         assert np.allclose(ts.points, [0, 1, 2, 3, 4])
+
+
+class TestSegmentSize:
+    """Every segment is rejected before it allocates more than MAX_SEGMENT_POINTS points."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Uniform(0.0, 1e9, 1.0),
+            lambda: Uniform(0.0, 1.0, 1e-320),  # a step count beyond the float range
+            lambda: Geometric(1.0, 2.0**40, 1.0 + 2.0**-20),
+            lambda: DenseInterval(0.0, 1.0, MAX_SEGMENT_POINTS),
+            lambda: make_harmonic(MAX_SEGMENT_POINTS),
+        ],
+    )
+    def test_oversized_segment_is_rejected(self, build):
+        with pytest.raises(InvalidParameter, match="a segment has at most 10,000,000"):
+            build()
+
+    def test_largest_segment_is_accepted(self):
+        assert DenseInterval(0.0, 1.0, MAX_SEGMENT_POINTS - 1).resolution + 1 == MAX_SEGMENT_POINTS
+        assert Uniform(0.0, MAX_SEGMENT_POINTS - 1.0, 1.0)._count == MAX_SEGMENT_POINTS
 
 
 class TestJumpOperators:

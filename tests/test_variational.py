@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 from tsvar import (
     EmptyInterval,
@@ -29,9 +30,8 @@ from tsvar import (
     spike_perturbation,
     union,
 )
-from tsvar.dual import Dual, tangent_of
 from tsvar.expressions import Lagrangian
-from tsvar.variational import _solve_tridiagonal, _window_jacobian, _window_residual
+from tsvar.variational import _newton_step, _window_state
 from conftest import SMOOTH_TEMPLATES, random_discrete_scale
 
 
@@ -227,19 +227,21 @@ class TestSolver:
         assert np.max(np.abs(res.values)) <= 1e-10
 
     def test_dual_jacobian_matches_finite_differences(self):
+        # the Jacobian of the residual R is -H / mu row by row, H the Hessian of L
         lagr = parse_lagrangian("r^2 + exp(x) + t*x*r")
         pts = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         xv = np.array([0.0, 0.3, -0.2, 0.7, 1.0])
         h = 1e-7
-        ad = _dense(_window_jacobian(lagr, pts, xv))
+        _, _, _, diag, off = _window_state(lagr, pts, xv)
+        jacobian = -_dense(diag, off) / np.diff(pts)[:-1, None]
         for j in range(1, 4):
             bumped = xv.copy()
             bumped[j] = xv[j] + h
-            f1 = _window_residual(lagr, pts, bumped)
+            f1 = _window_state(lagr, pts, bumped)[2]
             bumped[j] = xv[j] - h
-            f0 = _window_residual(lagr, pts, bumped)
+            f0 = _window_state(lagr, pts, bumped)[2]
             fd = (f1 - f0) / (2 * h)
-            assert np.allclose(ad[:, j - 1], fd, atol=1e-6)
+            assert np.allclose(jacobian[:, j - 1], fd, atol=1e-6)
 
     @pytest.mark.parametrize(
         "src, n", [("r^2 + r^4/4 + x^2", 60), ("sqrt(r^2+1) + x^2/2", 70), ("r^2 + r^4/4 + x^2", 10_000)]
@@ -254,15 +256,83 @@ class TestSolver:
         assert result.residual_max <= 1e-10
         assert np.max(np.abs(el_residual(P, result.trajectory).values)) <= 1e-10
 
+    def test_returns_the_strict_minimum_not_a_saddle(self):
+        # Newton with backtracking on the residual stopped at a saddle with L = 15.8372 here
+        P = VariationalProblem(
+            make_uniform(0.0, 30.0, 1.0), 0.0, 30.0, parse_lagrangian("r^2 + r^4/4 + sin(x)"), 0.0, 1.0
+        )
+        result = solve_el_discrete(P)
+        assert result.residual_max <= 1e-10
+        assert result.second_order == "strict-minimum"
+        assert functional(P, result.trajectory) == pytest.approx(-23.3336, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "src, n, value",
+        [
+            ("r^2 + r^4/4 + sin(x)", 19, -12.333614),
+            ("r^2 + r^4/4 + sin(x)", 20, -13.333593),
+            ("r^2 + r^4/4 + sin(x)", 29, -22.333571),
+            ("r^2 + r^4/4 + sin(x)", 50, -43.333571),
+            ("r^2 + r^4/4 + sin(x)", 200, -193.333571),
+            ("r^2 + r^4/4 + cos(x)", 20, -10.789781),
+            ("r^2 + r^4/4 + cos(x)", 60, -50.789732),
+            ("r^2 + r^4/4 + cos(x) + t*x*r", 20, -3548.231687),
+            ("r^2 + r^4/4 + cos(x) + t*x*r", 60, -1309257.979649),
+        ],
+    )
+    def test_converges_where_residual_backtracking_stalled(self, src, n, value):
+        # each raised NonConvergence ("no step reduces the residual") before
+        P = VariationalProblem(
+            make_uniform(0.0, float(n), 1.0), 0.0, float(n), parse_lagrangian(src), 0.0, 1.0
+        )
+        result = solve_el_discrete(P)
+        assert result.residual_max <= 1e-10
+        assert result.second_order == "strict-minimum"
+        assert functional(P, result.trajectory) == pytest.approx(value, rel=1e-7)
+
+    @pytest.mark.parametrize("offset", ["1e6", "1e10", "1e12"])
+    def test_a_constant_in_f_does_not_stall_the_line_search(self, offset):
+        # L's rounding error grows with the constant and hides the last decreases of L
+        def solve(src):
+            P = VariationalProblem(
+                make_uniform(0.0, 200.0, 1.0), 0.0, 200.0, parse_lagrangian(src), 0.0, 1.0
+            )
+            return solve_el_discrete(P)
+
+        plain, shifted = solve("r^2 + r^4/4 + sin(x)"), solve(f"r^2 + r^4/4 + sin(x) + {offset}")
+        assert shifted.residual_max <= 1e-10
+        np.testing.assert_allclose(shifted.trajectory.values, plain.trajectory.values, atol=1e-9)
+
+    def test_second_order_of_a_saddle(self):
+        # f = r^2 - 3x^2 on {0..4}: the EL equations x_k + x_{k+1} + x_{k+2} = 0 hold at
+        # x = (0, 1, -1, 0, 1), where the Hessian of L has the leading pivot -2
+        P = VariationalProblem(
+            make_uniform(0.0, 4.0, 1.0), 0.0, 4.0, parse_lagrangian("r^2 - 3*x^2"), 0.0, 1.0
+        )
+        result = solve_el_discrete(P, x_init=GridFunction(P.scale, [0.0, 1.0, -1.0, 0.0, 1.0]))
+        assert (result.iterations, result.residual_max) == (0, 0.0)
+        assert result.second_order == "not-minimum"
+
+    def test_second_order_degenerate(self):
+        # f = r^4 has f_rr = 0 at the flat extremal x = 0: every entry of the Hessian is 0
+        P = VariationalProblem(
+            make_uniform(0.0, 4.0, 1.0), 0.0, 4.0, parse_lagrangian("r^4"), 0.0, 0.0
+        )
+        result = solve_el_discrete(P)
+        assert (result.iterations, result.second_order) == (0, "degenerate")
+
     def test_partials_calls_per_iteration_do_not_grow_with_n(self, monkeypatch):
         calls = []
-        partials = Lagrangian.partials
 
-        def counted(self, *args):
-            calls.append(1)
-            return partials(self, *args)
+        def counted(method):
+            def call(self, *args):
+                calls.append(1)
+                return method(self, *args)
 
-        monkeypatch.setattr(Lagrangian, "partials", counted)
+            return call
+
+        for name in ("eval", "partials", "second_partials"):
+            monkeypatch.setattr(Lagrangian, name, counted(getattr(Lagrangian, name)))
         per_iteration = []
         for n in (20, 2000):
             calls.clear()
@@ -281,9 +351,10 @@ class TestSolver:
         result = solve_el_discrete(P)
         assert len(result.history) == result.iterations > 1
         assert result.history[-1][0] == result.residual_max
-        residuals = [res for res, _ in result.history]
-        assert residuals == sorted(residuals, reverse=True)
-        assert all(0.0 < step <= 1.0 for _, step in result.history)
+        merits = [merit for _, _, merit in result.history]
+        assert merits == sorted(merits, reverse=True)
+        assert merits[-1] == functional(P, result.trajectory)
+        assert all(0.0 < step <= 1.0 for _, step, _ in result.history)
 
     def test_nonconvergence_carries_history(self):
         P = VariationalProblem(
@@ -323,9 +394,9 @@ class TestSolver:
             solve_el_discrete(P)
 
 
-def _dense(bands: np.ndarray) -> np.ndarray:
-    """The tridiagonal matrix whose row k holds bands[:, k] at columns k-1, k, k+1."""
-    return np.diag(bands[1]) + np.diag(bands[0, 1:], -1) + np.diag(bands[2, :-1], 1)
+def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix with diagonal diag and off-diagonal off."""
+    return np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
 
 
 @settings(max_examples=60)
@@ -335,50 +406,93 @@ def _dense(bands: np.ndarray) -> np.ndarray:
     start=st.floats(-2.0, 2.0),
     data=st.data(),
 )
-def test_colored_jacobian_matches_one_seed_per_unknown(src, gaps, start, data):
+def test_hessian_bands_match_a_dense_per_term_assembly(src, gaps, start, data):
     lagr = parse_lagrangian(src)
     pts = start + np.concatenate(([0.0], np.cumsum(gaps)))
     n = pts.size
     xv = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
-    want = np.zeros((n - 2, n - 2))
-    for j in range(1, n - 1):
-        want[:, j - 1] = tangent_of(_window_residual(lagr, pts, Dual(xv, np.eye(n)[j])))
-    got = _dense(_window_jacobian(lagr, pts, xv))
+    # term k, mu_k f(t_k, x_{k+1}, (x_{k+1} - x_k)/mu_k), adds a block in x_k and x_{k+1}
+    want = np.zeros((n, n))
+    for k in range(n - 1):
+        mu = pts[k + 1] - pts[k]
+        *_, f_xx, f_xr, f_rr = lagr.second_partials(pts[k], xv[k + 1], (xv[k + 1] - xv[k]) / mu)
+        want[k, k] += f_rr / mu
+        want[k + 1, k + 1] += mu * f_xx + 2.0 * f_xr + f_rr / mu
+        want[k, k + 1] -= f_xr + f_rr / mu
+        want[k + 1, k] -= f_xr + f_rr / mu
+    want = want[1:-1, 1:-1]  # the pinned boundary values are no unknowns
+    got = _dense(*_window_state(lagr, pts, xv)[3:])
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
+# the SMOOTH_TEMPLATES that are convex in (x, r)
+CONVEX_TEMPLATES = ("r^2", "exp(r/3) + t", "sqrt(r^2 + 1)", "(x + r)^2 / (1 + t^2)")
+assert set(CONVEX_TEMPLATES) <= set(SMOOTH_TEMPLATES)
+
+
+@settings(max_examples=40)
+@given(
+    src=st.sampled_from(CONVEX_TEMPLATES),
+    gaps=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=10),
+    start=st.floats(-2.0, 2.0),
+    alpha=st.floats(-1.0, 1.0),
+    beta=st.floats(-1.0, 1.0),
+)
+def test_solver_finds_the_minimum_bfgs_finds_on_convex_windows(src, gaps, start, alpha, beta):
+    pts = start + np.concatenate(([0.0], np.cumsum(gaps)))
+    P = VariationalProblem(make_points(pts), pts[0], pts[-1], parse_lagrangian(src), alpha, beta)
+    pts, mu = P.scale.points, np.diff(P.scale.points)
+
+    def L(interior):
+        x = np.concatenate(([alpha], interior, [beta]))
+        return float(np.dot(mu, P.lagrangian.eval(pts[:-1], x[1:], np.diff(x) / mu)))
+
+    oracle = minimize(L, P.linear_trajectory().values[1:-1], method="BFGS", options={"gtol": 1e-10})
+    result = solve_el_discrete(P)
+    assert functional(P, result.trajectory) <= oracle.fun + 1e-9
+    np.testing.assert_allclose(result.trajectory.values[1:-1], oracle.x, rtol=0.0, atol=1e-6)
+
+
 class TestTridiagonalSolve:
+    """The Newton step: LDL^T of the symmetric tridiagonal Hessian, shifted where indefinite."""
+
     def test_matches_dense_solve_on_random_systems(self, rng):
         for m in (1, 2, 3, 7, 40):
             for _ in range(20):
-                bands, b = rng.normal(size=(3, m)), rng.normal(size=m)
-                want = np.linalg.solve(_dense(bands), b)
-                assert np.allclose(_solve_tridiagonal(bands, b), want, rtol=1e-10, atol=1e-12)
+                # H = L D L^T with random unit bidiagonal L and positive D: positive definite
+                d, l = rng.uniform(0.05, 2.0, m), rng.normal(size=m - 1)
+                diag, off = d + np.concatenate(([0.0], l**2 * d[:-1])), l * d[:-1]
+                grad = rng.normal(size=m)
+                want = np.linalg.solve(_dense(diag, off), -grad)
+                np.testing.assert_allclose(
+                    _newton_step(diag, off, grad), want, rtol=1e-10, atol=1e-12
+                )
 
-    def test_zero_leading_diagonal_swaps_rows(self):
-        bands = np.array([[0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 4.0, 2.0], [5.0, 1.0, 2.0, 0.0]])
-        b = np.array([1.0, -2.0, 3.0, 0.5])
-        A = _dense(bands)
-        assert A[0, 0] == 0.0
-        y = _solve_tridiagonal(bands, b)
-        assert np.allclose(y, np.linalg.solve(A, b), rtol=1e-13, atol=1e-14)
-        assert np.allclose(A @ y, b, rtol=1e-13, atol=1e-14)
+    def test_zero_leading_pivot_raises(self):
+        # no row swaps: a zero pivot of the unshifted H is singular, though this H is not
+        with pytest.raises(SingularJacobian, match="zero pivot in column 0"):
+            _newton_step(np.array([0.0, 1.0]), np.array([1.0]), np.ones(2))
 
-    def test_small_pivot_is_swapped_out(self):
-        # eliminating with the pivot 1e-20 would lose y0 = 1 to cancellation
-        bands = np.array([[0.0, 1.0], [1e-20, 1.0], [1.0, 0.0]])
-        y = _solve_tridiagonal(bands, np.array([1.0, 2.0]))
-        assert np.allclose(y, [1.0, 1.0], rtol=1e-15)
+    def test_negative_pivot_is_shifted(self):
+        # [[1, 2], [2, 1]] has the pivots 1 and -3; the step solves (H + lam I) s = -grad
+        # for the first lam = 1e-3 * 2^k that makes H + lam I positive definite
+        diag, off, grad = np.array([1.0, 1.0]), np.array([2.0]), np.array([1.0, -0.5])
+        s = _newton_step(diag, off, grad)
+        lam = 1e-3
+        while np.linalg.eigvalsh(_dense(diag + lam, off)).min() <= 0.0:
+            lam *= 2.0
+        np.testing.assert_allclose(_dense(diag + lam, off) @ s, -grad, rtol=1e-12)
+        assert grad @ s < 0.0  # a descent direction of L
 
     def test_singular_system_raises(self):
-        # det [[1, 1, 0], [1, 2, 2], [0, 2, 4]] = 0: elimination meets an exact zero pivot
-        bands = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 4.0], [1.0, 2.0, 0.0]])
+        # [[1, 1, 0], [1, 2, 2], [0, 2, 4]] is singular: LDL^T meets an exact zero pivot
+        diag, off = np.array([1.0, 2.0, 4.0]), np.array([1.0, 2.0])
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(_dense(bands), np.ones(3))
+            np.linalg.solve(_dense(diag, off), np.ones(3))
+        with pytest.raises(SingularJacobian, match="zero pivot in column 2"):
+            _newton_step(diag, off, np.ones(3))
         with pytest.raises(SingularJacobian):
-            _solve_tridiagonal(bands, np.ones(3))
-        with pytest.raises(SingularJacobian):
-            _solve_tridiagonal(np.zeros((3, 4)), np.ones(4))
+            _newton_step(np.zeros(4), np.zeros(3), np.ones(4))
 
 
 class TestSpikePerturbation:

@@ -6,7 +6,6 @@ raised where a loop would fail.
 """
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -28,8 +27,17 @@ from tsvar import (
     weierstrass_scan,
 )
 from tsvar import weierstrass
-from tsvar.dual import Dual, tangent_of
-from tsvar.expressions import VARIABLES, BinOp, Call, Lagrangian, Neg, Num, Var, eval_ast
+from tsvar.expressions import (
+    VARIABLES,
+    BinOp,
+    Call,
+    Lagrangian,
+    Neg,
+    Num,
+    Var,
+    derivative,
+    eval_ast,
+)
 from tsvar.variational import _rows
 from tsvar.weierstrass import (
     _SLOPE_KINDS,
@@ -148,16 +156,10 @@ _COORDINATE = st.one_of(
 _ROWS = st.lists(st.tuples(_COORDINATE, _COORDINATE, _COORDINATE), min_size=1, max_size=6)
 
 
-def _components(u):
-    if isinstance(u, Dual):
-        return _components(u.primal) + _components(u.tangent)
-    return [abs(float(u))]
-
-
 def _magnitude(node, env) -> float:
-    """Largest component of any sub-expression: the scale its rounding errors live on."""
-    own = max(_components(eval_ast(node, env)))
-    for child in ("arg", "lhs", "rhs"):
+    """Largest |value| of any sub-expression: the scale its rounding errors live on."""
+    own = abs(float(eval_ast(node, env)))
+    for child in ("arg", "lhs", "rhs", "test"):
         if hasattr(node, child):
             own = max(own, _magnitude(getattr(node, child), env))
     return own
@@ -182,56 +184,14 @@ def test_array_eval_and_partials_match_the_scalar_path(ast, rows):
             continue
         got = wrap(method(t, x, r))
         want = [wrap(v) for v in scalar]
-        if method == lagr.eval:
-            scales = [_magnitude(ast, {"t": a, "x": b, "r": c}) for a, b, c in rows]
-        else:  # both forward passes of the partials
-            scales = [
-                max(
-                    _magnitude(ast, {"t": Dual(a), "x": Dual(b, 1.0), "r": Dual(c)}),
-                    _magnitude(ast, {"t": Dual(a), "x": Dual(b), "r": Dual(c, 1.0)}),
-                )
-                for a, b, c in rows
-            ]
+        # f's sub-expressions, and for the partials those of their ASTs too
+        asts = [ast] if method == lagr.eval else [ast, derivative(ast, "x"), derivative(ast, "r")]
+        scales = [
+            max(_magnitude(a, {"t": t_, "x": x_, "r": r_}) for a in asts) for t_, x_, r_ in rows
+        ]
         for k, column in enumerate(got):
             assert np.shape(column) == t.shape
             _assert_rows_close(column, [w[k] for w in want], scales)
-
-
-def _dual_partials(ast, t, x, r):
-    """(f, f_x, f_r) from two forward passes of dual numbers: the reference of the symbolic partials."""
-    fx_pass = eval_ast(ast, {"t": Dual(t), "x": Dual(x, 1.0), "r": Dual(r)})
-    fr_pass = eval_ast(ast, {"t": Dual(t), "x": Dual(x), "r": Dual(r, 1.0)})
-    f = fx_pass.primal if isinstance(fx_pass, Dual) else fx_pass
-    return f, tangent_of(fx_pass), tangent_of(fr_pass)
-
-
-def _free_of_x_and_r(message: str) -> bool:
-    """Whether the sub-expression an error message names contains neither x nor r."""
-    source = message.split("'")[1]
-    return not re.search(r"\b[xr]\b", source)
-
-
-@settings(max_examples=400)
-@given(ast=_ASTS, rows=_ROWS)
-def test_symbolic_partials_match_the_dual_partials(ast, rows):
-    lagr = Lagrangian(ast, ast.to_source())
-    for t, x, r in rows:
-        want, want_error = outcome(_dual_partials, ast, t, x, r)
-        got, got_error = outcome(lagr.partials, t, x, r)
-        if want_error is not None and got_error is None:
-            # the dual passes also push tangents through sub-expressions in t
-            # alone, where a divisor squared can underflow; their derivative is 0
-            with pytest.raises(DomainError, match="overflow") as info:
-                _dual_partials(ast, t, x, r)
-            assert _free_of_x_and_r(str(info.value))
-            continue
-        assert got_error is want_error
-        if want_error is None:
-            scale = max(
-                _magnitude(ast, {"t": Dual(t), "x": Dual(x, 1.0), "r": Dual(r)}),
-                _magnitude(ast, {"t": Dual(t), "x": Dual(x), "r": Dual(r, 1.0)}),
-            )
-            _assert_rows_close(got, want, [scale] * 3)
 
 
 class TestArrayErrors:
