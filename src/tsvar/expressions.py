@@ -546,10 +546,7 @@ def _power_derivative(node: BinOp, v: str, origin: ExprAst) -> ExprAst:
     if _varies(w):  # d(u^w) = u^w (w du/u + dw log u), for u > 0 only
         du, dw = derivative(u, v), derivative(w, v)
         message = "power with varying exponent requires a positive base"
-        if _is_num(du, 0.0):
-            checked = Guard("positive", message, u, dw, origin)
-            return _mul(node, _mul(checked, Call("log", u, origin), origin), origin)
-        checked = Guard("positive", message, u, du, origin)
+        checked = Guard("positive", message, u, du, origin)  # before du/u and log(u)
         rate = _add(
             _mul(w, _div(checked, u, origin), origin), _mul(dw, Call("log", u, origin), origin), origin
         )

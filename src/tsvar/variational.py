@@ -239,13 +239,15 @@ def _ldl(diag: list, off: list, shift: float = 0.0) -> tuple[list, list]:
     H is symmetric tridiagonal with diagonal diag and off-diagonal off. The
     factorization stops at the first zero pivot, which is then d[-1].
     """
-    d, l = [diag[0] + shift], []
-    for j in range(1, len(diag)):
-        if d[-1] == 0.0:
+    pivot = diag[0] + shift
+    d, l = [pivot], []
+    for a, b in zip(diag[1:], off):
+        if pivot == 0.0:
             break
-        m = off[j - 1] / d[-1]
+        m = b / pivot
+        pivot = a + shift - m * b
         l.append(m)
-        d.append(diag[j] + shift - m * off[j - 1])
+        d.append(pivot)
     return d, l
 
 
@@ -263,13 +265,15 @@ def _newton_step(diag: np.ndarray, off: np.ndarray, grad: np.ndarray) -> np.ndar
     while min(d) <= 0.0:
         d, l = _ldl(diag, off, shift)
         shift *= 2.0
-    y = (-grad).tolist()
-    for j in range(1, len(y)):
-        y[j] -= l[j - 1] * y[j - 1]
-    s = [yj / dj for yj, dj in zip(y, d)]
-    for j in range(len(s) - 2, -1, -1):
-        s[j] -= l[j] * s[j + 1]
-    return np.array(s)
+    z, y = [], 0.0  # L D z = -grad, forward
+    for g, m, pivot in zip(grad.tolist(), [0.0] + l, d):
+        y = -g - m * y
+        z.append(y / pivot)
+    s, step = [], 0.0  # L^T s = z, backward
+    for zj, m in zip(reversed(z), reversed(l + [0.0])):
+        step = zj - m * step
+        s.append(step)
+    return np.array(s[::-1])
 
 
 def _second_order(diag: np.ndarray, off: np.ndarray) -> str:

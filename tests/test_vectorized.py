@@ -175,7 +175,14 @@ def _assert_rows_close(got, want, scales):
 def test_array_eval_and_partials_match_the_scalar_path(ast, rows):
     lagr = Lagrangian(ast, ast.to_source())
     t, x, r = (np.array(column) for column in zip(*rows))
-    for method, wrap in ((lagr.eval, lambda v: (v,)), (lagr.partials, tuple)):
+    fx, fr = derivative(ast, "x"), derivative(ast, "r")
+    second = [derivative(fx, "x"), derivative(fx, "r"), derivative(fr, "r")]
+    # each method with the ASTs it evaluates, whose sub-expressions scale its rounding
+    for method, wrap, asts in (
+        (lagr.eval, lambda v: (v,), [ast]),
+        (lagr.partials, tuple, [ast, fx, fr]),
+        (lagr.second_partials, tuple, [ast, fx, fr, *second]),
+    ):
         scalar, error = outcomes(method, rows)
         if error is not None:
             with pytest.raises(error) as info:
@@ -184,8 +191,6 @@ def test_array_eval_and_partials_match_the_scalar_path(ast, rows):
             continue
         got = wrap(method(t, x, r))
         want = [wrap(v) for v in scalar]
-        # f's sub-expressions, and for the partials those of their ASTs too
-        asts = [ast] if method == lagr.eval else [ast, derivative(ast, "x"), derivative(ast, "r")]
         scales = [
             max(_magnitude(a, {"t": t_, "x": x_, "r": r_}) for a in asts) for t_, x_, r_ in rows
         ]
