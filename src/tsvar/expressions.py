@@ -490,9 +490,8 @@ def derivative(node: ExprAst, v: str) -> ExprAst:
     its errors name. Guard nodes keep the derivative's own domain: sqrt and
     powers 0 < n < 1 at 0, abs at 0 where its argument moves with v, and a
     power with a varying exponent at a non-positive base. As in
-    forward-mode differentiation, the first two guards and the last one
-    hold whenever their argument contains a variable, even if it does not
-    depend on v.
+    forward-mode differentiation, all but the abs guard hold wherever the
+    guarded sub-expression contains a variable, even one other than v.
     """
     if not _varies(node):
         return _ZERO
