@@ -45,6 +45,7 @@ from .variational import (
 )
 from .weierstrass import (
     DEFAULT_Q_COUNT,
+    MAX_Q_COUNT,
     Verdict,
     check_convexity_condition,
     classify_candidate,
@@ -228,6 +229,8 @@ def _scan_config(loaded: LoadedProblem, args) -> ScanConfig:
         raise TsvarError("--q-min must be below --q-max")
     if args.q_count is not None and args.q_count < 1:
         raise TsvarError("--q-count must be at least 1")
+    if args.q_count is not None and args.q_count > MAX_Q_COUNT:
+        raise TsvarError(f"--q-count must be at most {MAX_Q_COUNT:,}")
     flags = {"q_min": args.q_min, "q_max": args.q_max, "q_count": args.q_count, "tol": args.tol}
     return dataclasses.replace(loaded.scan, **{k: v for k, v in flags.items() if v is not None})
 

@@ -43,7 +43,13 @@ from .timescale import (
     make_harmonic,
 )
 from .variational import Trajectory, VariationalProblem
-from .weierstrass import DEFAULT_Q_COUNT, AnalysisReport, SlopeKind
+from .weierstrass import (
+    _SLOPE_KINDS,
+    DEFAULT_Q_COUNT,
+    MAX_Q_COUNT,
+    AnalysisReport,
+    ExcessTable,
+)
 
 
 @dataclass(frozen=True)
@@ -239,6 +245,8 @@ def load_problem(path: str, resolution: Optional[int] = None) -> LoadedProblem:
         scan = ScanConfig(**{k: parse(s[k], f"scan.{k}") for k, parse in parsers.items() if k in s})
         if scan.q_count < 1:
             raise ProblemFileError("scan.q_count", "must be at least 1")
+        if scan.q_count > MAX_Q_COUNT:
+            raise ProblemFileError("scan.q_count", f"must be at most {MAX_Q_COUNT:,}")
     return LoadedProblem(problem=problem, trajectory=trajectory, scan=scan, path=path)
 
 
@@ -251,10 +259,6 @@ def make_provenance(path: str, tool_version: str) -> dict:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "tool_version": tool_version,
     }
-
-
-# the report text of each slope kind, read once rather than through the Enum per violation
-_SLOPE_KIND_TEXT = {kind: kind.value for kind in SlopeKind}
 
 
 def analysis_to_document(analysis: Optional[AnalysisReport]) -> dict:
@@ -281,17 +285,7 @@ def analysis_to_document(analysis: Optional[AnalysisReport]) -> dict:
             "lhs": cx.lhs,
             "rhs": cx.rhs,
         },
-        "weierstrass_violations": [
-            {
-                "t": v.t,
-                "x_sigma": v.x_sigma,
-                "r": v.r,
-                "q": v.q,
-                "E": v.E,
-                "slope_kind": _SLOPE_KIND_TEXT[v.slope_kind],
-            }
-            for v in analysis.weierstrass_violations
-        ],
+        "weierstrass_violations": analysis.weierstrass_violations,  # written column by column
         "verdict": analysis.verdict.value,
     }
 
@@ -320,8 +314,10 @@ def serialize_report(doc: dict) -> str:
     """Canonical rendering; serialize -> parse -> serialize is byte-identical.
 
     The text is that of json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False) + "\n" for any document with string keys. A list of
-    flat objects sharing one key set, such as the excess-scan violations, is
+    allow_nan=False) + "\n" for any document with string keys, an
+    ExcessTable standing for the list of its samples as objects with the
+    keys t, x_sigma, r, q, E and slope_kind. An ExcessTable, and a list of
+    flat objects sharing one key set, such as the Newton history, are
     rendered column by column, each distinct float once. A non-finite float
     raises TsvarError naming its field.
     """
@@ -391,6 +387,8 @@ def _write(value, pad: str, out: list[str]) -> None:
                 e.path.append(key)
                 raise
         out.append(pad + "}")
+    elif isinstance(value, ExcessTable):
+        _excess_table(value, pad, out)
     else:
         out.append(_scalar(value))
 
@@ -454,3 +452,51 @@ def _column(values: list) -> list[str]:
         for i in compress(count(), map(not_, values)):
             rendered[i] = float.__repr__(values[i])
     return rendered
+
+
+# (report key, ExcessTable column) in sorted-key order
+_EXCESS_KEYS = (
+    ("E", "E"), ("q", "q"), ("r", "r"), ("slope_kind", "kind"), ("t", "t"), ("x_sigma", "x_sigma")
+)
+# the JSON text of each slope-kind code
+_KIND_TEXT = np.array([encode_basestring_ascii(_SLOPE_KINDS[k].value) for k in range(3)], dtype=object)
+
+
+def _excess_table(table: ExcessTable, pad: str, out: list[str]) -> None:
+    """Append the JSON text of the list of table's samples as objects, built from its columns."""
+    n = len(table)
+    if not n:
+        out.append("[]")
+        return
+    columns = [(key, getattr(table, name)) for key, name in _EXCESS_KEYS]
+    floats = [(key, column) for key, column in columns if key != "slope_kind"]
+    finite = np.isfinite(np.column_stack([column for _, column in floats]))
+    if not finite.all():
+        # the first bad cell in row order, then sorted-key order
+        row, col = divmod(int(np.argmin(finite)), len(floats))
+        key, column = floats[col]
+        e = _NotFinite(float(column[row]))
+        e.path += [key, row]
+        raise e
+    inner, field = pad + "  ", pad + "    "
+    width = 2 * len(columns)
+    pieces: list = [None] * (width * n)
+    for k, (key, column) in enumerate(columns):
+        prefix = ("," if k else "{") + field + encode_basestring_ascii(key) + ": "
+        pieces[2 * k :: width] = [prefix] * n
+        pieces[2 * k + 1 :: width] = (
+            _KIND_TEXT[column].tolist() if key == "slope_kind" else _float_texts(column)
+        )
+    start = pieces[0]  # each row after the first also closes the one before it
+    pieces[0::width] = [inner + "}," + inner + start] * n
+    pieces[0] = "[" + inner + start
+    pieces.append(inner + "}" + pad + "]")
+    out.append("".join(pieces))
+
+
+def _float_texts(column: np.ndarray) -> list[str]:
+    """The JSON texts of a finite float64 column, each distinct value rendered once."""
+    # distinct by bit pattern, so 0.0 and -0.0 stay apart
+    _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
+    texts = json.dumps(column[first].tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object)[inverse].tolist()

@@ -12,6 +12,9 @@ they ever make.
 
 from __future__ import annotations
 
+import math
+import operator
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -52,6 +55,61 @@ class ExcessSample(NamedTuple):
     slope_kind: SlopeKind
 
 
+class ExcessTable(SequenceABC):
+    """The samples of an excess scan with E < -tol, held as columns.
+
+    t, x_sigma, r, q and E are float64 arrays and kind holds the int8
+    slope-kind codes of the sample table, one entry per sample. As a
+    sequence it yields ExcessSample: an integer index gives one sample, a
+    slice gives an ExcessTable, and a table equals any sequence of the same
+    samples in the same order. The columns are read-only.
+    """
+
+    __slots__ = ("t", "x_sigma", "r", "q", "E", "kind")
+
+    def __init__(self, t, x_sigma, r, q, E, kind):
+        columns = [np.asarray(c, dtype=float).view() for c in (t, x_sigma, r, q, E)]
+        columns.append(np.asarray(kind, dtype=np.int8).view())
+        if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
+            raise InvalidParameter("excess table columns must be 1-d and of one length")
+        for name, column in zip(self.__slots__, columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExcessTable is read-only: cannot set {name!r}")
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.t, self.x_sigma, self.r, self.q, self.E, self.kind
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ExcessTable(*(c[index] for c in self._columns()))
+        i = operator.index(index)
+        *values, kind = (c[i] for c in self._columns())  # IndexError past either end
+        return ExcessSample(*map(float, values), _SLOPE_KINDS[int(kind)])
+
+    def __iter__(self):
+        columns = [c.tolist() for c in self._columns()[:5]]
+        return map(ExcessSample, *columns, map(_SLOPE_KINDS.__getitem__, self.kind.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ExcessTable):
+            return all(map(np.array_equal, self._columns(), other._columns()))
+        if not isinstance(other, SequenceABC) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # as the tuple of its samples, which it equals
+
+    def __repr__(self) -> str:
+        return f"ExcessTable({len(self)} samples)"
+
+
 @dataclass(frozen=True)
 class ConvexityCounterexample:
     t: float
@@ -86,15 +144,27 @@ class AnalysisReport:
     el_max_residual: float
     convexity_ok: bool
     convexity_counterexample: Optional[ConvexityCounterexample]
-    weierstrass_violations: tuple[ExcessSample, ...]
+    weierstrass_violations: ExcessTable
     verdict: Verdict
 
 
 def excess(lagr: Lagrangian, t: float, x: float, r: float, q: float) -> float:
-    """E(t, x, r, q) = f(t,x,q) - f(t,x,r) - (q-r) f_r(t,x,r)."""
+    """E(t, x, r, q) = f(t,x,q) - f(t,x,r) - (q-r) f_r(t,x,r).
+
+    An E that overflows although f and f_r are finite raises DomainError.
+    """
     f_at_q = lagr.eval(t, x, q)
     f_at_r, _, f_r = lagr.partials(t, x, r)
-    return float(f_at_q - f_at_r - (q - r) * f_r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(f_at_q - f_at_r - (q - r) * f_r)
+    if not math.isfinite(value):
+        raise _excess_overflow(lagr, t, x, r, q)
+    return value
+
+
+def _excess_overflow(lagr: Lagrangian, t: float, x: float, r: float, q: float) -> DomainError:
+    where = ", ".join(f"{k}={float(v)!r}" for k, v in zip("txrq", (t, x, r, q)))
+    return DomainError(f"overflow in the excess of '{lagr.source}' at {where}")
 
 
 # Rows of one block of the convexity sweep or of the excess scan: the
@@ -145,8 +215,10 @@ def check_convexity_condition(
         return lhs, c["g"] * f1 + (1.0 - c["g"]) * f2
 
     checks = 0
-    for start in range(0, points.size, block):
-        t = points[start : start + block, None, None, None]
+    # the first point alone: a Lagrangian that is not convex in r mostly fails there
+    edges = sorted({0, *range(1, points.size, block), points.size})
+    for start, stop in zip(edges, edges[1:]):
+        t = points[start:stop, None, None, None]
         env = {"t": t, "x": x_col, "r1": r1, "r2": r2, "g": g}
         sides, error = eval_rows(midpoint_sides, env)
         if sides is not None:
@@ -174,7 +246,7 @@ def weierstrass_scan(
     x: Trajectory,
     q_grid: Sequence[float],
     tol: float = 1e-9,
-) -> list[ExcessSample]:
+) -> ExcessTable:
     """Evaluate the excess along a trajectory; collect samples with E < -tol.
 
     Every sample row of the functional is visited: each point of [t0, t1)
@@ -182,8 +254,11 @@ def weierstrass_scan(
     at registered breaks, at a left-dense window end and at the end of a
     dense run. f and f_r are computed once per row and E over rows x q, a
     block of rows at a time; a domain error names the row and q where a
-    loop over rows and q, as in excess(), would fail first. Violations are
-    sorted by (t, q) so concurrent evaluation would merge deterministically.
+    loop over rows and q, as in excess(), would fail first. An E that
+    overflows although f and f_r are finite raises DomainError naming its
+    first row and q, unless evaluating f or f_r fails in the same block of
+    rows. Violations are sorted by (t, q) so concurrent evaluation would
+    merge deterministically.
     """
     if not len(q_grid):
         raise InvalidParameter("q_grid must be nonempty")
@@ -208,19 +283,19 @@ def weierstrass_scan(
             f, _, f_r = lagr.partials(tb[:stop], xb[:stop], rb[:stop])
         if error is not None:
             raise error
-        E = f_q - f - (q - rb) * f_r
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = f_q - f - (q - rb) * f_r
+        overflow = ~np.isfinite(E)
+        if overflow.any():
+            row, col = divmod(int(np.argmax(overflow)), q.size)
+            raise _excess_overflow(lagr, tb[row, 0], xb[row, 0], rb[row, 0], q[col])
         i, j = np.nonzero(E < -tol)
         hits.append((i + start, j, E[i, j]))
     i, j, e = (np.concatenate(column) for column in zip(*hits))
     # the stable (t, q, slope-kind name) order, ties kept in row and q order
     order = np.lexsort((_KIND_NAME_RANK[kind[i]], q[j], t[i]))
-    # one float object per row and per q, shared by its violations
-    t, xs, r, q = t.tolist(), xs.tolist(), r.tolist(), q.tolist()
-    kinds = [_SLOPE_KINDS[k] for k in kind.tolist()]
-    return [
-        ExcessSample(t[a], xs[a], r[a], q[b], value, kinds[a])
-        for a, b, value in zip(i[order].tolist(), j[order].tolist(), e[order].tolist())
-    ]
+    a, b = i[order], j[order]
+    return ExcessTable(t[a], xs[a], r[a], q[b], e[order], kind[a])
 
 
 def observed_slopes(problem: VariationalProblem, x: Trajectory) -> np.ndarray:
@@ -230,6 +305,8 @@ def observed_slopes(problem: VariationalProblem, x: Trajectory) -> np.ndarray:
 
 # Comparison slopes in a q grid unless a problem file or flag sets the count.
 DEFAULT_Q_COUNT = 41
+# Most grid points a q count may ask for; checked before a grid is allocated.
+MAX_Q_COUNT = 10**6
 
 
 def default_q_grid(
@@ -241,6 +318,8 @@ def default_q_grid(
     machine checkable; the default covers a generous neighbourhood of the
     trajectory's own slopes and always includes those slopes exactly.
     """
+    if count > MAX_Q_COUNT:
+        raise InvalidParameter(f"q count {count} exceeds the limit of {MAX_Q_COUNT:,}")
     s = np.asarray(list(slopes), dtype=float)
     if s.size == 0:
         raise InvalidParameter("need at least one observed slope")
@@ -297,13 +376,11 @@ def classify_candidate(
         gamma_samples,
         tol=convexity_tol,
     )
-    violations = tuple(
-        weierstrass_scan(
-            problem,
-            x,
-            q_grid if q_grid is not None else default_q_grid(slopes, q_count),
-            tol=scan_tol,
-        )
+    violations = weierstrass_scan(
+        problem,
+        x,
+        q_grid if q_grid is not None else default_q_grid(slopes, q_count),
+        tol=scan_tol,
     )
     if not convexity.ok:
         verdict = Verdict.HYPOTHESIS_NOT_MET

@@ -76,6 +76,23 @@ class TestProblemFileLoading:
         assert time.perf_counter() - start < 1.0
         assert "a segment has at most 10,000,000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scan, argv, field",
+        [
+            ({"q_count": 10**12}, [], "scan.q_count"),
+            ({"q_min": -1.0, "q_max": 1.0, "q_count": 10**12}, [], "scan.q_count"),
+            (None, ["--q-count", str(10**12)], "--q-count"),
+            (None, ["--q-min", "-1", "--q-max", "1", "--q-count", str(10**12)], "--q-count"),
+        ],
+    )
+    def test_oversized_q_count_fails_at_once(self, tmp_path, capsys, scan, argv, field):
+        path = write_problem(tmp_path, scan=scan)
+        start = time.perf_counter()
+        assert main(["analyze", path, *argv]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") and "must be at most 1,000,000" in err
+
     def test_missing_field_path(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"scale": {"kind": "harmonic"}}))
@@ -417,6 +434,23 @@ class TestAnalyze:
         # 3 evenly spaced comparison slopes plus every observed slope
         assert grid.size == 3 + slopes.size
         assert set(slopes) <= set(grid)
+
+    @pytest.mark.parametrize("report", [False, True])
+    def test_overflowing_excess_is_an_error(self, tmp_path, capsys, report):
+        # f = 1e308*sin(r) and f_r are finite, but (q - r) f_r overflows at q = -2.5
+        path = write_problem(
+            tmp_path,
+            scale={"kind": "harmonic", "n_max": 5},
+            lagrangian="1e308*sin(r)",
+            scan={"q_min": -2.5, "q_max": 2.5, "q_count": 3},
+        )
+        out = tmp_path / "analysis.json"
+        assert main(["analyze", path, *(["--report", str(out)] if report else [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: overflow in the excess of '1e308*sin(r)' at t=0.0, x=0.0, r=0.0, q=-2.5\n"
+        )
+        assert "violations" not in captured.out and not out.exists()
 
     def test_solves_when_no_trajectory(self, tmp_path, capsys):
         path = write_problem(

@@ -14,7 +14,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsvar import TsvarError
+from tsvar import ExcessTable, TsvarError
 from tsvar.problemfile import _table, serialize_report, write_report
 
 
@@ -174,3 +174,71 @@ def test_failed_render_writes_no_file(tmp_path):
     with pytest.raises(TsvarError):
         write_report(str(path), {"functional_value": math.nan})
     assert not path.exists()
+
+
+# -- excess tables: written from their columns ----------------------------------
+
+EXCESS_FLOATS = ("t", "x_sigma", "r", "q", "E")
+
+
+@st.composite
+def excess_tables(draw, min_size=0):
+    """ExcessTables whose columns repeat values, zeros of both signs among them."""
+    n = draw(st.integers(min_size, 8))
+    columns = []
+    for _ in EXCESS_FLOATS:
+        pool = draw(st.sampled_from(MIXED_POOLS[1:3]) | st.lists(floats, min_size=1, max_size=3))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    kinds = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return ExcessTable(*columns, kinds)
+
+
+def as_rows(value):
+    """value with each ExcessTable replaced by the list of its samples as dicts."""
+    if isinstance(value, ExcessTable):
+        return [dict(v._asdict(), slope_kind=v.slope_kind.value) for v in value]
+    if isinstance(value, dict):
+        return {key: as_rows(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [as_rows(item) for item in value]
+    return value
+
+
+documents_with_tables = st.recursive(
+    scalars | excess_tables(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(strings, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@PROPERTY
+@given(doc=documents_with_tables)
+def test_excess_tables_render_as_their_rows_do(doc):
+    text = serialize_report(doc)
+    assert text == reference(as_rows(doc))
+    assert serialize_report(json.loads(text)) == text
+
+
+def test_an_empty_excess_table_renders_as_an_empty_list():
+    empty = ExcessTable([], [], [], [], [], [])
+    assert serialize_report({"weierstrass_violations": empty}) == '{\n  "weierstrass_violations": []\n}\n'
+
+
+@settings(max_examples=100)
+@given(
+    table=excess_tables(min_size=1),
+    cells=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(EXCESS_FLOATS)), min_size=1, max_size=3),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_a_non_finite_table_cell_names_the_first_in_row_then_key_order(table, cells, bad):
+    columns = {name: getattr(table, name).copy() for name in EXCESS_FLOATS}
+    cells = [(row % len(table), key) for row, key in cells]
+    for row, key in cells:
+        columns[key][row] = bad
+    row, key = min(cells)  # the keys are in sorted order as strings: E, q, r, t, x_sigma
+    table = ExcessTable(*columns.values(), table.kind)
+    with pytest.raises(TsvarError) as exc:
+        serialize_report({"verdict": "x", "weierstrass_violations": table})
+    assert str(exc.value) == (
+        f"report field weierstrass_violations[{row}].{key}: {bad!r} is not a finite number"
+    )

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from tsvar import (
+    DomainError,
+    ExcessSample,
+    ExcessTable,
     GridFunction,
+    InvalidParameter,
     SlopeKind,
     VariationalProblem,
     Verdict,
@@ -25,7 +29,8 @@ from tsvar import (
     union,
     weierstrass_scan,
 )
-from tsvar.weierstrass import observed_slopes
+from tsvar import weierstrass
+from tsvar.weierstrass import MAX_Q_COUNT, observed_slopes
 from conftest import SMOOTH_TEMPLATES, random_point
 
 
@@ -59,6 +64,11 @@ class TestExcess:
             e = excess(L, t, x, r, q)
             assert excess(L3, t, x, r, q) == pytest.approx(3.0 * e, abs=1e-12 * max(1, abs(e)))
 
+    def test_overflow_raises(self):
+        # f and f_r are finite, (q - r) * f_r is not
+        with pytest.raises(DomainError, match=r"^overflow in the excess of '1e308\*sin\(r\)'"):
+            excess(parse_lagrangian("1e308*sin(r)"), 0.0, 0.0, 0.0, 2.5)
+
 
 class TestConvexityCondition:
     def test_convex_quadratic_passes(self, harmonic_problem):
@@ -84,6 +94,32 @@ class TestConvexityCondition:
         report = check_convexity_condition(P, [0.0], [-2.0, 2.0], [0.5])
         assert report.ok
         assert report.checks == 0  # mu = 0 everywhere: condition holds trivially
+
+    def test_no_point_to_check_evaluates_nothing(self):
+        P = VariationalProblem(
+            make_dense(0.0, 1.0, 50), 0.0, 1.0, parse_lagrangian("r^2 + log(0 - 1)"), 0.0, 0.0
+        )
+        report = check_convexity_condition(P, [0.0], [-2.0, 2.0], [0.5])
+        assert report.ok and report.checks == 0
+
+    def test_first_point_is_checked_on_its_own(self, harmonic_problem, monkeypatch):
+        sizes = []
+        original = weierstrass.eval_rows
+
+        def spy(fn, env):
+            sizes.append(np.size(env["t"]))
+            return original(fn, env)
+
+        monkeypatch.setattr(weierstrass, "eval_rows", spy)
+        report = check_convexity_condition(harmonic_problem, [0.0, 1.0], [-2.0, 2.0], [0.5])
+        assert not report.ok and report.checks == 1
+        assert sizes == [1]  # the other points are never evaluated
+        sizes.clear()
+        convex = VariationalProblem(
+            harmonic_problem.scale, 0.0, 1.0, parse_lagrangian("r^2"), 0.0, 0.0
+        )
+        report = check_convexity_condition(convex, [0.0, 1.0], [-2.0, 2.0], [0.5])
+        assert report.ok and sizes[0] == 1 and 4 * sum(sizes) == report.checks  # 4 checks a point
 
 
 class TestScan:
@@ -159,6 +195,24 @@ class TestScan:
         assert at_join[1].r == 2.0
         assert observed_slopes(P, x).size == 12  # 11 nodes of [0, 2) plus the left limit
 
+    def test_overflowing_excess_raises(self):
+        P = VariationalProblem(
+            make_harmonic(5), 0.0, 1.0, parse_lagrangian("1e308*sin(r)"), 0.0, 0.0
+        )
+        # E = f(q) - (q - r) f_r at r = 0 overflows first at the first row, q = -2.5
+        with pytest.raises(DomainError, match=r"excess of .* at t=0\.0, x=0\.0, r=0\.0, q=-2\.5$"):
+            weierstrass_scan(P, P.zero_trajectory(), q_grid=[-2.5, 0.0, 2.5])
+        # with slopes 0 and pi, (q - r) f_r overflows at (t=0, q=-2.5) and (t=1, q=0.5);
+        # the first in row order, then q order, is named
+        P = VariationalProblem(
+            make_points([0.0, 1.0, 2.0]), 0.0, 2.0, P.lagrangian, 0.0, np.pi
+        )
+        x = GridFunction(P.scale, np.array([0.0, 0.0, np.pi]))
+        with pytest.raises(DomainError, match=r"at t=0\.0, x=0\.0, r=0\.0, q=-2\.5$"):
+            weierstrass_scan(P, x, q_grid=[0.5, -2.5])
+        with pytest.raises(DomainError, match=r"at t=1\.0, x=3\.14159\d*, r=3\.14159\d*, q=0\.5$"):
+            weierstrass_scan(P, x, q_grid=[0.5, 1.0])
+
     def test_convex_integrand_never_violates(self, rng):
         # excess of an integrand convex in the slope is a perfect square here
         P = VariationalProblem(
@@ -169,6 +223,64 @@ class TestScan:
             vals[0], vals[-1] = 0.0, 3.0
             x = GridFunction(P.scale, vals)
             assert weierstrass_scan(P, x, q_grid=np.linspace(-8, 8, 33), tol=1e-10) == []
+
+
+class TestExcessTable:
+    @pytest.fixture
+    def table(self):
+        ts = make_dense(0.0, 1.0, 10)
+        P = VariationalProblem(ts, 0.0, 1.0, parse_lagrangian("0 - r^2"), 0.0, 0.0)
+        x = GridFunction.from_callable(ts, lambda t: abs(t - 0.5), break_points=(0.5,))
+        return weierstrass_scan(P, x, q_grid=[-5.0, 5.0])
+
+    def test_columns(self, table):
+        assert isinstance(table, ExcessTable)
+        for name, dtype in [("t", float), ("x_sigma", float), ("r", float), ("q", float),
+                            ("E", float), ("kind", np.int8)]:
+            column = getattr(table, name)
+            assert column.dtype == dtype and column.shape == (len(table),)
+
+    def test_an_index_gives_a_sample_of_python_values(self, table):
+        for i in (0, 5, -1, len(table) - 1, np.int64(3)):
+            v = table[i]
+            assert type(v) is ExcessSample and type(v.slope_kind) is SlopeKind
+            assert all(type(value) is float for value in v[:5])
+            assert v == tuple(table)[int(i)]
+        for i in (len(table), -len(table) - 1):
+            with pytest.raises(IndexError):
+                table[i]
+        with pytest.raises(TypeError):
+            table[1.0]
+
+    def test_a_slice_gives_a_table(self, table):
+        head = table[:5]
+        assert isinstance(head, ExcessTable) and len(head) == 5
+        assert head == list(table)[:5]
+        assert table[::-3] == list(table)[::-3]
+        assert table[len(table):] == [] and not table[len(table):]
+
+    def test_equality(self, table):
+        samples = list(table)
+        assert table == samples and table == tuple(samples) and samples == table
+        assert table == table[:]
+        assert table != samples[:-1] and table != samples[::-1]
+        assert table != [v._replace(E=v.E + 1.0) for v in samples]
+        assert (table == 3) is False and table != "two-sided"
+        assert hash(table) == hash(tuple(samples))
+        kinds = {v.slope_kind for v in table}
+        assert kinds == {SlopeKind.TWO_SIDED, SlopeKind.LEFT, SlopeKind.RIGHT}
+
+    def test_read_only(self, table):
+        with pytest.raises(ValueError):
+            table.E[0] = 0.0
+        with pytest.raises(AttributeError):
+            table.E = table.q
+
+    def test_columns_must_agree(self):
+        with pytest.raises(InvalidParameter):
+            ExcessTable([0.0], [0.0], [0.0], [0.0], [0.0, 1.0], [0])
+        empty = ExcessTable([], [], [], [], [], [])
+        assert empty == [] and len(empty) == 0 and list(empty) == []
 
 
 class TestQScaleCase:
@@ -189,6 +301,12 @@ class TestQScaleCase:
         # oracle: sum over {1,2,4,8} of (q-1) t * (t * 1)
         oracle = sum((2.0 - 1.0) * t * t for t in (1.0, 2.0, 4.0, 8.0))
         assert functional(P, x) == pytest.approx(oracle, abs=1e-12)
+
+
+def test_q_count_is_bounded_before_allocating():
+    assert default_q_grid([0.0, 1.0], count=MAX_Q_COUNT // 100).size == MAX_Q_COUNT // 100 + 2
+    with pytest.raises(InvalidParameter, match="exceeds the limit of 1,000,000"):
+        default_q_grid([0.0, 1.0], count=10**12)
 
 
 class TestClassification:
