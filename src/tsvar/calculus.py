@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -105,61 +106,73 @@ class GridFunction:
     def is_break(self, t: float) -> bool:
         return any(abs(t - b) <= POINT_TOLERANCE for b in self.break_points)
 
+    @cached_property
+    def slope_table(self) -> "SlopeTable":
+        """x^Delta at every node of the scale by each rule, built on first use.
+
+        The values, the scale and the break points are fixed, so the table
+        is a pure function of x, and every consumer shares one build. The
+        one-sided quotient towards a neighbour is second order when the
+        node and the neighbour are dense on that side and the next two gaps
+        are uniform; first order otherwise, which is the exact quotient
+        across a scattered gap. Past an end of the scale the end node stands
+        in for the missing neighbours. A dense neighbour is never an end of
+        the scale, so the second node out exists whenever it is used.
+        """
+        ts = self.scale
+        pts, v = ts.points, self.values
+        rd, ld = ts.right_dense_mask, ts.left_dense_mask
+        near = {k: (_shifted(pts, k), _shifted(v, k)) for k in (-2, -1, 1, 2)}
+        one_sided = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for step, dense in ((1, rd), (-1, ld)):
+                (p1, v1), (p2, v2) = near[step], near[2 * step]
+                h = p1 - pts
+                first = (v1 - v) / h
+                second = (-3.0 * v + 4.0 * v1 - v2) / (2.0 * h)
+                uniform = np.abs(p2 - p1 - h) <= 1e-9 * np.abs(h)
+                one_sided.append(np.where(dense & _shifted(dense, step) & uniform, second, first))
+            right, left = one_sided
+            (p_lo, v_lo), (p_hi, v_hi) = near[-1], near[1]
+            central = (v_hi - v_lo) / (p_hi - p_lo)
+        two_sided = np.where(rd & ld, central, right)
+        two_sided[-1] = left[-1]  # the maximum is never right-dense
+        if self.break_points:
+            two_sided[_break_mask(self) & (ts.mu_values() == 0.0)] = np.nan
+        for column in (two_sided, right, left):
+            column.setflags(write=False)
+        return SlopeTable(two_sided, right, left)
+
+
+class SlopeTable(NamedTuple):
+    """x^Delta at every node of a scale, one read-only float64 array per rule.
+
+    right and left are the one-sided quotients towards that neighbour; a
+    node must have the neighbour for its value to mean anything. two_sided
+    is the rule of side None: the exact forward quotient at right-scattered
+    nodes, the symmetric stencil where both neighbours are dense, a
+    one-sided stencil at the ends of a dense run, and NaN at registered
+    breaks that are not right-scattered, where the derivative does not
+    exist.
+    """
+
+    two_sided: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+
+
+def _shifted(a: np.ndarray, k: int) -> np.ndarray:
+    """a at node i + k for every node i; the end value stands in past either end."""
+    if k > 0:
+        return np.concatenate((a[k:], np.repeat(a[-1:], min(k, a.size))))
+    return np.concatenate((np.repeat(a[:1], min(-k, a.size)), a[:k]))
+
 
 def _break_mask(x: GridFunction) -> np.ndarray:
     """True at the nodes registered as break points of x."""
     mask = np.zeros(len(x.scale), dtype=bool)
     mask[[x.scale.index_of(b) for b in x.break_points]] = True
     return mask
-
-
-def _one_sided(x: GridFunction, idx, step):
-    """Difference quotients from the nodes idx towards idx + step.
-
-    step is +1 or -1, for all nodes or per node. The quotient is second
-    order when the node and its neighbour are dense on that side and the
-    next two gaps are uniform; first order otherwise, which is the exact
-    quotient across a scattered gap. A dense neighbour is never an end of
-    the scale, so the second node out exists whenever it is used.
-    """
-    ts = x.scale
-    pts, v = ts.points, x.values
-    rd, ld = ts.right_dense_mask, ts.left_dense_mask
-    last = pts.size - 1
-    j1 = np.minimum(np.maximum(idx + step, 0), last)
-    j2 = np.minimum(np.maximum(idx + 2 * step, 0), last)
-    h = pts[j1] - pts[idx]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        first = (v[j1] - v[idx]) / h
-        second = (-3.0 * v[idx] + 4.0 * v[j1] - v[j2]) / (2.0 * h)
-    dense = np.where(step > 0, rd[idx] & rd[j1], ld[idx] & ld[j1])
-    uniform = np.abs(pts[j2] - pts[j1] - h) <= 1e-9 * np.abs(h)
-    return np.where(dense & uniform, second, first)
-
-
-def _slopes(x: GridFunction, idx, side: Optional[str] = None):
-    """x^Delta at the node index or index array idx.
-
-    side "right" / "left" gives the one-sided quotients; the nodes must
-    have a neighbour on that side. side None gives the exact forward
-    quotient at right-scattered nodes, the symmetric stencil where both
-    neighbours are dense, a one-sided stencil at the ends of a dense run,
-    and NaN at registered breaks that are not right-scattered, where the
-    derivative does not exist.
-    """
-    if side is not None:
-        return _one_sided(x, idx, +1 if side == "right" else -1)
-    ts = x.scale
-    pts, v = ts.points, x.values
-    last = pts.size - 1
-    lo, hi = np.maximum(idx - 1, 0), np.minimum(idx + 1, last)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        central = (v[hi] - v[lo]) / (pts[hi] - pts[lo])
-    one_sided = _one_sided(x, idx, np.where(idx == last, -1, 1))
-    out = np.where(ts.right_dense_mask[idx] & ts.left_dense_mask[idx], central, one_sided)
-    if x.break_points:
-        out = np.where(_break_mask(x)[idx] & (ts.mu_values()[idx] == 0.0), np.nan, out)
-    return out
 
 
 def delta_derivative(x: GridFunction, t: float, side: Optional[str] = None) -> DerivativeValue:
@@ -185,7 +198,8 @@ def delta_derivative(x: GridFunction, t: float, side: Optional[str] = None) -> D
         raise InvalidParameter("no left neighbour at the scale minimum")
     if side not in (None, "left", "right"):
         raise InvalidParameter(f"side must be None, 'left' or 'right', got {side!r}")
-    value = float(_slopes(x, i, side))
+    table = x.slope_table
+    value = float((table.two_sided if side is None else getattr(table, side))[i])
     if side is not None:
         kind = DerivativeKind.RIGHT_LIMIT if side == "right" else DerivativeKind.LEFT_LIMIT
     elif ts.mu_values()[i] > 0.0:
@@ -231,5 +245,5 @@ def norm_weak(x: GridFunction, t0: float, t1: float) -> float:
     right-dense points) are excluded from the second supremum.
     """
     i0, ik = x.scale.kappa_range(t0, t1)
-    slopes = np.abs(_slopes(x, np.arange(i0, ik + 1)))
+    slopes = np.abs(x.slope_table.two_sided[i0 : ik + 1])
     return norm_strong(x, t0, t1) + float(np.max(slopes, initial=0.0, where=~np.isnan(slopes)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 from typing import Optional
@@ -469,6 +470,7 @@ def cmd_repro(example_id: str) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsvar",

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import GridFunction, _break_mask, _slopes
+from .calculus import GridFunction, _break_mask
 from .errors import (
     DomainError,
     EmptyInterval,
@@ -115,35 +115,35 @@ def _rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray, ...]:
     the same t.
     """
     ts = problem.scale
-    pts, v = ts.points, x.values
+    pts, v, mu = ts.points, x.values, ts.mu_values()
     rd, ld = ts.right_dense_mask, ts.left_dense_mask
+    slopes = x.slope_table
     i0, i1 = problem.window()
     brk = _break_mask(x)
-    gap = np.diff(pts)
+    here, ahead = slice(i0, i1), slice(i0 + 1, i1 + 1)
+    gap = np.diff(pts[i0 : i1 + 1])
 
-    inner = np.arange(i0 + 1, i1 + 1)
-    left = inner[ld[inner] & (brk[inner] | (inner == i1) | ~rd[inner])]
-
-    right = np.arange(i0, i1)
-    r_right = _slopes(x, right)
-    at_break = brk[right]
-    r_right[at_break] = _slopes(x, right[at_break], "right")
-    w_right = np.where(rd[right], 0.5 * gap[right], ts.mu_values()[right])
+    at_break = brk[here]
+    t = pts[here]
+    xs = np.where(mu[here] > 0.0, v[ahead], v[here])  # x(sigma(t))
+    r = np.where(at_break, slopes.right[here], slopes.two_sided[here])
+    kind = np.where(at_break, _RIGHT, _TWO_SIDED).astype(np.int8)
+    weight = np.where(rd[here], 0.5 * gap, mu[here])
     # a dense node inside the window with no LEFT row also closes the panel to its left
-    open_left = (right > i0) & ld[right] & rd[right] & ~at_break
-    w_right[open_left] += 0.5 * gap[right[open_left] - 1]
+    open_left = ld[i0 + 1 : i1] & rd[i0 + 1 : i1] & ~at_break[1:]
+    weight[1:][open_left] += 0.5 * gap[:-1][open_left]
 
-    kind_right = np.where(at_break, _RIGHT, _TWO_SIDED).astype(np.int8)
-    order = np.argsort(np.concatenate((2 * left, 2 * right + 1)), kind="stable")
-    return tuple(
-        np.concatenate((left_column, right_column))[order]
-        for left_column, right_column in (
-            (pts[left], pts[right]),
-            (v[left], v[ts.sigma_indices()[right]]),
-            (_slopes(x, left, "left"), r_right),
-            (np.full(left.size, _LEFT, np.int8), kind_right),
-            (0.5 * gap[left - 1], w_right),
-        )
+    # LEFT rows go in before the right-going row of their node: at offset node - i0
+    closes = ld[ahead] & (brk[ahead] | ~rd[ahead])
+    closes[-1] = ld[i1]
+    at = np.flatnonzero(closes) + 1
+    left = i0 + at
+    return (
+        np.insert(t, at, pts[left]),
+        np.insert(xs, at, v[left]),
+        np.insert(r, at, slopes.left[left]),
+        np.insert(kind, at, _LEFT),
+        np.insert(weight, at, 0.5 * gap[at - 1]),
     )
 
 

@@ -367,8 +367,7 @@ def classify_candidate(
     """
     residual = el_residual(problem, x)
     el_max = float(np.max(np.abs(residual.values)))
-    slopes = observed_slopes(problem, x)
-    xs = _rows(problem, x)[1]
+    _, xs, slopes, _, _ = _rows(problem, x)
     convexity = check_convexity_condition(
         problem,
         x_samples if x_samples is not None else _default_x_samples(xs),

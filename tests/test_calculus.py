@@ -1,19 +1,28 @@
 """Delta derivative, delta integral, norms, and the calculus identities."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsvar import (
     AtScaleMaximum,
+    DenseInterval,
+    DiscretePoints,
     DerivativeKind,
     GridFunction,
     InvalidParameter,
     PointNotInScale,
     ReversedBounds,
+    TimeScale,
+    Uniform,
+    VariationalProblem,
     delta_derivative,
     delta_integral,
+    el_residual,
+    functional,
     make_dense,
     make_geometric,
     make_harmonic,
@@ -21,6 +30,7 @@ from tsvar import (
     make_uniform,
     norm_strong,
     norm_weak,
+    parse_lagrangian,
     union,
 )
 from conftest import random_discrete_scale
@@ -285,3 +295,92 @@ class TestGridFunctionValidation:
         x = GridFunction(make_points([0, 1]), [1.0, 2.0])
         with pytest.raises(ValueError):
             x.values[0] = 9.0
+
+
+# -- the slope table against a per-node reference ----------------------------------
+
+
+@st.composite
+def mixed_scales(draw):
+    """Dense, uniform, harmonic and random-point segments, some sharing endpoints.
+
+    Widths, counts and gaps come from small sets, so that a segment often
+    continues its neighbour's step exactly, or misses it by a little.
+    """
+    segments, lo = [], draw(st.sampled_from((-1.0, 0.0, 0.5)))
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.sampled_from((1.0, 2.0)))
+        hi = lo + width * draw(st.sampled_from((1.0, 1.0 + 1e-12, 1.0 + 1e-7)))
+        count = draw(st.sampled_from((2, 4, 8)))
+        kind = draw(st.sampled_from(("dense", "dense", "uniform", "harmonic", "random")))
+        if kind == "dense":
+            segments.append(DenseInterval(lo, hi, count))
+        elif kind == "uniform":
+            segments.append(Uniform(lo, hi, (hi - lo) / count))
+        elif kind == "harmonic":
+            segments.append(DiscretePoints([lo] + [lo + (hi - lo) / n for n in range(count, 0, -1)]))
+        else:
+            inner = draw(st.sets(st.integers(1, 19), min_size=1, max_size=count))
+            segments.append(DiscretePoints([lo] + [lo + (hi - lo) * k / 20 for k in sorted(inner)] + [hi]))
+        lo = hi if draw(st.booleans()) else hi + draw(st.sampled_from((0.25, 0.5)))
+    return TimeScale(segments)
+
+
+def reference_slope(pts, v, rd, ld, mu, breaks, i, side):
+    """x^Delta at node i by the stencil rules, one node at a time."""
+    if side is None:
+        if i in breaks and mu[i] == 0.0:
+            return math.nan  # a registered break that is not right-scattered
+        if rd[i] and ld[i]:
+            return (v[i + 1] - v[i - 1]) / (pts[i + 1] - pts[i - 1])
+        side = "left" if i == len(pts) - 1 else "right"
+    step = 1 if side == "right" else -1
+    dense = rd if side == "right" else ld
+    j1, j2 = i + step, i + 2 * step
+    h = pts[j1] - pts[i]
+    if dense[i] and dense[j1] and abs(pts[j2] - pts[j1] - h) <= 1e-9 * abs(h):
+        return (-3.0 * v[i] + 4.0 * v[j1] - v[j2]) / (2.0 * h)
+    return (v[j1] - v[i]) / h
+
+
+def assert_bitwise(got, want):
+    want = np.array(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@settings(max_examples=200)
+@given(ts=mixed_scales(), data=st.data())
+def test_slope_table_follows_the_stencil_rules(ts, data):
+    n = len(ts)
+    v = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    brk = data.draw(st.sets(st.integers(0, n - 1), max_size=4))
+    x = GridFunction(ts, v, break_points=tuple(float(ts.points[i]) for i in brk))
+    pts, rd, ld, mu = (
+        a.tolist() for a in (ts.points, ts.right_dense_mask, ts.left_dense_mask, ts.mu_values())
+    )
+
+    def want(nodes, side):
+        return [reference_slope(pts, v, rd, ld, mu, brk, i, side) for i in nodes]
+
+    builds = []
+    build = GridFunction.slope_table.func
+    counted = cached_property(lambda grid: builds.append(grid) or build(grid))
+    counted.__set_name__(GridFunction, "slope_table")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GridFunction, "slope_table", counted)
+        problem = VariationalProblem(ts, ts.min, ts.max, parse_lagrangian("r^2 + sin(x)"), v[0], v[-1])
+        functional(problem, x)
+        norm_weak(x, ts.min, ts.max)
+        el_residual(problem, x)
+        table = x.slope_table
+    assert builds == [x]
+
+    assert_bitwise(table.two_sided, want(range(n), None))
+    assert_bitwise(table.right[:-1], want(range(n - 1), "right"))
+    assert_bitwise(table.left[1:], want(range(1, n), "left"))
+    for column in table:
+        assert column.dtype == np.float64 and column.shape == (n,)
+        with pytest.raises(ValueError):
+            column[0] = 0.0

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from tsvar import ProblemFileError, make_harmonic, weierstrass
+from tsvar import ProblemFileError, cli, make_harmonic, weierstrass
 from tsvar.cli import main
 from tsvar.problemfile import load_problem, serialize_report
 
@@ -510,6 +510,46 @@ class TestAnalyze:
                 "E",
                 "slope_kind",
             }
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_calls_on_their_own(self, tmp_path, capsys):
+        harmonic = write_problem(tmp_path)
+        uniform = write_problem(
+            tmp_path,
+            "uniform.json",
+            scale={"kind": "uniform", "start": 0, "end": 6, "step": 1},
+            t1=6.0,
+            lagrangian="r^2 + r^4/4 + x^2",
+            beta=1.0,
+        )
+        calls = [
+            ["analyze", harmonic, "--q-count", "3"],
+            ["analyze", harmonic],
+            ["solve", uniform, "--max-iter", "1"],
+            ["solve", uniform],
+            ["eval", harmonic, "--resolution", "7"],
+            ["inspect", uniform],
+        ]
+
+        def run(k):
+            report = tmp_path / f"report{k}.json"
+            report.unlink(missing_ok=True)
+            rc = main(calls[k] + ["--report", str(report)])
+            out = capsys.readouterr()
+            text = report.read_text() if report.exists() else None
+            return rc, out.out, out.err, text and re.sub(r'"timestamp": "[^"]*"', "", text)
+
+        assert cli._build_parser() is cli._build_parser()
+        in_one_process = [run(k) for k in range(len(calls))]
+        on_their_own = []
+        for k in range(len(calls)):
+            cli._build_parser.cache_clear()
+            on_their_own.append(run(k))
+        assert in_one_process == on_their_own
+        # the flags of one call reach neither the next call nor its report
+        assert in_one_process[0] != in_one_process[1]
+        assert in_one_process[2][0] == 2 and in_one_process[3][0] == 0
 
 
 class TestRepro:
