@@ -124,14 +124,18 @@ class GridFunction:
         rd, ld = ts.right_dense_mask, ts.left_dense_mask
         near = {k: (_shifted(pts, k), _shifted(v, k)) for k in (-2, -1, 1, 2)}
         one_sided = []
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for step, dense in ((1, rd), (-1, ld)):
                 (p1, v1), (p2, v2) = near[step], near[2 * step]
                 h = p1 - pts
                 first = (v1 - v) / h
                 second = (-3.0 * v + 4.0 * v1 - v2) / (2.0 * h)
                 uniform = np.abs(p2 - p1 - h) <= 1e-9 * np.abs(h)
-                one_sided.append(np.where(dense & _shifted(dense, step) & uniform, second, first))
+                use = dense & _shifted(dense, step) & uniform
+                overflow = use & ~np.isfinite(second)
+                if overflow.any():  # |x| above about 4.5e307: the same stencil in differences
+                    second[overflow] = ((3.0 * (v1 - v) - (v2 - v1)) / (2.0 * h))[overflow]
+                one_sided.append(np.where(use, second, first))
             right, left = one_sided
             (p_lo, v_lo), (p_hi, v_hi) = near[-1], near[1]
             central = (v_hi - v_lo) / (p_hi - p_lo)

@@ -34,7 +34,7 @@ from .problemfile import (
     make_provenance,
     write_report,
 )
-from .timescale import POINT_TOLERANCE, TimeScale, make_geometric, make_harmonic, make_uniform
+from .timescale import POINT_TOLERANCE, Side, TimeScale, make_geometric, make_harmonic, make_uniform
 from .variational import (
     VariationalProblem,
     find_spike_below,
@@ -76,22 +76,23 @@ def _fmt(v: float) -> str:
 
 
 def _point_rows(ts: TimeScale, t0: float, t1: float) -> list[dict]:
+    """sigma, rho, mu and the right/left classification of each node of [t0, t1]."""
     i0, i1 = ts.window_indices(t0, t1)
-    rows = []
-    for i in range(i0, i1 + 1):
-        t = float(ts.points[i])
-        cls = ts.classify(t)
-        rows.append(
-            {
-                "t": t,
-                "sigma": ts.sigma(t),
-                "rho": ts.rho(t),
-                "mu": ts.mu(t),
-                "right": cls.right.value,
-                "left": cls.left.value,
-            }
-        )
-    return rows
+    index = np.arange(i0, i1 + 1)
+    pts = ts.points
+    t = pts[index]
+    sigma = pts[ts.sigma_indices()[index]]
+    # rho steps back one node, except at a left-dense node and at the first node
+    rho = pts[np.where(ts.left_dense_mask[index] | (index == 0), index, index - 1)]
+    columns = {
+        "t": t.tolist(),
+        "sigma": sigma.tolist(),
+        "rho": rho.tolist(),
+        "mu": ts.mu_values()[index].tolist(),
+        "right": np.where(sigma > t, Side.SCATTERED.value, Side.DENSE.value).tolist(),
+        "left": np.where(rho < t, Side.SCATTERED.value, Side.DENSE.value).tolist(),
+    }
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def cmd_inspect(loaded: LoadedProblem, report_path: Optional[str]) -> int:

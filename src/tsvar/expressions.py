@@ -586,10 +586,7 @@ class Lagrangian:
 
     def eval(self, t: Number, x: Number, r: Number) -> Number:
         """f(t, x, r); array arguments are broadcast and evaluated row by row (see eval_rows)."""
-        env = {"t": t, "x": x, "r": r}
-        if isinstance(t, np.ndarray) or isinstance(x, np.ndarray) or isinstance(r, np.ndarray):
-            return evaluate(self.ast, env)
-        return eval_ast(self.ast, env)
+        return self._evaluate((self.ast,), t, x, r)[0]
 
     def partials(self, t: Number, x: Number, r: Number) -> tuple[Number, Number, Number]:
         """(f, f_x, f_r) at (t, x, r).

@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from itertools import compress, count
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, not_
 from typing import Optional
 
 import numpy as np
@@ -40,6 +38,7 @@ from .timescale import (
     Geometric,
     TimeScale,
     Uniform,
+    evenly_spaced,
     make_harmonic,
 )
 from .variational import Trajectory, VariationalProblem
@@ -65,7 +64,7 @@ class ScanConfig:
             return None
         if self.q_min >= self.q_max:
             raise ProblemFileError("scan.q_min", "must be below scan.q_max")
-        return np.linspace(self.q_min, self.q_max, self.q_count)
+        return evenly_spaced(self.q_min, self.q_max, self.q_count)
 
 
 @dataclass(frozen=True)
@@ -100,6 +99,10 @@ def _segment_from_spec(spec: dict, field: str, resolution: Optional[int]):
     if not isinstance(spec, dict):
         raise ProblemFileError(field, "segment spec must be an object with a 'kind'")
     kind = _need(spec, "kind", f"{field}.kind")
+
+    def number(key: str) -> float:
+        return _as_number(_need(spec, key, f"{field}.{key}"), f"{field}.{key}")
+
     try:
         if kind == "harmonic":
             n_max = _as_int(_need(spec, "n_max", f"{field}.n_max"), f"{field}.n_max")
@@ -107,26 +110,12 @@ def _segment_from_spec(spec: dict, field: str, resolution: Optional[int]):
                 raise ProblemFileError(f"{field}.n_max", "must be >= 2")
             return make_harmonic(n_max)
         if kind == "uniform":
-            return Uniform(
-                _as_number(_need(spec, "start", f"{field}.start"), f"{field}.start"),
-                _as_number(_need(spec, "end", f"{field}.end"), f"{field}.end"),
-                _as_number(_need(spec, "step", f"{field}.step"), f"{field}.step"),
-            )
+            return Uniform(number("start"), number("end"), number("step"))
         if kind == "geometric":
-            return Geometric(
-                _as_number(_need(spec, "min", f"{field}.min"), f"{field}.min"),
-                _as_number(_need(spec, "max", f"{field}.max"), f"{field}.max"),
-                _as_number(_need(spec, "ratio", f"{field}.ratio"), f"{field}.ratio"),
-            )
+            return Geometric(number("min"), number("max"), number("ratio"))
         if kind == "dense":
-            res = resolution
-            if res is None:
-                res = spec.get("resolution", 1000)
-            return DenseInterval(
-                _as_number(_need(spec, "lo", f"{field}.lo"), f"{field}.lo"),
-                _as_number(_need(spec, "hi", f"{field}.hi"), f"{field}.hi"),
-                _as_int(res, f"{field}.resolution"),
-            )
+            res = spec.get("resolution", 1000) if resolution is None else resolution
+            return DenseInterval(number("lo"), number("hi"), _as_int(res, f"{field}.resolution"))
         if kind == "points":
             values = _need(spec, "values", f"{field}.values")
             if not isinstance(values, list) or not values:
@@ -214,8 +203,9 @@ def load_problem(path: str, resolution: Optional[int] = None) -> LoadedProblem:
         raise ProblemFileError("file", "top level must be a JSON object")
 
     scale = scale_from_spec(_need(doc, "scale", "scale"), "scale", resolution)
+    source = str(_need(doc, "lagrangian", "lagrangian"))
     try:
-        lagr = parse_lagrangian(str(_need(doc, "lagrangian", "lagrangian")))
+        lagr = parse_lagrangian(source)
     except TsvarError as e:
         raise ProblemFileError("lagrangian", str(e)) from None
     try:
@@ -274,17 +264,7 @@ def analysis_to_document(analysis: Optional[AnalysisReport]) -> dict:
     return {
         "el_max_residual": analysis.el_max_residual,
         "convexity_ok": analysis.convexity_ok,
-        "convexity_counterexample": None
-        if cx is None
-        else {
-            "t": cx.t,
-            "x": cx.x,
-            "r1": cx.r1,
-            "r2": cx.r2,
-            "gamma": cx.gamma,
-            "lhs": cx.lhs,
-            "rhs": cx.rhs,
-        },
+        "convexity_counterexample": None if cx is None else asdict(cx),
         "weierstrass_violations": analysis.weierstrass_violations,  # written column by column
         "verdict": analysis.verdict.value,
     }
@@ -316,10 +296,9 @@ def serialize_report(doc: dict) -> str:
     The text is that of json.dumps(doc, indent=2, sort_keys=True,
     allow_nan=False) + "\n" for any document with string keys, an
     ExcessTable standing for the list of its samples as objects with the
-    keys t, x_sigma, r, q, E and slope_kind. An ExcessTable, and a list of
-    flat objects sharing one key set, such as the Newton history, are
-    rendered column by column, each distinct float once. A non-finite float
-    raises TsvarError naming its field.
+    keys t, x_sigma, r, q, E and slope_kind. An ExcessTable is rendered
+    column by column, each distinct float once; every other list item by
+    item. A non-finite float raises TsvarError naming its field.
     """
     out: list[str] = []
     try:
@@ -357,20 +336,15 @@ def _write(value, pad: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = pad + "  "
-        rows = _table(value, inner)
-        if rows is not None:
-            out.append("[" + inner)
-            out.append(("," + inner).join(rows))
-        else:
-            separator = "[" + inner
-            for i, item in enumerate(value):
-                out.append(separator)
-                separator = "," + inner
-                try:
-                    _write(item, inner, out)
-                except _NotFinite as e:
-                    e.path.append(i)
-                    raise
+        separator = "[" + inner
+        for i, item in enumerate(value):
+            out.append(separator)
+            separator = "," + inner
+            try:
+                _write(item, inner, out)
+            except _NotFinite as e:
+                e.path.append(i)
+                raise
         out.append(pad + "]")
     elif isinstance(value, dict):
         if not value:
@@ -388,7 +362,10 @@ def _write(value, pad: str, out: list[str]) -> None:
                 raise
         out.append(pad + "}")
     elif isinstance(value, ExcessTable):
-        _excess_table(value, pad, out)
+        try:
+            _excess_table(value, pad, out)
+        except ValueError:  # a non-finite cell, which the samples as objects name
+            _write([sample._asdict() for sample in value], pad, out)
     else:
         out.append(_scalar(value))
 
@@ -412,48 +389,6 @@ def _scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _table(rows, pad: str) -> Optional[list[str]]:
-    """The items of a list of flat dicts sharing one key set, rendered column by column.
-
-    None for any other list, and for a table holding a value that _write
-    must report (a container, a non-finite float, a type json rejects).
-    """
-    first = rows[0]
-    if set(map(type, rows)) != {dict} or not first or set(map(len, rows)) != {len(first)}:
-        return None
-    inner = pad + "  "
-    try:
-        keys = sorted(first)
-        template = "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
-        ) + pad + "}"
-        # a row without one of the first row's keys raises KeyError here
-        columns = [_column(list(map(itemgetter(key), rows))) for key in keys]
-    except (KeyError, TypeError, ValueError, _NotFinite):
-        return None
-    return list(map(template.__mod__, zip(*columns)))
-
-
-def _column(values: list) -> list[str]:
-    """JSON texts of one column; an all-float column renders each distinct value once."""
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
-    # 1, 1.0 and True are one dict key, so only exact floats are deduplicated
-    if kinds != {float}:
-        return list(map(_scalar, values))
-    distinct = list(dict.fromkeys(values))
-    # json's C encoder renders a flat float list; allow_nan=False raises ValueError
-    texts = json.dumps(distinct, allow_nan=False)[1:-1].split(", ")
-    if len(distinct) == len(values):
-        return texts
-    rendered = list(map(dict(zip(distinct, texts)).__getitem__, values))
-    if 0.0 in distinct:  # 0.0 and -0.0 are one dict key, so zeros are rendered one by one
-        for i in compress(count(), map(not_, values)):
-            rendered[i] = float.__repr__(values[i])
-    return rendered
-
-
 # (report key, ExcessTable column) in sorted-key order
 _EXCESS_KEYS = (
     ("E", "E"), ("q", "q"), ("r", "r"), ("slope_kind", "kind"), ("t", "t"), ("x_sigma", "x_sigma")
@@ -469,15 +404,6 @@ def _excess_table(table: ExcessTable, pad: str, out: list[str]) -> None:
         out.append("[]")
         return
     columns = [(key, getattr(table, name)) for key, name in _EXCESS_KEYS]
-    floats = [(key, column) for key, column in columns if key != "slope_kind"]
-    finite = np.isfinite(np.column_stack([column for _, column in floats]))
-    if not finite.all():
-        # the first bad cell in row order, then sorted-key order
-        row, col = divmod(int(np.argmin(finite)), len(floats))
-        key, column = floats[col]
-        e = _NotFinite(float(column[row]))
-        e.path += [key, row]
-        raise e
     inner, field = pad + "  ", pad + "    "
     width = 2 * len(columns)
     pieces: list = [None] * (width * n)
@@ -495,8 +421,11 @@ def _excess_table(table: ExcessTable, pad: str, out: list[str]) -> None:
 
 
 def _float_texts(column: np.ndarray) -> list[str]:
-    """The JSON texts of a finite float64 column, each distinct value rendered once."""
+    """The JSON texts of a float64 column, each distinct value rendered once.
+
+    A NaN or infinity raises ValueError.
+    """
     # distinct by bit pattern, so 0.0 and -0.0 stay apart
     _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
-    texts = json.dumps(column[first].tolist())[1:-1].split(", ")
+    texts = json.dumps(column[first].tolist(), allow_nan=False)[1:-1].split(", ")
     return np.array(texts, dtype=object)[inverse].tolist()

@@ -37,6 +37,13 @@ def _check_count(kind: str, count: float) -> None:
         raise InvalidParameter(f"{kind} would have {count:.0f} points; {limit}")
 
 
+def evenly_spaced(lo: float, hi: float, count: int) -> np.ndarray:
+    """np.linspace(lo, hi, count), with every value finite also when hi - lo overflows."""
+    if math.isinf(hi - lo):  # halving is exact, and brings the span into range
+        return 2.0 * np.linspace(0.5 * lo, 0.5 * hi, count)
+    return np.linspace(lo, hi, count)
+
+
 @dataclass(frozen=True)
 class DiscretePoints:
     """A finite, strictly increasing list of isolated points."""
@@ -143,7 +150,7 @@ class DenseInterval:
         object.__setattr__(self, "resolution", int(self.resolution))
 
     def realize(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.resolution + 1)
+        return evenly_spaced(self.lo, self.hi, self.resolution + 1)
 
     def bounds(self) -> tuple[float, float]:
         return self.lo, self.hi

@@ -69,7 +69,11 @@ class VariationalProblem:
     def linear_trajectory(self) -> Trajectory:
         """Straight line from (t0, alpha) to (t1, beta), extended constantly."""
         t = np.clip(self.scale.points, self.t0, self.t1)
-        vals = self.alpha + (self.beta - self.alpha) * (t - self.t0) / (self.t1 - self.t0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = self.alpha + (self.beta - self.alpha) * (t - self.t0) / (self.t1 - self.t0)
+        if not np.isfinite(vals).all():  # beta - alpha near the float range: weigh the ends
+            s = (t - self.t0) / (self.t1 - self.t0)
+            vals = self.alpha * (1.0 - s) + self.beta * s
         return GridFunction(self.scale, vals, name="linear")
 
     def zero_trajectory(self) -> Trajectory:
@@ -158,7 +162,7 @@ def functional(problem: VariationalProblem, x: Trajectory) -> float:
     lagr = problem.lagrangian
     t, xs, r, _, weight = _rows(problem, x)
     terms = lagr.eval(t, xs, r)  # finite, or eval raised
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
         value = float(np.dot(weight, terms))
     if not math.isfinite(value):
         raise DomainError(f"overflow in the functional of '{lagr.source}'")
@@ -179,7 +183,11 @@ def el_residual(problem: VariationalProblem, x: Trajectory) -> GridFunction:
     one_per_node = (kind != _LEFT) | (t == problem.t1)
     t, xs, r = t[one_per_node], xs[one_per_node], r[one_per_node]
     _, fx, fr = problem.lagrangian.partials(t, xs, r)
-    return GridFunction(make_points(t[:-1]), _el_terms(t, fx, fr), name="el_residual")
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _el_terms(t, fx, fr)
+    if not np.isfinite(residual).all():
+        raise DomainError(f"overflow in the Euler-Lagrange residual of '{problem.lagrangian.source}'")
+    return GridFunction(make_points(t[:-1]), residual, name="el_residual")
 
 
 def _el_terms(t: np.ndarray, fx: np.ndarray, fr: np.ndarray) -> np.ndarray:
@@ -229,8 +237,7 @@ def _merit(lagr: Lagrangian, t: np.ndarray, x: np.ndarray) -> float:
         f = lagr.eval(t[:-1], x[1:], np.diff(x) / mu)
     except DomainError:
         return math.inf
-    with np.errstate(over="ignore"):
-        return float(np.dot(mu, f))
+    return float(np.dot(mu, f))
 
 
 def _ldl(diag: list, off: list, shift: float = 0.0) -> tuple[list, list]:
@@ -291,12 +298,8 @@ _ARMIJO = 1e-4
 _MERIT_ROUNDING = 1e-12
 
 
-def _window_is_discrete(ts: TimeScale, t0: float, t1: float) -> bool:
-    return not any(
-        lo < t1 - POINT_TOLERANCE and hi > t0 + POINT_TOLERANCE for lo, hi in ts.dense_spans
-    )
-
-
+# an iterate whose L or residual overflows is rejected or ends in NonConvergence
+@np.errstate(over="ignore", invalid="ignore")
 def solve_el_discrete(
     problem: VariationalProblem,
     x_init: Optional[Trajectory] = None,
@@ -320,9 +323,9 @@ def solve_el_discrete(
     SingularJacobian (a zero pivot of the unshifted H).
     """
     ts = problem.scale
-    if not _window_is_discrete(ts, problem.t0, problem.t1):
-        raise InvalidParameter("solve_el_discrete handles discrete scales only")
     i0, i1 = problem.window()
+    if ts.right_dense_mask[i0:i1].any():  # a dense span overlaps [t0, t1]
+        raise InvalidParameter("solve_el_discrete handles discrete scales only")
     n = i1 - i0 + 1
     if n < 3:
         raise InsufficientPoints("solver needs at least 3 scale points in [t0, t1]")

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParameter, NonDifferentiablePoint
 from .expressions import Lagrangian, eval_ast, eval_rows
+from .timescale import evenly_spaced
 from .variational import Trajectory, VariationalProblem, el_residual
 from .variational import _LEFT, _RIGHT, _TWO_SIDED, _rows
 
@@ -323,10 +324,14 @@ def default_q_grid(
     s = np.asarray(list(slopes), dtype=float)
     if s.size == 0:
         raise InvalidParameter("need at least one observed slope")
-    spread = float(np.std(s))
-    if spread < 1e-9:
-        spread = 1.0
-    grid = np.linspace(s.min() - width * spread, s.max() + width * spread, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = float(np.std(s))
+        if spread < 1e-9:
+            spread = 1.0
+        grid = np.linspace(s.min() - width * spread, s.max() + width * spread, count)
+    if not np.isfinite(grid).all():
+        peak = float(np.max(np.abs(s)))
+        raise InvalidParameter(f"slopes up to {peak!r} overflow the default q grid; set q_min and q_max")
     return np.union1d(grid, s)
 
 
@@ -334,7 +339,7 @@ def _default_x_samples(x_values: np.ndarray) -> np.ndarray:
     lo, hi = float(np.min(x_values)), float(np.max(x_values))
     if hi - lo < 1e-9:
         return np.array([lo - 1.0, lo, lo + 1.0])
-    return np.linspace(lo, hi, 3)
+    return evenly_spaced(lo, hi, 3)
 
 
 def _default_r_samples(slopes: np.ndarray) -> np.ndarray:

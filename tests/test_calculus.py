@@ -384,3 +384,14 @@ def test_slope_table_follows_the_stencil_rules(ts, data):
         assert column.dtype == np.float64 and column.shape == (n,)
         with pytest.raises(ValueError):
             column[0] = 0.0
+
+
+def test_second_order_slopes_of_values_near_the_float_range_do_not_overflow():
+    # -3v + 4v1 - v2 overflows for |v| above about 4.5e307; the slopes of
+    # 2^1022 y are still 2^1022 times those of y
+    ts = union(make_points([-1.0]), make_dense(0.0, 1.0, 16), make_uniform(1.0, 2.0, 0.25))
+    y = GridFunction(ts, 1.0 + ts.points**2 / 4.0)  # values in [1, 2], slopes at most 1
+    big = GridFunction(ts, 2.0**1022 * y.values)
+    for got, want in zip(big.slope_table, y.slope_table):
+        np.testing.assert_allclose(got, 2.0**1022 * want, rtol=1e-12)
+    assert norm_weak(big, -1.0, 2.0) == pytest.approx(2.0**1022 * norm_weak(y, -1.0, 2.0), rel=1e-12)

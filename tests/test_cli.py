@@ -9,7 +9,7 @@ import pytest
 
 from tsvar import ProblemFileError, cli, make_harmonic, weierstrass
 from tsvar.cli import main
-from tsvar.problemfile import load_problem, serialize_report
+from tsvar.problemfile import ScanConfig, load_problem, serialize_report
 
 
 def write_problem(tmp_path, name="problem.json", **overrides):
@@ -99,6 +99,17 @@ class TestProblemFileLoading:
         with pytest.raises(ProblemFileError) as exc:
             load_problem(str(path))
         assert exc.value.field == "scale.n_max"
+
+    def test_missing_lagrangian_is_named_once(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"scale": {"kind": "harmonic", "n_max": 5}}))
+        with pytest.raises(ProblemFileError) as exc:
+            load_problem(str(path))
+        assert str(exc.value) == "lagrangian: missing required field"
+
+    def test_a_q_span_beyond_the_float_range_gives_a_finite_grid(self):
+        grid = ScanConfig(q_min=-1e308, q_max=1e308, q_count=5).q_grid()
+        assert grid.tolist() == [-1e308, -5e307, 0.0, 5e307, 1e308]
 
     def test_harmonic_scale_matches_make_harmonic(self, tmp_path):
         loaded = load_problem(write_problem(tmp_path, scale={"kind": "harmonic", "n_max": 7}))
@@ -208,6 +219,90 @@ class TestInspect:
             "left": "dense",
         }
 
+    @staticmethod
+    def scalar_rows(ts, t0, t1):
+        """The inspect rows from the scalar jump operators, node by node."""
+        i0, i1 = ts.window_indices(t0, t1)
+        rows = []
+        for t in ts.points[i0 : i1 + 1].tolist():
+            cls = ts.classify(t)
+            rows.append(
+                {
+                    "t": t,
+                    "sigma": ts.sigma(t),
+                    "rho": ts.rho(t),
+                    "mu": ts.mu(t),
+                    "right": cls.right.value,
+                    "left": cls.left.value,
+                }
+            )
+        return rows
+
+    @pytest.mark.parametrize(
+        "spec, t0, t1",
+        [
+            ({"kind": "harmonic", "n_max": 200}, 0.0, 1.0),
+            ({"kind": "geometric", "min": 0.5, "max": 512.0, "ratio": 2.0}, 0.5, 512.0),
+            ({"kind": "uniform", "start": -1.0, "end": 2.0, "step": 0.125}, -1.0, 2.0),
+            (
+                [
+                    {"kind": "dense", "lo": 0.0, "hi": 1.0, "resolution": 16},
+                    {"kind": "points", "values": [1.0, 1.5, 1.75]},
+                    {"kind": "uniform", "start": 2.0, "end": 4.0, "step": 0.5},
+                ],
+                0.0,
+                4.0,
+            ),
+            (
+                [
+                    {"kind": "dense", "lo": 0.0, "hi": 1.0, "resolution": 8},
+                    {"kind": "dense", "lo": 1.0, "hi": 3.0, "resolution": 5},
+                ],
+                0.0,
+                3.0,
+            ),
+            (  # a window strictly inside the scale, from a dense node to a scattered one
+                [
+                    {"kind": "points", "values": [-2.0, -1.0]},
+                    {"kind": "dense", "lo": 0.0, "hi": 1.0, "resolution": 8},
+                    {"kind": "uniform", "start": 2.0, "end": 6.0, "step": 1.0},
+                ],
+                0.25,
+                5.0,
+            ),
+        ],
+    )
+    def test_rows_match_the_scalar_jump_operators(self, tmp_path, spec, t0, t1):
+        path = write_problem(tmp_path, scale=spec, t0=t0, t1=t1, trajectory=None)
+        ts = load_problem(path).problem.scale
+        rows = cli._point_rows(ts, t0, t1)
+        want = self.scalar_rows(ts, t0, t1)
+        assert rows == want
+        # of the same Python types too: a numpy scalar would compare equal
+        assert [{k: type(v) for k, v in row.items()} for row in rows] == [
+            {k: type(v) for k, v in row.items()} for row in want
+        ]
+
+    @pytest.mark.parametrize(
+        "spec, t1",
+        [
+            ({"kind": "harmonic", "n_max": 4}, 1.0),
+            ({"kind": "uniform", "start": 0, "end": 4, "step": 1}, 4.0),
+            ({"kind": "dense", "lo": 0.0, "hi": 1.0, "resolution": 1000}, 1.0),
+            ({"kind": "harmonic", "n_max": 300}, 1.0),
+        ],
+    )
+    def test_output_matches_the_scalar_rows(self, tmp_path, capsys, monkeypatch, spec, t1):
+        path = write_problem(tmp_path, scale=spec, t1=t1, trajectory=None)
+        outputs = []
+        for name in ("array.json", "scalar.json"):
+            report = tmp_path / name
+            assert main(["inspect", path, "--report", str(report)]) == 0
+            doc = json.loads(report.read_text())
+            outputs.append((capsys.readouterr().out, doc["points"]))
+            monkeypatch.setattr(cli, "_point_rows", self.scalar_rows)
+        assert outputs[0] == outputs[1]
+
 
 class TestEval:
     def test_zero_trajectory(self, tmp_path, capsys):
@@ -258,20 +353,29 @@ class TestEval:
         err = capsys.readouterr().err
         assert "error:" in err and "overflow in '(r ^ 400.0)'" in err
 
-    def test_overflowing_functional_is_an_input_error_and_writes_no_report(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "lagrangian, step, formula",
+        [
+            ("exp(x)", 1, "709"),
+            ("1e308*r", 2, "2 - abs(t - 2)"),  # terms +-2e308 sum to inf - inf
+        ],
+    )
+    def test_overflowing_functional_is_an_input_error_and_writes_no_report(
+        self, tmp_path, capsys, lagrangian, step, formula
+    ):
         path = write_problem(
             tmp_path,
-            scale={"kind": "uniform", "start": 0, "end": 100, "step": 1},
+            scale={"kind": "uniform", "start": 0, "end": 100, "step": step},
             t1=100.0,
-            lagrangian="exp(x)",
+            lagrangian=lagrangian,
             alpha=709.0,
             beta=709.0,
-            trajectory={"kind": "expr", "formula": "709"},
+            trajectory={"kind": "expr", "formula": formula},
         )
         report = tmp_path / "run.json"
         assert main(["eval", path, "--report", str(report)]) == 1
         err = capsys.readouterr().err
-        assert "error: overflow in the functional of 'exp(x)'" in err
+        assert f"error: overflow in the functional of '{lagrangian}'" in err
         assert not report.exists()
 
     @pytest.mark.parametrize(

@@ -57,6 +57,10 @@ class TestSegments:
             DenseInterval(0.0, 1.0, resolution=0)
         assert DenseInterval(0.0, 1.0, 4).realize().size == 5
 
+    def test_dense_interval_across_the_float_range(self):
+        # hi - lo overflows; the nodes are still the evenly spaced finite ones
+        assert DenseInterval(-1e308, 1e308, 4).realize().tolist() == [-1e308, -5e307, 0.0, 5e307, 1e308]
+
     def test_overlapping_segments_rejected(self):
         with pytest.raises(InvalidParameter):
             TimeScale([DenseInterval(0.0, 1.0, 10), DiscretePoints((0.5,))])

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from tsvar import (
+    DomainError,
     EmptyInterval,
     GridFunction,
     InsufficientPoints,
@@ -21,6 +22,7 @@ from tsvar import (
     functional,
     is_admissible,
     make_dense,
+    make_geometric,
     make_harmonic,
     make_points,
     make_uniform,
@@ -150,6 +152,13 @@ class TestElResidual:
         )
         res = el_residual(P, P.zero_trajectory())
         assert np.allclose(res.values, 0.0)
+
+    def test_a_residual_beyond_the_float_range_is_a_domain_error(self):
+        # f_r = 2e308 r is finite at r = -0.5 and 0.5, but its difference is not
+        P = VariationalProblem(make_uniform(0.0, 1.0, 0.5), 0.0, 1.0, parse_lagrangian("1e308*r^2"), 0, 0)
+        x = GridFunction(P.scale, [0.0, -0.25, 0.0])
+        with pytest.raises(DomainError, match="overflow in the Euler-Lagrange residual of '1e308[*]r\\^2'"):
+            el_residual(P, x)
 
     def test_needs_three_points(self):
         P = VariationalProblem(make_points([0, 1]), 0.0, 1.0, parse_lagrangian("r^2"), 0, 1)
@@ -370,6 +379,50 @@ class TestSolver:
         )
         with pytest.raises(InvalidParameter, match="discrete"):
             solve_el_discrete(P)
+
+    @pytest.mark.parametrize(
+        "t0, t1, discrete",
+        [
+            (0.0, 3.0, True),  # ends where the dense span [3, 4] starts
+            (4.0, 7.0, True),  # starts where it ends
+            (1.0, 3.5, False),  # ends inside it
+            (2.0, 3.1, False),  # ends one node into it
+            (3.5, 6.0, False),  # starts inside it
+            (3.9, 5.0, False),  # starts at its last node below 4
+            (0.0, 7.0, False),  # covers it
+            (3.0, 4.0, False),  # is it
+        ],
+    )
+    def test_a_window_is_discrete_unless_it_overlaps_a_dense_span(self, t0, t1, discrete):
+        ts = union(make_uniform(0.0, 3.0, 1.0), make_dense(3.0, 4.0, 10), make_uniform(4.0, 7.0, 1.0))
+        P = VariationalProblem(ts, t0, t1, parse_lagrangian("r^2"), 0.0, 1.0)
+        if not discrete:
+            with pytest.raises(InvalidParameter, match="discrete"):
+                solve_el_discrete(P)
+            return
+        i0, i1 = P.window()
+        result = solve_el_discrete(P)
+        want = (ts.points[i0 : i1 + 1] - t0) / (t1 - t0)  # the extremal of r^2 is the line
+        np.testing.assert_allclose(result.trajectory.values[i0 : i1 + 1], want, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "src, scale, x_init, beta",
+        [
+            ("t*x + r^3", make_geometric(1.0, 4.0, 2.0), np.exp, 0.0),  # L unbounded below
+            ("exp(r/3)", make_points([0.0, 0.5, 1.0]), lambda t: 0.0, 1e308),  # last slope 2e308
+        ],
+    )
+    def test_overflowing_iterates_end_in_nonconvergence(self, src, scale, x_init, beta):
+        P = VariationalProblem(scale, scale.min, scale.max, parse_lagrangian(src), 0.0, beta)
+        start = GridFunction.from_callable(scale, x_init)
+        with pytest.raises(NonConvergence):  # and no numpy warning, which the suite makes an error
+            solve_el_discrete(P, x_init=start)
+
+    def test_linear_trajectory_across_the_float_range(self):
+        P = VariationalProblem(make_uniform(0.0, 3.0, 1.0), 0.0, 3.0, parse_lagrangian("r^2"), -1e308, 1e308)
+        values = P.linear_trajectory().values
+        assert values[0] == -1e308 and values[-1] == 1e308
+        np.testing.assert_allclose(values[1:-1], [-1e308 / 3, 1e308 / 3], rtol=1e-15)
 
     def test_nonconvergence_carries_best_iterate(self):
         P = VariationalProblem(

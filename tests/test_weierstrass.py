@@ -309,6 +309,16 @@ def test_q_count_is_bounded_before_allocating():
         default_q_grid([0.0, 1.0], count=10**12)
 
 
+def test_a_default_q_grid_beyond_the_float_range_is_an_error():
+    with pytest.raises(InvalidParameter, match="slopes up to 1e[+]200 overflow the default q grid"):
+        default_q_grid([-1e200, 1e200])
+
+
+def test_convexity_x_samples_span_the_float_range():
+    samples = weierstrass._default_x_samples(np.array([-1e308, 3.0, 1e308]))
+    assert samples.tolist() == [-1e308, 0.0, 1e308]
+
+
 class TestClassification:
     def test_consistent_verdict_for_quadratic_extremal(self):
         P = VariationalProblem(
