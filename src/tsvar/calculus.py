@@ -53,7 +53,6 @@ class GridFunction:
 
     scale: TimeScale
     values: np.ndarray
-    name: Optional[str] = None
     break_points: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -76,14 +75,13 @@ class GridFunction:
         cls,
         scale: TimeScale,
         fn: Callable[[float], float],
-        name: Optional[str] = None,
         break_points: tuple[float, ...] = (),
     ) -> "GridFunction":
-        return cls(scale, np.array([fn(float(t)) for t in scale.points]), name, break_points)
+        return cls(scale, np.array([fn(float(t)) for t in scale.points]), break_points)
 
     @classmethod
-    def zeros(cls, scale: TimeScale, name: Optional[str] = None) -> "GridFunction":
-        return cls(scale, np.zeros(len(scale)), name)
+    def zeros(cls, scale: TimeScale) -> "GridFunction":
+        return cls(scale, np.zeros(len(scale)))
 
     def value_at(self, t: float) -> float:
         return float(self.values[self.scale.index_of(t)])
@@ -98,10 +96,10 @@ class GridFunction:
         i = self.scale.index_of(t)
         vals = self.values.copy()
         vals[i] = value
-        return GridFunction(self.scale, vals, self.name, self.break_points)
+        return GridFunction(self.scale, vals, self.break_points)
 
     def with_break_points(self, break_points: tuple[float, ...]) -> "GridFunction":
-        return GridFunction(self.scale, self.values.copy(), self.name, break_points)
+        return GridFunction(self.scale, self.values.copy(), break_points)
 
     def is_break(self, t: float) -> bool:
         return any(abs(t - b) <= POINT_TOLERANCE for b in self.break_points)

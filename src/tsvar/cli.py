@@ -14,7 +14,6 @@ Exit codes: 0 success / consistent-with-strong-min, 1 usage or input error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 import time
@@ -46,7 +45,6 @@ from .variational import (
 )
 from .weierstrass import (
     DEFAULT_Q_COUNT,
-    MAX_Q_COUNT,
     Verdict,
     check_convexity_condition,
     classify_candidate,
@@ -225,16 +223,9 @@ def cmd_solve(loaded: LoadedProblem, report_path: Optional[str], max_iter: int) 
 
 def _scan_config(loaded: LoadedProblem, args) -> ScanConfig:
     """The problem file's scan settings with the command-line flags laid over them."""
-    if (args.q_min is None) != (args.q_max is None):
-        raise TsvarError("--q-min and --q-max must be given together")
-    if args.q_min is not None and args.q_min >= args.q_max:
-        raise TsvarError("--q-min must be below --q-max")
-    if args.q_count is not None and args.q_count < 1:
-        raise TsvarError("--q-count must be at least 1")
-    if args.q_count is not None and args.q_count > MAX_Q_COUNT:
-        raise TsvarError(f"--q-count must be at most {MAX_Q_COUNT:,}")
-    flags = {"q_min": args.q_min, "q_max": args.q_max, "q_count": args.q_count, "tol": args.tol}
-    return dataclasses.replace(loaded.scan, **{k: v for k, v in flags.items() if v is not None})
+    given = {key: getattr(args, key) for key in ("q_min", "q_max", "q_count", "tol")}
+    flags = {key: value for key, value in given.items() if value is not None}
+    return loaded.scan.overlay(flags, lambda key: "--" + key.replace("_", "-"))
 
 
 def cmd_analyze(loaded: LoadedProblem, args) -> int:
@@ -518,7 +509,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help or --version and 2 on a usage error
+        return EXIT_OK if e.code == 0 else EXIT_ERROR
     try:
         if args.command == "repro":
             return cmd_repro(args.example_id)

@@ -79,7 +79,7 @@ class NonConvergence(TsvarError):
 
 
 class ProblemFileError(TsvarError):
-    """Problem file failed validation; carries the offending field path."""
+    """A problem-file field or a scan flag failed validation; carries its path or flag as field."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -58,12 +58,32 @@ class ScanConfig:
     q_count: int = DEFAULT_Q_COUNT
     tol: float = 1e-9
 
+    def overlay(self, values: dict, name: Callable[[str], str]) -> "ScanConfig":
+        """This config with the settings in values laid over it; other keys are ignored.
+
+        Each setting is checked first: q_min < q_max are finite and given together,
+        q_count is an integer from 1 to MAX_Q_COUNT, and tol is finite and at least 0.
+        An error names a setting as name(key), its file field or its flag.
+        """
+        parsers = {"q_min": _as_number, "q_max": _as_number, "q_count": _as_int, "tol": _as_number}
+        new = {k: parse(values[k], name(k)) for k, parse in parsers.items() if k in values}
+        if ("q_min" in new) != ("q_max" in new):
+            given, other = ("q_min", "q_max") if "q_min" in new else ("q_max", "q_min")
+            raise ProblemFileError(name(given), f"must be given together with {name(other)}")
+        if "q_min" in new and new["q_min"] >= new["q_max"]:
+            raise ProblemFileError(name("q_min"), f"must be below {name('q_max')}")
+        if new.get("q_count", 1) < 1:
+            raise ProblemFileError(name("q_count"), "must be at least 1")
+        if new.get("q_count", 1) > MAX_Q_COUNT:
+            raise ProblemFileError(name("q_count"), f"must be at most {MAX_Q_COUNT:,}")
+        if new.get("tol", 0.0) < 0.0:
+            raise ProblemFileError(name("tol"), "must be nonnegative")
+        return replace(self, **new)
+
     def q_grid(self) -> Optional[np.ndarray]:
         """The fixed comparison-slope grid, or None to derive one from the trajectory."""
-        if self.q_min is None or self.q_max is None:
+        if self.q_min is None:
             return None
-        if self.q_min >= self.q_max:
-            raise ProblemFileError("scan.q_min", "must be below scan.q_max")
         return evenly_spaced(self.q_min, self.q_max, self.q_count)
 
 
@@ -160,7 +180,7 @@ def _trajectory_from_spec(spec: dict, scale: TimeScale, field: str) -> Trajector
             values = evaluate(parse_lagrangian(str(formula)).ast, {"t": scale.points})
         except TsvarError as e:
             raise ProblemFileError(f"{field}.formula", str(e)) from None
-        return GridFunction(scale, values, name=str(formula))
+        return GridFunction(scale, values)
     if kind == "samples":
         pts = _need(spec, "points", f"{field}.points")
         vals = _need(spec, "values", f"{field}.values")
@@ -186,7 +206,7 @@ def _trajectory_from_spec(spec: dict, scale: TimeScale, field: str) -> Trajector
             raise ProblemFileError(
                 f"{field}.points", "sample points do not match the scale's representative points"
             )
-        return GridFunction(scale, values, name="samples")
+        return GridFunction(scale, values)
     raise ProblemFileError(f"{field}.kind", f"unknown trajectory kind {kind!r}")
 
 
@@ -228,15 +248,9 @@ def load_problem(path: str, resolution: Optional[int] = None) -> LoadedProblem:
 
     scan = ScanConfig()
     if doc.get("scan") is not None:
-        s = doc["scan"]
-        if not isinstance(s, dict):
+        if not isinstance(doc["scan"], dict):
             raise ProblemFileError("scan", "must be an object")
-        parsers = {"q_min": _as_number, "q_max": _as_number, "q_count": _as_int, "tol": _as_number}
-        scan = ScanConfig(**{k: parse(s[k], f"scan.{k}") for k, parse in parsers.items() if k in s})
-        if scan.q_count < 1:
-            raise ProblemFileError("scan.q_count", "must be at least 1")
-        if scan.q_count > MAX_Q_COUNT:
-            raise ProblemFileError("scan.q_count", f"must be at most {MAX_Q_COUNT:,}")
+        scan = scan.overlay(doc["scan"], lambda key: f"scan.{key}")
     return LoadedProblem(problem=problem, trajectory=trajectory, scan=scan, path=path)
 
 

@@ -376,9 +376,9 @@ class TimeScale:
         return self._sigma_idx
 
 
-def make_points(values: Sequence[float], metadata: Optional[dict] = None) -> TimeScale:
+def make_points(values: Sequence[float]) -> TimeScale:
     """Scale consisting of the given strictly increasing points."""
-    return TimeScale([DiscretePoints(tuple(values))], metadata=metadata)
+    return TimeScale([DiscretePoints(tuple(values))])
 
 
 def make_uniform(start: float, end: float, step: float) -> TimeScale:
@@ -427,11 +427,11 @@ def make_harmonic(n_max: int) -> TimeScale:
     )
 
 
-def union(*scales: TimeScale, metadata: Optional[dict] = None) -> TimeScale:
+def union(*scales: TimeScale) -> TimeScale:
     """Union of several time scales (segments merged and re-validated)."""
     if not scales:
         raise InvalidParameter("union requires at least one scale")
     segs: list[Segment] = []
     for s in scales:
         segs.extend(s.segments)
-    return TimeScale(segs, metadata=metadata)
+    return TimeScale(segs)

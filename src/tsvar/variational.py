@@ -74,10 +74,10 @@ class VariationalProblem:
         if not np.isfinite(vals).all():  # beta - alpha near the float range: weigh the ends
             s = (t - self.t0) / (self.t1 - self.t0)
             vals = self.alpha * (1.0 - s) + self.beta * s
-        return GridFunction(self.scale, vals, name="linear")
+        return GridFunction(self.scale, vals)
 
     def zero_trajectory(self) -> Trajectory:
-        return GridFunction.zeros(self.scale, name="zero")
+        return GridFunction.zeros(self.scale)
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ def el_residual(problem: VariationalProblem, x: Trajectory) -> GridFunction:
         residual = _el_terms(t, fx, fr)
     if not np.isfinite(residual).all():
         raise DomainError(f"overflow in the Euler-Lagrange residual of '{problem.lagrangian.source}'")
-    return GridFunction(make_points(t[:-1]), residual, name="el_residual")
+    return GridFunction(make_points(t[:-1]), residual)
 
 
 def _el_terms(t: np.ndarray, fx: np.ndarray, fr: np.ndarray) -> np.ndarray:
@@ -296,6 +296,8 @@ def _second_order(diag: np.ndarray, off: np.ndarray) -> str:
 # taken, so the residual can fall below what L itself can show.
 _ARMIJO = 1e-4
 _MERIT_ROUNDING = 1e-12
+# The residual max-norm at which the solver stops.
+SOLVE_TOL = 1e-10
 
 
 # an iterate whose L or residual overflows is rejected or ends in NonConvergence
@@ -303,7 +305,6 @@ _MERIT_ROUNDING = 1e-12
 def solve_el_discrete(
     problem: VariationalProblem,
     x_init: Optional[Trajectory] = None,
-    tol: float = 1e-10,
     max_iter: int = 100,
 ) -> SolveResult:
     """Solve the discrete Euler-Lagrange equations by Newton's method on L.
@@ -316,7 +317,7 @@ def solve_el_discrete(
     a negative pivot, it is shifted to H + lam*I, so s descends. The step
     length is halved until Armijo's condition on L holds. An iteration
     costs O(n). The iteration stops when the residual max-norm is at most
-    tol, and the result's second_order reports the pivot signs of the
+    SOLVE_TOL, and the result's second_order reports the pivot signs of the
     unshifted H there.
 
     Raises NonConvergence (carrying the best iterate and diagnostics) or
@@ -339,7 +340,7 @@ def solve_el_discrete(
     def rebuild(values: np.ndarray) -> Trajectory:
         full = base.values.copy()
         full[i0 : i1 + 1] = values
-        return GridFunction(ts, full, name="el_solution")
+        return GridFunction(ts, full)
 
     def failure(message: str) -> NonConvergence:
         return NonConvergence(
@@ -351,7 +352,7 @@ def solve_el_discrete(
     best, best_max = xw.copy(), res_max
     history: list[tuple[float, float, float]] = []
     iterations = 0
-    while res_max > tol and iterations < max_iter:
+    while res_max > SOLVE_TOL and iterations < max_iter:
         grad = -mu[:-1] * residual
         step = _newton_step(diag, off, grad)
         decrease = _ARMIJO * float(np.dot(grad, step))
@@ -371,7 +372,7 @@ def solve_el_discrete(
         history.append((res_max, lam, merit))
         if res_max < best_max:
             best, best_max = xw.copy(), res_max
-    if res_max <= tol:
+    if res_max <= SOLVE_TOL:
         return SolveResult(
             rebuild(xw), iterations, res_max, _second_order(diag, off), history=tuple(history)
         )
@@ -416,12 +417,8 @@ class SpikeWitness:
     slope_ratio: float  # d / mu(sigma(t_at)), chosen > 1
 
 
-def find_spike_below(
-    problem: VariationalProblem,
-    delta: float,
-    base: Optional[Trajectory] = None,
-) -> Optional[SpikeWitness]:
-    """Search for a spike with |d| < delta and functional below the base value.
+def find_spike_below(problem: VariationalProblem, delta: float) -> Optional[SpikeWitness]:
+    """Search for a spike on the zero trajectory with |d| < delta and a functional below its value.
 
     Candidates are the admissible spike locations ordered by the local
     graininess max(mu(t_at), mu(sigma(t_at))); the first location where that
@@ -431,29 +428,20 @@ def find_spike_below(
     if delta <= 0:
         raise InvalidParameter("delta must be positive")
     ts = problem.scale
-    base = base if base is not None else problem.zero_trajectory()
+    base = problem.zero_trajectory()
     base_value = functional(problem, base)
     i0, i1 = problem.window()
-    candidates = []
-    for i in range(i0 + 1, i1):
-        t = float(ts.points[i])
-        mu0 = ts.mu(t)
-        if mu0 == 0.0:
-            continue
-        s = ts.sigma(t)
-        if abs(s - problem.t1) <= POINT_TOLERANCE:
-            continue
-        mu1 = ts.mu(s)
-        if mu1 == 0.0:
-            continue
-        candidates.append((max(mu0, mu1), t, mu1))
-    candidates.sort()
-    for mu_max, t, mu1 in candidates:
-        if mu_max >= delta:
-            continue
+    mu = ts.mu_values()
+    # right-scattered interior nodes i whose sigma, node i + 1, is right-scattered and not t1
+    i = np.arange(i0 + 1, i1 - 1)
+    i = i[(mu[i] > 0.0) & (mu[i + 1] > 0.0)]
+    peak = np.maximum(mu[i], mu[i + 1])
+    order = np.argsort(peak, kind="stable")  # ties in t order
+    order = order[peak[order] < delta]
+    t_at, peaks, mu_next = ts.points[i[order]], peak[order], mu[i[order] + 1]
+    for t, mu_max, mu1 in zip(t_at.tolist(), peaks.tolist(), mu_next.tolist()):
         d = 0.5 * (mu_max + delta)
-        spike = spike_perturbation(problem, base, t, d)
-        value = functional(problem, spike)
+        value = functional(problem, spike_perturbation(problem, base, t, d))
         if value < base_value:
             return SpikeWitness(t_at=t, d=d, functional_value=value, slope_ratio=d / mu1)
     return None
@@ -487,4 +475,4 @@ def random_bounded_slope_trajectory(
     full[:i0] = problem.alpha
     full[i0 : i1 + 1] = window_vals
     full[i1 + 1 :] = window_vals[-1]
-    return GridFunction(ts, full, name="random")
+    return GridFunction(ts, full)

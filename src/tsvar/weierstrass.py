@@ -171,6 +171,8 @@ def _excess_overflow(lagr: Lagrangian, t: float, x: float, r: float, q: float) -
 # Rows of one block of the convexity sweep or of the excess scan: the
 # array temporaries stay bounded whatever the window and sample sizes.
 _BLOCK_ROWS = 1 << 15
+# How far f at a midpoint may exceed the chord before the convexity check fails.
+CONVEXITY_TOL = 1e-10
 
 
 def check_convexity_condition(
@@ -178,16 +180,16 @@ def check_convexity_condition(
     x_samples: Sequence[float],
     r_samples: Sequence[float],
     gamma_samples: Sequence[float],
-    tol: float = 1e-10,
 ) -> ConvexityReport:
     """Sample the graininess-weighted convexity hypothesis on [t0, t1]^kappa.
 
     At right-dense points the weighted condition holds vacuously (mu = 0);
     at right-scattered points it is plain convexity of f in the slope, so
-    the midpoint inequality is tested over all sampled (x, r1, r2, gamma)
-    with r1 != r2. Returns the first counterexample found, in deterministic
-    scan order (t, x, r1, r2, gamma), with the number of checks made up to
-    it; a domain error is raised only if no counterexample precedes it.
+    the midpoint inequality is tested, up to CONVEXITY_TOL, over all sampled
+    (x, r1, r2, gamma) with r1 != r2. Returns the first counterexample
+    found, in deterministic scan order (t, x, r1, r2, gamma), with the
+    number of checks made up to it; a domain error is raised only if no
+    counterexample precedes it.
     """
     if not len(x_samples) or not len(r_samples) or not len(gamma_samples):
         raise InvalidParameter("sample lists must be nonempty")
@@ -224,7 +226,7 @@ def check_convexity_condition(
         sides, error = eval_rows(midpoint_sides, env)
         if sides is not None:
             lhs, rhs = (np.ravel(side) for side in sides)
-            hit = np.flatnonzero(lhs > rhs + tol)
+            hit = np.flatnonzero(lhs > rhs + CONVEXITY_TOL)
             if hit.size:
                 k = int(hit[0])
                 it, ix, ip, ig = np.unravel_index(k, (t.shape[0], xs.size, first.size, gs.size))
@@ -263,7 +265,7 @@ def weierstrass_scan(
     """
     if not len(q_grid):
         raise InvalidParameter("q_grid must be nonempty")
-    if tol < 0:
+    if not tol >= 0:  # NaN too, which would find no violation
         raise InvalidParameter("tol must be nonnegative")
     lagr = problem.lagrangian
     q = np.asarray(q_grid, dtype=float)
@@ -310,10 +312,8 @@ DEFAULT_Q_COUNT = 41
 MAX_Q_COUNT = 10**6
 
 
-def default_q_grid(
-    slopes: Iterable[float], count: int = DEFAULT_Q_COUNT, width: float = 5.0
-) -> np.ndarray:
-    """Comparison-slope grid spanning the observed slopes plus width*spread.
+def default_q_grid(slopes: Iterable[float], count: int = DEFAULT_Q_COUNT) -> np.ndarray:
+    """Comparison-slope grid spanning the observed slopes plus 5 times their spread.
 
     The necessary condition quantifies over every real q, which is not
     machine checkable; the default covers a generous neighbourhood of the
@@ -326,9 +326,12 @@ def default_q_grid(
         raise InvalidParameter("need at least one observed slope")
     with np.errstate(over="ignore", invalid="ignore"):
         spread = float(np.std(s))
+        if not math.isfinite(spread):  # the squares overflow above about 1.3e154
+            peak = float(np.max(np.abs(s)))
+            spread = peak * float(np.std(s / peak))
         if spread < 1e-9:
             spread = 1.0
-        grid = np.linspace(s.min() - width * spread, s.max() + width * spread, count)
+        grid = np.linspace(s.min() - 5.0 * spread, s.max() + 5.0 * spread, count)
     if not np.isfinite(grid).all():
         peak = float(np.max(np.abs(s)))
         raise InvalidParameter(f"slopes up to {peak!r} overflow the default q grid; set q_min and q_max")
@@ -354,17 +357,14 @@ def classify_candidate(
     problem: VariationalProblem,
     x: Trajectory,
     q_grid: Optional[Sequence[float]] = None,
-    x_samples: Optional[Sequence[float]] = None,
-    r_samples: Optional[Sequence[float]] = None,
-    gamma_samples: Sequence[float] = DEFAULT_GAMMAS,
     scan_tol: float = 1e-9,
-    convexity_tol: float = 1e-10,
     q_count: int = DEFAULT_Q_COUNT,
 ) -> AnalysisReport:
     """Run the Euler-Lagrange, convexity, and excess checks on a candidate.
 
     Without a q_grid the scan uses default_q_grid over the observed slopes
-    with q_count grid points.
+    with q_count grid points. The convexity sweep takes its default samples;
+    check_convexity_condition takes any others.
 
     A violated excess condition under a satisfied hypothesis certifies the
     candidate is NOT a strong local minimum; all other outcomes are
@@ -374,11 +374,7 @@ def classify_candidate(
     el_max = float(np.max(np.abs(residual.values)))
     _, xs, slopes, _, _ = _rows(problem, x)
     convexity = check_convexity_condition(
-        problem,
-        x_samples if x_samples is not None else _default_x_samples(xs),
-        r_samples if r_samples is not None else _default_r_samples(slopes),
-        gamma_samples,
-        tol=convexity_tol,
+        problem, _default_x_samples(xs), _default_r_samples(slopes), DEFAULT_GAMMAS
     )
     violations = weierstrass_scan(
         problem,

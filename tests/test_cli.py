@@ -1,6 +1,7 @@
 """Command-line interface: problem files, commands, exit codes, reports."""
 
 import json
+import math
 import re
 import time
 
@@ -76,22 +77,45 @@ class TestProblemFileLoading:
         assert time.perf_counter() - start < 1.0
         assert "a segment has at most 10,000,000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form", ["file", "flags"])
     @pytest.mark.parametrize(
-        "scan, argv, field",
+        "settings, key, message",
         [
-            ({"q_count": 10**12}, [], "scan.q_count"),
-            ({"q_min": -1.0, "q_max": 1.0, "q_count": 10**12}, [], "scan.q_count"),
-            (None, ["--q-count", str(10**12)], "--q-count"),
-            (None, ["--q-min", "-1", "--q-max", "1", "--q-count", str(10**12)], "--q-count"),
+            ({"q_count": 10**12}, "q_count", "must be at most 1,000,000"),
+            ({"q_min": -1, "q_max": 1, "q_count": 10**12}, "q_count", "must be at most 1,000,000"),
+            ({"q_count": 0}, "q_count", "must be at least 1"),
+            ({"q_min": math.nan, "q_max": 1.0}, "q_min", "must be finite"),
+            ({"q_min": -math.inf, "q_max": 1.0}, "q_min", "must be finite"),
+            ({"q_min": -1.0, "q_max": math.inf}, "q_max", "must be finite"),
+            ({"tol": math.nan}, "tol", "must be finite"),
+            ({"tol": math.inf}, "tol", "must be finite"),
+            ({"tol": -1e-9}, "tol", "must be nonnegative"),
+            ({"q_min": -1.0}, "q_min", "must be given together with {q_max}"),
+            ({"q_max": 1.0, "q_count": 3}, "q_max", "must be given together with {q_min}"),
+            ({"q_min": 1.0, "q_max": 1.0}, "q_min", "must be below {q_max}"),
+            ({"q_min": 2.0, "q_max": -2.0}, "q_min", "must be below {q_max}"),
         ],
     )
-    def test_oversized_q_count_fails_at_once(self, tmp_path, capsys, scan, argv, field):
-        path = write_problem(tmp_path, scan=scan)
+    def test_a_bad_scan_setting_fails_at_once(self, tmp_path, capsys, form, settings, key, message):
+        keys = ("q_min", "q_max", "q_count", "tol")
+        if form == "file":
+            path, argv = write_problem(tmp_path, scan=settings), []
+            names = {k: f"scan.{k}" for k in keys}
+        else:  # over a valid scan object; --flag=value, so that -inf is not read as a flag
+            path = write_problem(tmp_path, scan={"q_min": -2.5, "q_max": 2.5, "q_count": 5})
+            names = {k: "--" + k.replace("_", "-") for k in keys}
+            argv = [f"{names[k]}={v!r}" for k, v in settings.items()]
         start = time.perf_counter()
         assert main(["analyze", path, *argv]) == 1
         assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {field}") and "must be at most 1,000,000" in err
+        assert capsys.readouterr().err == f"error: {names[key]}: {message.format(**names)}\n"
+
+    @pytest.mark.parametrize("key", ["q_min", "q_count", "tol"])
+    def test_a_null_scan_field_is_rejected(self, tmp_path, key):
+        path = write_problem(tmp_path, scan={"q_min": -1.0, "q_max": 1.0, key: None})
+        with pytest.raises(ProblemFileError, match="got None") as exc:
+            load_problem(path)
+        assert exc.value.field == f"scan.{key}"
 
     def test_missing_field_path(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -499,6 +523,17 @@ class TestAnalyze:
         )
         assert main(["analyze", path, "--q-min", "-40", "--q-max", "40"]) == 3
 
+    def test_a_nan_tol_is_an_error_not_a_pass(self, tmp_path, capsys):
+        # E < -nan holds nowhere: the candidate above was reported consistent, exit 0
+        path = write_problem(
+            tmp_path,
+            scale={"kind": "uniform", "start": 0, "end": 4, "step": 1},
+            t1=4.0,
+            lagrangian="r^2 - 0.001*r^4",
+        )
+        assert main(["analyze", path, "--q-min", "-40", "--q-max", "40", "--tol", "nan"]) == 1
+        assert capsys.readouterr().err == "error: --tol: must be finite\n"
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_q_count_flag_below_one_rejected(self, tmp_path, count, capsys):
         path = write_problem(tmp_path)
@@ -614,6 +649,29 @@ class TestAnalyze:
                 "E",
                 "slope_kind",
             }
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["analyze"], 1),
+            (["analyze", "problem.json", "--q-count", "abc"], 1),
+            (["frobnicate"], 1),
+            ([], 1),
+            (["--help"], 0),
+            (["analyze", "--help"], 0),
+            (["--version"], 0),
+        ],
+    )
+    def test_usage_errors_exit_one(self, capsys, argv, code):
+        # argparse raises SystemExit(2), which is the non-convergence code
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "usage: tsvar" in captured.err and "error:" in captured.err
+        else:
+            assert captured.out and not captured.err
 
 
 class TestParserReuse:

@@ -309,9 +309,26 @@ def test_q_count_is_bounded_before_allocating():
         default_q_grid([0.0, 1.0], count=10**12)
 
 
+def test_a_scan_tolerance_must_be_a_nonnegative_number():
+    P = VariationalProblem(make_harmonic(10), 0.0, 1.0, parse_lagrangian("r^2 - r^4"), 0.0, 0.0)
+    zero = P.zero_trajectory()
+    assert len(weierstrass_scan(P, zero, q_grid=[-3.0, 3.0])) == 20
+    # E < -nan holds nowhere, so a NaN tolerance would hide all 20 violations
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(InvalidParameter, match="tol must be nonnegative"):
+            weierstrass_scan(P, zero, q_grid=[-3.0, 3.0], tol=tol)
+
+
 def test_a_default_q_grid_beyond_the_float_range_is_an_error():
-    with pytest.raises(InvalidParameter, match="slopes up to 1e[+]200 overflow the default q grid"):
-        default_q_grid([-1e200, 1e200])
+    with pytest.raises(InvalidParameter, match="slopes up to 1e[+]308 overflow the default q grid"):
+        default_q_grid([-1e308, 1e308])
+
+
+def test_a_default_q_grid_spans_slopes_whose_squares_overflow():
+    # np.std squares the slopes, which overflows above about 1.3e154
+    grid = default_q_grid([-1e200, 1e200])
+    assert grid[[0, -1]] == pytest.approx([-6e200, 6e200], rel=1e-15)
+    assert {-1e200, 1e200} <= set(grid.tolist()) and np.isfinite(grid).all()
 
 
 def test_convexity_x_samples_span_the_float_range():
