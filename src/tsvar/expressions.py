@@ -380,44 +380,51 @@ def _guard(node: Guard, env: Mapping[str, Number]) -> Number:
 
 
 def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> tuple[Any, Optional[TsvarError]]:
-    """fn over the rows of env's values, broadcast together and flattened in C order.
+    """fn over the rows of env's values, broadcast together in C order.
 
-    fn maps a dict of equal-length float columns to an array, a float, or a
-    tuple of them; it is evaluated on all rows at once. Returns (out, error).
-    Without a DomainError or NonDifferentiablePoint, error is None and out is
-    broadcast to env's shape. Otherwise error is the one a loop over the rows
-    would meet first: fn is re-run on the rows before the first bad row its
-    error names until those rows evaluate cleanly. error.index is then that
-    row, its message gives the row's values, and out covers the rows before
-    it, flattened. out is None where fn fails even on no rows (a failing
-    constant sub-expression).
+    fn maps a dict of float arrays to an array, a float, or a tuple of them.
+    It is called once on env's values as given, so each node of an
+    expression spans only the axes of its operands. Returns (out, error).
+    Without a DomainError or NonDifferentiablePoint, error is None and out
+    is read-only, broadcast to env's shape. Otherwise error is the one a
+    loop over the rows would meet first: the values are flattened into rows
+    and fn is re-run on the rows before the first bad row its error names
+    until those rows evaluate cleanly. error.index is then that row, its
+    message gives the row's values, and out covers the rows before it. out
+    is None where fn fails even on no rows (a failing constant sub-expression).
     """
     names = list(env)
-    full = np.broadcast_arrays(*(np.asarray(env[k], dtype=float) for k in names))
-    columns = [c.ravel() for c in full]
-    stop, error = columns[0].size, None
-    while True:
-        try:
-            with np.errstate(all="ignore"):
-                out = fn({k: c[:stop] for k, c in zip(names, columns)})
-            break
-        except (DomainError, NonDifferentiablePoint) as e:
-            if stop == 0:  # fails on no rows at all: nothing for a row loop to meet
-                out = None
+    values = [np.asarray(env[k], dtype=float) for k in names]
+    shape = rows = np.broadcast(*values).shape
+    error = None
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(dict(zip(names, values)))
+    except (DomainError, NonDifferentiablePoint):
+        columns = [c.ravel() for c in np.broadcast_arrays(*values)]
+        stop = columns[0].size
+        while True:
+            try:
+                with np.errstate(all="ignore"):
+                    out = fn({k: c[:stop] for k, c in zip(names, columns)})
                 break
-            stop, error = e.index, e
-    shape = full[0].shape if error is None else (stop,)
+            except (DomainError, NonDifferentiablePoint) as e:
+                if stop == 0:  # fails on no rows at all: nothing for a row loop to meet
+                    out = None
+                    break
+                stop, error = e.index, e
+        rows = (stop,)  # every row if fn failed only on values that no row holds
+        if error is not None:
+            shape = rows
+            where = ", ".join(f"{k}={float(c[stop])!r}" for k, c in zip(names, columns))
+            error = type(error)(f"{error.args[0]} at {where}")
+            error.index = stop
     if out is not None:
         out = (
-            tuple(np.broadcast_to(o, (stop,)).reshape(shape) for o in out)
+            tuple(np.broadcast_to(o, rows).reshape(shape) for o in out)
             if isinstance(out, tuple)
-            else np.broadcast_to(out, (stop,)).reshape(shape)
+            else np.broadcast_to(out, rows).reshape(shape)
         )
-    if error is not None:
-        where = ", ".join(f"{k}={float(c[stop])!r}" for k, c in zip(names, columns))
-        located = type(error)(f"{error.args[0]} at {where}")
-        located.index = stop
-        error = located
     return out, error
 
 
@@ -585,15 +592,15 @@ class Lagrangian:
         return self._first + (derivative(fx, "x"), derivative(fx, "r"), derivative(fr, "r"))
 
     def eval(self, t: Number, x: Number, r: Number) -> Number:
-        """f(t, x, r); array arguments are broadcast and evaluated row by row (see eval_rows)."""
+        """f(t, x, r); array arguments are broadcast together (see eval_rows)."""
         return self._evaluate((self.ast,), t, x, r)[0]
 
     def partials(self, t: Number, x: Number, r: Number) -> tuple[Number, Number, Number]:
         """(f, f_x, f_r) at (t, x, r).
 
         f is evaluated first, so its own domain errors come before those of
-        the derivatives. Array arguments are broadcast and evaluated row by
-        row, like eval.
+        the derivatives. Array arguments are broadcast together, as in
+        eval.
         """
         return self._evaluate(self._first, t, x, r)
 

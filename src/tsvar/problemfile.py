@@ -53,32 +53,24 @@ from .weierstrass import (
 
 @dataclass(frozen=True)
 class ScanConfig:
+    """Scan settings, checked when built (see _checked_scan_settings); errors name the field."""
+
     q_min: Optional[float] = None
     q_max: Optional[float] = None
     q_count: int = DEFAULT_Q_COUNT
     tol: float = 1e-9
 
+    def __post_init__(self):
+        given = {k: v for k, v in vars(self).items() if v is not None}
+        _checked_scan_settings(given, lambda key: key)
+
     def overlay(self, values: dict, name: Callable[[str], str]) -> "ScanConfig":
         """This config with the settings in values laid over it; other keys are ignored.
 
-        Each setting is checked first: q_min < q_max are finite and given together,
-        q_count is an integer from 1 to MAX_Q_COUNT, and tol is finite and at least 0.
-        An error names a setting as name(key), its file field or its flag.
+        Each setting is checked first (see _checked_scan_settings). An error
+        names a setting as name(key), its file field or its flag.
         """
-        parsers = {"q_min": _as_number, "q_max": _as_number, "q_count": _as_int, "tol": _as_number}
-        new = {k: parse(values[k], name(k)) for k, parse in parsers.items() if k in values}
-        if ("q_min" in new) != ("q_max" in new):
-            given, other = ("q_min", "q_max") if "q_min" in new else ("q_max", "q_min")
-            raise ProblemFileError(name(given), f"must be given together with {name(other)}")
-        if "q_min" in new and new["q_min"] >= new["q_max"]:
-            raise ProblemFileError(name("q_min"), f"must be below {name('q_max')}")
-        if new.get("q_count", 1) < 1:
-            raise ProblemFileError(name("q_count"), "must be at least 1")
-        if new.get("q_count", 1) > MAX_Q_COUNT:
-            raise ProblemFileError(name("q_count"), f"must be at most {MAX_Q_COUNT:,}")
-        if new.get("tol", 0.0) < 0.0:
-            raise ProblemFileError(name("tol"), "must be nonnegative")
-        return replace(self, **new)
+        return replace(self, **_checked_scan_settings(values, name))
 
     def q_grid(self) -> Optional[np.ndarray]:
         """The fixed comparison-slope grid, or None to derive one from the trajectory."""
@@ -93,6 +85,29 @@ class LoadedProblem:
     trajectory: Optional[Trajectory]
     scan: ScanConfig
     path: str
+
+
+def _checked_scan_settings(values: dict, name: Callable[[str], str]) -> dict:
+    """The scan settings in values, parsed and checked; other keys are ignored.
+
+    q_min < q_max are finite and given together, q_count is an integer from
+    1 to MAX_Q_COUNT, and tol is finite and at least 0. An error names a
+    setting as name(key).
+    """
+    parsers = {"q_min": _as_number, "q_max": _as_number, "q_count": _as_int, "tol": _as_number}
+    new = {k: parse(values[k], name(k)) for k, parse in parsers.items() if k in values}
+    if ("q_min" in new) != ("q_max" in new):
+        given, other = ("q_min", "q_max") if "q_min" in new else ("q_max", "q_min")
+        raise ProblemFileError(name(given), f"must be given together with {name(other)}")
+    if "q_min" in new and new["q_min"] >= new["q_max"]:
+        raise ProblemFileError(name("q_min"), f"must be below {name('q_max')}")
+    if new.get("q_count", 1) < 1:
+        raise ProblemFileError(name("q_count"), "must be at least 1")
+    if new.get("q_count", 1) > MAX_Q_COUNT:
+        raise ProblemFileError(name("q_count"), f"must be at most {MAX_Q_COUNT:,}")
+    if new.get("tol", 0.0) < 0.0:
+        raise ProblemFileError(name("tol"), "must be nonnegative")
+    return new
 
 
 def _need(obj: dict, key: str, field: str):

@@ -21,8 +21,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameter, NonDifferentiablePoint
-from .expressions import Lagrangian, eval_ast, eval_rows
+from .errors import DomainError, InvalidParameter
+from .expressions import Lagrangian, Number, check, eval_ast, eval_rows
 from .timescale import evenly_spaced
 from .variational import Trajectory, VariationalProblem, el_residual
 from .variational import _LEFT, _RIGHT, _TWO_SIDED, _rows
@@ -149,23 +149,30 @@ class AnalysisReport:
     verdict: Verdict
 
 
-def excess(lagr: Lagrangian, t: float, x: float, r: float, q: float) -> float:
+def excess(lagr: Lagrangian, t: Number, x: Number, r: Number, q: Number) -> Number:
     """E(t, x, r, q) = f(t,x,q) - f(t,x,r) - (q-r) f_r(t,x,r).
 
-    An E that overflows although f and f_r are finite raises DomainError.
+    Arrays are broadcast together as in Lagrangian.eval, and each term spans
+    only the axes of its own arguments: f and f_r at a column of (t, x, r)
+    rows are evaluated once for a whole row of q. Scalars give a float. An
+    error is the one a loop over the broadcast rows meets first, each row
+    evaluating f at q, then f, f_x and f_r at r (see eval_rows), and names
+    that row's t, x, r and q; so does the DomainError of an E that
+    overflows although f and f_r are finite.
     """
-    f_at_q = lagr.eval(t, x, q)
-    f_at_r, _, f_r = lagr.partials(t, x, r)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(f_at_q - f_at_r - (q - r) * f_r)
-    if not math.isfinite(value):
-        raise _excess_overflow(lagr, t, x, r, q)
-    return value
 
+    def row(c: dict):
+        f_at_q = eval_ast(lagr.ast, {"t": c["t"], "x": c["x"], "r": c["q"]})
+        at_r = {"t": c["t"], "x": c["x"], "r": c["r"]}
+        f_at_r, _, slope = (eval_ast(a, at_r) for a in lagr._first)
+        value = f_at_q - f_at_r - (c["q"] - c["r"]) * slope
+        check(~np.isfinite(value), DomainError, f"overflow in the excess of '{lagr.source}'")
+        return value
 
-def _excess_overflow(lagr: Lagrangian, t: float, x: float, r: float, q: float) -> DomainError:
-    where = ", ".join(f"{k}={float(v)!r}" for k, v in zip("txrq", (t, x, r, q)))
-    return DomainError(f"overflow in the excess of '{lagr.source}' at {where}")
+    out, error = eval_rows(row, {"t": t, "x": x, "r": r, "q": q})
+    if error is not None:
+        raise error
+    return float(out) if out.ndim == 0 else out
 
 
 # Rows of one block of the convexity sweep or of the excess scan: the
@@ -255,43 +262,23 @@ def weierstrass_scan(
     Every sample row of the functional is visited: each point of [t0, t1)
     with x(sigma(t)) and its right-going slope, and a left limit (x(t), r-)
     at registered breaks, at a left-dense window end and at the end of a
-    dense run. f and f_r are computed once per row and E over rows x q, a
-    block of rows at a time; a domain error names the row and q where a
-    loop over rows and q, as in excess(), would fail first. An E that
-    overflows although f and f_r are finite raises DomainError naming its
-    first row and q, unless evaluating f or f_r fails in the same block of
-    rows. Violations are sorted by (t, q) so concurrent evaluation would
-    merge deterministically.
+    dense run. Each block of rows is one excess() call over rows x q, so an
+    error is the one excess() meets first row by row. Violations are sorted
+    by (t, q) so concurrent evaluation would merge deterministically.
     """
     if not len(q_grid):
         raise InvalidParameter("q_grid must be nonempty")
+    q = np.asarray(q_grid, dtype=float)
+    if not np.isfinite(q).all():
+        raise InvalidParameter("q_grid must be finite")
     if not tol >= 0:  # NaN too, which would find no violation
         raise InvalidParameter("tol must be nonnegative")
-    lagr = problem.lagrangian
-    q = np.asarray(q_grid, dtype=float)
     t, xs, r, kind, _ = _rows(problem, x)
     block = max(1, _BLOCK_ROWS // q.size)
     hits = []
     for start in range(0, t.size, block):
         rows = slice(start, start + block)
-        tb, xb, rb = t[rows, None], xs[rows, None], r[rows, None]
-        try:
-            f_q = lagr.eval(tb, xb, q)
-            stop, error = tb.shape[0], None
-        except (DomainError, NonDifferentiablePoint) as e:
-            # excess() evaluates f at q before the partials at r, row by row
-            row, col = divmod(e.index, q.size)
-            stop, error = row + (col > 0), e
-        if stop:
-            f, _, f_r = lagr.partials(tb[:stop], xb[:stop], rb[:stop])
-        if error is not None:
-            raise error
-        with np.errstate(over="ignore", invalid="ignore"):
-            E = f_q - f - (q - rb) * f_r
-        overflow = ~np.isfinite(E)
-        if overflow.any():
-            row, col = divmod(int(np.argmax(overflow)), q.size)
-            raise _excess_overflow(lagr, tb[row, 0], xb[row, 0], rb[row, 0], q[col])
+        E = excess(problem.lagrangian, t[rows, None], xs[rows, None], r[rows, None], q)
         i, j = np.nonzero(E < -tol)
         hits.append((i + start, j, E[i, j]))
     i, j, e = (np.concatenate(column) for column in zip(*hits))
@@ -319,6 +306,8 @@ def default_q_grid(slopes: Iterable[float], count: int = DEFAULT_Q_COUNT) -> np.
     machine checkable; the default covers a generous neighbourhood of the
     trajectory's own slopes and always includes those slopes exactly.
     """
+    if count < 1:
+        raise InvalidParameter(f"q count {count} is below 1")
     if count > MAX_Q_COUNT:
         raise InvalidParameter(f"q count {count} exceeds the limit of {MAX_Q_COUNT:,}")
     s = np.asarray(list(slopes), dtype=float)

@@ -131,6 +131,23 @@ class TestProblemFileLoading:
             load_problem(str(path))
         assert str(exc.value) == "lagrangian: missing required field"
 
+    @pytest.mark.parametrize(
+        "fields, key, message",
+        [
+            ({"q_min": 1.0}, "q_min", "must be given together with q_max"),
+            ({"q_max": 1.0}, "q_max", "must be given together with q_min"),
+            ({"q_min": 1.0, "q_max": -1.0}, "q_min", "must be below q_max"),
+            ({"q_count": 0}, "q_count", "must be at least 1"),
+            ({"q_count": 10**7}, "q_count", "must be at most 1,000,000"),
+            ({"tol": math.nan}, "tol", "must be finite"),
+            ({"tol": -1.0}, "tol", "must be nonnegative"),
+        ],
+    )
+    def test_a_config_built_directly_checks_its_fields(self, fields, key, message):
+        with pytest.raises(ProblemFileError) as exc:
+            ScanConfig(**fields)
+        assert (exc.value.field, str(exc.value)) == (key, f"{key}: {message}")
+
     def test_a_q_span_beyond_the_float_range_gives_a_finite_grid(self):
         grid = ScanConfig(q_min=-1e308, q_max=1e308, q_count=5).q_grid()
         assert grid.tolist() == [-1e308, -5e307, 0.0, 5e307, 1e308]

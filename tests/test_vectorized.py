@@ -37,6 +37,7 @@ from tsvar.expressions import (
     Var,
     derivative,
     eval_ast,
+    eval_rows,
 )
 from tsvar.variational import _rows
 from tsvar.weierstrass import (
@@ -197,6 +198,69 @@ def test_array_eval_and_partials_match_the_scalar_path(ast, rows):
         for k, column in enumerate(got):
             assert np.shape(column) == t.shape
             _assert_rows_close(column, [w[k] for w in want], scales)
+
+
+def excess_loop(lagr, t, x, r, q):
+    """E at one row through the scalar evaluator: f at q, then the partials at r."""
+    f_at_q = lagr.eval(t, x, q)
+    f_at_r, _, f_r = lagr.partials(t, x, r)
+    value = f_at_q - f_at_r - (q - r) * f_r
+    if not math.isfinite(value):
+        raise DomainError("overflow in the excess")
+    return value
+
+
+_QS = (-1.0, 0.0, 0.5, 2.0)
+
+
+@settings(max_examples=200)
+@given(ast=_ASTS, rows=_ROWS)
+def test_array_excess_matches_the_scalar_loop(ast, rows):
+    lagr = Lagrangian(ast, ast.to_source())
+    t, x, r = (np.array(column)[:, None] for column in zip(*rows))
+    # the loop runs over rows x q in C order, the order of the array's flat index
+    pairs = [(*row, q) for row in rows for q in _QS]
+    scalar, error = outcomes(lambda *pair: excess_loop(lagr, *pair), pairs)
+    if error is not None:
+        with pytest.raises(error) as info:
+            excess(lagr, t, x, r, np.array(_QS))
+        assert info.value.index == len(scalar)
+        return
+    got = excess(lagr, t, x, r, np.array(_QS))
+    assert got.shape == (len(rows), len(_QS))
+    fr = derivative(ast, "r")
+    scales = [
+        max(
+            _magnitude(ast, {"t": t_, "x": x_, "r": q}),
+            _magnitude(ast, {"t": t_, "x": x_, "r": r_}),
+            abs(q - r_) * _magnitude(fr, {"t": t_, "x": x_, "r": r_}),
+        )
+        for t_, x_, r_, q in pairs
+    ]
+    _assert_rows_close(got.ravel(), scalar, scales)
+
+
+def test_the_scan_evaluates_each_block_once_over_rows_x_q(monkeypatch):
+    calls = []
+
+    def spy(fn, env):
+        def seen(columns):
+            calls.append({k: np.shape(v) for k, v in columns.items()})
+            return fn(columns)
+
+        out, error = eval_rows(seen, env)
+        calls.append(out)
+        return out, error
+
+    problem = VariationalProblem(
+        make_uniform(0.0, 2.0, 0.25), 0.0, 2.0, parse_lagrangian("r^2 - r^4 + t*x"), 0.0, 0.0
+    )
+    rows = _rows(problem, problem.zero_trajectory())[0].size
+    monkeypatch.setattr(weierstrass, "eval_rows", spy)
+    weierstrass_scan(problem, problem.zero_trajectory(), [-1.0, 0.0, 1.0])
+    shapes, E = calls
+    assert shapes == {"t": (rows, 1), "x": (rows, 1), "r": (rows, 1), "q": (3,)}
+    assert E.shape == (rows, 3) and not E.flags.writeable
 
 
 class TestArrayErrors:

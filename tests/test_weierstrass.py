@@ -69,6 +69,24 @@ class TestExcess:
         with pytest.raises(DomainError, match=r"^overflow in the excess of '1e308\*sin\(r\)'"):
             excess(parse_lagrangian("1e308*sin(r)"), 0.0, 0.0, 0.0, 2.5)
 
+    def test_an_error_of_f_at_q_names_the_row_and_q(self):
+        L = parse_lagrangian("log(r)")
+        message = r"^log of a non-positive value in 'log\(r\)' at t=0\.0, x=0\.0, r=1\.0, q=-1\.0$"
+        with pytest.raises(DomainError, match=message):
+            excess(L, 0.0, 0.0, 1.0, -1.0)
+        # a scan meets it at its first row: t=0, where x^sigma and the slope are 1
+        P = VariationalProblem(make_uniform(0.0, 2.0, 1.0), 0.0, 2.0, L, 0.0, 2.0)
+        x = GridFunction.from_callable(P.scale, lambda t: t)
+        with pytest.raises(DomainError, match=message.replace("x=0", "x=1")):
+            weierstrass_scan(P, x, q_grid=[2.0, -1.0])
+
+    def test_gives_a_float_for_scalars_and_a_read_only_array_for_arrays(self):
+        L = parse_lagrangian("r^2 - r^4 + t*x")
+        assert type(excess(L, 0.0, 0.0, 0.0, 2.0)) is float
+        E = excess(L, np.array([[0.0], [1.0]]), 0.5, np.array([[0.0], [1.0]]), [-2.0, 0.5, 2.0])
+        assert E.shape == (2, 3) and not E.flags.writeable
+        assert E[1, 2] == pytest.approx(excess(L, 1.0, 0.5, 1.0, 2.0), rel=1e-15)
+
 
 class TestConvexityCondition:
     def test_convex_quadratic_passes(self, harmonic_problem):
@@ -213,6 +231,19 @@ class TestScan:
         with pytest.raises(DomainError, match=r"at t=1\.0, x=3\.14159\d*, r=3\.14159\d*, q=0\.5$"):
             weierstrass_scan(P, x, q_grid=[0.5, 1.0])
 
+    def test_an_overflow_before_a_later_domain_error_is_named_first(self):
+        # the log fails at t = 2, but a loop over the rows meets the overflow at t = 0
+        L = parse_lagrangian("1e308*sin(r) + log(1.5 - t)")
+        P = VariationalProblem(make_points([0.0, 1.0, 2.0, 3.0]), 0.0, 3.0, L, 0.0, 0.0)
+        message = (
+            r"^overflow in the excess of '1e308\*sin\(r\) \+ log\(1\.5 - t\)' "
+            r"at t=0\.0, x=0\.0, r=0\.0, q=-2\.5$"
+        )
+        with pytest.raises(DomainError, match=message):
+            weierstrass_scan(P, P.zero_trajectory(), q_grid=[-2.5])
+        with pytest.raises(DomainError, match=message):
+            excess(L, 0.0, 0.0, 0.0, -2.5)
+
     def test_convex_integrand_never_violates(self, rng):
         # excess of an integrand convex in the slope is a perfect square here
         P = VariationalProblem(
@@ -301,6 +332,24 @@ class TestQScaleCase:
         # oracle: sum over {1,2,4,8} of (q-1) t * (t * 1)
         oracle = sum((2.0 - 1.0) * t * t for t in (1.0, 2.0, 4.0, 8.0))
         assert functional(P, x) == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_a_q_count_below_one_is_rejected(count, harmonic_problem):
+    with pytest.raises(InvalidParameter, match=f"q count {count} is below 1"):
+        default_q_grid([0.0, 1.0], count=count)
+    x = harmonic_problem.zero_trajectory()
+    with pytest.raises(InvalidParameter, match=f"q count {count} is below 1"):
+        classify_candidate(harmonic_problem, x, q_count=count)
+
+
+@pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_q_grid_is_rejected(q):
+    P = VariationalProblem(make_harmonic(10), 0.0, 1.0, parse_lagrangian("r^2 - r^4"), 0.0, 0.0)
+    with pytest.raises(InvalidParameter, match="^q_grid must be finite$"):
+        weierstrass_scan(P, P.zero_trajectory(), q_grid=[q])
+    with pytest.raises(InvalidParameter, match="^q_grid must be finite$"):
+        weierstrass_scan(P, P.zero_trajectory(), q_grid=[-1.0, q, 1.0])
 
 
 def test_q_count_is_bounded_before_allocating():
