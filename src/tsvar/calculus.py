@@ -145,6 +145,15 @@ class GridFunction:
             column.setflags(write=False)
         return SlopeTable(two_sided, right, left)
 
+    @cached_property
+    def sample_rows(self) -> dict:
+        """The integrand sample tables of variational._rows, by (problem scale, i0, i1).
+
+        Empty until a problem first samples this trajectory; each table is a
+        pure function of x, the scale and the window, so it is built once.
+        """
+        return {}
+
 
 class SlopeTable(NamedTuple):
     """x^Delta at every node of a scale, one read-only float64 array per rule.

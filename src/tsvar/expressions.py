@@ -445,14 +445,14 @@ def _is_num(node: ExprAst, value: float) -> bool:
     return node.__class__ is Num and node.value == value
 
 
-def _varies(node: ExprAst) -> bool:
-    """Whether node contains a variable."""
+def _varies(node: ExprAst, name: Optional[str] = None) -> bool:
+    """Whether node contains a variable, or the variable name when one is given."""
     kind = node.__class__
     if kind is Num or kind is Var:
-        return kind is Var
+        return kind is Var and (name is None or node.name == name)
     if kind is BinOp:
-        return _varies(node.lhs) or _varies(node.rhs)
-    return (kind is Guard and _varies(node.test)) or _varies(node.arg)
+        return _varies(node.lhs, name) or _varies(node.rhs, name)
+    return (kind is Guard and _varies(node.test, name)) or _varies(node.arg, name)
 
 
 # Builders of derivative nodes that drop 0 terms and factors of 1.

@@ -117,8 +117,25 @@ def _rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray, ...]:
     left of each left-dense node in (t0, t1] that is a registered break,
     the window end, or right-scattered. It precedes the right-going row at
     the same t.
+
+    The table is built once per trajectory, problem scale object and window,
+    and kept in x.sample_rows: the functional, the EL residual and the
+    excess scan of one analysis share it. Its arrays are read-only. A
+    trajectory on a scale whose points or dense masks differ from the
+    problem's raises InvalidParameter.
     """
+    key = (problem.scale, *problem.window())
+    rows = x.sample_rows.get(key)
+    if rows is None:
+        rows = x.sample_rows[key] = _build_rows(problem, x)
+    return rows
+
+
+def _build_rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray, ...]:
+    """The table of _rows, built from the slope table of x."""
     ts = problem.scale
+    if x.scale is not ts and not all(map(np.array_equal, _nodes(x.scale), _nodes(ts))):
+        raise InvalidParameter("the trajectory is sampled on another scale than the problem's")
     pts, v, mu = ts.points, x.values, ts.mu_values()
     rd, ld = ts.right_dense_mask, ts.left_dense_mask
     slopes = x.slope_table
@@ -142,13 +159,21 @@ def _rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray, ...]:
     closes[-1] = ld[i1]
     at = np.flatnonzero(closes) + 1
     left = i0 + at
-    return (
+    rows = (
         np.insert(t, at, pts[left]),
         np.insert(xs, at, v[left]),
         np.insert(r, at, slopes.left[left]),
         np.insert(kind, at, _LEFT),
         np.insert(weight, at, 0.5 * gap[at - 1]),
     )
+    for column in rows:
+        column.setflags(write=False)
+    return rows
+
+
+def _nodes(ts: TimeScale) -> tuple[np.ndarray, ...]:
+    """The arrays that fix a scale's sample rows: its points and dense masks."""
+    return ts.points, ts.right_dense_mask, ts.left_dense_mask
 
 
 def functional(problem: VariationalProblem, x: Trajectory) -> float:

@@ -13,6 +13,7 @@ they ever make.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidParameter
-from .expressions import Lagrangian, Number, check, eval_ast, eval_rows
+from .expressions import Lagrangian, Number, _varies, check, eval_ast, eval_rows
 from .timescale import evenly_spaced
 from .variational import Trajectory, VariationalProblem, el_residual
 from .variational import _LEFT, _RIGHT, _TWO_SIDED, _rows
@@ -197,6 +198,11 @@ def check_convexity_condition(
     found, in deterministic scan order (t, x, r1, r2, gamma), with the
     number of checks made up to it; a domain error is raised only if no
     counterexample precedes it.
+
+    An f without t makes the same checks at every point, bit for bit, so
+    only the first point is evaluated; the report is the one a sweep of all
+    points gives, and on success checks counts the checks of every point
+    the verdict covers.
     """
     if not len(x_samples) or not len(r_samples) or not len(gamma_samples):
         raise InvalidParameter("sample lists must be nonempty")
@@ -224,11 +230,12 @@ def check_convexity_condition(
         lhs = f(c["g"] * c["r1"] + (1.0 - c["g"]) * c["r2"])
         return lhs, c["g"] * f1 + (1.0 - c["g"]) * f2
 
+    swept = points if _varies(lagr.ast, "t") else points[:1]
     checks = 0
     # the first point alone: a Lagrangian that is not convex in r mostly fails there
-    edges = sorted({0, *range(1, points.size, block), points.size})
+    edges = sorted({0, *range(1, swept.size, block), swept.size})
     for start, stop in zip(edges, edges[1:]):
-        t = points[start:stop, None, None, None]
+        t = swept[start:stop, None, None, None]
         env = {"t": t, "x": x_col, "r1": r1, "r2": r2, "g": g}
         sides, error = eval_rows(midpoint_sides, env)
         if sides is not None:
@@ -248,7 +255,7 @@ def check_convexity_condition(
         if error is not None:
             raise error
         checks += t.shape[0] * per_point
-    return ConvexityReport(True, None, checks)
+    return ConvexityReport(True, None, points.size * per_point)
 
 
 def weierstrass_scan(
@@ -306,6 +313,8 @@ def default_q_grid(slopes: Iterable[float], count: int = DEFAULT_Q_COUNT) -> np.
     machine checkable; the default covers a generous neighbourhood of the
     trajectory's own slopes and always includes those slopes exactly.
     """
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise InvalidParameter(f"q count {count!r} is not an integer")
     if count < 1:
         raise InvalidParameter(f"q count {count} is below 1")
     if count > MAX_Q_COUNT:

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from tsvar import ProblemFileError, cli, make_harmonic, weierstrass
+from tsvar import ProblemFileError, cli, make_harmonic, variational, weierstrass
 from tsvar.cli import main
 from tsvar.problemfile import ScanConfig, load_problem, serialize_report
 
@@ -639,6 +639,17 @@ class TestAnalyze:
         main(["analyze", path, "--report", str(report)])
         text = report.read_text()
         assert serialize_report(json.loads(text)) == text
+
+    @pytest.mark.parametrize("lagrangian", ["r^2 - r^4", "r^2 + t*x^2"])
+    def test_one_op_builds_the_sample_rows_once(self, tmp_path, monkeypatch, lagrangian):
+        # the EL residual, the q grid, the excess scan and the functional share one table
+        builds = []
+        build = variational._build_rows
+        monkeypatch.setattr(variational, "_build_rows", lambda P, x: builds.append(1) or build(P, x))
+        trajectory = {"kind": "expr", "formula": "t*(1 - t)"}
+        path = write_problem(tmp_path, lagrangian=lagrangian, trajectory=trajectory)
+        main(["analyze", path, "--report", str(tmp_path / "analysis.json")])
+        assert len(builds) == 1
 
     def test_report_field_names(self, tmp_path):
         report = tmp_path / "analysis.json"

@@ -16,6 +16,7 @@ from tsvar import (
     PointNotInScale,
     SingularJacobian,
     VariationalProblem,
+    classify_candidate,
     delta_derivative,
     el_residual,
     find_spike_below,
@@ -32,8 +33,9 @@ from tsvar import (
     spike_perturbation,
     union,
 )
+from tsvar import variational
 from tsvar.expressions import Lagrangian
-from tsvar.variational import _newton_step, _window_state
+from tsvar.variational import _newton_step, _rows, _window_state
 from conftest import SMOOTH_TEMPLATES, random_discrete_scale
 
 
@@ -128,6 +130,66 @@ class TestFunctional:
         x = GridFunction(ts, vals)
         marked = x.with_break_points((float(ts.points[4]),))
         assert functional(P, x) == functional(P, marked)
+
+
+class TestTrajectoryScale:
+    @pytest.mark.parametrize("n_max", [10, 80])
+    def test_a_trajectory_on_another_scale_is_rejected(self, harmonic_problem, n_max):
+        # harmonic(10) once failed to broadcast; harmonic(80) silently gave L = 0
+        x = GridFunction.zeros(make_harmonic(n_max))
+        with pytest.raises(InvalidParameter, match="another scale"):
+            functional(harmonic_problem, x)
+
+    def test_classification_rejects_it_too(self, harmonic_problem):
+        # it once reported 1,600 violations computed on the wrong points
+        x = GridFunction.zeros(make_harmonic(80))
+        with pytest.raises(InvalidParameter, match="another scale"):
+            classify_candidate(harmonic_problem, x)
+
+    def test_other_dense_masks_are_rejected(self):
+        # the same points, once dense and once discrete
+        dense = make_dense(0.0, 1.0, 4)
+        P = VariationalProblem(dense, 0.0, 1.0, parse_lagrangian("r^2"), 0.0, 0.0)
+        x = GridFunction.zeros(make_points(dense.points))
+        with pytest.raises(InvalidParameter, match="another scale"):
+            functional(P, x)
+
+    def test_an_equal_but_distinct_scale_is_accepted(self, harmonic_problem):
+        values = [t * (1.0 - t) for t in harmonic_problem.scale.points]
+        own = GridFunction(harmonic_problem.scale, values)
+        twin = GridFunction(make_harmonic(50), values)
+        assert functional(harmonic_problem, twin) == functional(harmonic_problem, own)
+        assert classify_candidate(harmonic_problem, twin) == classify_candidate(harmonic_problem, own)
+
+
+class TestSampleRows:
+    def test_rows_are_built_once_and_read_only(self, harmonic_problem, monkeypatch):
+        builds = []
+        build = variational._build_rows
+        monkeypatch.setattr(variational, "_build_rows", lambda P, x: builds.append(1) or build(P, x))
+        x = GridFunction.from_callable(harmonic_problem.scale, lambda t: t * (1.0 - t))
+        first = _rows(harmonic_problem, x)
+        second = _rows(harmonic_problem, x)
+        assert len(builds) == 1 and all(a is b for a, b in zip(first, second))
+        for column in second:
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+
+    def test_another_window_or_scale_object_gets_its_own_rows(self, harmonic_problem):
+        ts = harmonic_problem.scale
+        x = GridFunction.from_callable(ts, lambda t: t * (1.0 - t))
+        whole = _rows(harmonic_problem, x)
+        half = VariationalProblem(ts, 0.0, 0.5, harmonic_problem.lagrangian, 0.0, x(0.5))
+        part = _rows(half, x)
+        # the rows of [0, 1/2) are the first rows of [0, 1)
+        assert part[0].size < whole[0].size and np.array_equal(part[0], whole[0][: part[0].size])
+        twin = VariationalProblem(make_harmonic(50), 0.0, 1.0, harmonic_problem.lagrangian, 0.0, 0.0)
+        same = _rows(twin, x)
+        assert all(a is not b and np.array_equal(a, b) for a, b in zip(same, whole))
+        other = VariationalProblem(make_harmonic(80), 0.0, 1.0, harmonic_problem.lagrangian, 0.0, 0.0)
+        with pytest.raises(InvalidParameter, match="another scale"):
+            _rows(other, x)
+        assert _rows(harmonic_problem, x)[0] is whole[0]
 
 
 class TestElResidual:

@@ -6,6 +6,7 @@ raised where a loop would fail.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,9 +22,13 @@ from tsvar import (
     el_residual,
     excess,
     functional,
+    make_dense,
+    make_geometric,
+    make_harmonic,
     make_points,
     make_uniform,
     parse_lagrangian,
+    union,
     weierstrass_scan,
 )
 from tsvar import weierstrass
@@ -464,3 +469,51 @@ class TestConvexitySweep:
             assert error is want_error
             if error is None:
                 assert_same_report(got, want)
+
+
+# Lagrangians without t, some failing on part of the samples
+T_FREE = ("r^2", "r^2 - r^4", "x*r + r^4", "sin(r) + cos(x)", "sqrt(r^2 + 1)", "sqrt(r) + x")
+T_FREE += ("abs(r) - r^4", "r^2/(x - 0.5)", "exp(r/3)*x^2", "log(x^2 + 1) * r^2")
+
+
+def sweep_scale(kind: str, size: int):
+    if kind == "harmonic":
+        return make_harmonic(size)
+    if kind == "geometric":
+        return make_geometric(1.0, 1.5**size, 1.5)
+    if kind == "uniform":
+        return make_uniform(0.0, 0.25 * size, 0.25)
+    dense = make_dense(0.0, 1.0, 8)  # mixed: a dense span, then isolated points
+    return union(dense, make_points(1.0 + 0.3 * np.arange(1, size + 1)))
+
+
+@settings(max_examples=150)
+@given(
+    src=st.sampled_from(T_FREE),
+    kind=st.sampled_from(("harmonic", "geometric", "uniform", "mixed")),
+    size=st.integers(2, 30),
+    x_samples=st.lists(st.integers(-8, 8).map(lambda k: k / 4), min_size=1, max_size=3),
+    r_samples=st.lists(st.integers(-8, 8).map(lambda k: k / 4), min_size=1, max_size=5),
+    gammas=st.lists(st.sampled_from((0.25, 0.5, 0.75)), min_size=1, max_size=3),
+)
+def test_a_sweep_without_t_checks_one_point_and_matches_the_full_sweep(
+    src, kind, size, x_samples, r_samples, gammas
+):
+    ts = sweep_scale(kind, size)
+    problem = VariationalProblem(ts, ts.min, ts.max, parse_lagrangian(src), 0.0, 0.0)
+    args = (x_samples, r_samples, gammas)
+    sizes = []
+
+    def spy(fn, env):
+        sizes.append(np.size(env["t"]))
+        return eval_rows(fn, env)
+
+    with mock.patch.object(weierstrass, "eval_rows", spy):
+        got, error = outcome(check_convexity_condition, problem, *args)
+    assert sizes == [1]  # the first right-scattered point alone
+    want, want_error = outcome(convexity_loop, problem, *args)
+    assert error is want_error
+    if error is None:
+        assert_same_report(got, want)
+    with mock.patch.object(weierstrass, "_varies", return_value=True):  # sweep every point
+        assert outcome(check_convexity_condition, problem, *args) == (got, error)

@@ -1,5 +1,7 @@
 """Excess function, convexity hypothesis, scans, and candidate classification."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,14 @@ class TestConvexityCondition:
         assert cx.lhs == 0.0  # f(0)
         assert cx.rhs == pytest.approx(-12.0, abs=1e-12)
 
+    def test_an_f_with_t_is_swept_past_the_first_point(self, harmonic_problem):
+        # r^2 - t*r^4 is convex in r at t = 0 only: the counterexample is at a later point
+        P = VariationalProblem(
+            harmonic_problem.scale, 0.0, 1.0, parse_lagrangian("r^2 - t*r^4"), 0.0, 0.0
+        )
+        report = classify_candidate(P, P.zero_trajectory())
+        assert not report.convexity_ok and report.convexity_counterexample.t >= 1 / 24
+
     def test_vacuous_on_dense_scale(self):
         P = VariationalProblem(
             make_dense(0.0, 1.0, 50), 0.0, 1.0, parse_lagrangian("r^2 - r^4"), 0.0, 0.0
@@ -137,7 +147,14 @@ class TestConvexityCondition:
             harmonic_problem.scale, 0.0, 1.0, parse_lagrangian("r^2"), 0.0, 0.0
         )
         report = check_convexity_condition(convex, [0.0, 1.0], [-2.0, 2.0], [0.5])
-        assert report.ok and sizes[0] == 1 and 4 * sum(sizes) == report.checks  # 4 checks a point
+        # f has no t: one block of one point, and the checks of every point (4 a point)
+        assert report.ok and sizes == [1] and report.checks == 4 * 50
+        sizes.clear()
+        with_t = VariationalProblem(
+            harmonic_problem.scale, 0.0, 1.0, parse_lagrangian("r^2 + t"), 0.0, 0.0
+        )
+        report = check_convexity_condition(with_t, [0.0, 1.0], [-2.0, 2.0], [0.5])
+        assert report.ok and sizes[0] == 1 and 4 * sum(sizes) == report.checks == 4 * 50
 
 
 class TestScan:
@@ -341,6 +358,16 @@ def test_a_q_count_below_one_is_rejected(count, harmonic_problem):
     x = harmonic_problem.zero_trajectory()
     with pytest.raises(InvalidParameter, match=f"q count {count} is below 1"):
         classify_candidate(harmonic_problem, x, q_count=count)
+
+
+@pytest.mark.parametrize("count", [2.5, float("nan"), "3", True])
+def test_a_q_count_that_is_not_an_integer_is_rejected(count):
+    with pytest.raises(InvalidParameter, match=re.escape(f"q count {count!r} is not an integer")):
+        default_q_grid([0.0, 1.0], count=count)
+
+
+def test_a_numpy_integer_q_count_is_accepted():
+    assert np.array_equal(default_q_grid([0.0, 1.0], count=np.int64(5)), default_q_grid([0.0, 1.0], 5))
 
 
 @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
