@@ -9,6 +9,10 @@ Commands:
 
 Exit codes: 0 success / consistent-with-strong-min, 1 usage or input error,
 2 solver non-convergence, 3 necessary-condition-violated, 4 hypothesis-not-met.
+
+Each cmd_* prints its summary and returns its exit code with the fields of
+its report, or None for no report; main adds the provenance and writes the
+one report.
 """
 
 from __future__ import annotations
@@ -23,14 +27,14 @@ import numpy as np
 
 from . import __version__
 from .calculus import GridFunction, delta_derivative, delta_integral, norm_strong, norm_weak
-from .errors import NonConvergence, TsvarError
+from .errors import NonConvergence, ProblemFileError, TsvarError
 from .expressions import parse_lagrangian
 from .problemfile import (
     LoadedProblem,
     ScanConfig,
+    analysis_to_document,
     build_run_report,
     load_problem,
-    make_provenance,
     write_report,
 )
 from .timescale import POINT_TOLERANCE, Side, TimeScale, make_geometric, make_harmonic, make_uniform
@@ -65,6 +69,11 @@ _VERDICT_EXIT = {
 
 INSPECT_ROW_CAP = 200
 
+# the analysis fields of an eval or solve report, which analyze fills in
+_NO_ANALYSIS = dict.fromkeys(
+    ("el_max_residual", "convexity_ok", "convexity_counterexample", "weierstrass_violations", "verdict")
+)
+
 
 def _fmt(v: float) -> str:
     return f"{v:.10g}"
@@ -93,7 +102,7 @@ def _point_rows(ts: TimeScale, t0: float, t1: float) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
-def cmd_inspect(loaded: LoadedProblem, report_path: Optional[str]) -> int:
+def cmd_inspect(loaded: LoadedProblem) -> tuple[int, dict]:
     ts = loaded.problem.scale
     t0, t1 = loaded.problem.t0, loaded.problem.t1
     rows = _point_rows(ts, t0, t1)
@@ -135,14 +144,7 @@ def cmd_inspect(loaded: LoadedProblem, report_path: Optional[str]) -> int:
         print(line)
     if len(display) > len(shown):
         print(f"... ({len(display) - len(shown)} more rows elided; use --report for the full table)")
-
-    if report_path:
-        doc = {
-            "points": rows,
-            "provenance": make_provenance(loaded.path, __version__),
-        }
-        write_report(report_path, doc)
-    return EXIT_OK
+    return EXIT_OK, {"points": rows}
 
 
 # -- eval / solve / analyze ------------------------------------------------------
@@ -154,30 +156,29 @@ def _require_trajectory(loaded: LoadedProblem):
     return loaded.trajectory
 
 
-def cmd_eval(loaded: LoadedProblem, report_path: Optional[str]) -> int:
+def _measured(problem: VariationalProblem, x) -> dict:
+    """L[x] and the strong and weak norms of x on [t0, t1]."""
+    return {
+        "functional_value": functional(problem, x),
+        "norm_strong": norm_strong(x, problem.t0, problem.t1),
+        "norm_weak": norm_weak(x, problem.t0, problem.t1),
+    }
+
+
+def cmd_eval(loaded: LoadedProblem) -> tuple[int, dict]:
     problem = loaded.problem
     x = _require_trajectory(loaded)
-    value = functional(problem, x)
-    ns = norm_strong(x, problem.t0, problem.t1)
-    nw = norm_weak(x, problem.t0, problem.t1)
+    measured = _measured(problem, x)
     admissible = is_admissible(problem, x)
-    print(f"functional value: {value!r}")
-    print(f"norm_strong:      {ns!r}")
-    print(f"norm_weak:        {nw!r}")
+    print(f"functional value: {measured['functional_value']!r}")
+    print(f"norm_strong:      {measured['norm_strong']!r}")
+    print(f"norm_weak:        {measured['norm_weak']!r}")
     print("admissible:       " + ("yes" if admissible else "no; " + "; ".join(admissible.reasons)))
-    if report_path:
-        doc = build_run_report(
-            make_provenance(loaded.path, __version__),
-            functional_value=value,
-            norm_strong=ns,
-            norm_weak=nw,
-            extra={"admissibility": {"ok": admissible.ok, "reasons": list(admissible.reasons)}},
-        )
-        write_report(report_path, doc)
-    return EXIT_OK
+    admissibility = {"ok": admissible.ok, "reasons": list(admissible.reasons)}
+    return EXIT_OK, {**measured, **_NO_ANALYSIS, "admissibility": admissibility}
 
 
-def cmd_solve(loaded: LoadedProblem, report_path: Optional[str], max_iter: int) -> int:
+def cmd_solve(loaded: LoadedProblem, max_iter: int) -> tuple[int, Optional[dict]]:
     problem = loaded.problem
     try:
         result = solve_el_discrete(problem, x_init=loaded.trajectory, max_iter=max_iter)
@@ -187,38 +188,29 @@ def cmd_solve(loaded: LoadedProblem, report_path: Optional[str], max_iter: int) 
             f"iterations: {e.iterations}, best residual max-norm: {e.residual_max!r}",
             file=sys.stderr,
         )
-        return EXIT_NONCONVERGENCE
+        return EXIT_NONCONVERGENCE, None
     x = result.trajectory
-    value = functional(problem, x)
-    ns = norm_strong(x, problem.t0, problem.t1)
-    nw = norm_weak(x, problem.t0, problem.t1)
+    measured = _measured(problem, x)
     print(f"converged in {result.iterations} Newton iteration(s)")
     print(f"el residual max-norm: {result.residual_max!r}")
-    print(f"functional value:     {value!r}")
+    print(f"functional value:     {measured['functional_value']!r}")
     print(f"second order:         {result.second_order}")
-    if report_path:
-        i0, i1 = problem.window()
-        doc = build_run_report(
-            make_provenance(loaded.path, __version__),
-            functional_value=value,
-            norm_strong=ns,
-            norm_weak=nw,
-            extra={
-                "trajectory": {
-                    "points": [float(t) for t in problem.scale.points[i0 : i1 + 1]],
-                    "values": [float(v) for v in x.values[i0 : i1 + 1]],
-                },
-                "iterations": result.iterations,
-                "residual_max": result.residual_max,
-                "second_order": result.second_order,
-                "history": [
-                    {"residual_max": res, "step": lam, "merit": merit}
-                    for res, lam, merit in result.history
-                ],
-            },
-        )
-        write_report(report_path, doc)
-    return EXIT_OK
+    i0, i1 = problem.window()
+    return EXIT_OK, {
+        **measured,
+        **_NO_ANALYSIS,
+        "trajectory": {
+            "points": [float(t) for t in problem.scale.points[i0 : i1 + 1]],
+            "values": [float(v) for v in x.values[i0 : i1 + 1]],
+        },
+        "iterations": result.iterations,
+        "residual_max": result.residual_max,
+        "second_order": result.second_order,
+        "history": [
+            {"residual_max": res, "step": lam, "merit": merit}
+            for res, lam, merit in result.history
+        ],
+    }
 
 
 def _scan_config(loaded: LoadedProblem, args) -> ScanConfig:
@@ -228,7 +220,7 @@ def _scan_config(loaded: LoadedProblem, args) -> ScanConfig:
     return loaded.scan.overlay(flags, lambda key: "--" + key.replace("_", "-"))
 
 
-def cmd_analyze(loaded: LoadedProblem, args) -> int:
+def cmd_analyze(loaded: LoadedProblem, args) -> tuple[int, dict]:
     problem = loaded.problem
     if loaded.trajectory is not None:
         x = loaded.trajectory
@@ -241,11 +233,9 @@ def cmd_analyze(loaded: LoadedProblem, args) -> int:
     report = classify_candidate(
         problem, x, q_grid=scan.q_grid(), scan_tol=scan.tol, q_count=scan.q_count
     )
-    value = functional(problem, x)
-    ns = norm_strong(x, problem.t0, problem.t1)
-    nw = norm_weak(x, problem.t0, problem.t1)
-    print(f"functional value:     {value!r}")
-    print(f"norms: strong={ns!r} weak={nw!r}")
+    measured = _measured(problem, x)
+    print(f"functional value:     {measured['functional_value']!r}")
+    print(f"norms: strong={measured['norm_strong']!r} weak={measured['norm_weak']!r}")
     print(f"el residual max-norm: {report.el_max_residual!r}")
     if report.convexity_ok:
         print("convexity hypothesis: no violation found (sampled)")
@@ -265,16 +255,7 @@ def cmd_analyze(loaded: LoadedProblem, args) -> int:
     if len(report.weierstrass_violations) > 5:
         print(f"  ... and {len(report.weierstrass_violations) - 5} more")
     print(f"verdict: {report.verdict.value}")
-    if args.report:
-        doc = build_run_report(
-            make_provenance(loaded.path, __version__),
-            functional_value=value,
-            norm_strong=ns,
-            norm_weak=nw,
-            analysis=report,
-        )
-        write_report(args.report, doc)
-    return _VERDICT_EXIT[report.verdict]
+    return _VERDICT_EXIT[report.verdict], {**measured, **analysis_to_document(report)}
 
 
 # -- repro -----------------------------------------------------------------------
@@ -516,19 +497,23 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.command == "repro":
             return cmd_repro(args.example_id)
+        if args.resolution is not None and args.resolution < 1:
+            raise ProblemFileError("--resolution", "must be at least 1")
         loaded = load_problem(args.file, resolution=args.resolution)
         if args.command == "inspect":
-            return cmd_inspect(loaded, args.report)
-        if args.command == "eval":
-            return cmd_eval(loaded, args.report)
-        if args.command == "solve":
-            return cmd_solve(loaded, args.report, args.max_iter)
-        if args.command == "analyze":
-            return cmd_analyze(loaded, args)
+            code, fields = cmd_inspect(loaded)
+        elif args.command == "eval":
+            code, fields = cmd_eval(loaded)
+        elif args.command == "solve":
+            code, fields = cmd_solve(loaded, args.max_iter)
+        else:
+            code, fields = cmd_analyze(loaded, args)
+        if args.report and fields is not None:
+            write_report(args.report, build_run_report(loaded.path, __version__, fields))
+        return code
     except TsvarError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

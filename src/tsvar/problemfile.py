@@ -203,7 +203,10 @@ def _trajectory_from_spec(spec: dict, scale: TimeScale, field: str) -> Trajector
             raise ProblemFileError(field, "'points' and 'values' must be lists of equal length")
         given = {}
         for i, (p, v) in enumerate(zip(pts, vals)):
-            given[_as_number(p, f"{field}.points[{i}]")] = _as_number(v, f"{field}.values[{i}]")
+            point = _as_number(p, f"{field}.points[{i}]")
+            if point in given:
+                raise ProblemFileError(f"{field}.points[{i}]", f"repeats the sample point {point!r}")
+            given[point] = _as_number(v, f"{field}.values[{i}]")
         keys = sorted(given)
         values = np.empty(len(scale))
         for i, t in enumerate(scale.points):
@@ -272,23 +275,7 @@ def load_problem(path: str, resolution: Optional[int] = None) -> LoadedProblem:
 # -- run reports ----------------------------------------------------------------
 
 
-def make_provenance(path: str, tool_version: str) -> dict:
-    return {
-        "file": path,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "tool_version": tool_version,
-    }
-
-
-def analysis_to_document(analysis: Optional[AnalysisReport]) -> dict:
-    if analysis is None:
-        return {
-            "el_max_residual": None,
-            "convexity_ok": None,
-            "convexity_counterexample": None,
-            "weierstrass_violations": None,
-            "verdict": None,
-        }
+def analysis_to_document(analysis: AnalysisReport) -> dict:
     cx = analysis.convexity_counterexample
     return {
         "el_max_residual": analysis.el_max_residual,
@@ -299,123 +286,81 @@ def analysis_to_document(analysis: Optional[AnalysisReport]) -> dict:
     }
 
 
-def build_run_report(
-    provenance: dict,
-    functional_value: Optional[float] = None,
-    norm_strong: Optional[float] = None,
-    norm_weak: Optional[float] = None,
-    analysis: Optional[AnalysisReport] = None,
-    extra: Optional[dict] = None,
-) -> dict:
-    doc = {
-        "functional_value": functional_value,
-        "norm_strong": norm_strong,
-        "norm_weak": norm_weak,
-        **analysis_to_document(analysis),
-        "provenance": provenance,
+def build_run_report(path: str, tool_version: str, fields: dict) -> dict:
+    """fields with the provenance of the run: the problem file, the time and the tool version."""
+    provenance = {
+        "file": path,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "tool_version": tool_version,
     }
-    if extra:
-        doc.update(extra)
-    return doc
+    return {**fields, "provenance": provenance}
+
+
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 
 def serialize_report(doc: dict) -> str:
     """Canonical rendering; serialize -> parse -> serialize is byte-identical.
 
     The text is that of json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False) + "\n" for any document with string keys, an
-    ExcessTable standing for the list of its samples as objects with the
-    keys t, x_sigma, r, q, E and slope_kind. An ExcessTable is rendered
-    column by column, each distinct float once; every other list item by
-    item. A non-finite float raises TsvarError naming its field.
+    allow_nan=False) + "\n" for any document with string keys, a top-level
+    ExcessTable value standing for the list of its samples as objects with
+    the keys t, x_sigma, r, q, E and slope_kind. An ExcessTable is rendered
+    column by column, each distinct float once (see _excess_table); every
+    other value by json's encoder, and an ExcessTable anywhere else raises
+    TypeError. A non-finite float raises TsvarError naming its field.
     """
-    out: list[str] = []
     try:
-        _write(doc, "\n", out)
-    except _NotFinite as e:
-        field = "".join(
-            f"[{part}]" if isinstance(part, int) else f".{part}" if i else part
-            for i, part in enumerate(reversed(e.path))
-        )
-        where = f"report field {field}" if e.path else "report"
-        raise TsvarError(f"{where}: {e.value!r} is not a finite number") from None
-    out.append("\n")
-    return "".join(out)
+        if not isinstance(doc, dict) or not doc:
+            return _ENCODER.encode(doc) + "\n"
+        out: list[str] = []
+        separator = "{\n  "
+        for key in sorted(doc):
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            separator = ",\n  "
+            value = doc[key]
+            if isinstance(value, ExcessTable):
+                _excess_table(value, "\n  ", out)
+            else:
+                # json escapes a newline in a string, so each raw one starts an indented line
+                out.append(_ENCODER.encode(value).replace("\n", "\n  "))
+        out.append("\n}\n")
+        return "".join(out)
+    except ValueError:
+        found = _first_non_finite(doc, None)
+        if found is None:
+            raise
+        field, value = found
+        where = "report" if field is None else f"report field {field}"
+        raise TsvarError(f"{where}: {value!r} is not a finite number") from None
+
+
+def _first_non_finite(value, field: Optional[str]) -> Optional[tuple]:
+    """(field path, value) of the first NaN or infinity in value in json's order, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (field, value)
+    if isinstance(value, ExcessTable):
+        value = [sample._asdict() for sample in value]
+    if isinstance(value, dict):
+        items = ((key if field is None else f"{field}.{key}", value[key]) for key in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{field or ''}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    for sub, item in items:
+        found = _first_non_finite(item, sub)
+        if found is not None:
+            return found
+    return None
 
 
 def write_report(path: str, doc: dict) -> None:
     text = serialize_report(doc)  # before opening, so a failed render leaves no file
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-class _NotFinite(Exception):
-    """A NaN or infinity met by _write; the keys and indices above it join path."""
-
-    def __init__(self, value: float):
-        super().__init__(value)
-        self.value = value
-        self.path: list = []  # innermost first
-
-
-def _write(value, pad: str, out: list[str]) -> None:
-    """Append the JSON text of value, whose line starts with pad (a newline and the indentation)."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        separator = "[" + inner
-        for i, item in enumerate(value):
-            out.append(separator)
-            separator = "," + inner
-            try:
-                _write(item, inner, out)
-            except _NotFinite as e:
-                e.path.append(i)
-                raise
-        out.append(pad + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        separator = "{" + inner
-        for key in sorted(value):
-            out.append(separator + encode_basestring_ascii(key) + ": ")
-            separator = "," + inner
-            try:
-                _write(value[key], inner, out)
-            except _NotFinite as e:
-                e.path.append(key)
-                raise
-        out.append(pad + "}")
-    elif isinstance(value, ExcessTable):
-        try:
-            _excess_table(value, pad, out)
-        except ValueError:  # a non-finite cell, which the samples as objects name
-            _write([sample._asdict() for sample in value], pad, out)
-    else:
-        out.append(_scalar(value))
-
-
-def _scalar(value) -> str:
-    """A JSON scalar, checked in json's order, so bool and int subclasses render as json does."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise _NotFinite(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise TsvarError(f"cannot write report {path!r}: {e.strerror}") from None
 
 
 # (report key, ExcessTable column) in sorted-key order

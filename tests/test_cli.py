@@ -191,6 +191,18 @@ class TestProblemFileLoading:
         with pytest.raises(ProblemFileError, match="no sample for scale point"):
             load_problem(path)
 
+    def test_a_repeated_sample_point_is_rejected(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path,
+            scale={"kind": "uniform", "start": 0, "end": 2, "step": 1},
+            t1=2.0,
+            trajectory={"kind": "samples", "points": [0, 1, 1, 2], "values": [0, 5, 7, 0]},
+        )
+        with pytest.raises(ProblemFileError, match=r"^trajectory\.points\[2\]: repeats"):
+            load_problem(path)
+        assert main(["eval", path]) == 1
+        assert capsys.readouterr().err.startswith("error: trajectory.points[2]: ")
+
     def test_trajectory_formula_cannot_use_slope_variables(self, tmp_path):
         path = write_problem(tmp_path, trajectory={"kind": "expr", "formula": "x + 1"})
         with pytest.raises(ProblemFileError, match="trajectory.formula"):
@@ -204,6 +216,17 @@ class TestProblemFileLoading:
         )
         assert len(load_problem(path).problem.scale) == 11
         assert len(load_problem(path, resolution=100).problem.scale) == 101
+
+    @pytest.mark.parametrize(
+        "scale",
+        [{"kind": "dense", "lo": 0.0, "hi": 1.0, "resolution": 10}, {"kind": "harmonic", "n_max": 10}],
+        ids=["dense", "harmonic"],
+    )
+    @pytest.mark.parametrize("resolution", ["0", "-7"])
+    def test_a_resolution_below_one_is_rejected(self, tmp_path, capsys, scale, resolution):
+        path = write_problem(tmp_path, scale=scale)
+        assert main(["eval", path, "--resolution", resolution]) == 1
+        assert capsys.readouterr().err == "error: --resolution: must be at least 1\n"
 
 
 class TestInspect:
@@ -651,24 +674,39 @@ class TestAnalyze:
         main(["analyze", path, "--report", str(tmp_path / "analysis.json")])
         assert len(builds) == 1
 
-    def test_report_field_names(self, tmp_path):
-        report = tmp_path / "analysis.json"
-        path = write_problem(tmp_path)
-        main(["analyze", path, "--report", str(report)])
+
+MEASURED = {"functional_value", "norm_strong", "norm_weak"}
+ANALYSIS = {"el_max_residual", "convexity_ok", "convexity_counterexample", "weierstrass_violations", "verdict"}
+SOLVE = {"trajectory", "iterations", "residual_max", "second_order", "history"}
+QUADRATIC = dict(
+    scale={"kind": "uniform", "start": 0, "end": 4, "step": 1},
+    t1=4.0,
+    lagrangian="r^2",
+    beta=4.0,
+    trajectory=None,
+)
+
+
+class TestReports:
+    @pytest.mark.parametrize(
+        "command, problem, keys",
+        [
+            ("inspect", {}, {"points"}),
+            ("eval", {}, MEASURED | ANALYSIS | {"admissibility"}),
+            ("solve", QUADRATIC, MEASURED | ANALYSIS | SOLVE),
+            ("analyze", {}, MEASURED | ANALYSIS),
+        ],
+    )
+    def test_report_field_names(self, tmp_path, command, problem, keys):
+        report = tmp_path / "report.json"
+        path = write_problem(tmp_path, **problem)
+        main([command, path, "--report", str(report)])
         doc = json.loads(report.read_text())
-        assert set(doc) == {
-            "functional_value",
-            "norm_strong",
-            "norm_weak",
-            "el_max_residual",
-            "convexity_ok",
-            "convexity_counterexample",
-            "weierstrass_violations",
-            "verdict",
-            "provenance",
-        }
+        assert set(doc) == keys | {"provenance"}
         assert set(doc["provenance"]) == {"file", "timestamp", "tool_version"}
-        if doc["weierstrass_violations"]:
+        if command in ("eval", "solve"):
+            assert all(doc[key] is None for key in ANALYSIS)
+        if command == "analyze" and doc["weierstrass_violations"]:
             assert set(doc["weierstrass_violations"][0]) == {
                 "t",
                 "x_sigma",
@@ -677,6 +715,27 @@ class TestAnalyze:
                 "E",
                 "slope_kind",
             }
+
+    def test_a_solve_that_does_not_converge_writes_no_report(self, tmp_path):
+        report = tmp_path / "solve.json"
+        path = write_problem(tmp_path, **dict(QUADRATIC, lagrangian="r^2 + x^2"))
+        assert main(["solve", path, "--max-iter", "0", "--report", str(report)]) == 2
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "target, reason",
+        [(lambda d: d / "missing" / "run.json", "No such file or directory"), (lambda d: d, "Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_an_unwritable_report_path_is_an_input_error(self, tmp_path, capsys, target, reason):
+        path = write_problem(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        report = target(out)
+        assert main(["eval", path, "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write report {str(report)!r}: {reason}\n"
+        assert [p.name for p in out.iterdir()] == []
 
 
 class TestUsage:

@@ -1,7 +1,7 @@
 """The canonical report writer against json.dumps, its reference.
 
-serialize_report renders reports itself, column by column for an
-ExcessTable and item by item for every other list; its text must equal
+serialize_report renders a top-level ExcessTable value itself, column by
+column, and every other value with json's encoder; its text must equal
 json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n" for every
 document, and a non-finite float must raise a TsvarError naming its field.
 """
@@ -202,11 +202,8 @@ def as_rows(value):
     return value
 
 
-documents_with_tables = st.recursive(
-    scalars | excess_tables(),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(strings, children, max_size=4),
-    max_leaves=12,
-)
+# a table is written only as the value of a top-level key
+documents_with_tables = st.dictionaries(strings, excess_tables() | documents, max_size=4)
 
 
 @PROPERTY
@@ -215,6 +212,17 @@ def test_excess_tables_render_as_their_rows_do(doc):
     text = serialize_report(doc)
     assert text == reference(as_rows(doc))
     assert serialize_report(json.loads(text)) == text
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [lambda table: table, lambda table: {"a": [table]}, lambda table: {"a": {"b": table}}],
+    ids=["document", "in-a-list", "in-a-dict"],
+)
+def test_a_nested_excess_table_raises_type_error(nest):
+    table = ExcessTable([0.0], [0.0], [0.0], [1.0], [-1.0], [0])
+    with pytest.raises(TypeError, match="ExcessTable is not JSON serializable"):
+        serialize_report(nest(table))
 
 
 def test_an_empty_excess_table_renders_as_an_empty_list():
