@@ -18,6 +18,7 @@ one report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -49,6 +50,7 @@ from .variational import (
 )
 from .weierstrass import (
     DEFAULT_Q_COUNT,
+    AnalysisReport,
     Verdict,
     check_convexity_condition,
     classify_candidate,
@@ -70,9 +72,7 @@ _VERDICT_EXIT = {
 INSPECT_ROW_CAP = 200
 
 # the analysis fields of an eval or solve report, which analyze fills in
-_NO_ANALYSIS = dict.fromkeys(
-    ("el_max_residual", "convexity_ok", "convexity_counterexample", "weierstrass_violations", "verdict")
-)
+_NO_ANALYSIS = dict.fromkeys(field.name for field in dataclasses.fields(AnalysisReport))
 
 
 def _fmt(v: float) -> str:
@@ -115,14 +115,9 @@ def cmd_inspect(loaded: LoadedProblem) -> tuple[int, dict]:
     i = 0
     while i < len(rows):
         row = rows[i]
-        if row["right"] == "dense" and row["mu"] == 0.0 and (
-            i + 1 < len(rows) and rows[i + 1]["left"] == "dense"
-        ):
+        if row["right"] == "dense" and i + 1 < len(rows) and rows[i + 1]["left"] == "dense":
             j = i
-            while j < len(rows) and rows[j]["right"] == "dense" and rows[j]["mu"] == 0.0:
-                j += 1
-            # absorb a dense window end into the summary row
-            if j < len(rows) and rows[j]["left"] == "dense" and rows[j]["mu"] == 0.0:
+            while j < len(rows) and rows[j]["right"] == "dense":
                 j += 1
             display.append(
                 f"{_fmt(row['t']):>14} {'':>14} {'':>14} {'0':>14}  "
@@ -226,7 +221,7 @@ def cmd_analyze(loaded: LoadedProblem, args) -> tuple[int, dict]:
         x = loaded.trajectory
         solved = None
     else:
-        solved = solve_el_discrete(problem, max_iter=args.max_iter)
+        solved = solve_el_discrete(problem)
         x = solved.trajectory
         print(f"no trajectory in file; solved ({solved.iterations} iterations, {solved.second_order})")
     scan = _scan_config(loaded, args)
@@ -479,7 +474,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--q-max", type=float, help="scan grid upper bound")
     p_an.add_argument("--q-count", type=int, help=f"scan grid size (default {DEFAULT_Q_COUNT})")
     p_an.add_argument("--tol", type=float, help="violation reporting tolerance (default 1e-9)")
-    p_an.add_argument("--max-iter", type=int, default=100, help="Newton iteration cap")
 
     p_repro = sub.add_parser("repro", help="run a built-in reproduction")
     p_repro.add_argument(

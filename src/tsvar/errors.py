@@ -55,10 +55,6 @@ class InvalidSpikeLocation(TsvarError):
     """Spike perturbation placed at a dense point or too close to the right endpoint."""
 
 
-class SingularJacobian(TsvarError):
-    """Newton step failed because the Hessian of L has a zero pivot."""
-
-
 class NonConvergence(TsvarError):
     """Newton iteration did not reach tolerance; carries the best iterate and diagnostics."""
 

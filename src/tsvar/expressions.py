@@ -339,15 +339,15 @@ def eval_ast(node: ExprAst, env: Mapping[str, Number]) -> Number:
             elif op == "*":
                 out = lhs * rhs
             elif op == "/":
-                # a derived divisor is nonzero wherever f is defined, unless it
-                # underflowed: dividing by it then reports an overflow
+                # a derived divisor is a divisor of f, a log or power base of f or
+                # 2*sqrt(u): nonzero wherever f is defined
                 if node.origin is None and (bad := rhs == 0.0) is not False:
                     check(bad, DomainError, "division by zero")
                 out = lhs / rhs
             else:
                 out = _power(lhs, rhs)
-        except (OverflowError, ZeroDivisionError):  # a float result beyond the range, or a
-            check(True, DomainError, "overflow")  # divisor that underflowed to 0
+        except (OverflowError, ZeroDivisionError):  # a float result beyond the range
+            check(True, DomainError, "overflow")
         if isinstance(out, float) and isfinite(out):  # the scalar fast path
             return out
         _check_finite(out, (lhs,) if kind is Call else (lhs, rhs))
@@ -496,15 +496,15 @@ def derivative(node: ExprAst, v: str) -> ExprAst:
     Every new node records the user's sub-expression it came from, which
     its errors name. Guard nodes keep the derivative's own domain: sqrt and
     powers 0 < n < 1 at 0, abs at 0 where its argument moves with v, and a
-    power with a varying exponent at a non-positive base. As in
-    forward-mode differentiation, all but the abs guard hold wherever the
-    guarded sub-expression contains a variable, even one other than v.
+    power with a varying exponent at a non-positive base. A sub-expression
+    without v has the derivative 0 and no guard, so the f_r of
+    sqrt(x) + r^2 is 2r at x = 0 too.
     """
-    if not _varies(node):
+    if not _varies(node, v):
         return _ZERO
     kind = node.__class__
     if kind is Var:
-        return _ONE if node.name == v else _ZERO
+        return _ONE
     if kind is Neg:
         return _neg(derivative(node.arg, v))
     origin = node.origin or node
@@ -516,11 +516,11 @@ def derivative(node: ExprAst, v: str) -> ExprAst:
     if kind is Call:
         u, fn = node.arg, node.fn
         du = derivative(u, v)
-        if fn == "sqrt":
-            moving = Guard("nonzero", "sqrt is not differentiable at 0", u, du, origin)
-            return moving if _is_num(du, 0.0) else _div(moving, _mul(Num(2.0), node, origin), origin)
         if _is_num(du, 0.0) or fn == "sign":
             return _ZERO
+        if fn == "sqrt":
+            moving = Guard("nonzero", "sqrt is not differentiable at 0", u, du, origin)
+            return _div(moving, _mul(Num(2.0), node, origin), origin)
         if fn == "abs":
             moving = Guard("abs", "abs is not differentiable at 0", u, du, origin)
             return _mul(Call("sign", u, origin), moving, origin)
@@ -541,10 +541,8 @@ def derivative(node: ExprAst, v: str) -> ExprAst:
         return _sub(du, dw, origin)
     if op == "*":
         return _add(_mul(du, w, origin), _mul(u, dw, origin), origin)
-    if _is_num(dw, 0.0):
-        return _div(du, w, origin)
-    numerator = _sub(_mul(du, w, origin), _mul(u, dw, origin), origin)
-    return _div(numerator, _mul(w, w, origin), origin)
+    # d(u/w) = (du - (u/w) dw) / w: node itself is u/w, and no w*w is formed
+    return _div(_sub(du, _mul(node, dw, origin), origin), w, origin)
 
 
 def _power_derivative(node: BinOp, v: str, origin: ExprAst) -> ExprAst:
@@ -564,12 +562,12 @@ def _power_derivative(node: BinOp, v: str, origin: ExprAst) -> ExprAst:
     if n == 0.0:
         return _ZERO
     du = derivative(u, v)
-    if n == 1.0:
+    if n == 1.0 or _is_num(du, 0.0):
         return du
     slope = _mul(Num(n), u if n == 2.0 else BinOp("^", u, Num(n - 1.0), origin), origin)
     if 0.0 < n < 1.0:  # the guard comes first: u^(n - 1) fails at u = 0 itself
         moving = Guard("nonzero", f"power {n} is not differentiable at base 0", u, du, origin)
-        return moving if _is_num(du, 0.0) else _mul(moving, slope, origin)
+        return _mul(moving, slope, origin)
     return _mul(slope, du, origin)
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .calculus import GridFunction
-from .errors import ProblemFileError, TsvarError
+from .errors import PointNotInScale, ProblemFileError, TsvarError
 from .expressions import evaluate, parse_lagrangian
 from .timescale import (
     POINT_TOLERANCE,
@@ -246,17 +246,13 @@ def load_problem(path: str, resolution: Optional[int] = None) -> LoadedProblem:
         lagr = parse_lagrangian(source)
     except TsvarError as e:
         raise ProblemFileError("lagrangian", str(e)) from None
+    t0, t1, alpha, beta = (
+        _as_number(_need(doc, key, key), key) for key in ("t0", "t1", "alpha", "beta")
+    )
     try:
-        problem = VariationalProblem(
-            scale,
-            _as_number(_need(doc, "t0", "t0"), "t0"),
-            _as_number(_need(doc, "t1", "t1"), "t1"),
-            lagr,
-            _as_number(_need(doc, "alpha", "alpha"), "alpha"),
-            _as_number(_need(doc, "beta", "beta"), "beta"),
-        )
-    except ProblemFileError:
-        raise
+        problem = VariationalProblem(scale, t0, t1, lagr, alpha, beta)
+    except PointNotInScale as e:  # t0 is looked up first
+        raise ProblemFileError("t0" if scale.node_index(t0) is None else "t1", str(e)) from None
     except TsvarError as e:
         raise ProblemFileError("t0", str(e)) from None
 

@@ -26,7 +26,6 @@ from .errors import (
     InvalidParameter,
     InvalidSpikeLocation,
     NonConvergence,
-    SingularJacobian,
 )
 from .expressions import Lagrangian
 from .timescale import POINT_TOLERANCE, TimeScale, make_points
@@ -286,14 +285,13 @@ def _ldl(diag: list, off: list, shift: float = 0.0) -> tuple[list, list]:
 def _newton_step(diag: np.ndarray, off: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """s with (H + lam*I) s = -grad, lam = 0 when every pivot of H is positive.
 
-    Otherwise lam starts at 1e-3 * max|diag| and doubles until every pivot
-    is, so s descends. A zero pivot of H itself raises SingularJacobian.
+    Otherwise, where a pivot is negative or zero, lam starts at
+    1e-3 * max|diag| (1e-3 for a zero diagonal) and doubles until every
+    pivot is positive, so s descends.
     """
     diag, off = diag.tolist(), off.tolist()
     d, l = _ldl(diag, off)
-    if d[-1] == 0.0:
-        raise SingularJacobian(f"Hessian of L is singular: zero pivot in column {len(d) - 1}")
-    shift = 1e-3 * max(map(abs, diag))
+    shift = 1e-3 * (max(map(abs, diag)) or 1.0)
     while min(d) <= 0.0:
         d, l = _ldl(diag, off, shift)
         shift *= 2.0
@@ -339,14 +337,13 @@ def solve_el_discrete(
     to the factors -mu, so a solution is a stationary point of L. Each
     iteration solves H s = -grad L, H the tridiagonal Hessian of L from
     the symbolic second partials, by LDL^T without pivoting. Where H has
-    a negative pivot, it is shifted to H + lam*I, so s descends. The step
-    length is halved until Armijo's condition on L holds. An iteration
-    costs O(n). The iteration stops when the residual max-norm is at most
-    SOLVE_TOL, and the result's second_order reports the pivot signs of the
-    unshifted H there.
+    a negative or zero pivot, it is shifted to H + lam*I, so s descends.
+    The step length is halved until Armijo's condition on L holds. An
+    iteration costs O(n). The iteration stops when the residual max-norm
+    is at most SOLVE_TOL, and the result's second_order reports the pivot
+    signs of the unshifted H there.
 
-    Raises NonConvergence (carrying the best iterate and diagnostics) or
-    SingularJacobian (a zero pivot of the unshifted H).
+    Raises NonConvergence, carrying the best iterate and diagnostics.
     """
     ts = problem.scale
     i0, i1 = problem.window()

@@ -157,7 +157,7 @@ def excess(lagr: Lagrangian, t: Number, x: Number, r: Number, q: Number) -> Numb
     only the axes of its own arguments: f and f_r at a column of (t, x, r)
     rows are evaluated once for a whole row of q. Scalars give a float. An
     error is the one a loop over the broadcast rows meets first, each row
-    evaluating f at q, then f, f_x and f_r at r (see eval_rows), and names
+    evaluating f at q, then f and f_r at r (see eval_rows), and names
     that row's t, x, r and q; so does the DomainError of an E that
     overflows although f and f_r are finite.
     """
@@ -165,7 +165,7 @@ def excess(lagr: Lagrangian, t: Number, x: Number, r: Number, q: Number) -> Numb
     def row(c: dict):
         f_at_q = eval_ast(lagr.ast, {"t": c["t"], "x": c["x"], "r": c["q"]})
         at_r = {"t": c["t"], "x": c["x"], "r": c["r"]}
-        f_at_r, _, slope = (eval_ast(a, at_r) for a in lagr._first)
+        f_at_r, slope = eval_ast(lagr.ast, at_r), eval_ast(lagr._first[2], at_r)
         value = f_at_q - f_at_r - (c["q"] - c["r"]) * slope
         check(~np.isfinite(value), DomainError, f"overflow in the excess of '{lagr.source}'")
         return value
@@ -270,8 +270,10 @@ def weierstrass_scan(
     with x(sigma(t)) and its right-going slope, and a left limit (x(t), r-)
     at registered breaks, at a left-dense window end and at the end of a
     dense run. Each block of rows is one excess() call over rows x q, so an
-    error is the one excess() meets first row by row. Violations are sorted
-    by (t, q) so concurrent evaluation would merge deterministically.
+    error is the one excess() meets first row by row; E needs f and f_r
+    only, so a row where f_x fails, such as sqrt(x) at x = 0, is scanned
+    like any other. Violations are sorted by (t, q) so concurrent
+    evaluation would merge deterministically.
     """
     if not len(q_grid):
         raise InvalidParameter("q_grid must be nonempty")

@@ -124,6 +124,24 @@ class TestProblemFileLoading:
             load_problem(str(path))
         assert exc.value.field == "scale.n_max"
 
+    @pytest.mark.parametrize(
+        "t0, t1, field, message",
+        [
+            (0.5, 1.0, "t0", "t=0.5 is not a representative point of the scale"),
+            (0.0, 3.5, "t1", "t=3.5 is not a representative point of the scale"),
+            (0.5, 3.5, "t0", "t=0.5 is not a representative point of the scale"),
+            (1.0, 0.0, "t0", "problem requires t0 < t1, got [1.0, 0.0]"),
+        ],
+    )
+    def test_the_endpoint_at_fault_is_named(self, tmp_path, capsys, t0, t1, field, message):
+        scale = {"kind": "uniform", "start": 0, "end": 4, "step": 1}
+        path = write_problem(tmp_path, scale=scale, t0=t0, t1=t1)
+        with pytest.raises(ProblemFileError) as exc:
+            load_problem(path)
+        assert (exc.value.field, str(exc.value)) == (field, f"{field}: {message}")
+        assert main(["eval", path]) == 1
+        assert capsys.readouterr().err == f"error: {field}: {message}\n"
+
     def test_missing_lagrangian_is_named_once(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"scale": {"kind": "harmonic", "n_max": 5}}))
@@ -505,6 +523,21 @@ class TestSolve:
         assert doc["history"][-1]["merit"] == doc["functional_value"]
         assert serialize_report(doc) == text
 
+    def test_a_zero_pivot_of_the_hessian_is_shifted(self, tmp_path, capsys):
+        # the starting Hessian of L has the pivot 0 in column 0, and H + lam*I continues
+        points = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        path = write_problem(
+            tmp_path,
+            scale={"kind": "uniform", "start": 0, "end": 5, "step": 1},
+            t1=5.0,
+            lagrangian="r^2 + (x^2 - 1)^2",
+            trajectory={"kind": "samples", "points": points, "values": [0, 0, 0.5, -0.5, 0.25, 0]},
+        )
+        assert main(["solve", path]) == 0
+        out = capsys.readouterr().out
+        assert "converged in 7 Newton iteration(s)" in out
+        assert "second order:         strict-minimum" in out
+
     def test_dense_scale_rejected(self, tmp_path, capsys):
         path = write_problem(
             tmp_path,
@@ -749,6 +782,7 @@ class TestUsage:
             (["--help"], 0),
             (["analyze", "--help"], 0),
             (["--version"], 0),
+            (["analyze", "problem.json", "--max-iter", "5"], 1),  # solve's flag only
         ],
     )
     def test_usage_errors_exit_one(self, capsys, argv, code):

@@ -14,7 +14,6 @@ from tsvar import (
     InvalidSpikeLocation,
     NonConvergence,
     PointNotInScale,
-    SingularJacobian,
     VariationalProblem,
     classify_candidate,
     delta_derivative,
@@ -496,12 +495,27 @@ class TestSolver:
         assert exc.value.iterations == 0
         assert np.isfinite(exc.value.residual_max)
 
-    def test_singular_jacobian(self):
+    def test_zero_hessian_ends_in_nonconvergence(self):
+        # L = sum mu x is unbounded below and H = 0: each shifted step descends, none converges
         P = VariationalProblem(
             make_uniform(0.0, 4.0, 1.0), 0.0, 4.0, parse_lagrangian("x"), 0.0, 0.0
         )
-        with pytest.raises(SingularJacobian):
+        with pytest.raises(NonConvergence, match="no convergence within 100 iterations") as exc:
             solve_el_discrete(P)
+        merits = [merit for _, _, merit in exc.value.history]
+        assert len(merits) == 100 and all(b < a for a, b in zip(merits, merits[1:]))
+
+    def test_zero_pivot_of_a_regular_hessian_is_shifted(self):
+        # the first Hessian of L has the pivot 0 in column 0; H + lam*I continues the descent
+        P = VariationalProblem(
+            make_uniform(0.0, 5.0, 1.0), 0.0, 5.0, parse_lagrangian("r^2 + (x^2 - 1)^2"), 0.0, 0.0
+        )
+        start = GridFunction(P.scale, np.array([0.0, 0.0, 0.5, -0.5, 0.25, 0.0]))
+        _, _, _, diag, off = _window_state(P.lagrangian, P.scale.points, start.values)
+        assert diag[0] == 0.0
+        result = solve_el_discrete(P, x_init=start)
+        assert (result.iterations, result.second_order) == (7, "strict-minimum")
+        assert result.residual_max <= 1e-10
 
     def test_insufficient_points(self):
         P = VariationalProblem(make_points([0, 1]), 0.0, 1.0, parse_lagrangian("r^2"), 0, 1)
@@ -583,31 +597,32 @@ class TestTridiagonalSolve:
                     _newton_step(diag, off, grad), want, rtol=1e-10, atol=1e-12
                 )
 
-    def test_zero_leading_pivot_raises(self):
-        # no row swaps: a zero pivot of the unshifted H is singular, though this H is not
-        with pytest.raises(SingularJacobian, match="zero pivot in column 0"):
-            _newton_step(np.array([0.0, 1.0]), np.array([1.0]), np.ones(2))
-
-    def test_negative_pivot_is_shifted(self):
-        # [[1, 2], [2, 1]] has the pivots 1 and -3; the step solves (H + lam I) s = -grad
-        # for the first lam = 1e-3 * 2^k that makes H + lam I positive definite
-        diag, off, grad = np.array([1.0, 1.0]), np.array([2.0]), np.array([1.0, -0.5])
+    @staticmethod
+    def assert_shifted_descent(diag, off, grad, lam):
+        """The step solves (H + lam I) s = -grad for the first lam * 2^k making H + lam I
+        positive definite, and descends."""
         s = _newton_step(diag, off, grad)
-        lam = 1e-3
         while np.linalg.eigvalsh(_dense(diag + lam, off)).min() <= 0.0:
             lam *= 2.0
         np.testing.assert_allclose(_dense(diag + lam, off) @ s, -grad, rtol=1e-12)
         assert grad @ s < 0.0  # a descent direction of L
 
-    def test_singular_system_raises(self):
+    def test_zero_leading_pivot_is_shifted(self):
+        # no row swaps: [[0, 1], [1, 0]] is regular but meets the pivot 0 in column 0
+        self.assert_shifted_descent(np.array([0.0, 1.0]), np.array([1.0]), np.ones(2), 1e-3)
+        self.assert_shifted_descent(np.array([0.0, 0.0]), np.array([1.0]), np.array([1.0, -2.0]), 1e-3)
+
+    def test_negative_pivot_is_shifted(self):
+        # [[1, 2], [2, 1]] has the pivots 1 and -3
+        self.assert_shifted_descent(np.array([1.0, 1.0]), np.array([2.0]), np.array([1.0, -0.5]), 1e-3)
+
+    def test_singular_system_is_shifted(self):
         # [[1, 1, 0], [1, 2, 2], [0, 2, 4]] is singular: LDL^T meets an exact zero pivot
         diag, off = np.array([1.0, 2.0, 4.0]), np.array([1.0, 2.0])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(_dense(diag, off), np.ones(3))
-        with pytest.raises(SingularJacobian, match="zero pivot in column 2"):
-            _newton_step(diag, off, np.ones(3))
-        with pytest.raises(SingularJacobian):
-            _newton_step(np.zeros(4), np.zeros(3), np.ones(4))
+        self.assert_shifted_descent(diag, off, np.ones(3), 4e-3)  # 1e-3 * max|diag|
+        np.testing.assert_array_equal(_newton_step(np.zeros(4), np.zeros(3), np.ones(4)), -1e3)
 
 
 class TestSpikePerturbation:

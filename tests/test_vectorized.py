@@ -206,9 +206,10 @@ def test_array_eval_and_partials_match_the_scalar_path(ast, rows):
 
 
 def excess_loop(lagr, t, x, r, q):
-    """E at one row through the scalar evaluator: f at q, then the partials at r."""
+    """E at one row through the scalar evaluator: f at q, then f and f_r at r."""
     f_at_q = lagr.eval(t, x, q)
-    f_at_r, _, f_r = lagr.partials(t, x, r)
+    f_at_r = lagr.eval(t, x, r)
+    f_r = eval_ast(derivative(lagr.ast, "r"), {"t": t, "x": x, "r": r})
     value = f_at_q - f_at_r - (q - r) * f_r
     if not math.isfinite(value):
         raise DomainError("overflow in the excess")
@@ -315,13 +316,18 @@ class TestOverflow:
             parse_lagrangian("1/(r*r)").eval(0.0, 0.0, 1e200)
 
     def test_divisor_underflowing_in_the_partials(self):
-        # x^3 is tiny but not 0; the derivative of t/x^3 divides by its square, which is 0
+        # x^3 is tiny but not 0, and its square underflows to 0; the quotient
+        # rule divides by x^3 twice instead, so f_x = -3t/x^4 is finite
         lagr = parse_lagrangian("t/x^3")
-        with pytest.raises(DomainError, match="overflow"):
-            lagr.partials(1.0, 6.7e-68, 0.0)
-        with pytest.raises(DomainError, match="overflow") as info:
-            lagr.partials(np.ones(2), np.array([1.0, 6.7e-68]), 0.0)
-        assert info.value.index == 1
+        x = 6.7e-68
+        assert lagr.partials(1.0, x, 0.0)[1] == pytest.approx(-3.0 / x**4, rel=1e-12)
+        _, f_x, _ = lagr.partials(np.full(2, 2.0), np.array([1.0, x]), 0.0)
+        np.testing.assert_allclose(f_x, [-6.0, -6.0 / x**4], rtol=1e-12)
+
+    def test_divisor_whose_square_overflows_in_the_partials(self):
+        # f_r = -x/r^2 is finite although r*r overflows
+        _, f_x, f_r = parse_lagrangian("x/r").partials(0.0, 1.0, 1e200)
+        assert (f_x, f_r) == (1e-200, 0.0)
 
     def test_non_finite_inputs_propagate(self):
         assert parse_lagrangian("r + 1").eval(0.0, 0.0, math.inf) == math.inf

@@ -82,6 +82,15 @@ class TestExcess:
         with pytest.raises(DomainError, match=message.replace("x=0", "x=1")):
             weierstrass_scan(P, x, q_grid=[2.0, -1.0])
 
+    def test_needs_f_and_f_r_only(self):
+        # f_x of sqrt(x) does not exist at x = 0, but E is (q - r)^2 there
+        L = parse_lagrangian("sqrt(x) + r^2")
+        r, q = np.array([[-1.0], [0.0], [0.5]]), np.array([-2.0, 0.0, 1.5, 3.0])
+        np.testing.assert_allclose(excess(L, 0.0, 0.0, r, q), (q - r) ** 2, rtol=1e-15)
+        assert excess(L, 1.0, 0.0, 0.5, 3.0) == 6.25
+        P = VariationalProblem(make_uniform(0.0, 4.0, 1.0), 0.0, 4.0, L, 0.0, 0.0)
+        assert weierstrass_scan(P, P.zero_trajectory(), q_grid=np.linspace(-5, 5, 11)) == []
+
     def test_gives_a_float_for_scalars_and_a_read_only_array_for_arrays(self):
         L = parse_lagrangian("r^2 - r^4 + t*x")
         assert type(excess(L, 0.0, 0.0, 0.0, 2.0)) is float
