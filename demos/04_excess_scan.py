@@ -35,14 +35,15 @@ P2 = tv.VariationalProblem(
 report2 = tv.classify_candidate(P2, P2.zero_trajectory(), q_grid=np.linspace(-40, 40, 81))
 print("\ninteger window, f = r^2 - 0.001 r^4, x = 0:")
 print("  convexity hypothesis (sampled near the candidate):", report2.convexity_ok)
-v = report2.weierstrass_violations[0]
-print(f"  first violation: E(q={v.q:g}) = {v.E:.4g} -> verdict: {report2.verdict.value}")
+v = report2.weierstrass_violations
+print(f"  first violation: E(q={v.q[0]:g}) = {v.E[0]:.4g} -> verdict: {report2.verdict.value}")
 
 # Trajectories with corners scan both one-sided slopes at the corner.
 dense = tv.make_dense(0.0, 1.0, 100)
 P3 = tv.VariationalProblem(dense, 0.0, 1.0, tv.parse_lagrangian("0 - r^2"), 0.0, 0.0)
 corner = tv.GridFunction.from_callable(dense, lambda t: abs(t - 0.5), break_points=(0.5,))
-hits = [s for s in tv.weierstrass_scan(P3, corner, q_grid=[4.0]) if s.t == 0.5]
+hits = tv.weierstrass_scan(P3, corner, q_grid=[4.0])
 print("\ncorner at t = 0.5 on a dense scale (concave integrand):")
-for s in hits:
-    print(f"  slope {s.r:+.3g} ({s.slope_kind.value}): E(q=4) = {s.E:.4g}")
+for i in np.flatnonzero(hits.t == 0.5):
+    kind = list(tv.SlopeKind)[hits.kind[i]]
+    print(f"  slope {hits.r[i]:+.3g} ({kind.value}): E(q=4) = {hits.E[i]:.4g}")

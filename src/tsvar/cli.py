@@ -49,6 +49,7 @@ from .variational import (
     spike_perturbation,
 )
 from .weierstrass import (
+    _SLOPE_KINDS,
     DEFAULT_Q_COUNT,
     AnalysisReport,
     Verdict,
@@ -241,14 +242,16 @@ def cmd_analyze(loaded: LoadedProblem, args) -> tuple[int, dict]:
             f"t={_fmt(cx.t)}, x={_fmt(cx.x)}, r1={_fmt(cx.r1)}, r2={_fmt(cx.r2)}, "
             f"gamma={_fmt(cx.gamma)}: f={_fmt(cx.lhs)} > {_fmt(cx.rhs)}"
         )
-    print(f"excess-scan violations: {len(report.weierstrass_violations)}")
-    for v in report.weierstrass_violations[:5]:
+    table = report.weierstrass_violations
+    print(f"excess-scan violations: {len(table)}")
+    head = (c[:5].tolist() for c in (table.t, table.x_sigma, table.r, table.q, table.E, table.kind))
+    for t, xs, r, q, e, kind in zip(*head):
         print(
-            f"  E(t={_fmt(v.t)}, x_sigma={_fmt(v.x_sigma)}, r={_fmt(v.r)}, "
-            f"q={_fmt(v.q)}) = {_fmt(v.E)} [{v.slope_kind.value}]"
+            f"  E(t={_fmt(t)}, x_sigma={_fmt(xs)}, r={_fmt(r)}, "
+            f"q={_fmt(q)}) = {_fmt(e)} [{_SLOPE_KINDS[kind].value}]"
         )
-    if len(report.weierstrass_violations) > 5:
-        print(f"  ... and {len(report.weierstrass_violations) - 5} more")
+    if len(table) > 5:
+        print(f"  ... and {len(table) - 5} more")
     print(f"verdict: {report.verdict.value}")
     return _VERDICT_EXIT[report.verdict], {**measured, **analysis_to_document(report)}
 
@@ -329,7 +332,7 @@ def repro_example_32() -> bool:
 
     kappa = ts.kappa_points(0.0, 1.0)
     violations = weierstrass_scan(problem, zero, q_grid=[-2.0, 2.0])
-    all_minus_12 = all(abs(v.E + 12.0) <= 1e-9 for v in violations)
+    all_minus_12 = bool(np.all(np.abs(violations.E + 12.0) <= 1e-9))
     checks.append(
         (
             "excess scan at q=+-2 reports E=-12 at every right-scattered point",

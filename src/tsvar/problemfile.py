@@ -335,8 +335,10 @@ def _first_non_finite(value, field: Optional[str]) -> Optional[tuple]:
     """(field path, value) of the first NaN or infinity in value in json's order, or None."""
     if isinstance(value, float):
         return None if math.isfinite(value) else (field, value)
-    if isinstance(value, ExcessTable):
-        value = [sample._asdict() for sample in value]
+    if isinstance(value, ExcessTable):  # as the list of its rows, slope_kind by code
+        keys = [key for key, _ in _EXCESS_KEYS]
+        columns = (getattr(value, name).tolist() for _, name in _EXCESS_KEYS)
+        value = [dict(zip(keys, row)) for row in zip(*columns)]
     if isinstance(value, dict):
         items = ((key if field is None else f"{field}.{key}", value[key]) for key in sorted(value))
     elif isinstance(value, (list, tuple)):

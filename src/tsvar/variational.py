@@ -186,8 +186,9 @@ def functional(problem: VariationalProblem, x: Trajectory) -> float:
     lagr = problem.lagrangian
     t, xs, r, _, weight = _rows(problem, x)
     terms = lagr.eval(t, xs, r)  # finite, or eval raised
+    # np.sum, not a BLAS dot, whose result depends on the thread count
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
-        value = float(np.dot(weight, terms))
+        value = float(np.sum(weight * terms))
     if not math.isfinite(value):
         raise DomainError(f"overflow in the functional of '{lagr.source}'")
     return value
@@ -447,7 +448,7 @@ def find_spike_below(problem: VariationalProblem, delta: float) -> Optional[Spik
     graininess drops below delta admits a height d with d/mu(sigma(t_at)) > 1,
     which is returned once the functional decrease is verified numerically.
     """
-    if delta <= 0:
+    if not delta > 0:  # NaN too, which would find no spike
         raise InvalidParameter("delta must be positive")
     ts = problem.scale
     base = problem.zero_trajectory()
@@ -485,7 +486,7 @@ def random_bounded_slope_trajectory(
     gaps = np.diff(pts)
     span = problem.t1 - problem.t0
     c = (problem.beta - problem.alpha) / span
-    if abs(c) > slope_bound:
+    if not abs(c) <= slope_bound:  # a NaN bound too, which would bound nothing
         raise InvalidParameter("boundary slope exceeds the requested bound")
     u = rng.uniform(-1.0, 1.0, gaps.size)
     v = u - float(u @ gaps) / span

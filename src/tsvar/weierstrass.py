@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -36,8 +34,6 @@ class SlopeKind(str, Enum):
 
 
 _SLOPE_KINDS = {_TWO_SIDED: SlopeKind.TWO_SIDED, _LEFT: SlopeKind.LEFT, _RIGHT: SlopeKind.RIGHT}
-# rank of each slope-kind code by its name, the last key of the violation order
-_KIND_NAME_RANK = np.argsort(np.argsort([_SLOPE_KINDS[code].value for code in range(3)]))
 
 
 class Verdict(str, Enum):
@@ -46,25 +42,15 @@ class Verdict(str, Enum):
     HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 
 
-class ExcessSample(NamedTuple):
-    """One (t, q) sample of the excess scan with E < -tol."""
-
-    t: float
-    x_sigma: float
-    r: float
-    q: float
-    E: float
-    slope_kind: SlopeKind
-
-
-class ExcessTable(SequenceABC):
+class ExcessTable:
     """The samples of an excess scan with E < -tol, held as columns.
 
-    t, x_sigma, r, q and E are float64 arrays and kind holds the int8
-    slope-kind codes of the sample table, one entry per sample. As a
-    sequence it yields ExcessSample: an integer index gives one sample, a
-    slice gives an ExcessTable, and a table equals any sequence of the same
-    samples in the same order. The columns are read-only.
+    t, x_sigma, r, q and E are float64 arrays and kind holds int8
+    slope-kind codes, each the position of its member in SlopeKind (0
+    two-sided, 1 left, 2 right), one entry per sample, in the order the scan
+    found them. The columns are read-only; len() counts the samples, and
+    two tables are equal when their columns are. Like arrays, tables are
+    unhashable.
     """
 
     __slots__ = ("t", "x_sigma", "r", "q", "E", "kind")
@@ -81,32 +67,13 @@ class ExcessTable(SequenceABC):
     def __setattr__(self, name, value):
         raise AttributeError(f"ExcessTable is read-only: cannot set {name!r}")
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return self.t, self.x_sigma, self.r, self.q, self.E, self.kind
-
     def __len__(self) -> int:
         return self.t.size
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ExcessTable(*(c[index] for c in self._columns()))
-        i = operator.index(index)
-        *values, kind = (c[i] for c in self._columns())  # IndexError past either end
-        return ExcessSample(*map(float, values), _SLOPE_KINDS[int(kind)])
-
-    def __iter__(self):
-        columns = [c.tolist() for c in self._columns()[:5]]
-        return map(ExcessSample, *columns, map(_SLOPE_KINDS.__getitem__, self.kind.tolist()))
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, ExcessTable):
-            return all(map(np.array_equal, self._columns(), other._columns()))
-        if not isinstance(other, SequenceABC) or isinstance(other, str):
+        if not isinstance(other, ExcessTable):
             return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))  # as the tuple of its samples, which it equals
+        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in self.__slots__)
 
     def __repr__(self) -> str:
         return f"ExcessTable({len(self)} samples)"
@@ -204,14 +171,17 @@ def check_convexity_condition(
     points gives, and on success checks counts the checks of every point
     the verdict covers.
     """
-    if not len(x_samples) or not len(r_samples) or not len(gamma_samples):
-        raise InvalidParameter("sample lists must be nonempty")
+    xs, rs, gs = (np.asarray(s, dtype=float) for s in (x_samples, r_samples, gamma_samples))
+    for name, s in (("x_samples", xs), ("r_samples", rs), ("gamma_samples", gs)):
+        if s.ndim != 1 or not s.size or not np.isfinite(s).all():
+            raise InvalidParameter(f"{name} must be a nonempty 1-d sequence of finite numbers")
+    if not ((gs >= 0.0) & (gs <= 1.0)).all():
+        raise InvalidParameter("gamma_samples must lie in [0, 1]")
     ts = problem.scale
     lagr = problem.lagrangian
     mu = ts.mu_values()
     i0, ik = ts.kappa_range(problem.t0, problem.t1)
     points = ts.points[i0 + np.flatnonzero(mu[i0 : ik + 1])]  # trivially satisfied where mu = 0
-    xs, rs, gs = (np.asarray(s, dtype=float) for s in (x_samples, r_samples, gamma_samples))
     first, second = np.nonzero(rs[:, None] != rs[None, :])
     # one check per (t, x, pair, gamma), in scan order
     x_col = xs[None, :, None, None]
@@ -272,12 +242,13 @@ def weierstrass_scan(
     dense run. Each block of rows is one excess() call over rows x q, so an
     error is the one excess() meets first row by row; E needs f and f_r
     only, so a row where f_x fails, such as sqrt(x) at x = 0, is scanned
-    like any other. Violations are sorted by (t, q) so concurrent
-    evaluation would merge deterministically.
+    like any other. Violations come in the order the scan finds them: by
+    row, in the row order of the functional (by t, a left limit before the
+    right-going row of its node), and within a row in the order of q_grid.
     """
-    if not len(q_grid):
-        raise InvalidParameter("q_grid must be nonempty")
     q = np.asarray(q_grid, dtype=float)
+    if q.ndim != 1 or not q.size:
+        raise InvalidParameter("q_grid must be a nonempty 1-d sequence")
     if not np.isfinite(q).all():
         raise InvalidParameter("q_grid must be finite")
     if not tol >= 0:  # NaN too, which would find no violation
@@ -291,10 +262,7 @@ def weierstrass_scan(
         i, j = np.nonzero(E < -tol)
         hits.append((i + start, j, E[i, j]))
     i, j, e = (np.concatenate(column) for column in zip(*hits))
-    # the stable (t, q, slope-kind name) order, ties kept in row and q order
-    order = np.lexsort((_KIND_NAME_RANK[kind[i]], q[j], t[i]))
-    a, b = i[order], j[order]
-    return ExcessTable(t[a], xs[a], r[a], q[b], e[order], kind[a])
+    return ExcessTable(t[i], xs[i], r[i], q[j], e, kind[i])
 
 
 def observed_slopes(problem: VariationalProblem, x: Trajectory) -> np.ndarray:

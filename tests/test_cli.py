@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -411,6 +414,32 @@ class TestEval:
         )
         main(["eval", path])
         assert "functional value: 4.0" in capsys.readouterr().out
+
+    def test_the_functional_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # over 10,000 rows a BLAS dot splits its sum between threads
+        path = write_problem(
+            tmp_path,
+            scale=[
+                {"kind": "harmonic", "n_max": 50},
+                {"kind": "dense", "lo": 1.0, "hi": 2.2035, "resolution": 11978},
+            ],
+            t1=2.2035,
+            lagrangian="sin(r) + cos(x) + 0.2206*t*x",
+            alpha=0.9031,
+            beta=2.717814352115569,
+            trajectory={"kind": "expr", "formula": "0.9031*exp(t/2)"},
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        lines = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-m", "tsvar", "eval", path],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            lines.append([ln for ln in run.stdout.splitlines() if ln.startswith("functional value:")])
+        assert len(lines[0]) == 1 and lines[0] == lines[1]
 
     def test_missing_trajectory(self, tmp_path, capsys):
         path = write_problem(tmp_path, trajectory=None)

@@ -14,7 +14,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsvar import ExcessTable, TsvarError
+from tsvar import ExcessTable, SlopeKind, TsvarError
 from tsvar.problemfile import serialize_report, write_report
 
 
@@ -194,7 +194,9 @@ def excess_tables(draw, min_size=0):
 def as_rows(value):
     """value with each ExcessTable replaced by the list of its samples as dicts."""
     if isinstance(value, ExcessTable):
-        return [dict(v._asdict(), slope_kind=v.slope_kind.value) for v in value]
+        columns = [getattr(value, key).tolist() for key in EXCESS_FLOATS]
+        kinds = [list(SlopeKind)[code].value for code in value.kind.tolist()]
+        return [dict(zip(EXCESS_FLOATS, row), slope_kind=kind) for *row, kind in zip(*columns, kinds)]
     if isinstance(value, dict):
         return {key: as_rows(item) for key, item in value.items()}
     if isinstance(value, list):

@@ -674,6 +674,16 @@ class TestMinimalityFalsification:
         # every admissible location has mu(sigma(t_at)) >= 1/(49*48)
         assert find_spike_below(harmonic_problem, 1e-8) is None
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+    def test_a_radius_that_is_not_positive_is_rejected(self, harmonic_problem, delta):
+        with pytest.raises(InvalidParameter, match="delta must be positive"):
+            find_spike_below(harmonic_problem, delta)
+
+    @pytest.mark.parametrize("bound", [-1.0, float("nan")])
+    def test_a_slope_bound_below_the_boundary_slope_is_rejected(self, harmonic_problem, rng, bound):
+        with pytest.raises(InvalidParameter, match="boundary slope exceeds the requested bound"):
+            random_bounded_slope_trajectory(harmonic_problem, rng, slope_bound=bound)
+
     def test_random_bounded_slope_trajectories(self, harmonic_problem, rng):
         for _ in range(100):
             x = random_bounded_slope_trajectory(harmonic_problem, rng)

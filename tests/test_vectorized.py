@@ -45,12 +45,7 @@ from tsvar.expressions import (
     eval_rows,
 )
 from tsvar.variational import _rows
-from tsvar.weierstrass import (
-    _SLOPE_KINDS,
-    ConvexityCounterexample,
-    ConvexityReport,
-    ExcessSample,
-)
+from tsvar.weierstrass import ConvexityCounterexample, ConvexityReport
 from conftest import SMOOTH_TEMPLATES, random_discrete_scale
 
 # -- scalar references: the per-row loops the array path replaced ----------------
@@ -95,14 +90,14 @@ def convexity_loop(problem, x_samples, r_samples, gamma_samples, tol=1e-10):
 
 
 def scan_loop(problem, x, q_grid, tol=1e-9):
+    """The violations in loop order, rows outside and q inside: (t, x_sigma, r, q, E, kind) each."""
     t, xs, r, kind, _ = _rows(problem, x)
     found = []
     for ti, xi, ri, ki in zip(t.tolist(), xs.tolist(), r.tolist(), kind.tolist()):
         for q in q_grid:
             e = excess(problem.lagrangian, ti, xi, ri, float(q))
             if e < -tol:
-                found.append(ExcessSample(ti, xi, ri, float(q), e, _SLOPE_KINDS[ki]))
-    found.sort(key=lambda s: (s.t, s.q, s.slope_kind.value))
+                found.append((ti, xi, ri, float(q), e, ki))
     return found
 
 
@@ -116,10 +111,9 @@ def assert_same_report(got, want):
 
 
 def assert_same_violations(got, want):
-    assert [(v.t, v.x_sigma, v.r, v.q, v.slope_kind) for v in got] == [
-        (v.t, v.x_sigma, v.r, v.q, v.slope_kind) for v in want
-    ]
-    np.testing.assert_allclose([v.E for v in got], [v.E for v in want], rtol=1e-9, atol=1e-12)
+    rows = zip(got.t.tolist(), got.x_sigma.tolist(), got.r.tolist(), got.q.tolist(), got.kind.tolist())
+    assert list(rows) == [(t, xs, r, q, kind) for t, xs, r, q, _, kind in want]
+    np.testing.assert_allclose(got.E, [v[4] for v in want], rtol=1e-9, atol=1e-12)
 
 
 def row_columns(problem, x):

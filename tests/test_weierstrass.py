@@ -7,7 +7,6 @@ import pytest
 
 from tsvar import (
     DomainError,
-    ExcessSample,
     ExcessTable,
     GridFunction,
     InvalidParameter,
@@ -34,6 +33,13 @@ from tsvar import (
 from tsvar import weierstrass
 from tsvar.weierstrass import MAX_Q_COUNT, observed_slopes
 from conftest import SMOOTH_TEMPLATES, random_point
+
+KINDS = list(SlopeKind)  # a table's kind column holds positions in SlopeKind
+
+
+def kinds(table, where=slice(None)):
+    """The SlopeKind of each row of table[where]."""
+    return [KINDS[code] for code in table.kind[where].tolist()]
 
 
 class TestExcess:
@@ -89,7 +95,7 @@ class TestExcess:
         np.testing.assert_allclose(excess(L, 0.0, 0.0, r, q), (q - r) ** 2, rtol=1e-15)
         assert excess(L, 1.0, 0.0, 0.5, 3.0) == 6.25
         P = VariationalProblem(make_uniform(0.0, 4.0, 1.0), 0.0, 4.0, L, 0.0, 0.0)
-        assert weierstrass_scan(P, P.zero_trajectory(), q_grid=np.linspace(-5, 5, 11)) == []
+        assert len(weierstrass_scan(P, P.zero_trajectory(), q_grid=np.linspace(-5, 5, 11))) == 0
 
     def test_gives_a_float_for_scalars_and_a_read_only_array_for_arrays(self):
         L = parse_lagrangian("r^2 - r^4 + t*x")
@@ -166,6 +172,35 @@ class TestConvexityCondition:
         assert report.ok and sizes[0] == 1 and 4 * sum(sizes) == report.checks == 4 * 50
 
 
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        (([], [-1.0, 1.0], [0.5]), "x_samples must be a nonempty 1-d sequence of finite numbers"),
+        (([np.nan], [-1.0, 1.0], [0.5]), "x_samples must be"),
+        (([[0.0, 1.0]], [-1.0, 1.0], [0.5]), "x_samples must be"),
+        ((0.0, [-1.0, 1.0], [0.5]), "x_samples must be"),
+        (([0.0], [-np.inf, np.inf], [0.5]), "r_samples must be"),
+        (([0.0], [[-1.0, 1.0]], [0.5]), "r_samples must be"),
+        (([0.0], [-1.0, 1.0], [np.nan]), "gamma_samples must be"),
+        (([0.0], [-1.0, 1.0], 0.5), "gamma_samples must be"),
+        (([0.0], [-1.0, 1.0], [0.5, 2.0]), r"gamma_samples must lie in \[0, 1\]"),
+        (([0.0], [-1.0, 1.0], [-0.5]), r"gamma_samples must lie in \[0, 1\]"),
+    ],
+)
+def test_convexity_samples_must_be_finite_1d_lists_and_gamma_in_the_unit_interval(samples, message):
+    # each of these gave a verdict: ok for the non-convex x^2 - r^4 on NaN or
+    # infinite samples, a counterexample for the convex r^2 + x^2 at gamma = 2
+    for src in ("x^2 - r^4", "r^2 + x^2"):
+        P = VariationalProblem(make_harmonic(50), 0.0, 1.0, parse_lagrangian(src), 0.0, 0.0)
+        with pytest.raises(InvalidParameter, match=message):
+            check_convexity_condition(P, *samples)
+
+
+def test_convexity_gammas_at_the_ends_of_the_unit_interval_are_accepted():
+    P = VariationalProblem(make_harmonic(50), 0.0, 1.0, parse_lagrangian("r^2 + x^2"), 0.0, 0.0)
+    assert check_convexity_condition(P, [0.0], [-1.0, 1.0], [0.0, 1.0]).ok
+
+
 class TestScan:
     def test_zero_trajectory_on_harmonic(self, harmonic_problem):
         kappa = harmonic_problem.scale.kappa_points(0.0, 1.0)
@@ -173,13 +208,10 @@ class TestScan:
             harmonic_problem, harmonic_problem.zero_trajectory(), q_grid=[-2.0, 2.0]
         )
         assert len(violations) == 2 * len(kappa)
-        assert all(abs(v.E + 12.0) <= 1e-9 for v in violations)
-        assert all(v.slope_kind is SlopeKind.TWO_SIDED for v in violations)
-        assert violations[0]._fields == ("t", "x_sigma", "r", "q", "E", "slope_kind")
-        with pytest.raises(AttributeError):
-            violations[0].E = 0.0
-        # deterministic order
-        keys = [(v.t, v.q) for v in violations]
+        assert np.all(np.abs(violations.E + 12.0) <= 1e-9)
+        assert set(kinds(violations)) == {SlopeKind.TWO_SIDED}
+        # scan order: one row per t, so by t, and by q in the grid's order within it
+        keys = list(zip(violations.t.tolist(), violations.q.tolist()))
         assert keys == sorted(keys)
 
     def test_extremal_of_quadratic_is_clean(self):
@@ -187,23 +219,23 @@ class TestScan:
             make_uniform(0.0, 4.0, 1.0), 0.0, 4.0, parse_lagrangian("r^2"), 0.0, 4.0
         )
         x = GridFunction.from_callable(P.scale, lambda t: t)
-        assert weierstrass_scan(P, x, q_grid=np.linspace(-10, 10, 41)) == []
+        assert len(weierstrass_scan(P, x, q_grid=np.linspace(-10, 10, 41))) == 0
 
     def test_diagonal_grid_is_empty(self):
         P = VariationalProblem(
             make_uniform(0.0, 4.0, 1.0), 0.0, 4.0, parse_lagrangian("r^2 - r^4"), 0.0, 4.0
         )
         x = GridFunction.from_callable(P.scale, lambda t: t)
-        assert weierstrass_scan(P, x, q_grid=[1.0]) == []  # q equals the slope everywhere
+        assert len(weierstrass_scan(P, x, q_grid=[1.0])) == 0  # q equals the slope everywhere
 
     def test_break_points_scan_both_sides(self):
         ts = make_dense(0.0, 1.0, 10)
         P = VariationalProblem(ts, 0.0, 1.0, parse_lagrangian("0 - r^2"), 0.0, 0.0)
         x = GridFunction.from_callable(ts, lambda t: abs(t - 0.5), break_points=(0.5,))
         violations = weierstrass_scan(P, x, q_grid=[5.0])
-        at_break = [v for v in violations if v.t == 0.5]
-        assert {v.slope_kind for v in at_break} == {SlopeKind.LEFT, SlopeKind.RIGHT}
-        assert {round(v.r, 6) for v in at_break} == {-1.0, 1.0}
+        at_break = violations.t == 0.5
+        assert kinds(violations, at_break) == [SlopeKind.LEFT, SlopeKind.RIGHT]
+        assert violations.r[at_break] == pytest.approx([-1.0, 1.0], abs=1e-6)
 
     def test_left_dense_window_end_uses_left_limit(self):
         # the window end takes x(t1), also when scale points follow the window
@@ -211,16 +243,16 @@ class TestScan:
             P = VariationalProblem(ts, 0.0, 1.0, parse_lagrangian("0 - r^2"), 0.0, 1.0)
             x = GridFunction.from_callable(ts, lambda t: t if t <= 1.0 else 7.0)
             violations = weierstrass_scan(P, x, q_grid=[4.0])
-            end = [v for v in violations if v.t == 1.0]
-            assert len(end) == 1 and end[0].slope_kind is SlopeKind.LEFT
-            assert end[0].x_sigma == 1.0
+            end = violations.t == 1.0
+            assert kinds(violations, end) == [SlopeKind.LEFT]
+            assert violations.x_sigma[end].tolist() == [1.0]
 
     def test_break_at_the_scale_minimum(self):
         ts = make_dense(0.0, 1.0, 10)
         P = VariationalProblem(ts, 0.0, 1.0, parse_lagrangian("0 - r^2"), 0.0, 1.0)
         x = GridFunction.from_callable(ts, lambda t: t, break_points=(0.0,))
-        at_start = [v for v in weierstrass_scan(P, x, q_grid=[4.0]) if v.t == 0.0]
-        assert [v.slope_kind for v in at_start] == [SlopeKind.RIGHT]
+        violations = weierstrass_scan(P, x, q_grid=[4.0])
+        assert kinds(violations, violations.t == 0.0) == [SlopeKind.RIGHT]
         report = classify_candidate(P, x, q_grid=[4.0])
         assert report.verdict is Verdict.NECESSARY_CONDITION_VIOLATED
 
@@ -230,13 +262,15 @@ class TestScan:
         ts = union(make_dense(0.0, 1.0, 10), make_points([2.0]))
         P = VariationalProblem(ts, 0.0, 2.0, parse_lagrangian("0 - r^2"), 0.0, 3.0)
         x = GridFunction.from_callable(ts, lambda t: t if t <= 1.0 else 3.0)
-        at_join = [v for v in weierstrass_scan(P, x, q_grid=[4.0]) if v.t == 1.0]
-        assert [(v.slope_kind, v.x_sigma) for v in at_join] == [
+        violations = weierstrass_scan(P, x, q_grid=[4.0])
+        at_join = violations.t == 1.0
+        assert list(zip(kinds(violations, at_join), violations.x_sigma[at_join])) == [
             (SlopeKind.LEFT, 1.0),
             (SlopeKind.TWO_SIDED, 3.0),
         ]
-        assert at_join[0].r == pytest.approx(1.0, abs=1e-12)
-        assert at_join[1].r == 2.0
+        r = violations.r[at_join]
+        assert r[0] == pytest.approx(1.0, abs=1e-12)
+        assert r[1] == 2.0
         assert observed_slopes(P, x).size == 12  # 11 nodes of [0, 2) plus the left limit
 
     def test_overflowing_excess_raises(self):
@@ -279,7 +313,7 @@ class TestScan:
             vals = rng.uniform(-2, 2, 7)
             vals[0], vals[-1] = 0.0, 3.0
             x = GridFunction(P.scale, vals)
-            assert weierstrass_scan(P, x, q_grid=np.linspace(-8, 8, 33), tol=1e-10) == []
+            assert len(weierstrass_scan(P, x, q_grid=np.linspace(-8, 8, 33), tol=1e-10)) == 0
 
 
 class TestExcessTable:
@@ -297,35 +331,21 @@ class TestExcessTable:
             column = getattr(table, name)
             assert column.dtype == dtype and column.shape == (len(table),)
 
-    def test_an_index_gives_a_sample_of_python_values(self, table):
-        for i in (0, 5, -1, len(table) - 1, np.int64(3)):
-            v = table[i]
-            assert type(v) is ExcessSample and type(v.slope_kind) is SlopeKind
-            assert all(type(value) is float for value in v[:5])
-            assert v == tuple(table)[int(i)]
-        for i in (len(table), -len(table) - 1):
-            with pytest.raises(IndexError):
-                table[i]
+    def test_rows_come_in_scan_order(self, table):
+        # at the break t = 0.5 the LEFT row comes before the right-going row,
+        # each with the q grid in its own order
+        at_break = table.t == 0.5
+        assert kinds(table, at_break) == [SlopeKind.LEFT, SlopeKind.LEFT, SlopeKind.RIGHT, SlopeKind.RIGHT]
+        assert table.q[at_break].tolist() == [-5.0, 5.0, -5.0, 5.0]
+        assert set(kinds(table)) == {SlopeKind.TWO_SIDED, SlopeKind.LEFT, SlopeKind.RIGHT}
+
+    def test_equality_is_by_columns(self, table):
+        same = ExcessTable(table.t, table.x_sigma, table.r, table.q, table.E, table.kind)
+        assert table == same and not table != same
+        assert table != ExcessTable(table.t, table.x_sigma, table.r, table.q, table.E + 1.0, table.kind)
+        assert table != list(zip(table.t, table.x_sigma, table.r, table.q, table.E, table.kind))
         with pytest.raises(TypeError):
-            table[1.0]
-
-    def test_a_slice_gives_a_table(self, table):
-        head = table[:5]
-        assert isinstance(head, ExcessTable) and len(head) == 5
-        assert head == list(table)[:5]
-        assert table[::-3] == list(table)[::-3]
-        assert table[len(table):] == [] and not table[len(table):]
-
-    def test_equality(self, table):
-        samples = list(table)
-        assert table == samples and table == tuple(samples) and samples == table
-        assert table == table[:]
-        assert table != samples[:-1] and table != samples[::-1]
-        assert table != [v._replace(E=v.E + 1.0) for v in samples]
-        assert (table == 3) is False and table != "two-sided"
-        assert hash(table) == hash(tuple(samples))
-        kinds = {v.slope_kind for v in table}
-        assert kinds == {SlopeKind.TWO_SIDED, SlopeKind.LEFT, SlopeKind.RIGHT}
+            hash(table)
 
     def test_read_only(self, table):
         with pytest.raises(ValueError):
@@ -337,7 +357,7 @@ class TestExcessTable:
         with pytest.raises(InvalidParameter):
             ExcessTable([0.0], [0.0], [0.0], [0.0], [0.0, 1.0], [0])
         empty = ExcessTable([], [], [], [], [], [])
-        assert empty == [] and len(empty) == 0 and list(empty) == []
+        assert len(empty) == 0 and not empty and repr(empty) == "ExcessTable(0 samples)"
 
 
 class TestQScaleCase:
@@ -346,7 +366,7 @@ class TestQScaleCase:
         P = VariationalProblem(ts, 1.0, 16.0, parse_lagrangian("0 - r^2"), 1.0, 16.0)
         x = GridFunction.from_callable(ts, lambda t: t * t)
         violations = weierstrass_scan(P, x, q_grid=[100.0])
-        slopes = {v.t: v.r for v in violations}
+        slopes = dict(zip(violations.t.tolist(), violations.r.tolist()))
         assert slopes == {t: 3.0 * t for t in (1.0, 2.0, 4.0, 8.0)}
 
     def test_functional_is_mu_weighted_sum(self):
@@ -377,6 +397,15 @@ def test_a_q_count_that_is_not_an_integer_is_rejected(count):
 
 def test_a_numpy_integer_q_count_is_accepted():
     assert np.array_equal(default_q_grid([0.0, 1.0], count=np.int64(5)), default_q_grid([0.0, 1.0], 5))
+
+
+@pytest.mark.parametrize("q_grid", [[], [[-2.0, 2.0]], [[-2, 2], [1, 3]], 2.0])
+def test_a_q_grid_that_is_not_a_nonempty_1d_sequence_is_rejected(q_grid, harmonic_problem):
+    x = harmonic_problem.zero_trajectory()
+    with pytest.raises(InvalidParameter, match="^q_grid must be a nonempty 1-d sequence$"):
+        weierstrass_scan(harmonic_problem, x, q_grid)
+    with pytest.raises(InvalidParameter, match="^q_grid must be a nonempty 1-d sequence$"):
+        classify_candidate(harmonic_problem, x, q_grid=q_grid)
 
 
 @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
@@ -431,7 +460,7 @@ class TestClassification:
         assert report.verdict is Verdict.CONSISTENT_WITH_STRONG_MIN
         assert report.el_max_residual <= 1e-10
         assert report.convexity_ok
-        assert report.weierstrass_violations == ()
+        assert len(report.weierstrass_violations) == 0
 
     def test_hypothesis_not_met_for_quartic(self, harmonic_problem):
         report = classify_candidate(
@@ -470,7 +499,7 @@ class TestClassification:
         )
         report = classify_candidate(P, x, q_grid=np.linspace(-3.0, 3.0, 13))
         assert report.convexity_ok
-        assert report.weierstrass_violations == ()
+        assert len(report.weierstrass_violations) == 0
         assert report.verdict is Verdict.CONSISTENT_WITH_STRONG_MIN
 
     def test_nonextremal_reports_residual(self):
@@ -557,12 +586,14 @@ def test_mixed_windows_keep_their_values(
     if case == "dense-uniform":
         # leave out the left limit at the end of the dense run, which the
         # per-point scan did not visit (test_left_limit_at_a_dense_run_end)
-        violations = [v for v in violations if not (v.t == 1.0 and v.slope_kind is SlopeKind.LEFT)]
+        keep = ~((violations.t == 1.0) & (violations.kind == KINDS.index(SlopeKind.LEFT)))
+    else:
+        keep = np.ones(len(violations), dtype=bool)
     got = (
-        len(violations),
-        sum(v.t for v in violations),
-        sum(v.x_sigma for v in violations),
-        sum(v.r for v in violations),
-        sum(v.E for v in violations),
+        int(keep.sum()),
+        sum(violations.t[keep].tolist()),
+        sum(violations.x_sigma[keep].tolist()),
+        sum(violations.r[keep].tolist()),
+        sum(violations.E[keep].tolist()),
     )
     assert got == pytest.approx(scan, rel=1e-12)
