@@ -105,45 +105,75 @@ class GridFunction:
         return any(abs(t - b) <= POINT_TOLERANCE for b in self.break_points)
 
     @cached_property
+    def slopes(self) -> np.ndarray:
+        """x^Delta at every node by the rule of side None, read-only, built on first use.
+
+        The exact forward quotient at right-scattered nodes, the symmetric
+        quotient where both neighbours are dense (both from slices), and
+        one_sided only where neither applies: to the right at the start of
+        a dense run and to the left at the scale maximum, which is never
+        right-dense. NaN at registered breaks that are not right-scattered,
+        where the derivative does not exist.
+        """
+        ts = self.scale
+        p, v = ts.points, self.values
+        rd, ld = ts.right_dense_mask, ts.left_dense_mask
+        out = np.empty(p.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(v[1:] - v[:-1], p[1:] - p[:-1], out=out[:-1])
+            np.divide(v[2:] - v[:-2], p[2:] - p[:-2], out=out[1:-1], where=rd[1:-1] & ld[1:-1])
+        starts = np.flatnonzero(rd & ~ld)
+        out[starts] = self.one_sided(starts, 1)
+        out[-1:] = self.one_sided(np.array([p.size - 1]), -1)
+        if self.break_points:
+            out[_break_mask(self) & (ts.mu_values() == 0.0)] = np.nan
+        out.setflags(write=False)
+        return out
+
+    def one_sided(self, nodes: np.ndarray, step: int) -> np.ndarray:
+        """x^Delta at the integer array nodes by the one-sided rule towards node i + step.
+
+        step is 1 for the right neighbour and -1 for the left. The quotient
+        is second order when the node and the neighbour are dense on that
+        side and the next two gaps are uniform; first order otherwise, which
+        is the exact quotient across a scattered gap. Past an end of the
+        scale the end node stands in for the missing neighbours, so a node
+        without the neighbour gets a meaningless value. A dense neighbour
+        is never an end of the scale, so the second node out exists
+        whenever it is used.
+        """
+        ts = self.scale
+        p, v = ts.points, self.values
+        dense = ts.right_dense_mask if step > 0 else ts.left_dense_mask
+        j1 = np.clip(nodes + step, 0, p.size - 1)
+        j2 = np.clip(nodes + 2 * step, 0, p.size - 1)
+        v0, v1, v2 = v[nodes], v[j1], v[j2]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            h = p[j1] - p[nodes]
+            out = (v1 - v0) / h
+            use = dense[nodes] & dense[j1] & (np.abs(p[j2] - p[j1] - h) <= 1e-9 * np.abs(h))
+            if use.any():
+                h, v0, v1, v2 = h[use], v0[use], v1[use], v2[use]
+                second = (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * h)
+                overflow = ~np.isfinite(second)
+                if overflow.any():  # |x| above about 4.5e307: the same stencil in differences
+                    second[overflow] = ((3.0 * (v1 - v0) - (v2 - v1)) / (2.0 * h))[overflow]
+                out[use] = second
+        return out
+
+    @cached_property
     def slope_table(self) -> "SlopeTable":
         """x^Delta at every node of the scale by each rule, built on first use.
 
-        The values, the scale and the break points are fixed, so the table
-        is a pure function of x, and every consumer shares one build. The
-        one-sided quotient towards a neighbour is second order when the
-        node and the neighbour are dense on that side and the next two gaps
-        are uniform; first order otherwise, which is the exact quotient
-        across a scattered gap. Past an end of the scale the end node stands
-        in for the missing neighbours. A dense neighbour is never an end of
-        the scale, so the second node out exists whenever it is used.
+        The two-sided column is slopes; right and left are one_sided at
+        every node. No library path reads the table; it is the all-nodes
+        view of the two rules.
         """
-        ts = self.scale
-        pts, v = ts.points, self.values
-        rd, ld = ts.right_dense_mask, ts.left_dense_mask
-        near = {k: (_shifted(pts, k), _shifted(v, k)) for k in (-2, -1, 1, 2)}
-        one_sided = []
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for step, dense in ((1, rd), (-1, ld)):
-                (p1, v1), (p2, v2) = near[step], near[2 * step]
-                h = p1 - pts
-                first = (v1 - v) / h
-                second = (-3.0 * v + 4.0 * v1 - v2) / (2.0 * h)
-                uniform = np.abs(p2 - p1 - h) <= 1e-9 * np.abs(h)
-                use = dense & _shifted(dense, step) & uniform
-                overflow = use & ~np.isfinite(second)
-                if overflow.any():  # |x| above about 4.5e307: the same stencil in differences
-                    second[overflow] = ((3.0 * (v1 - v) - (v2 - v1)) / (2.0 * h))[overflow]
-                one_sided.append(np.where(use, second, first))
-            right, left = one_sided
-            (p_lo, v_lo), (p_hi, v_hi) = near[-1], near[1]
-            central = (v_hi - v_lo) / (p_hi - p_lo)
-        two_sided = np.where(rd & ld, central, right)
-        two_sided[-1] = left[-1]  # the maximum is never right-dense
-        if self.break_points:
-            two_sided[_break_mask(self) & (ts.mu_values() == 0.0)] = np.nan
-        for column in (two_sided, right, left):
-            column.setflags(write=False)
-        return SlopeTable(two_sided, right, left)
+        nodes = np.arange(len(self.scale))
+        right, left = self.one_sided(nodes, 1), self.one_sided(nodes, -1)
+        right.setflags(write=False)
+        left.setflags(write=False)
+        return SlopeTable(self.slopes, right, left)
 
     @cached_property
     def sample_rows(self) -> dict:
@@ -158,25 +188,14 @@ class GridFunction:
 class SlopeTable(NamedTuple):
     """x^Delta at every node of a scale, one read-only float64 array per rule.
 
-    right and left are the one-sided quotients towards that neighbour; a
-    node must have the neighbour for its value to mean anything. two_sided
-    is the rule of side None: the exact forward quotient at right-scattered
-    nodes, the symmetric stencil where both neighbours are dense, a
-    one-sided stencil at the ends of a dense run, and NaN at registered
-    breaks that are not right-scattered, where the derivative does not
-    exist.
+    two_sided is GridFunction.slopes, the rule of side None; right and left
+    are GridFunction.one_sided towards that neighbour, and a node must have
+    the neighbour for its value to mean anything.
     """
 
     two_sided: np.ndarray
     right: np.ndarray
     left: np.ndarray
-
-
-def _shifted(a: np.ndarray, k: int) -> np.ndarray:
-    """a at node i + k for every node i; the end value stands in past either end."""
-    if k > 0:
-        return np.concatenate((a[k:], np.repeat(a[-1:], min(k, a.size))))
-    return np.concatenate((np.repeat(a[:1], min(-k, a.size)), a[:k]))
 
 
 def _break_mask(x: GridFunction) -> np.ndarray:
@@ -209,17 +228,17 @@ def delta_derivative(x: GridFunction, t: float, side: Optional[str] = None) -> D
         raise InvalidParameter("no left neighbour at the scale minimum")
     if side not in (None, "left", "right"):
         raise InvalidParameter(f"side must be None, 'left' or 'right', got {side!r}")
-    table = x.slope_table
-    value = float((table.two_sided if side is None else getattr(table, side))[i])
     if side is not None:
-        kind = DerivativeKind.RIGHT_LIMIT if side == "right" else DerivativeKind.LEFT_LIMIT
-    elif ts.mu_values()[i] > 0.0:
+        step = 1 if side == "right" else -1
+        kind = DerivativeKind.RIGHT_LIMIT if step > 0 else DerivativeKind.LEFT_LIMIT
+        return DerivativeValue(float(x.one_sided(np.array([i]), step)[0]), kind)
+    if ts.mu_values()[i] > 0.0:
         kind = DerivativeKind.EXACT_SCATTERED
     elif x.is_break(t):
         kind = DerivativeKind.UNDEFINED_AT_BREAK
     else:
         kind = DerivativeKind.DENSE_APPROX
-    return DerivativeValue(value, kind)
+    return DerivativeValue(float(x.slopes[i]), kind)
 
 
 def delta_integral(g: GridFunction, c: float, d: float) -> float:
@@ -256,5 +275,5 @@ def norm_weak(x: GridFunction, t0: float, t1: float) -> float:
     right-dense points) are excluded from the second supremum.
     """
     i0, ik = x.scale.kappa_range(t0, t1)
-    slopes = np.abs(x.slope_table.two_sided[i0 : ik + 1])
+    slopes = np.abs(x.slopes[i0 : ik + 1])
     return norm_strong(x, t0, t1) + float(np.max(slopes, initial=0.0, where=~np.isnan(slopes)))

@@ -251,10 +251,6 @@ class TimeScale:
         return self._points
 
     @property
-    def dense_spans(self) -> tuple[tuple[float, float], ...]:
-        return self._spans
-
-    @property
     def min(self) -> float:
         return float(self._points[0])
 

@@ -131,13 +131,17 @@ def _rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray, ...]:
 
 
 def _build_rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray, ...]:
-    """The table of _rows, built from the slope table of x."""
+    """The table of _rows.
+
+    r is the two-sided column x.slopes, except at the rows that need a
+    one-sided slope: x.one_sided runs only at the registered breaks (r+)
+    and at the LEFT rows (r-).
+    """
     ts = problem.scale
     if x.scale is not ts and not all(map(np.array_equal, _nodes(x.scale), _nodes(ts))):
         raise InvalidParameter("the trajectory is sampled on another scale than the problem's")
     pts, v, mu = ts.points, x.values, ts.mu_values()
     rd, ld = ts.right_dense_mask, ts.left_dense_mask
-    slopes = x.slope_table
     i0, i1 = problem.window()
     brk = _break_mask(x)
     here, ahead = slice(i0, i1), slice(i0 + 1, i1 + 1)
@@ -146,7 +150,9 @@ def _build_rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray,
     at_break = brk[here]
     t = pts[here]
     xs = np.where(mu[here] > 0.0, v[ahead], v[here])  # x(sigma(t))
-    r = np.where(at_break, slopes.right[here], slopes.two_sided[here])
+    r = x.slopes[here].copy()
+    breaks = np.flatnonzero(at_break)
+    r[breaks] = x.one_sided(i0 + breaks, 1)
     kind = np.where(at_break, _RIGHT, _TWO_SIDED).astype(np.int8)
     weight = np.where(rd[here], 0.5 * gap, mu[here])
     # a dense node inside the window with no LEFT row also closes the panel to its left
@@ -161,7 +167,7 @@ def _build_rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray,
     rows = (
         np.insert(t, at, pts[left]),
         np.insert(xs, at, v[left]),
-        np.insert(r, at, slopes.left[left]),
+        np.insert(r, at, x.one_sided(left, -1)),
         np.insert(kind, at, _LEFT),
         np.insert(weight, at, 0.5 * gap[at - 1]),
     )
@@ -252,7 +258,7 @@ def _window_state(lagr: Lagrangian, t: np.ndarray, x: np.ndarray) -> tuple:
     a = frr / mu
     diag = (mu * fxx + 2.0 * fxr + a)[:-1] + a[1:]
     off = -(a + fxr)[1:-1]
-    return float(np.dot(mu, f)), float(np.dot(mu, np.abs(f))), _el_terms(t[:-1], fx, fr), diag, off
+    return float(np.sum(mu * f)), float(np.sum(mu * np.abs(f))), _el_terms(t[:-1], fx, fr), diag, off
 
 
 def _merit(lagr: Lagrangian, t: np.ndarray, x: np.ndarray) -> float:
@@ -262,7 +268,7 @@ def _merit(lagr: Lagrangian, t: np.ndarray, x: np.ndarray) -> float:
         f = lagr.eval(t[:-1], x[1:], np.diff(x) / mu)
     except DomainError:
         return math.inf
-    return float(np.dot(mu, f))
+    return float(np.sum(mu * f))
 
 
 def _ldl(diag: list, off: list, shift: float = 0.0) -> tuple[list, list]:
@@ -378,7 +384,7 @@ def solve_el_discrete(
     while res_max > SOLVE_TOL and iterations < max_iter:
         grad = -mu[:-1] * residual
         step = _newton_step(diag, off, grad)
-        decrease = _ARMIJO * float(np.dot(grad, step))
+        decrease = _ARMIJO * float(np.sum(grad * step))
         lam = 1.0
         while True:
             trial = xw.copy()

@@ -150,6 +150,17 @@ _BLOCK_ROWS = 1 << 15
 CONVEXITY_TOL = 1e-10
 
 
+def _vector(values, message: str, finite: bool = False) -> np.ndarray:
+    """values as a float array; InvalidParameter(message) unless a nonempty 1-d sequence of numbers."""
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # a ragged list, or an element that is not a number
+        raise InvalidParameter(message) from None
+    if a.ndim != 1 or not a.size or (finite and not np.isfinite(a).all()):
+        raise InvalidParameter(message)
+    return a
+
+
 def check_convexity_condition(
     problem: VariationalProblem,
     x_samples: Sequence[float],
@@ -171,10 +182,11 @@ def check_convexity_condition(
     points gives, and on success checks counts the checks of every point
     the verdict covers.
     """
-    xs, rs, gs = (np.asarray(s, dtype=float) for s in (x_samples, r_samples, gamma_samples))
-    for name, s in (("x_samples", xs), ("r_samples", rs), ("gamma_samples", gs)):
-        if s.ndim != 1 or not s.size or not np.isfinite(s).all():
-            raise InvalidParameter(f"{name} must be a nonempty 1-d sequence of finite numbers")
+    samples = {"x_samples": x_samples, "r_samples": r_samples, "gamma_samples": gamma_samples}
+    xs, rs, gs = (
+        _vector(s, f"{name} must be a nonempty 1-d sequence of finite numbers", finite=True)
+        for name, s in samples.items()
+    )
     if not ((gs >= 0.0) & (gs <= 1.0)).all():
         raise InvalidParameter("gamma_samples must lie in [0, 1]")
     ts = problem.scale
@@ -246,9 +258,7 @@ def weierstrass_scan(
     row, in the row order of the functional (by t, a left limit before the
     right-going row of its node), and within a row in the order of q_grid.
     """
-    q = np.asarray(q_grid, dtype=float)
-    if q.ndim != 1 or not q.size:
-        raise InvalidParameter("q_grid must be a nonempty 1-d sequence")
+    q = _vector(q_grid, "q_grid must be a nonempty 1-d sequence")
     if not np.isfinite(q).all():
         raise InvalidParameter("q_grid must be finite")
     if not tol >= 0:  # NaN too, which would find no violation

@@ -33,6 +33,7 @@ from tsvar import (
     parse_lagrangian,
     union,
 )
+from tsvar.variational import _LEFT, _RIGHT, _TWO_SIDED, _rows
 from conftest import random_discrete_scale
 
 
@@ -395,3 +396,61 @@ def test_second_order_slopes_of_values_near_the_float_range_do_not_overflow():
     for got, want in zip(big.slope_table, y.slope_table):
         np.testing.assert_allclose(got, 2.0**1022 * want, rtol=1e-12)
     assert norm_weak(big, -1.0, 2.0) == pytest.approx(2.0**1022 * norm_weak(y, -1.0, 2.0), rel=1e-12)
+
+
+# -- each slope rule runs only where something reads it ---------------------------
+
+
+def test_readers_of_x_delta_run_the_one_sided_rule_only_where_they_use_it():
+    # dense [0, 1] (8 panels) then uniform (1, 3] step 1/2; breaks at 0.5 (dense) and 2.0
+    ts = union(make_dense(0.0, 1.0, 8), make_uniform(1.0, 3.0, 0.5))
+    x = GridFunction(ts, np.sin(3.0 * ts.points), break_points=(0.5, 2.0))
+    index = {t: ts.index_of(t) for t in (0.5, 1.0, 2.0)}
+    calls = []
+    one_sided = GridFunction.one_sided
+
+    def spy(grid, nodes, step):
+        calls.append((step, tuple(np.asarray(nodes).tolist())))
+        return one_sided(grid, nodes, step)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GridFunction, "one_sided", spy)
+        problem = VariationalProblem(ts, 0.0, 3.0, parse_lagrangian("r^2 + sin(x)"), 0.0, 0.0)
+        functional(problem, x)
+        norm_weak(x, 0.0, 3.0)
+        el_residual(problem, x)
+        assert "slope_table" not in vars(x)
+        assert sorted(calls) == sorted([
+            (1, (0,)),  # the start of the dense run
+            (-1, (len(ts) - 1,)),  # the scale maximum
+            (1, (index[0.5], index[2.0])),  # the breaks
+            (-1, (index[0.5], index[1.0])),  # LEFT rows: a dense break, a dense run end
+        ])
+        calls.clear()
+        delta_derivative(x, 2.0, side="left")
+        assert calls == [(-1, (index[2.0],))]
+
+
+@settings(max_examples=150)
+@given(ts=mixed_scales(), data=st.data())
+def test_sample_row_slopes_follow_the_rule_their_kind_names(ts, data):
+    n = len(ts)
+    v = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    brk = data.draw(st.sets(st.integers(0, n - 1), max_size=4))
+    i0 = data.draw(st.integers(0, n - 2))
+    i1 = data.draw(st.integers(i0 + 1, n - 1))
+    x = GridFunction(ts, v, break_points=tuple(float(ts.points[i]) for i in brk))
+    pts, rd, ld, mu = (
+        a.tolist() for a in (ts.points, ts.right_dense_mask, ts.left_dense_mask, ts.mu_values())
+    )
+    problem = VariationalProblem(
+        ts, pts[i0], pts[i1], parse_lagrangian("r^2 + sin(x)"), v[i0], v[i1]
+    )
+    t, _, r, kind, _ = _rows(problem, x)
+    side = {_TWO_SIDED: None, _LEFT: "left", _RIGHT: "right"}
+    nodes = np.searchsorted(ts.points, t).tolist()
+    want = [
+        reference_slope(pts, v, rd, ld, mu, brk, i, side[k]) for i, k in zip(nodes, kind.tolist())
+    ]
+    assert_bitwise(r, want)
+    assert "slope_table" not in vars(x)

@@ -1,5 +1,9 @@
 """Functional evaluation, Euler-Lagrange residual/solver, and spike machinery."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -433,6 +437,26 @@ class TestSolver:
         with pytest.raises(NonConvergence) as exc:
             solve_el_discrete(P, max_iter=2)
         assert len(exc.value.history) == exc.value.iterations == 2
+
+    def test_merits_do_not_depend_on_the_blas_thread_count(self):
+        # with BLAS dots the last two merits ended in ...c405, ...c404 on one
+        # OpenBLAS thread and ...c3de, ...c3df on two
+        script = (
+            "from tsvar import VariationalProblem, make_uniform, parse_lagrangian, solve_el_discrete\n"
+            "P = VariationalProblem(make_uniform(0.0, 12000.0, 1.0), 0.0, 12000.0,\n"
+            "    parse_lagrangian('0.5*r^2 + 0.3*cos(x) + 0.01*x^2'), 0.3, 1.7)\n"
+            "print(' '.join(merit.hex() for _, _, merit in solve_el_discrete(P).history))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        merits = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert run.returncode == 0, run.stderr
+            merits.append(run.stdout.split())
+        assert len(merits[0]) > 1 and merits[0] == merits[1]
 
     def test_dense_scale_rejected(self):
         P = VariationalProblem(

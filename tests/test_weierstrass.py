@@ -196,6 +196,18 @@ def test_convexity_samples_must_be_finite_1d_lists_and_gamma_in_the_unit_interva
             check_convexity_condition(P, *samples)
 
 
+@pytest.mark.parametrize("bad", [[[1.0], [1.0, 2.0]], "ab", ["a", 1.0], {"a": 1.0}])
+@pytest.mark.parametrize("position", range(3))
+def test_convexity_samples_that_are_not_numbers_are_rejected(bad, position):
+    # a ragged list or a string raised numpy's ValueError
+    samples = [[0.0], [-1.0, 1.0], [0.5]]
+    samples[position] = bad
+    name = ("x_samples", "r_samples", "gamma_samples")[position]
+    P = VariationalProblem(make_harmonic(10), 0.0, 1.0, parse_lagrangian("r^2 - r^4"), 0.0, 0.0)
+    with pytest.raises(InvalidParameter, match=f"^{name} must be a nonempty 1-d sequence of finite numbers$"):
+        check_convexity_condition(P, *samples)
+
+
 def test_convexity_gammas_at_the_ends_of_the_unit_interval_are_accepted():
     P = VariationalProblem(make_harmonic(50), 0.0, 1.0, parse_lagrangian("r^2 + x^2"), 0.0, 0.0)
     assert check_convexity_condition(P, [0.0], [-1.0, 1.0], [0.0, 1.0]).ok
@@ -406,6 +418,14 @@ def test_a_q_grid_that_is_not_a_nonempty_1d_sequence_is_rejected(q_grid, harmoni
         weierstrass_scan(harmonic_problem, x, q_grid)
     with pytest.raises(InvalidParameter, match="^q_grid must be a nonempty 1-d sequence$"):
         classify_candidate(harmonic_problem, x, q_grid=q_grid)
+
+
+@pytest.mark.parametrize("q_grid", [[[1.0], [1.0, 2.0]], "ab", ["a", 1.0], {"a": 1.0}])
+def test_a_q_grid_that_is_not_numbers_is_rejected(q_grid):
+    # a ragged list or a string raised numpy's ValueError
+    P = VariationalProblem(make_harmonic(10), 0.0, 1.0, parse_lagrangian("r^2 - r^4"), 0.0, 0.0)
+    with pytest.raises(InvalidParameter, match="^q_grid must be a nonempty 1-d sequence$"):
+        weierstrass_scan(P, P.zero_trajectory(), q_grid)
 
 
 @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
