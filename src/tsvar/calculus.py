@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -88,18 +88,11 @@ class GridFunction:
 
     __call__ = value_at
 
-    def value_at_sigma(self, t: float) -> float:
-        """x(sigma(t)), the composition with the forward jump."""
-        return float(self.values[self.scale.index_of(self.scale.sigma(t))])
-
     def with_value_at(self, t: float, value: float) -> "GridFunction":
         i = self.scale.index_of(t)
         vals = self.values.copy()
         vals[i] = value
         return GridFunction(self.scale, vals, self.break_points)
-
-    def with_break_points(self, break_points: tuple[float, ...]) -> "GridFunction":
-        return GridFunction(self.scale, self.values.copy(), break_points)
 
     def is_break(self, t: float) -> bool:
         return any(abs(t - b) <= POINT_TOLERANCE for b in self.break_points)
@@ -162,20 +155,6 @@ class GridFunction:
         return out
 
     @cached_property
-    def slope_table(self) -> "SlopeTable":
-        """x^Delta at every node of the scale by each rule, built on first use.
-
-        The two-sided column is slopes; right and left are one_sided at
-        every node. No library path reads the table; it is the all-nodes
-        view of the two rules.
-        """
-        nodes = np.arange(len(self.scale))
-        right, left = self.one_sided(nodes, 1), self.one_sided(nodes, -1)
-        right.setflags(write=False)
-        left.setflags(write=False)
-        return SlopeTable(self.slopes, right, left)
-
-    @cached_property
     def sample_rows(self) -> dict:
         """The integrand sample tables of variational._rows, by (problem scale, i0, i1).
 
@@ -183,19 +162,6 @@ class GridFunction:
         pure function of x, the scale and the window, so it is built once.
         """
         return {}
-
-
-class SlopeTable(NamedTuple):
-    """x^Delta at every node of a scale, one read-only float64 array per rule.
-
-    two_sided is GridFunction.slopes, the rule of side None; right and left
-    are GridFunction.one_sided towards that neighbour, and a node must have
-    the neighbour for its value to mean anything.
-    """
-
-    two_sided: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
 
 
 def _break_mask(x: GridFunction) -> np.ndarray:

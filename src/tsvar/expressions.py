@@ -9,21 +9,20 @@ with the functions sin, cos, exp, log, sqrt, abs:
     base   := number | ident | ident '(' expr ')' | '(' expr ')'
 
 '^' is right-associative and binds tighter than unary minus, so -x^2 parses
-as -(x^2). Evaluation accepts floats or numpy arrays in any variable slot;
-arrays evaluate the expression on many (t, x, r) rows at once, with the
-domain checks applied as masks, and eval_rows makes such an evaluation fail
-exactly where a loop over the rows would. The partial derivatives of f are
-ASTs too, derived once per Lagrangian by the chain rule (see derivative)
-and evaluated by the same walker.
+as -(x^2). One walker, eval_ast, evaluates an AST over numpy values: an
+array in a variable slot evaluates the expression on many (t, x, r) rows at
+once, with the domain checks applied as masks, and a float is a 0-d array,
+a single row. eval_rows makes an evaluation fail exactly where a loop over
+the rows would, naming that row. The partial derivatives of f are ASTs too,
+derived once per Lagrangian by the chain rule (see derivative) and
+evaluated by the same walker.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isfinite
 from typing import Any, Callable, Mapping, Optional, Union
 
 import numpy as np
@@ -222,77 +221,49 @@ class _Parser:
 
 
 def check(bad, error: type, message: str) -> None:
-    """Raise error(message) where the bool or bool array bad holds anywhere.
+    """Raise error(message) where the numpy bool or bool array bad holds anywhere.
 
-    The error's `index` attribute is the first bad flat index (0 for a
-    scalar check, which fails everywhere). Hot scalar paths skip the call
-    while bad is False: `if (bad := ...) is not False: check(bad, ...)`.
+    The error's `index` attribute is the first bad flat index (0 for a 0-d
+    check, which fails everywhere).
     """
-    if isinstance(bad, np.ndarray):
-        if not bad.any():
-            return
-        index = int(np.argmax(bad))
-    elif bad:
-        index = 0
-    else:
-        return
-    e = error(message)
-    e.index = index
-    raise e
+    if bad.any():
+        e = error(message)
+        e.index = int(np.argmax(bad))
+        raise e
 
 
-def _lib(u):
-    """The math module for scalars, numpy for arrays."""
-    return np if isinstance(u, np.ndarray) else math
+def _log(u: np.ndarray) -> np.ndarray:
+    check(u <= 0.0, DomainError, "log of a non-positive value")
+    return np.log(u)
 
 
-def _log(u: Number) -> Number:
-    if (bad := u <= 0.0) is not False:
-        check(bad, DomainError, "log of a non-positive value")
-    return _lib(u).log(u)
+def _sqrt(u: np.ndarray) -> np.ndarray:
+    check(u < 0.0, DomainError, "sqrt of a negative value")
+    return np.sqrt(u)
 
 
-def _sqrt(u: Number) -> Number:
-    if (bad := u < 0.0) is not False:
-        check(bad, DomainError, "sqrt of a negative value")
-    return _lib(u).sqrt(u)
-
-
-def _sign(u: Number) -> Number:
-    if isinstance(u, np.ndarray):
-        return np.sign(u)
-    return 0.0 if u == 0.0 else math.copysign(1.0, u)
-
-
-_FUNCTIONS = {
-    "sin": lambda u: _lib(u).sin(u),
-    "cos": lambda u: _lib(u).cos(u),
-    "exp": lambda u: _lib(u).exp(u),
-    "log": _log,
-    "sqrt": _sqrt,
-    "abs": abs,
-}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": _log, "sqrt": _sqrt, "abs": np.abs}
 # sign appears in derivative ASTs only: the parser does not accept it
-_EVAL_FUNCTIONS = {**_FUNCTIONS, "sign": _sign}
+_EVAL_FUNCTIONS = {**_FUNCTIONS, "sign": np.sign}
 
 
-def _power(lhs: Number, rhs: Number) -> Number:
-    if isinstance(rhs, np.ndarray):
-        negative, fractional = rhs < 0.0, rhs != np.round(rhs)
-    else:
-        rhs = float(rhs)
-        negative, fractional = rhs < 0.0, not rhs.is_integer()
-        if not isinstance(lhs, np.ndarray):
-            lhs = float(lhs)
-    # a scalar exponent rules most checks out without touching the base
-    if negative is not False:
-        check((lhs == 0.0) & negative, DomainError, "zero base with negative exponent")
-    if fractional is not False:
-        check((lhs < 0.0) & fractional, DomainError, "negative base with non-integer exponent")
+def _power(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    if rhs.ndim:  # an exponent per row
+        check((lhs == 0.0) & (rhs < 0.0), DomainError, "zero base with negative exponent")
+        check((lhs < 0.0) & (rhs != np.round(rhs)), DomainError, "negative base with non-integer exponent")
+        return lhs**rhs
+    # one exponent for every row: as a Python float it keeps numpy's fast paths
+    # (a ** 0.5 is a sqrt), and its own tests rule most checks out without
+    # touching the base
+    rhs = float(rhs)
+    if rhs < 0.0:
+        check(lhs == 0.0, DomainError, "zero base with negative exponent")
+    if not rhs.is_integer():
+        check(lhs < 0.0, DomainError, "negative base with non-integer exponent")
     return lhs**rhs
 
 
-def _check_finite(out: Number, operands: tuple) -> None:
+def _check_finite(out: np.ndarray, operands: tuple) -> None:
     """DomainError where out is not finite although every operand is (an overflow)."""
     ok = np.isfinite(out)
     if ok.all():
@@ -303,18 +274,19 @@ def _check_finite(out: Number, operands: tuple) -> None:
     check(bad, DomainError, "overflow")
 
 
-def eval_ast(node: ExprAst, env: Mapping[str, Number]) -> Number:
-    """Evaluate an AST over float or array values, with per-node domain checks.
+def eval_ast(node: ExprAst, env: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Evaluate an AST over numpy values (arrays, 0-d included, and numpy scalars).
 
     Every function call and binary operation must stay finite: a result that
     overflows from finite operands raises DomainError like a domain violation.
     Errors name the failing sub-expression (for a node of a derivative AST,
     the user's sub-expression it came from) and keep the `index` of the
-    check that raised them (see check).
+    check that raised them (see check). eval_rows calls it with numpy's
+    floating-point warnings off: these checks report what they would.
     """
     kind = node.__class__
     if kind is Num:
-        return node.value
+        return np.float64(node.value)
     if kind is Var:
         try:
             return env[node.name]
@@ -329,27 +301,23 @@ def eval_ast(node: ExprAst, env: Mapping[str, Number]) -> Number:
     else:
         lhs, rhs = eval_ast(node.lhs, env), eval_ast(node.rhs, env)
     try:
-        try:
-            if kind is Call:
-                out = _EVAL_FUNCTIONS[node.fn](lhs)
-            elif (op := node.op) == "+":
-                out = lhs + rhs
-            elif op == "-":
-                out = lhs - rhs
-            elif op == "*":
-                out = lhs * rhs
-            elif op == "/":
-                # a derived divisor is a divisor of f, a log or power base of f or
-                # 2*sqrt(u): nonzero wherever f is defined
-                if node.origin is None and (bad := rhs == 0.0) is not False:
-                    check(bad, DomainError, "division by zero")
-                out = lhs / rhs
-            else:
-                out = _power(lhs, rhs)
-        except (OverflowError, ZeroDivisionError):  # a float result beyond the range
-            check(True, DomainError, "overflow")
-        if isinstance(out, float) and isfinite(out):  # the scalar fast path
-            return out
+        if kind is Call:
+            out = _EVAL_FUNCTIONS[node.fn](lhs)
+        elif (op := node.op) == "+":
+            out = lhs + rhs
+        elif op == "-":
+            out = lhs - rhs
+        elif op == "*":
+            out = lhs * rhs
+        elif op == "/":
+            # a derived divisor is a divisor of f, a log or power base of f or
+            # 2*sqrt(u): nonzero wherever f is defined; one divisor for every
+            # row, such as a constant, is tested once without a mask
+            if node.origin is None and (rhs.ndim or rhs == 0.0):
+                check(rhs == 0.0, DomainError, "division by zero")
+            out = lhs / rhs
+        else:
+            out = _power(lhs, rhs)
         _check_finite(out, (lhs,) if kind is Call else (lhs, rhs))
         return out
     except (DomainError, NonDifferentiablePoint) as e:
@@ -364,7 +332,7 @@ def _located(e: TsvarError, node: ExprAst) -> TsvarError:
     return located
 
 
-def _guard(node: Guard, env: Mapping[str, Number]) -> Number:
+def _guard(node: Guard, env: Mapping[str, np.ndarray]) -> np.ndarray:
     test, value = eval_ast(node.test, env), eval_ast(node.arg, env)
     if node.rule == "positive":
         bad = test <= 0.0
@@ -382,9 +350,10 @@ def _guard(node: Guard, env: Mapping[str, Number]) -> Number:
 def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> tuple[Any, Optional[TsvarError]]:
     """fn over the rows of env's values, broadcast together in C order.
 
-    fn maps a dict of float arrays to an array, a float, or a tuple of them.
-    It is called once on env's values as given, so each node of an
-    expression spans only the axes of its operands. Returns (out, error).
+    fn maps a dict of float arrays (0-d for a float) to an array, a numpy
+    scalar, or a tuple of them. It is called once on env's values as given,
+    so each node of an expression spans only the axes of its operands.
+    Returns (out, error).
     Without a DomainError or NonDifferentiablePoint, error is None and out
     is read-only, broadcast to env's shape. Otherwise error is the one a
     loop over the rows would meet first: the values are flattened into rows
@@ -395,14 +364,15 @@ def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> tuple[Any, O
     """
     names = list(env)
     values = [np.asarray(env[k], dtype=float) for k in names]
-    shape = rows = np.broadcast(*values).shape
+    grid = np.broadcast(*values)
+    shape = rows = grid.shape
     error = None
     try:
         with np.errstate(all="ignore"):
             out = fn(dict(zip(names, values)))
     except (DomainError, NonDifferentiablePoint):
         columns = [c.ravel() for c in np.broadcast_arrays(*values)]
-        stop = columns[0].size
+        stop = grid.size
         while True:
             try:
                 with np.errstate(all="ignore"):
@@ -421,11 +391,20 @@ def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> tuple[Any, O
             error.index = stop
     if out is not None:
         out = (
-            tuple(np.broadcast_to(o, rows).reshape(shape) for o in out)
+            tuple(_read_only(o, rows, shape) for o in out)
             if isinstance(out, tuple)
-            else np.broadcast_to(out, rows).reshape(shape)
+            else _read_only(out, rows, shape)
         )
     return out, error
+
+
+def _read_only(o, rows: tuple, shape: tuple) -> np.ndarray:
+    """A read-only view of o broadcast to rows, reshaped to shape."""
+    view = np.asarray(o).view()
+    if view.shape != rows:
+        view = np.broadcast_to(view, rows)
+    view.flags.writeable = False
+    return view.reshape(shape)
 
 
 def evaluate(ast: ExprAst, env: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -455,7 +434,19 @@ def _varies(node: ExprAst, name: Optional[str] = None) -> bool:
     return (kind is Guard and _varies(node.test, name)) or _varies(node.arg, name)
 
 
-# Builders of derivative nodes that drop 0 terms and factors of 1.
+# Builders of derivative nodes that drop 0 terms and factors of 1, and fold
+# an operation on two numbers into its value, so that the walker does not
+# redo it at every call.
+
+
+def _op(op: str, a: ExprAst, b: ExprAst, origin: ExprAst) -> ExprAst:
+    node = BinOp(op, a, b, origin)
+    if a.__class__ is Num and b.__class__ is Num:
+        try:
+            return Num(float(evaluate(node, {})))
+        except TsvarError:  # kept as a node, which raises its located error when evaluated
+            pass
+    return node
 
 
 def _neg(a: ExprAst) -> ExprAst:
@@ -467,13 +458,13 @@ def _neg(a: ExprAst) -> ExprAst:
 def _add(a: ExprAst, b: ExprAst, origin: ExprAst) -> ExprAst:
     if _is_num(a, 0.0):
         return b
-    return a if _is_num(b, 0.0) else BinOp("+", a, b, origin)
+    return a if _is_num(b, 0.0) else _op("+", a, b, origin)
 
 
 def _sub(a: ExprAst, b: ExprAst, origin: ExprAst) -> ExprAst:
     if _is_num(b, 0.0):
         return a
-    return _neg(b) if _is_num(a, 0.0) else BinOp("-", a, b, origin)
+    return _neg(b) if _is_num(a, 0.0) else _op("-", a, b, origin)
 
 
 def _mul(a: ExprAst, b: ExprAst, origin: ExprAst) -> ExprAst:
@@ -481,13 +472,13 @@ def _mul(a: ExprAst, b: ExprAst, origin: ExprAst) -> ExprAst:
         return _ZERO
     if _is_num(a, 1.0):
         return b
-    return a if _is_num(b, 1.0) else BinOp("*", a, b, origin)
+    return a if _is_num(b, 1.0) else _op("*", a, b, origin)
 
 
 def _div(a: ExprAst, b: ExprAst, origin: ExprAst) -> ExprAst:
     if _is_num(a, 0.0):
         return _ZERO
-    return a if _is_num(b, 1.0) else BinOp("/", a, b, origin)
+    return a if _is_num(b, 1.0) else _op("/", a, b, origin)
 
 
 def derivative(node: ExprAst, v: str) -> ExprAst:
@@ -556,7 +547,7 @@ def _power_derivative(node: BinOp, v: str, origin: ExprAst) -> ExprAst:
         )
         return _mul(node, rate, origin)
     try:
-        n = float(eval_ast(w, {}))
+        n = float(evaluate(w, {}))
     except TsvarError:
         return node  # the exponent fails wherever f is evaluated, and so does node
     if n == 0.0:
@@ -590,30 +581,32 @@ class Lagrangian:
         return self._first + (derivative(fx, "x"), derivative(fx, "r"), derivative(fr, "r"))
 
     def eval(self, t: Number, x: Number, r: Number) -> Number:
-        """f(t, x, r); array arguments are broadcast together (see eval_rows)."""
+        """f(t, x, r); array arguments are broadcast together (see eval_rows).
+
+        Floats are evaluated as one row of the same array walker and give a
+        float; an error names the failing row's t, x and r.
+        """
         return self._evaluate((self.ast,), t, x, r)[0]
 
     def partials(self, t: Number, x: Number, r: Number) -> tuple[Number, Number, Number]:
         """(f, f_x, f_r) at (t, x, r).
 
         f is evaluated first, so its own domain errors come before those of
-        the derivatives. Array arguments are broadcast together, as in
-        eval.
+        the derivatives. Arguments are broadcast together, and floats give
+        floats, as in eval.
         """
         return self._evaluate(self._first, t, x, r)
 
     def second_partials(self, t: Number, x: Number, r: Number) -> tuple[Number, ...]:
-        """(f, f_x, f_r, f_xx, f_xr, f_rr) at (t, x, r), in that order; arrays as in partials."""
+        """(f, f_x, f_r, f_xx, f_xr, f_rr) at (t, x, r), in that order; arguments as in partials."""
         return self._evaluate(self._second, t, x, r)
 
     def _evaluate(self, asts: tuple, t: Number, x: Number, r: Number) -> tuple:
         env = {"t": t, "x": x, "r": r}
-        if not (isinstance(t, np.ndarray) or isinstance(x, np.ndarray) or isinstance(r, np.ndarray)):
-            return tuple(eval_ast(a, env) for a in asts)
         out, error = eval_rows(lambda columns: tuple(eval_ast(a, columns) for a in asts), env)
         if error is not None:
             raise error
-        return out
+        return tuple(map(float, out)) if out[0].ndim == 0 else out
 
     def to_source(self) -> str:
         """Parenthesized rendering that re-parses to an equivalent AST."""

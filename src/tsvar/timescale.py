@@ -176,10 +176,6 @@ class PointClass:
     right: Side
     left: Side
 
-    @property
-    def is_isolated(self) -> bool:
-        return self.right is Side.SCATTERED and self.left is Side.SCATTERED
-
     def describe(self) -> str:
         return f"right-{self.right.value}, left-{self.left.value}"
 

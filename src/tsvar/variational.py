@@ -495,7 +495,7 @@ def random_bounded_slope_trajectory(
     if not abs(c) <= slope_bound:  # a NaN bound too, which would bound nothing
         raise InvalidParameter("boundary slope exceeds the requested bound")
     u = rng.uniform(-1.0, 1.0, gaps.size)
-    v = u - float(u @ gaps) / span
+    v = u - float(np.sum(u * gaps)) / span
     m = float(np.max(np.abs(v)))
     room = slope_bound - abs(c)
     s = c + v * (min(1.0, room / m) if m > 0 else 0.0)

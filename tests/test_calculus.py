@@ -1,7 +1,6 @@
 """Delta derivative, delta integral, norms, and the calculus identities."""
 
 import math
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -186,13 +185,14 @@ class TestDifferentiationRules:
             f = GridFunction(ts, rng.uniform(-1, 1, len(ts)))
             g = GridFunction(ts, rng.uniform(-1, 1, len(ts)))
             fg = GridFunction(ts, f.values * g.values)
-            for t in ts.points[:-1]:
+            sigma = ts.sigma_indices()
+            for i, t in enumerate(ts.points[:-1]):
                 t = float(t)
                 lhs = delta_derivative(fg, t).value
                 fd = delta_derivative(f, t).value
                 gd = delta_derivative(g, t).value
-                assert lhs == pytest.approx(fd * g.value_at_sigma(t) + f.value_at(t) * gd, abs=1e-12)
-                assert lhs == pytest.approx(fd * g.value_at(t) + f.value_at_sigma(t) * gd, abs=1e-12)
+                assert lhs == pytest.approx(fd * g.values[sigma[i]] + f.value_at(t) * gd, abs=1e-12)
+                assert lhs == pytest.approx(fd * g.value_at(t) + f.values[sigma[i]] * gd, abs=1e-12)
 
     def test_quotient_rule(self, rng):
         for _ in range(50):
@@ -201,12 +201,13 @@ class TestDifferentiationRules:
             gv = rng.uniform(0.5, 1.5, len(ts)) * rng.choice([-1.0, 1.0], len(ts))
             g = GridFunction(ts, gv)
             quot = GridFunction(ts, f.values / g.values)
-            for t in ts.points[:-1]:
+            sigma = ts.sigma_indices()
+            for i, t in enumerate(ts.points[:-1]):
                 t = float(t)
                 fd = delta_derivative(f, t).value
                 gd = delta_derivative(g, t).value
                 expected = (fd * g.value_at(t) - f.value_at(t) * gd) / (
-                    g.value_at(t) * g.value_at_sigma(t)
+                    g.value_at(t) * g.values[sigma[i]]
                 )
                 assert delta_derivative(quot, t).value == pytest.approx(expected, abs=1e-12)
 
@@ -353,7 +354,7 @@ def assert_bitwise(got, want):
 
 @settings(max_examples=200)
 @given(ts=mixed_scales(), data=st.data())
-def test_slope_table_follows_the_stencil_rules(ts, data):
+def test_slopes_and_one_sided_follow_the_stencil_rules(ts, data):
     n = len(ts)
     v = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
     brk = data.draw(st.sets(st.integers(0, n - 1), max_size=4))
@@ -365,26 +366,15 @@ def test_slope_table_follows_the_stencil_rules(ts, data):
     def want(nodes, side):
         return [reference_slope(pts, v, rd, ld, mu, brk, i, side) for i in nodes]
 
-    builds = []
-    build = GridFunction.slope_table.func
-    counted = cached_property(lambda grid: builds.append(grid) or build(grid))
-    counted.__set_name__(GridFunction, "slope_table")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(GridFunction, "slope_table", counted)
-        problem = VariationalProblem(ts, ts.min, ts.max, parse_lagrangian("r^2 + sin(x)"), v[0], v[-1])
-        functional(problem, x)
-        norm_weak(x, ts.min, ts.max)
-        el_residual(problem, x)
-        table = x.slope_table
-    assert builds == [x]
-
-    assert_bitwise(table.two_sided, want(range(n), None))
-    assert_bitwise(table.right[:-1], want(range(n - 1), "right"))
-    assert_bitwise(table.left[1:], want(range(1, n), "left"))
-    for column in table:
+    nodes = np.arange(n)
+    right, left = x.one_sided(nodes, 1), x.one_sided(nodes, -1)
+    assert_bitwise(x.slopes, want(range(n), None))
+    assert_bitwise(right[:-1], want(range(n - 1), "right"))
+    assert_bitwise(left[1:], want(range(1, n), "left"))
+    for column in (x.slopes, right, left):
         assert column.dtype == np.float64 and column.shape == (n,)
-        with pytest.raises(ValueError):
-            column[0] = 0.0
+    with pytest.raises(ValueError):
+        x.slopes[0] = 0.0
 
 
 def test_second_order_slopes_of_values_near_the_float_range_do_not_overflow():
@@ -393,8 +383,9 @@ def test_second_order_slopes_of_values_near_the_float_range_do_not_overflow():
     ts = union(make_points([-1.0]), make_dense(0.0, 1.0, 16), make_uniform(1.0, 2.0, 0.25))
     y = GridFunction(ts, 1.0 + ts.points**2 / 4.0)  # values in [1, 2], slopes at most 1
     big = GridFunction(ts, 2.0**1022 * y.values)
-    for got, want in zip(big.slope_table, y.slope_table):
-        np.testing.assert_allclose(got, 2.0**1022 * want, rtol=1e-12)
+    nodes = np.arange(len(ts))
+    for rule in (lambda g: g.slopes, lambda g: g.one_sided(nodes, 1), lambda g: g.one_sided(nodes, -1)):
+        np.testing.assert_allclose(rule(big), 2.0**1022 * rule(y), rtol=1e-12)
     assert norm_weak(big, -1.0, 2.0) == pytest.approx(2.0**1022 * norm_weak(y, -1.0, 2.0), rel=1e-12)
 
 
@@ -419,7 +410,6 @@ def test_readers_of_x_delta_run_the_one_sided_rule_only_where_they_use_it():
         functional(problem, x)
         norm_weak(x, 0.0, 3.0)
         el_residual(problem, x)
-        assert "slope_table" not in vars(x)
         assert sorted(calls) == sorted([
             (1, (0,)),  # the start of the dense run
             (-1, (len(ts) - 1,)),  # the scale maximum
@@ -453,4 +443,3 @@ def test_sample_row_slopes_follow_the_rule_their_kind_names(ts, data):
         reference_slope(pts, v, rd, ld, mu, brk, i, side[k]) for i, k in zip(nodes, kind.tolist())
     ]
     assert_bitwise(r, want)
-    assert "slope_table" not in vars(x)

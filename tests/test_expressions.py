@@ -12,6 +12,7 @@ from tsvar import (
     UnknownIdentifier,
     parse_lagrangian,
 )
+from tsvar.expressions import BinOp, Num, derivative
 from conftest import SMOOTH_TEMPLATES, random_point
 
 
@@ -113,6 +114,16 @@ class TestPartials:
     def test_bilinear(self):
         f, f_x, f_r = parse_lagrangian("x*r").partials(0.0, 3.0, 5.0)
         assert (f, f_x, f_r) == (15.0, 5.0, 3.0)
+
+    def test_an_operation_on_two_numbers_is_derived_as_its_value(self):
+        # f_rr of 0.7368*r^2 is 0.7368*2.0, and f_r of exp(r/3) has the factor 1/3
+        assert parse_lagrangian("0.7368*r^2")._second[5] == Num(0.7368 * 2.0)
+        assert derivative(parse_lagrangian("exp(r/3)").ast, "r").rhs == Num(1.0 / 3.0)
+        # one that fails stays a node: f fails first wherever it is evaluated
+        lagr = parse_lagrangian("r/0")
+        assert derivative(lagr.ast, "r") == BinOp("/", Num(1.0), Num(0.0))
+        with pytest.raises(DomainError, match=r"division by zero in '\(r / 0\.0\)'"):
+            lagr.partials(0.0, 0.0, 1.0)
 
     def test_primal_matches_eval(self, rng):
         for src in SMOOTH_TEMPLATES:

@@ -156,7 +156,7 @@ class TestClassify:
 
     def test_harmonic_point_isolated(self):
         cls = make_harmonic(10).classify(0.5)
-        assert cls.is_isolated
+        assert cls.right is Side.SCATTERED and cls.left is Side.SCATTERED
 
     def test_dense_interval_boundary_nodes(self):
         ts = union(make_points([0.0]), make_dense(1.0, 2.0, 10), make_points([3.0]))

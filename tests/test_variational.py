@@ -131,7 +131,7 @@ class TestFunctional:
         vals = rng.uniform(-1, 1, len(ts))
         vals[0] = vals[-1] = 0.0
         x = GridFunction(ts, vals)
-        marked = x.with_break_points((float(ts.points[4]),))
+        marked = GridFunction(ts, vals, (float(ts.points[4]),))
         assert functional(P, x) == functional(P, marked)
 
 
@@ -725,3 +725,26 @@ class TestMinimalityFalsification:
         )
         x = random_bounded_slope_trajectory(P, rng, slope_bound=2.0)
         assert is_admissible(P, x)
+
+    def test_sampler_does_not_depend_on_the_blas_thread_count(self):
+        # with a BLAS dot x.values[-2] ended in ...c2cc on one OpenBLAS thread
+        # and ...c3cc on two
+        script = (
+            "import numpy as np\n"
+            "from tsvar import VariationalProblem, make_uniform, parse_lagrangian\n"
+            "from tsvar import random_bounded_slope_trajectory\n"
+            "P = VariationalProblem(make_uniform(0.0, 20000.0, 1.0), 0.0, 20000.0,\n"
+            "    parse_lagrangian('r^2'), 0.3, 1.7)\n"
+            "x = random_bounded_slope_trajectory(P, np.random.default_rng(5))\n"
+            "print(' '.join(v.hex() for v in x.values.tolist()))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        values = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert run.returncode == 0, run.stderr
+            values.append(run.stdout.split())
+        assert len(values[0]) == 20001 and values[0] == values[1]

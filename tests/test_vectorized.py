@@ -1,11 +1,14 @@
-"""Array evaluation against the scalar row-by-row path it replaces.
+"""Array evaluation against row-by-row loops of float calls.
 
-Each array consumer is compared with a loop over the same rows through the
-scalar evaluator: the values, the order of the results, and which error is
-raised where a loop would fail.
+Each array consumer is compared with a loop over the same rows, one float
+call per row: the values, the order of the results, and which error is
+raised where a loop would fail. A float call is a one-row evaluation of the
+same array walker, and the first tests pin that.
 """
 
 import math
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -41,14 +44,14 @@ from tsvar.expressions import (
     Num,
     Var,
     derivative,
-    eval_ast,
     eval_rows,
+    evaluate,
 )
 from tsvar.variational import _rows
 from tsvar.weierstrass import ConvexityCounterexample, ConvexityReport
 from conftest import SMOOTH_TEMPLATES, random_discrete_scale
 
-# -- scalar references: the per-row loops the array path replaced ----------------
+# -- row-loop references: one float call per row --------------------------------
 
 
 def outcomes(fn, rows):
@@ -102,7 +105,7 @@ def scan_loop(problem, x, q_grid, tol=1e-9):
 
 
 def assert_same_report(got, want):
-    """Equal reports; lhs and rhs may differ in the last digits (numpy vs math)."""
+    """Equal reports; lhs and rhs may differ in the last digits."""
     assert (got.ok, got.checks) == (want.ok, want.checks)
     if want.counterexample is not None:
         g, w = got.counterexample, want.counterexample
@@ -153,12 +156,64 @@ _COORDINATE = st.one_of(
     st.sampled_from((0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 1e-9, -1e-9)),
     st.floats(-3.0, 3.0, allow_subnormal=False),
 )
-_ROWS = st.lists(st.tuples(_COORDINATE, _COORDINATE, _COORDINATE), min_size=1, max_size=6)
+_ROW = st.tuples(_COORDINATE, _COORDINATE, _COORDINATE)
+_ROWS = st.lists(_ROW, min_size=1, max_size=6)
+
+
+@settings(max_examples=300)
+@given(ast=_ASTS, row=_ROW, q=_COORDINATE)
+def test_a_float_call_is_a_one_row_array_call(ast, row, q):
+    lagr = Lagrangian(ast, ast.to_source())
+    where = "at t={!r}, x={!r}, r={!r}".format(*row)
+    for method, args, name in (
+        (lagr.eval, row, where),
+        (lagr.partials, row, where),
+        (lagr.second_partials, row, where),
+        (lambda *a: excess(lagr, *a), (*row, q), f"{where}, q={q!r}"),
+    ):
+        want, error = outcome(method, *(np.array([v]) for v in args))
+        if error is not None:
+            with pytest.raises(error) as info:
+                method(*args)
+            assert info.value.index == 0
+            assert str(info.value).endswith(f" {name}")
+            continue
+        got = method(*args)
+        got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [float(w[0]).hex() for w in want]
+
+
+@pytest.mark.parametrize(
+    "src, sub",
+    [
+        ("r + 10^400", "(10.0 ^ 400.0)"),
+        ("r + exp(1000)", "exp(1000.0)"),
+        ("x*(0-8)^(1/3)", "((0.0 - 8.0) ^ (1.0 / 3.0))"),
+    ],
+)
+def test_a_failing_constant_names_its_sub_expression(src, sub):
+    lagr = parse_lagrangian(src)
+    for args in ((0.0, 1.0, 2.0), (np.zeros(3), 1.0, np.arange(3.0))):
+        for method in (lagr.eval, lagr.partials, lagr.second_partials):
+            with pytest.raises(DomainError, match=re.escape(f"in '{sub}' at t=0.0, x=1.0, r=")) as info:
+                method(*args)
+            assert info.value.index == 0
+
+
+def test_a_constant_exponent_that_overflows_is_one_domain_error():
+    # the exponent is evaluated once, when the partials are derived
+    lagr = parse_lagrangian("r^(10^400)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in ((0.0, 1.0, 2.0), (np.zeros(2), 1.0, np.ones(2))):
+            with pytest.raises(DomainError, match=r"overflow in '\(10\.0 \^ 400\.0\)'"):
+                lagr.partials(*args)
 
 
 def _magnitude(node, env) -> float:
     """Largest |value| of any sub-expression: the scale its rounding errors live on."""
-    own = abs(float(eval_ast(node, env)))
+    own = abs(float(evaluate(node, env)))
     for child in ("arg", "lhs", "rhs", "test"):
         if hasattr(node, child):
             own = max(own, _magnitude(getattr(node, child), env))
@@ -200,10 +255,10 @@ def test_array_eval_and_partials_match_the_scalar_path(ast, rows):
 
 
 def excess_loop(lagr, t, x, r, q):
-    """E at one row through the scalar evaluator: f at q, then f and f_r at r."""
+    """E at one row through float calls: f at q, then f and f_r at r."""
     f_at_q = lagr.eval(t, x, q)
     f_at_r = lagr.eval(t, x, r)
-    f_r = eval_ast(derivative(lagr.ast, "r"), {"t": t, "x": x, "r": r})
+    f_r = float(evaluate(derivative(lagr.ast, "r"), {"t": t, "x": x, "r": r}))
     value = f_at_q - f_at_r - (q - r) * f_r
     if not math.isfinite(value):
         raise DomainError("overflow in the excess")
