@@ -207,24 +207,22 @@ def _trajectory_from_spec(spec: dict, scale: TimeScale, field: str) -> Trajector
             if point in given:
                 raise ProblemFileError(f"{field}.points[{i}]", f"repeats the sample point {point!r}")
             given[point] = _as_number(v, f"{field}.values[{i}]")
-        keys = sorted(given)
-        values = np.empty(len(scale))
-        for i, t in enumerate(scale.points):
-            j = int(np.searchsorted(keys, t))
-            hit = None
-            for k in (j - 1, j):
-                if 0 <= k < len(keys) and abs(keys[k] - t) <= POINT_TOLERANCE:
-                    hit = keys[k]
-            if hit is None:
-                raise ProblemFileError(
-                    f"{field}.points", f"no sample for scale point t={float(t)!r}"
-                )
-            values[i] = given[hit]
-        if len(keys) != len(scale):
+        # a node takes the sample within tolerance at or above it, else below; ±inf ends match none
+        keys = np.fromiter(given, float, len(given))
+        order = np.argsort(keys)
+        keys = np.concatenate(([-np.inf], keys[order], [np.inf]))
+        t = scale.points
+        j = np.searchsorted(keys, t)
+        j = np.where(np.abs(keys[j] - t) <= POINT_TOLERANCE, j, j - 1)
+        missing = np.abs(keys[j] - t) > POINT_TOLERANCE
+        if missing.any():
+            first = float(t[missing.argmax()])
+            raise ProblemFileError(f"{field}.points", f"no sample for scale point t={first!r}")
+        if len(given) != len(scale):
             raise ProblemFileError(
                 f"{field}.points", "sample points do not match the scale's representative points"
             )
-        return GridFunction(scale, values)
+        return GridFunction(scale, np.fromiter(given.values(), float, len(given))[order[j - 1]])
     raise ProblemFileError(f"{field}.kind", f"unknown trajectory kind {kind!r}")
 
 

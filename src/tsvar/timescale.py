@@ -51,14 +51,14 @@ class DiscretePoints:
     points: tuple[float, ...]
 
     def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
-        if not pts:
+        pts = np.asarray(self.points, dtype=float)
+        if not pts.size:
             raise InvalidParameter("DiscretePoints requires at least one point")
-        if any(not math.isfinite(p) for p in pts):
+        if not np.isfinite(pts).all():
             raise InvalidParameter("DiscretePoints must be finite")
-        if any(b - a <= POINT_TOLERANCE for a, b in zip(pts, pts[1:])):
+        if (np.diff(pts) <= POINT_TOLERANCE).any():
             raise InvalidParameter("DiscretePoints must be strictly increasing")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", tuple(pts.tolist()))
 
     def realize(self) -> np.ndarray:
         return np.array(self.points, dtype=float)
@@ -370,7 +370,7 @@ class TimeScale:
 
 def make_points(values: Sequence[float]) -> TimeScale:
     """Scale consisting of the given strictly increasing points."""
-    return TimeScale([DiscretePoints(tuple(values))])
+    return TimeScale([DiscretePoints(values)])
 
 
 def make_uniform(start: float, end: float, step: float) -> TimeScale:
@@ -412,9 +412,9 @@ def make_harmonic(n_max: int) -> TimeScale:
     if isinstance(n_max, bool) or int(n_max) != n_max or n_max < 2:
         raise InvalidParameter("make_harmonic requires an integer n_max >= 2")
     _check_count("make_harmonic", n_max + 1)
-    pts = [0.0] + [1.0 / n for n in range(int(n_max), 0, -1)]
+    pts = np.concatenate(([0.0], 1.0 / np.arange(int(n_max), 0, -1)))
     return TimeScale(
-        [DiscretePoints(tuple(pts))],
+        [DiscretePoints(pts)],
         metadata={"kind": "harmonic", "n_max": int(n_max), "truncation_point": 0.0},
     )
 
