@@ -90,8 +90,7 @@ def _point_rows(ts: TimeScale, t0: float, t1: float) -> list[dict]:
     pts = ts.points
     t = pts[index]
     sigma = pts[ts.sigma_indices()[index]]
-    # rho steps back one node, except at a left-dense node and at the first node
-    rho = pts[np.where(ts.left_dense_mask[index] | (index == 0), index, index - 1)]
+    rho = pts[ts.rho_indices()[index]]
     columns = {
         "t": t.tolist(),
         "sigma": sigma.tolist(),

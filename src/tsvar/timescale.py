@@ -14,10 +14,12 @@ to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -37,6 +39,39 @@ def _check_count(kind: str, count: float) -> None:
         raise InvalidParameter(f"{kind} would have {count:.0f} points; {limit}")
 
 
+def _vector(values, message: str, finite: bool = False) -> np.ndarray:
+    """values as a float array; InvalidParameter(message) unless a nonempty 1-d sequence of numbers."""
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, not a number, or an int beyond floats
+        raise InvalidParameter(message) from None
+    if a.ndim != 1 or not a.size or (finite and not np.isfinite(a).all()):
+        raise InvalidParameter(message)
+    return a
+
+
+def _is_finite_number(value) -> bool:
+    """True for a finite real number; a bool is not one."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_whole(value, least: int) -> bool:
+    """True for an integer (of any numeric type) of at least least."""
+    return _is_finite_number(value) and int(value) == value >= least
+
+
+def _store_finite(segment, *names: str) -> None:
+    """Store each named field of segment as a float; InvalidParameter naming it unless finite."""
+    for name in names:
+        value = getattr(segment, name)
+        if not _is_finite_number(value):
+            raise InvalidParameter(f"{type(segment).__name__} {name} must be a finite number")
+        object.__setattr__(segment, name, float(value))
+
+
 def evenly_spaced(lo: float, hi: float, count: int) -> np.ndarray:
     """np.linspace(lo, hi, count), with every value finite also when hi - lo overflows."""
     if math.isinf(hi - lo):  # halving is exact, and brings the span into range
@@ -51,12 +86,11 @@ class DiscretePoints:
     points: tuple[float, ...]
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if not pts.size:
-            raise InvalidParameter("DiscretePoints requires at least one point")
-        if not np.isfinite(pts).all():
-            raise InvalidParameter("DiscretePoints must be finite")
-        if (np.diff(pts) <= POINT_TOLERANCE).any():
+        message = "DiscretePoints points must be a nonempty 1-d sequence of finite numbers"
+        pts = _vector(self.points, message, finite=True)
+        with np.errstate(over="ignore"):  # a gap beyond the float range still increases
+            increasing = (np.diff(pts) > POINT_TOLERANCE).all()
+        if not increasing:
             raise InvalidParameter("DiscretePoints must be strictly increasing")
         object.__setattr__(self, "points", tuple(pts.tolist()))
 
@@ -76,6 +110,7 @@ class Uniform:
     step: float
 
     def __post_init__(self):
+        _store_finite(self, "start", "end", "step")
         if self.step <= 0:
             raise InvalidParameter("Uniform step must be positive")
         if self.end <= self.start:
@@ -105,6 +140,7 @@ class Geometric:
     ratio: float
 
     def __post_init__(self):
+        _store_finite(self, "minimum", "maximum", "ratio")
         if self.minimum <= 0:
             raise InvalidParameter("Geometric minimum must be positive")
         if self.ratio <= 1:
@@ -114,7 +150,11 @@ class Geometric:
         steps = math.log(self.maximum / self.minimum) / math.log(self.ratio)
         _check_count("Geometric", steps + 1)
         k = round(steps)
-        if abs(self.minimum * self.ratio**k - self.maximum) > 1e-12 * abs(self.maximum):
+        try:
+            end = self.minimum * self.ratio**k
+        except OverflowError:  # ratio**k is then far above maximum / minimum
+            end = math.inf
+        if abs(end - self.maximum) > 1e-12 * abs(self.maximum):
             raise InvalidParameter(
                 "Geometric maximum must equal minimum * ratio**k for integer k"
             )
@@ -142,9 +182,10 @@ class DenseInterval:
     resolution: int = 1000
 
     def __post_init__(self):
+        _store_finite(self, "lo", "hi")
         if self.hi <= self.lo:
             raise InvalidParameter("DenseInterval requires lo < hi")
-        if int(self.resolution) != self.resolution or self.resolution < 1:
+        if not _is_whole(self.resolution, 1):
             raise InvalidParameter("DenseInterval resolution must be a positive integer")
         _check_count("DenseInterval", self.resolution + 1)
         object.__setattr__(self, "resolution", int(self.resolution))
@@ -193,11 +234,13 @@ class TimeScale:
         harmonic scale).
     """
 
-    def __init__(self, segments: Iterable[Segment], metadata: Optional[dict] = None):
-        segs = tuple(segments)
-        if not segs:
-            raise InvalidParameter("TimeScale requires at least one segment")
-        segs = tuple(sorted(segs, key=lambda s: s.bounds()[0]))
+    def __init__(self, segments: Iterable[Segment], metadata: Optional[Mapping] = None):
+        segs = tuple(segments) if isinstance(segments, Iterable) else ()
+        if not segs or not all(isinstance(s, Segment) for s in segs):
+            raise InvalidParameter("TimeScale segments must be a nonempty sequence of segments")
+        if metadata is not None and not isinstance(metadata, Mapping):
+            raise InvalidParameter("TimeScale metadata must be a mapping")
+        segs = tuple(sorted(segs, key=lambda s: s.bounds()))
         for a, b in zip(segs, segs[1:]):
             if b.bounds()[0] < a.bounds()[1] - POINT_TOLERANCE:
                 raise InvalidParameter(
@@ -205,6 +248,8 @@ class TimeScale:
                     "segments may only share endpoints"
                 )
         pts = np.sort(np.concatenate([s.realize() for s in segs]))
+        if math.isinf(float(pts[-1]) - float(pts[0])):
+            raise InvalidParameter("TimeScale segments must span less than the float range")
         keep = np.concatenate(([True], np.diff(pts) > POINT_TOLERANCE))
         pts = np.ascontiguousarray(pts[keep])
         pts.setflags(write=False)
@@ -222,8 +267,11 @@ class TimeScale:
             left_dense[i0:i1] |= inside > lo + POINT_TOLERANCE
         mu = np.zeros(pts.size)
         mu[:-1] = np.where(right_dense[:-1], 0.0, np.diff(pts))
-        sigma_idx = np.arange(pts.size) + (mu > 0.0)
-        for arr in (right_dense, left_dense, mu, sigma_idx):
+        index = np.arange(pts.size)
+        sigma_idx = index + (mu > 0.0)
+        rho_idx = index - ~left_dense
+        rho_idx[0] = 0  # the minimum is its own rho
+        for arr in (right_dense, left_dense, mu, sigma_idx, rho_idx):
             arr.setflags(write=False)
 
         self._segments = segs
@@ -233,6 +281,7 @@ class TimeScale:
         self._left_dense = left_dense
         self._mu = mu
         self._sigma_idx = sigma_idx
+        self._rho_idx = rho_idx
         self.metadata = MappingProxyType(dict(metadata or {}))
 
     # -- basic introspection -------------------------------------------------
@@ -318,9 +367,7 @@ class TimeScale:
     def rho(self, t: float) -> float:
         """Greatest scale point strictly below t; t itself at the minimum."""
         t, i = self._canonical(t)
-        if i is None or self._left_dense[i] or i == 0:
-            return t
-        return float(self._points[i - 1])
+        return t if i is None else float(self._points[self._rho_idx[i]])
 
     def mu(self, t: float) -> float:
         """Graininess sigma(t) - t; zero at right-dense points and at the maximum."""
@@ -367,6 +414,10 @@ class TimeScale:
         """Per-node index of sigma(node), read-only; the node itself when right-dense or last."""
         return self._sigma_idx
 
+    def rho_indices(self) -> np.ndarray:
+        """Per-node index of rho(node), read-only; the node itself when left-dense or first."""
+        return self._rho_idx
+
 
 def make_points(values: Sequence[float]) -> TimeScale:
     """Scale consisting of the given strictly increasing points."""
@@ -409,7 +460,7 @@ def make_harmonic(n_max: int) -> TimeScale:
     at some n_max, which is recorded in the metadata. At the truncation
     point 0 the computed graininess 1/n_max is an artifact of the cut.
     """
-    if isinstance(n_max, bool) or int(n_max) != n_max or n_max < 2:
+    if not _is_whole(n_max, 2):
         raise InvalidParameter("make_harmonic requires an integer n_max >= 2")
     _check_count("make_harmonic", n_max + 1)
     pts = np.concatenate(([0.0], 1.0 / np.arange(int(n_max), 0, -1)))
@@ -425,5 +476,7 @@ def union(*scales: TimeScale) -> TimeScale:
         raise InvalidParameter("union requires at least one scale")
     segs: list[Segment] = []
     for s in scales:
+        if not isinstance(s, TimeScale):
+            raise InvalidParameter("union takes time scales")
         segs.extend(s.segments)
     return TimeScale(segs)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParameter
 from .expressions import Lagrangian, Number, _varies, check, eval_ast, eval_rows
-from .timescale import evenly_spaced
+from .timescale import _vector, evenly_spaced
 from .variational import Trajectory, VariationalProblem, el_residual
 from .variational import _LEFT, _RIGHT, _TWO_SIDED, _rows
 
@@ -148,17 +148,6 @@ def excess(lagr: Lagrangian, t: Number, x: Number, r: Number, q: Number) -> Numb
 _BLOCK_ROWS = 1 << 15
 # How far f at a midpoint may exceed the chord before the convexity check fails.
 CONVEXITY_TOL = 1e-10
-
-
-def _vector(values, message: str, finite: bool = False) -> np.ndarray:
-    """values as a float array; InvalidParameter(message) unless a nonempty 1-d sequence of numbers."""
-    try:
-        a = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):  # a ragged list, or an element that is not a number
-        raise InvalidParameter(message) from None
-    if a.ndim != 1 or not a.size or (finite and not np.isfinite(a).all()):
-        raise InvalidParameter(message)
-    return a
 
 
 def check_convexity_condition(
@@ -350,7 +339,8 @@ def classify_candidate(
     """
     residual = el_residual(problem, x)
     el_max = float(np.max(np.abs(residual.values)))
-    _, xs, slopes, _, _ = _rows(problem, x)
+    xs = _rows(problem, x)[1]
+    slopes = observed_slopes(problem, x)  # the same memoized column; bench/tracing.py counts rows here
     convexity = check_convexity_condition(
         problem, _default_x_samples(xs), _default_r_samples(slopes), DEFAULT_GAMMAS
     )

@@ -13,7 +13,8 @@ import pytest
 
 from tsvar import ProblemFileError, cli, make_harmonic, variational, weierstrass
 from tsvar.cli import main
-from tsvar.problemfile import ScanConfig, load_problem, serialize_report
+from tsvar.problemfile import ScanConfig, load_problem, scale_from_spec, serialize_report
+from tsvar.timescale import POINT_TOLERANCE
 
 
 def write_problem(tmp_path, name="problem.json", **overrides):
@@ -238,6 +239,13 @@ class TestProblemFileLoading:
         assert len(load_problem(path).problem.scale) == 11
         assert len(load_problem(path, resolution=100).problem.scale) == 101
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_a_point_at_the_start_of_a_dense_interval_joins_in_either_order(self, tmp_path, reverse):
+        scale = [{"kind": "dense", "lo": 3, "hi": 4, "resolution": 4}, {"kind": "points", "values": [3]}]
+        path = write_problem(tmp_path, scale=scale[::-1] if reverse else scale, t0=3.0, t1=4.0)
+        assert load_problem(path).problem.scale.points.tolist() == [3.0, 3.25, 3.5, 3.75, 4.0]
+        assert main(["eval", path]) == 0
+
     @pytest.mark.parametrize(
         "scale",
         [{"kind": "dense", "lo": 0.0, "hi": 1.0, "resolution": 10}, {"kind": "harmonic", "n_max": 10}],
@@ -248,6 +256,93 @@ class TestProblemFileLoading:
         path = write_problem(tmp_path, scale=scale)
         assert main(["eval", path, "--resolution", resolution]) == 1
         assert capsys.readouterr().err == "error: --resolution: must be at least 1\n"
+
+
+def reference_samples(spec, scale):
+    """Node-by-node reference for the loader's rule that matches samples to scale nodes.
+
+    A node takes the sample within POINT_TOLERANCE at or above it, else the
+    one below. The first node without a sample is named; then a sample count
+    that differs from the node count is an error.
+    """
+    given = {float(p): float(v) for p, v in zip(spec["points"], spec["values"])}
+    keys = sorted(given)
+    values = np.empty(len(scale))
+    for i, t in enumerate(scale.points):
+        j = int(np.searchsorted(keys, t))
+        hit = None
+        for k in (j - 1, j):
+            if 0 <= k < len(keys) and abs(keys[k] - t) <= POINT_TOLERANCE:
+                hit = keys[k]
+        if hit is None:
+            raise ProblemFileError("trajectory.points", f"no sample for scale point t={float(t)!r}")
+        values[i] = given[hit]
+    if len(keys) != len(scale):
+        raise ProblemFileError("trajectory.points", "sample points do not match the scale's representative points")
+    return values
+
+
+class TestSampledTrajectory:
+    UNIFORM = {"kind": "uniform", "start": 0, "end": 2, "step": 1}
+    MIXED = [
+        {"kind": "points", "values": [-2.0, -1.5]},
+        {"kind": "dense", "lo": -1.0, "hi": 0.0, "resolution": 16},
+        {"kind": "uniform", "start": 0.0, "end": 2.0, "step": 0.25},
+        {"kind": "geometric", "min": 4.0, "max": 64.0, "ratio": 2.0},
+    ]
+
+    def write(self, tmp_path, scale, points, values=None, name="problem.json"):
+        ts = scale_from_spec(scale)
+        values = [0.0] * len(points) if values is None else values
+        trajectory = {"kind": "samples", "points": points, "values": values}
+        return write_problem(tmp_path, name, scale=scale, t0=ts.min, t1=ts.max, trajectory=trajectory)
+
+    def test_a_40001_point_file_loads_within_five_seconds(self, tmp_path):
+        points = np.linspace(0.0, 2.0, 40001)
+        scale = {"kind": "dense", "lo": 0.0, "hi": 2.0, "resolution": 40000}
+        path = self.write(tmp_path, scale, points.tolist(), np.sin(points).tolist())
+        start = time.perf_counter()
+        loaded = load_problem(path)
+        assert time.perf_counter() - start < 5.0
+        assert loaded.trajectory.values.tobytes() == np.sin(points).tobytes()
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([], "no sample for scale point t=0.0"),
+            ([0, 2], "no sample for scale point t=1.0"),
+            ([0, 1, 2, 5], "sample points do not match the scale's representative points"),
+            ([0, 1, 1 + 5e-13, 2], "sample points do not match the scale's representative points"),
+            ([0, 2, 5], "no sample for scale point t=1.0"),  # a missing node is named first
+        ],
+        ids=["empty", "missing", "extra", "two-at-one-node", "missing-and-extra"],
+    )
+    def test_samples_that_do_not_cover_the_nodes_one_to_one_are_rejected(self, tmp_path, points, message):
+        with pytest.raises(ProblemFileError, match=f"^trajectory.points: {re.escape(message)}$"):
+            load_problem(self.write(tmp_path, self.UNIFORM, points))
+
+    def test_loaded_values_match_the_node_by_node_reference(self, tmp_path, rng):
+        offsets = [0.0, 0.0, 5e-13, -5e-13, 0.99 * POINT_TOLERANCE, -0.99 * POINT_TOLERANCE]
+        for case in range(60):
+            picked = rng.permutation(len(self.MIXED))[: rng.integers(1, len(self.MIXED) + 1)]
+            scale = [self.MIXED[i] for i in picked]
+            nodes = scale_from_spec(scale).points
+            points = nodes + rng.choice(offsets, nodes.size)
+            if case % 4 == 1:  # a node without a sample
+                points = np.delete(points, rng.integers(points.size))
+            if case % 6 == 2:  # one more sample, near a node or far from all
+                extra = rng.choice(nodes) + rng.choice([0.3 * POINT_TOLERANCE, 2 * POINT_TOLERANCE, 100.0])
+                points = np.append(points, extra)
+            points = rng.permutation(points)
+            spec = {"points": points.tolist(), "values": rng.normal(size=points.size).tolist()}
+            path = self.write(tmp_path, scale, spec["points"], spec["values"], name=f"case{case}.json")
+            try:
+                want = reference_samples(spec, scale_from_spec(scale))
+            except ProblemFileError as e:
+                with pytest.raises(ProblemFileError, match=f"^{re.escape(str(e))}$"):
+                    load_problem(path)
+            else:
+                assert load_problem(path).trajectory.values.tobytes() == want.tobytes()
 
 
 class TestInspect:

@@ -1,7 +1,11 @@
 """Time scale construction, jump operators, and classification."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsvar import (
     DenseInterval,
@@ -66,6 +70,54 @@ class TestSegments:
             TimeScale([DenseInterval(0.0, 1.0, 10), DiscretePoints((0.5,))])
         with pytest.raises(InvalidParameter):
             TimeScale([Uniform(0.0, 4.0, 1.0), Uniform(3.0, 6.0, 1.0)])
+
+    @pytest.mark.parametrize("point_first", [True, False])
+    def test_a_point_at_the_start_of_a_dense_interval_joins_in_either_order(self, point_first):
+        segments = [DenseInterval(3, 4, 4), DiscretePoints((3.0,))]
+        ts = TimeScale(segments[::-1] if point_first else segments)
+        assert ts.points.tolist() == [3.0, 3.25, 3.5, 3.75, 4.0]
+        assert ts.classify(3.0).right is Side.DENSE
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DenseInterval(0, math.inf, 4),
+            lambda: DenseInterval(0, math.nan),
+            lambda: DenseInterval(-math.inf, 0, 4),
+            lambda: Uniform(0.0, math.nan, 1.0),
+            lambda: Uniform(-math.inf, 0.0, 1.0),
+            lambda: Geometric(1.0, math.inf, 2.0),
+            lambda: Geometric(1.0, 4.0, math.nan),
+        ],
+    )
+    def test_a_bound_must_be_finite(self, build):
+        with pytest.raises(InvalidParameter, match="must be a finite number$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, argument",
+        [
+            (lambda: make_points(["a"]), "DiscretePoints points"),
+            (lambda: make_points([None]), "DiscretePoints points"),
+            (lambda: Uniform("a", 1, 1), "Uniform start"),
+            (lambda: TimeScale([1]), "TimeScale segments"),
+            (lambda: make_dense(0.0, 1.0, None), "DenseInterval resolution"),
+            (lambda: make_harmonic("10"), "n_max"),
+        ],
+    )
+    def test_an_argument_that_is_not_a_number_is_named(self, build, argument):
+        with pytest.raises(InvalidParameter, match=argument):
+            build()
+
+    def test_a_ratio_power_beyond_the_float_range_is_no_maximum(self):
+        # ratio**3 = 1e345 overflows; 1e300 is no power of 1e115
+        with pytest.raises(InvalidParameter, match="maximum must equal minimum"):
+            Geometric(1.0, 1e300, 1e115)
+
+    def test_a_scale_spans_less_than_the_float_range(self):
+        # every gap, and so every graininess, is finite
+        with pytest.raises(InvalidParameter, match="span less than the float range"):
+            make_points([-1e308, 1e308])
 
     def test_shared_endpoints_deduplicated(self):
         ts = TimeScale([Uniform(0.0, 2.0, 1.0), Uniform(2.0, 4.0, 1.0)])
@@ -269,3 +321,75 @@ class TestInvariants:
         for i, t in enumerate(ts.points):
             assert mu[i] == ts.mu(float(t))
             assert ts.points[sig[i]] == ts.sigma(float(t))
+
+    def test_rho_indices_match_the_scalar_operator(self, rng):
+        ts = union(make_points([-5.0]), make_dense(-4.0, -3.0, 8), random_discrete_scale(rng, 6))
+        rho = ts.rho_indices()
+        assert not rho.flags.writeable
+        assert [float(ts.points[i]) for i in rho] == [ts.rho(float(t)) for t in ts.points]
+
+
+
+# Junk for any argument of a scale constructor. Each builder below draws
+# arguments that can build a scale, then swaps each for junk one time in four.
+JUNK = st.sampled_from(
+    (None, "a", "", "1.5", [[1.0], [1.0, 2.0]], [], (), {}, True, 1j)
+    + (math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400)
+)
+EDGE = st.sampled_from((0.0, 1e300, -1e308, 1e308))
+UNIFORM = st.tuples(st.sampled_from((0, -1.0, 2.5)) | EDGE, st.integers(1, 8), st.sampled_from((0.25, 1, 1e115))).map(
+    lambda a: (a[0], a[0] + a[1] * a[2], a[2])
+)
+GEOMETRIC = st.tuples(st.sampled_from((0.5, 1, 1e-3)) | EDGE, st.integers(0, 8), st.sampled_from((1.5, 2, 10, 1e115))).map(
+    lambda a: (a[0], a[0] * float(a[2]) ** min(a[1], 2), a[2])
+)
+DENSE = st.tuples(st.sampled_from((0, -1.0)) | EDGE, st.sampled_from((0.5, 1, 1e308)), st.sampled_from((1, 2, 4.0, 8))).map(
+    lambda a: (a[0], a[0] + a[1], a[2])
+)
+POINT = st.sampled_from((0, 1, 2.5, -1.0, 1e-13)) | EDGE
+POINTS = st.one_of(
+    st.lists(POINT, min_size=1, max_size=6, unique=True).map(sorted),
+    st.lists(POINT | JUNK, min_size=1, max_size=3),  # junk as an element
+).map(lambda p: (p,))
+SEGMENT = st.sampled_from(
+    (
+        Uniform(0.0, 2.0, 1.0),
+        DenseInterval(2.0, 3.0, 4),
+        DenseInterval(3.0, 4.0, 4),
+        DiscretePoints((3.0,)),
+        DiscretePoints((-1e308, -1.0)),
+        DiscretePoints((1e308,)),
+        Geometric(4.0, 16.0, 2.0),
+    )
+)
+SCALE_BUILDERS = {
+    "DiscretePoints": (lambda p: TimeScale([DiscretePoints(p)]), POINTS),
+    "Uniform": (lambda *a: TimeScale([Uniform(*a)]), UNIFORM),
+    "Geometric": (lambda *a: TimeScale([Geometric(*a)]), GEOMETRIC),
+    "DenseInterval": (lambda *a: TimeScale([DenseInterval(*a)]), DENSE),
+    "make_points": (make_points, POINTS),
+    "make_uniform": (make_uniform, UNIFORM),
+    "make_geometric": (make_geometric, GEOMETRIC),
+    "make_dense": (make_dense, DENSE),
+    "make_harmonic": (make_harmonic, st.tuples(st.sampled_from((2, 3, 10.0, 100)))),
+    "TimeScale": (TimeScale, st.tuples(st.lists(SEGMENT, max_size=3), st.sampled_from((None, {"kind": "test"})))),
+    "union": (lambda *scales: union(*scales), st.lists(SEGMENT.map(lambda s: TimeScale([s])), max_size=3).map(tuple)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_BUILDERS))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_a_scale_constructor_builds_a_scale_or_raises_invalid_parameter(name, data):
+    build, valid = SCALE_BUILDERS[name]
+    args = [arg if data.draw(st.integers(0, 3)) else data.draw(JUNK) for arg in data.draw(valid)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ts = build(*args)
+        except InvalidParameter:
+            return
+    pts = ts.points
+    assert pts.ndim == 1 and pts.size >= 1 and np.isfinite(pts).all()
+    assert (np.diff(pts) > 0).all()
+    assert np.isfinite(ts.mu_values()).all()
