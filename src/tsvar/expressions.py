@@ -13,9 +13,13 @@ as -(x^2). One walker, eval_ast, evaluates an AST over numpy values: an
 array in a variable slot evaluates the expression on many (t, x, r) rows at
 once, with the domain checks applied as masks, and a float is a 0-d array,
 a single row. eval_rows makes an evaluation fail exactly where a loop over
-the rows would, naming that row. The partial derivatives of f are ASTs too,
-derived once per Lagrangian by the chain rule (see derivative) and
-evaluated by the same walker.
+the rows would, naming that row. A result that is not finite although its
+operands are (an overflow) is an error too. It is looked for only at the
+nodes where numpy raised a floating-point flag: IEEE 754 arithmetic on
+finite operands gives inf only with the overflow or divide-by-zero flag and
+NaN only with the invalid flag, so a node without a flag needs no check.
+The partial derivatives of f are ASTs too, derived once per Lagrangian by
+the chain rule (see derivative) and evaluated by the same walker.
 """
 
 from __future__ import annotations
@@ -281,8 +285,15 @@ def eval_ast(node: ExprAst, env: Mapping[str, np.ndarray]) -> np.ndarray:
     overflows from finite operands raises DomainError like a domain violation.
     Errors name the failing sub-expression (for a node of a derivative AST,
     the user's sub-expression it came from) and keep the `index` of the
-    check that raised them (see check). eval_rows calls it with numpy's
-    floating-point warnings off: these checks report what they would.
+    check that raised them (see check).
+
+    The finiteness check runs only at a node where numpy raised a
+    floating-point flag: under IEEE 754, finite operands give inf only with
+    the overflow or divide-by-zero flag set and NaN only with the invalid
+    flag set. eval_rows calls it with those flags raising FloatingPointError;
+    such a node is computed again with the flags off and then checked, so
+    values and errors are those of a check at every node. Outside eval_rows'
+    setting an overflow is not reported.
     """
     kind = node.__class__
     if kind is Num:
@@ -297,31 +308,40 @@ def eval_ast(node: ExprAst, env: Mapping[str, np.ndarray]) -> np.ndarray:
     if kind is Guard:
         return _guard(node, env)
     if kind is Call:
-        lhs = eval_ast(node.arg, env)
+        lhs, rhs = eval_ast(node.arg, env), None
     else:
         lhs, rhs = eval_ast(node.lhs, env), eval_ast(node.rhs, env)
     try:
-        if kind is Call:
-            out = _EVAL_FUNCTIONS[node.fn](lhs)
-        elif (op := node.op) == "+":
-            out = lhs + rhs
-        elif op == "-":
-            out = lhs - rhs
-        elif op == "*":
-            out = lhs * rhs
-        elif op == "/":
-            # a derived divisor is a divisor of f, a log or power base of f or
-            # 2*sqrt(u): nonzero wherever f is defined; one divisor for every
-            # row, such as a constant, is tested once without a mask
-            if node.origin is None and (rhs.ndim or rhs == 0.0):
-                check(rhs == 0.0, DomainError, "division by zero")
-            out = lhs / rhs
-        else:
-            out = _power(lhs, rhs)
-        _check_finite(out, (lhs,) if kind is Call else (lhs, rhs))
-        return out
+        try:
+            return _apply(node, lhs, rhs)
+        except FloatingPointError:
+            with np.errstate(all="ignore"):
+                out = _apply(node, lhs, rhs)
+            _check_finite(out, (lhs,) if rhs is None else (lhs, rhs))
+            return out
     except (DomainError, NonDifferentiablePoint) as e:
         raise _located(e, node) from None
+
+
+def _apply(node: Union[Call, BinOp], lhs: np.ndarray, rhs: Optional[np.ndarray]) -> np.ndarray:
+    """The value of a Call (rhs None) or BinOp node at its operands' values."""
+    if rhs is None:
+        return _EVAL_FUNCTIONS[node.fn](lhs)
+    op = node.op
+    if op == "+":
+        return lhs + rhs
+    if op == "-":
+        return lhs - rhs
+    if op == "*":
+        return lhs * rhs
+    if op == "/":
+        # a derived divisor is a divisor of f, a log or power base of f or
+        # 2*sqrt(u): nonzero wherever f is defined; one divisor for every
+        # row, such as a constant, is tested once without a mask
+        if node.origin is None and (rhs.ndim or rhs == 0.0):
+            check(rhs == 0.0, DomainError, "division by zero")
+        return lhs / rhs
+    return _power(lhs, rhs)
 
 
 def _located(e: TsvarError, node: ExprAst) -> TsvarError:
@@ -347,12 +367,20 @@ def _guard(node: Guard, env: Mapping[str, np.ndarray]) -> np.ndarray:
     return value
 
 
+# the floating-point flags that eval_ast's overflow check reads (see eval_ast)
+_RAISE_FLAGS = {"over": "raise", "divide": "raise", "invalid": "raise", "under": "ignore"}
+
+
 def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> tuple[Any, Optional[TsvarError]]:
     """fn over the rows of env's values, broadcast together in C order.
 
     fn maps a dict of float arrays (0-d for a float) to an array, a numpy
     scalar, or a tuple of them. It is called once on env's values as given,
     so each node of an expression spans only the axes of its operands.
+    fn runs with numpy's overflow, divide-by-zero and invalid flags raising
+    FloatingPointError and underflow ignored, which eval_ast's overflow
+    check reads (see eval_ast); arithmetic of fn's own that may meet those
+    flags runs under np.errstate(all="ignore") and checks its result.
     Returns (out, error).
     Without a DomainError or NonDifferentiablePoint, error is None and out
     is read-only, broadcast to env's shape. Otherwise error is the one a
@@ -368,14 +396,14 @@ def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> tuple[Any, O
     shape = rows = grid.shape
     error = None
     try:
-        with np.errstate(all="ignore"):
+        with np.errstate(**_RAISE_FLAGS):
             out = fn(dict(zip(names, values)))
     except (DomainError, NonDifferentiablePoint):
         columns = [c.ravel() for c in np.broadcast_arrays(*values)]
         stop = grid.size
         while True:
             try:
-                with np.errstate(all="ignore"):
+                with np.errstate(**_RAISE_FLAGS):
                     out = fn({k: c[:stop] for k, c in zip(names, columns)})
                 break
             except (DomainError, NonDifferentiablePoint) as e:

@@ -40,12 +40,21 @@ def _check_count(kind: str, count: float) -> None:
 
 
 def _vector(values, message: str, finite: bool = False) -> np.ndarray:
-    """values as a float array; InvalidParameter(message) unless a nonempty 1-d sequence of numbers."""
+    """values as a float array; InvalidParameter(message) unless a nonempty 1-d sequence of numbers.
+
+    Numbers are real numbers, as for the scalar arguments of the segments:
+    strings, bytes, complex numbers and other objects are not.
+    """
     try:
-        a = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged, not a number, or an int beyond floats
+        a = np.asarray(values)
+        if a.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in a.flat):
+            a = a.astype(float)  # such as an int beyond int64
+    except (ValueError, OverflowError):  # ragged, or an int beyond the float range
         raise InvalidParameter(message) from None
-    if a.ndim != 1 or not a.size or (finite and not np.isfinite(a).all()):
+    if a.dtype.kind not in "biuf" or a.ndim != 1 or not a.size:
+        raise InvalidParameter(message)
+    a = a.astype(float, copy=False)
+    if finite and not np.isfinite(a).all():
         raise InvalidParameter(message)
     return a
 
@@ -115,17 +124,20 @@ class Uniform:
             raise InvalidParameter("Uniform step must be positive")
         if self.end <= self.start:
             raise InvalidParameter("Uniform requires end > start")
-        steps = (self.end - self.start) / self.step
+        start, end, step = self.start, self.end, self.step
+        if math.isinf(end - start):  # halving is exact, and brings the span into range
+            start, end, step = 0.5 * start, 0.5 * end, 0.5 * step
+        steps = (end - start) / step
         _check_count("Uniform", steps + 1)
         k = round(steps)
-        if k < 1 or abs(self.start + k * self.step - self.end) > POINT_TOLERANCE:
+        if k < 1 or abs(start + k * step - end) > POINT_TOLERANCE:
             raise InvalidParameter(
                 "Uniform span must be an integer multiple of the step"
             )
         object.__setattr__(self, "_count", int(k) + 1)
 
     def realize(self) -> np.ndarray:
-        return np.linspace(self.start, self.end, self._count)
+        return evenly_spaced(self.start, self.end, self._count)
 
     def bounds(self) -> tuple[float, float]:
         return self.start, self.end
@@ -147,22 +159,31 @@ class Geometric:
             raise InvalidParameter("Geometric ratio must exceed 1")
         if self.maximum < self.minimum:
             raise InvalidParameter("Geometric requires maximum >= minimum")
-        steps = math.log(self.maximum / self.minimum) / math.log(self.ratio)
+        # logs, not log(maximum / minimum): the quotient can overflow
+        steps = (math.log(self.maximum) - math.log(self.minimum)) / math.log(self.ratio)
         _check_count("Geometric", steps + 1)
         k = round(steps)
-        try:
-            end = self.minimum * self.ratio**k
-        except OverflowError:  # ratio**k is then far above maximum / minimum
-            end = math.inf
+        end = float(self._powers(np.float64(k)))
         if abs(end - self.maximum) > 1e-12 * abs(self.maximum):
             raise InvalidParameter(
                 "Geometric maximum must equal minimum * ratio**k for integer k"
             )
         object.__setattr__(self, "_count", int(k) + 1)
 
+    def _powers(self, n):
+        """minimum * ratio**n for whole n >= 0; from logs where ratio**n alone overflows.
+
+        A product beyond the float range is inf.
+        """
+        with np.errstate(over="ignore"):
+            powers = self.ratio**n
+            if np.isinf(powers).any():
+                return np.exp(math.log(self.minimum) + n * math.log(self.ratio))
+            return self.minimum * powers
+
     def realize(self) -> np.ndarray:
-        pts = self.minimum * self.ratio ** np.arange(self._count, dtype=float)
-        pts[-1] = self.maximum
+        pts = self._powers(np.arange(self._count, dtype=float))
+        pts[0], pts[-1] = self.minimum, self.maximum  # exact ends, also from logs
         return pts
 
     def bounds(self) -> tuple[float, float]:

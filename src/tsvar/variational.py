@@ -207,6 +207,12 @@ def el_residual(problem: VariationalProblem, x: Trajectory) -> GridFunction:
     the window, i.e. all window points except the last two on a discrete
     scale. The result is returned as a grid function over those points.
     """
+    t, residual = _el_residual(problem, x)
+    return GridFunction(make_points(t), residual)
+
+
+def _el_residual(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The points and values of el_residual, without building its scale."""
     i0, i1 = problem.window()
     if i1 - i0 + 1 < 3:
         raise InsufficientPoints("el_residual needs at least 3 scale points in [t0, t1]")
@@ -218,7 +224,7 @@ def el_residual(problem: VariationalProblem, x: Trajectory) -> GridFunction:
         residual = _el_terms(t, fx, fr)
     if not np.isfinite(residual).all():
         raise DomainError(f"overflow in the Euler-Lagrange residual of '{problem.lagrangian.source}'")
-    return GridFunction(make_points(t[:-1]), residual)
+    return t[:-1], residual
 
 
 def _el_terms(t: np.ndarray, fx: np.ndarray, fr: np.ndarray) -> np.ndarray:

@@ -99,6 +99,11 @@ class TestSegments:
         [
             (lambda: make_points(["a"]), "DiscretePoints points"),
             (lambda: make_points([None]), "DiscretePoints points"),
+            # numbers as text or objects, which numpy's float conversion read as numbers
+            (lambda: make_points(["0", "1.5"]), "DiscretePoints points"),
+            (lambda: make_points(np.array(["0", "1"], dtype=object)), "DiscretePoints points"),
+            (lambda: DiscretePoints((b"0", b"1")), "DiscretePoints points"),
+            (lambda: make_points([1.5, 10**400]), "DiscretePoints points"),
             (lambda: Uniform("a", 1, 1), "Uniform start"),
             (lambda: TimeScale([1]), "TimeScale segments"),
             (lambda: make_dense(0.0, 1.0, None), "DenseInterval resolution"),
@@ -108,6 +113,23 @@ class TestSegments:
     def test_an_argument_that_is_not_a_number_is_named(self, build, argument):
         with pytest.raises(InvalidParameter, match=argument):
             build()
+
+    def test_points_may_be_ints_beyond_int64(self):
+        # numpy holds these in an object array; they are numbers all the same
+        assert make_points([1.5, 2**70]).points.tolist() == [1.5, 2.0**70]
+        assert DiscretePoints(np.array([0, 2**64], dtype=object)).points == (0.0, 2.0**64)
+
+    def test_a_uniform_span_beyond_the_float_range(self):
+        # end - start overflows; the halves count 2 steps
+        assert Uniform(-1e308, 1e308, 1e308).realize().tolist() == [-1e308, 0.0, 1e308]
+
+    def test_a_geometric_quotient_beyond_the_float_range(self):
+        # maximum / minimum and ratio**60 overflow; the points do not
+        g = Geometric(1e-300, 1e300, 1e10)
+        pts = g.realize()
+        assert pts.size == 61 and np.isfinite(pts).all() and (np.diff(pts) > 0).all()
+        assert pts[[0, 30, 60]].tolist() == [1e-300, pytest.approx(1.0, rel=1e-12), 1e300]
+        assert np.allclose(pts[1:] / pts[:-1], 1e10, rtol=1e-12, atol=0.0)
 
     def test_a_ratio_power_beyond_the_float_range_is_no_maximum(self):
         # ratio**3 = 1e345 overflows; 1e300 is no power of 1e115
@@ -337,12 +359,13 @@ JUNK = st.sampled_from(
     + (math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400)
 )
 EDGE = st.sampled_from((0.0, 1e300, -1e308, 1e308))
+# and the spans whose end - start or maximum / minimum overflows
 UNIFORM = st.tuples(st.sampled_from((0, -1.0, 2.5)) | EDGE, st.integers(1, 8), st.sampled_from((0.25, 1, 1e115))).map(
     lambda a: (a[0], a[0] + a[1] * a[2], a[2])
-)
+) | st.just((-1e308, 1e308, 1e308))
 GEOMETRIC = st.tuples(st.sampled_from((0.5, 1, 1e-3)) | EDGE, st.integers(0, 8), st.sampled_from((1.5, 2, 10, 1e115))).map(
     lambda a: (a[0], a[0] * float(a[2]) ** min(a[1], 2), a[2])
-)
+) | st.just((1e-300, 1e300, 1e10))
 DENSE = st.tuples(st.sampled_from((0, -1.0)) | EDGE, st.sampled_from((0.5, 1, 1e308)), st.sampled_from((1, 2, 4.0, 8))).map(
     lambda a: (a[0], a[0] + a[1], a[2])
 )

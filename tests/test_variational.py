@@ -230,6 +230,19 @@ class TestElResidual:
         with pytest.raises(InsufficientPoints):
             el_residual(P, P.linear_trajectory())
 
+    def test_classify_reads_the_residual_without_building_its_scale(self, monkeypatch):
+        P = VariationalProblem(make_harmonic(150), 0.0, 1.0, parse_lagrangian("0.7368*r^2 + 0.8211*x^2"), 0, 0)
+        x = GridFunction.from_callable(P.scale, lambda t: np.sin(3.0 * t))
+        res = el_residual(P, x)
+
+        def no_scale(points):
+            raise AssertionError("classify_candidate built a scale")
+
+        monkeypatch.setattr(variational, "make_points", no_scale)
+        assert classify_candidate(P, x).el_max_residual == float(np.max(np.abs(res.values)))
+        t, values = variational._el_residual(P, x)
+        assert np.array_equal(t, res.scale.points) and values.tobytes() == res.values.tobytes()
+
 
 class TestSolver:
     def test_integer_window_quadratic(self):

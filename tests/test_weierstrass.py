@@ -196,7 +196,11 @@ def test_convexity_samples_must_be_finite_1d_lists_and_gamma_in_the_unit_interva
             check_convexity_condition(P, *samples)
 
 
-@pytest.mark.parametrize("bad", [[[1.0], [1.0, 2.0]], "ab", ["a", 1.0], {"a": 1.0}])
+# numbers as text or objects, which numpy's float conversion read as numbers
+NUMERIC_TEXT = [["1"], ["-1", "2.5"], [b"1"], np.array(["0.5"], dtype=object)]
+
+
+@pytest.mark.parametrize("bad", [[[1.0], [1.0, 2.0]], "ab", ["a", 1.0], {"a": 1.0}] + NUMERIC_TEXT)
 @pytest.mark.parametrize("position", range(3))
 def test_convexity_samples_that_are_not_numbers_are_rejected(bad, position):
     # a ragged list or a string raised numpy's ValueError
@@ -420,7 +424,7 @@ def test_a_q_grid_that_is_not_a_nonempty_1d_sequence_is_rejected(q_grid, harmoni
         classify_candidate(harmonic_problem, x, q_grid=q_grid)
 
 
-@pytest.mark.parametrize("q_grid", [[[1.0], [1.0, 2.0]], "ab", ["a", 1.0], {"a": 1.0}])
+@pytest.mark.parametrize("q_grid", [[[1.0], [1.0, 2.0]], "ab", ["a", 1.0], {"a": 1.0}] + NUMERIC_TEXT)
 def test_a_q_grid_that_is_not_numbers_is_rejected(q_grid):
     # a ragged list or a string raised numpy's ValueError
     P = VariationalProblem(make_harmonic(10), 0.0, 1.0, parse_lagrangian("r^2 - r^4"), 0.0, 0.0)
