@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AtScaleMaximum, InvalidParameter, ReversedBounds
-from .timescale import POINT_TOLERANCE, TimeScale
+from .timescale import TimeScale
 
 
 class DerivativeKind(str, Enum):
@@ -93,9 +93,6 @@ class GridFunction:
         vals = self.values.copy()
         vals[i] = value
         return GridFunction(self.scale, vals, self.break_points)
-
-    def is_break(self, t: float) -> bool:
-        return any(abs(t - b) <= POINT_TOLERANCE for b in self.break_points)
 
     @cached_property
     def slopes(self) -> np.ndarray:
@@ -200,7 +197,7 @@ def delta_derivative(x: GridFunction, t: float, side: Optional[str] = None) -> D
         return DerivativeValue(float(x.one_sided(np.array([i]), step)[0]), kind)
     if ts.mu_values()[i] > 0.0:
         kind = DerivativeKind.EXACT_SCATTERED
-    elif x.is_break(t):
+    elif _break_mask(x)[i]:
         kind = DerivativeKind.UNDEFINED_AT_BREAK
     else:
         kind = DerivativeKind.DENSE_APPROX

@@ -38,7 +38,7 @@ from .problemfile import (
     load_problem,
     write_report,
 )
-from .timescale import POINT_TOLERANCE, Side, TimeScale, make_geometric, make_harmonic, make_uniform
+from .timescale import Side, TimeScale, make_geometric, make_harmonic, make_uniform
 from .variational import (
     VariationalProblem,
     find_spike_below,
@@ -106,7 +106,7 @@ def cmd_inspect(loaded: LoadedProblem) -> tuple[int, dict]:
     ts = loaded.problem.scale
     t0, t1 = loaded.problem.t0, loaded.problem.t1
     rows = _point_rows(ts, t0, t1)
-    truncation = ts.metadata.get("truncation_point")
+    cut = ts.node_index(ts.metadata.get("truncation_point"))  # None without a cut
 
     display: list[str] = []
     header = f"{'t':>14} {'sigma(t)':>14} {'rho(t)':>14} {'mu(t)':>14}  classification"
@@ -126,7 +126,7 @@ def cmd_inspect(loaded: LoadedProblem) -> tuple[int, dict]:
             i = j
             continue
         mu_text = _fmt(row["mu"])
-        if truncation is not None and abs(row["t"] - truncation) <= POINT_TOLERANCE:
+        if loaded.problem.window()[0] + i == cut:
             mu_text = "-"  # graininess at the truncation point is a cut artifact
         display.append(
             f"{_fmt(row['t']):>14} {_fmt(row['sigma']):>14} {_fmt(row['rho']):>14} "

@@ -39,7 +39,7 @@ from .timescale import (
     TimeScale,
     Uniform,
     evenly_spaced,
-    make_harmonic,
+    harmonic_segment,
 )
 from .variational import Trajectory, VariationalProblem
 from .weierstrass import (
@@ -130,7 +130,8 @@ def _as_int(value, field: str) -> int:
     return value
 
 
-def _segment_from_spec(spec: dict, field: str, resolution: Optional[int]):
+def _segment_from_spec(spec: dict, field: str, resolution: Optional[int]) -> tuple:
+    """The segment of a spec and the scale metadata it brings ({} but for a harmonic spec)."""
     if not isinstance(spec, dict):
         raise ProblemFileError(field, "segment spec must be an object with a 'kind'")
     kind = _need(spec, "kind", f"{field}.kind")
@@ -143,21 +144,20 @@ def _segment_from_spec(spec: dict, field: str, resolution: Optional[int]):
             n_max = _as_int(_need(spec, "n_max", f"{field}.n_max"), f"{field}.n_max")
             if n_max < 2:
                 raise ProblemFileError(f"{field}.n_max", "must be >= 2")
-            return make_harmonic(n_max)
+            return harmonic_segment(n_max)
         if kind == "uniform":
-            return Uniform(number("start"), number("end"), number("step"))
+            return Uniform(number("start"), number("end"), number("step")), {}
         if kind == "geometric":
-            return Geometric(number("min"), number("max"), number("ratio"))
+            return Geometric(number("min"), number("max"), number("ratio")), {}
         if kind == "dense":
             res = spec.get("resolution", 1000) if resolution is None else resolution
-            return DenseInterval(number("lo"), number("hi"), _as_int(res, f"{field}.resolution"))
+            return DenseInterval(number("lo"), number("hi"), _as_int(res, f"{field}.resolution")), {}
         if kind == "points":
             values = _need(spec, "values", f"{field}.values")
             if not isinstance(values, list) or not values:
                 raise ProblemFileError(f"{field}.values", "expected a nonempty list of numbers")
-            return DiscretePoints(
-                tuple(_as_number(v, f"{field}.values[{i}]") for i, v in enumerate(values))
-            )
+            points = tuple(_as_number(v, f"{field}.values[{i}]") for i, v in enumerate(values))
+            return DiscretePoints(points), {}
     except ProblemFileError:
         raise
     except TsvarError as e:
@@ -173,10 +173,9 @@ def scale_from_spec(spec, field: str = "scale", resolution: Optional[int] = None
     metadata = {}
     for i, s in enumerate(specs):
         sub = f"{field}[{i}]" if isinstance(spec, list) else field
-        segment = _segment_from_spec(s, sub, resolution)
-        if isinstance(segment, TimeScale):  # harmonic: points and metadata from make_harmonic
-            segment, metadata = segment.segments[0], dict(segment.metadata)
+        segment, meta = _segment_from_spec(s, sub, resolution)
         segments.append(segment)
+        metadata = meta or metadata
     if len(specs) == 1 and isinstance(specs[0], dict) and not metadata:
         metadata = {"kind": specs[0].get("kind")}
     try:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import EmptyInterval, InvalidParameter, PointNotInScale
 
-# Absolute tolerance for point membership and deduplication. All scale points
-# are canonicalized at construction, so repeated sigma/rho chains cannot drift.
+# Absolute tolerance for point membership and shared segment endpoints. All scale
+# points are canonicalized at construction, so repeated sigma/rho chains cannot drift.
 POINT_TOLERANCE = 1e-12
 
 # Most points one segment may have; each constructor checks before it allocates.
@@ -249,7 +249,8 @@ class TimeScale:
     ----------
     segments :
         Nonempty iterable of segments. Segments must be pairwise disjoint;
-        they may share endpoints, which are deduplicated.
+        they may share endpoints, each then one node; any other two points
+        closer than POINT_TOLERANCE raise InvalidParameter.
     metadata :
         Free-form construction notes (e.g. the truncation parameter of a
         harmonic scale).
@@ -262,30 +263,32 @@ class TimeScale:
         if metadata is not None and not isinstance(metadata, Mapping):
             raise InvalidParameter("TimeScale metadata must be a mapping")
         segs = tuple(sorted(segs, key=lambda s: s.bounds()))
+        joints = []  # per pair of neighbours: True when they share an endpoint, which is one node
         for a, b in zip(segs, segs[1:]):
             if b.bounds()[0] < a.bounds()[1] - POINT_TOLERANCE:
                 raise InvalidParameter(
                     f"segments overlap near t={b.bounds()[0]!r}; "
                     "segments may only share endpoints"
                 )
-        pts = np.sort(np.concatenate([s.realize() for s in segs]))
+            joints.append(b.bounds()[0] <= a.bounds()[1] + POINT_TOLERANCE)
+        parts = [s.realize() for s in segs]
+        first_nodes = np.cumsum([0] + [p.size - joint for p, joint in zip(parts, joints)])
+        count = first_nodes[-1] + parts[-1].size
+        pts = np.sort(np.concatenate(parts))
+        del parts  # the segment arrays are not kept
         if math.isinf(float(pts[-1]) - float(pts[0])):
             raise InvalidParameter("TimeScale segments must span less than the float range")
-        keep = np.concatenate(([True], np.diff(pts) > POINT_TOLERANCE))
-        pts = np.ascontiguousarray(pts[keep])
+        pts = np.ascontiguousarray(pts[np.concatenate(([True], np.diff(pts) > POINT_TOLERANCE))])
+        if pts.size != count:  # points merged that are no shared endpoint
+            raise InvalidParameter(f"segment points closer than {POINT_TOLERANCE:g} would merge")
         pts.setflags(write=False)
 
-        spans = tuple(
-            (s.lo, s.hi) for s in segs if isinstance(s, DenseInterval)
-        )
         right_dense = np.zeros(pts.size, dtype=bool)
         left_dense = np.zeros(pts.size, dtype=bool)
-        for lo, hi in spans:
-            i0 = int(np.searchsorted(pts, lo - POINT_TOLERANCE))
-            i1 = int(np.searchsorted(pts, hi + POINT_TOLERANCE))
-            inside = pts[i0:i1]
-            right_dense[i0:i1] |= inside < hi - POINT_TOLERANCE
-            left_dense[i0:i1] |= inside > lo + POINT_TOLERANCE
+        for s, i in zip(segs, first_nodes):
+            if isinstance(s, DenseInterval):
+                right_dense[i : i + s.resolution] = True
+                left_dense[i + 1 : i + s.resolution + 1] = True
         mu = np.zeros(pts.size)
         mu[:-1] = np.where(right_dense[:-1], 0.0, np.diff(pts))
         index = np.arange(pts.size)
@@ -297,7 +300,6 @@ class TimeScale:
 
         self._segments = segs
         self._points = pts
-        self._spans = spans
         self._right_dense = right_dense
         self._left_dense = left_dense
         self._mu = mu
@@ -345,22 +347,24 @@ class TimeScale:
 
     # -- membership ----------------------------------------------------------
 
-    def node_index(self, t: float) -> Optional[int]:
-        """Index of the representative point equal to t (within tolerance), else None."""
+    def _locate(self, t) -> tuple[int, bool]:
+        """(i, True) when t is node i; else (i, False), i the last node below t or -1.
+
+        A t that is not a finite real number is below every node.
+        """
+        if not _is_finite_number(t):
+            return -1, False
+        t = float(t)
         i = int(np.searchsorted(self._points, t))
         for j in (i - 1, i):
             if 0 <= j < self._points.size and abs(self._points[j] - t) <= POINT_TOLERANCE:
-                return j
-        return None
+                return j, True
+        return i - 1, False
 
-    def _span_interior(self, t: float) -> Optional[tuple[float, float]]:
-        for lo, hi in self._spans:
-            if lo + POINT_TOLERANCE < t < hi - POINT_TOLERANCE:
-                return (lo, hi)
-        return None
-
-    def contains(self, t: float) -> bool:
-        return self.node_index(t) is not None or self._span_interior(t) is not None
+    def node_index(self, t: float) -> Optional[int]:
+        """Index of the node equal to t (within POINT_TOLERANCE), else None."""
+        i, at_node = self._locate(t)
+        return i if at_node else None
 
     def index_of(self, t: float) -> int:
         """Index of the representative point t; raises PointNotInScale."""
@@ -370,11 +374,11 @@ class TimeScale:
         return i
 
     def _canonical(self, t: float) -> tuple[float, Optional[int]]:
-        """Snap t to its stored node value; (t, None) for dense-span interiors."""
-        i = self.node_index(t)
-        if i is not None:
+        """Snap t to its stored node value; (t, None) past a right-dense node, inside a dense span."""
+        i, at_node = self._locate(t)
+        if at_node:
             return float(self._points[i]), i
-        if self._span_interior(t) is not None:
+        if i >= 0 and self._right_dense[i]:
             return float(t), None
         raise PointNotInScale(f"t={t!r} is not in the scale")
 
@@ -406,9 +410,10 @@ class TimeScale:
 
     def window_indices(self, t0: float, t1: float) -> tuple[int, int]:
         """Inclusive node-index range of [t0, t1]; endpoints must be nodes."""
+        i0, i1 = self.index_of(t0), self.index_of(t1)
         if t1 <= t0:
             raise EmptyInterval(f"interval requires t0 < t1, got [{t0!r}, {t1!r}]")
-        return self.index_of(t0), self.index_of(t1)
+        return i0, i1
 
     def kappa_range(self, t0: float, t1: float) -> tuple[int, int]:
         """Inclusive node-index range of [t0, t1]^kappa: t1 is dropped when left-scattered."""
@@ -481,14 +486,17 @@ def make_harmonic(n_max: int) -> TimeScale:
     at some n_max, which is recorded in the metadata. At the truncation
     point 0 the computed graininess 1/n_max is an artifact of the cut.
     """
+    segment, metadata = harmonic_segment(n_max)
+    return TimeScale([segment], metadata)
+
+
+def harmonic_segment(n_max: int) -> tuple[DiscretePoints, dict]:
+    """The points of make_harmonic(n_max) as one segment, and the scale's metadata."""
     if not _is_whole(n_max, 2):
         raise InvalidParameter("make_harmonic requires an integer n_max >= 2")
     _check_count("make_harmonic", n_max + 1)
     pts = np.concatenate(([0.0], 1.0 / np.arange(int(n_max), 0, -1)))
-    return TimeScale(
-        [DiscretePoints(pts)],
-        metadata={"kind": "harmonic", "n_max": int(n_max), "truncation_point": 0.0},
-    )
+    return DiscretePoints(pts), {"kind": "harmonic", "n_max": int(n_max), "truncation_point": 0.0}
 
 
 def union(*scales: TimeScale) -> TimeScale:

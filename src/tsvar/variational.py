@@ -28,7 +28,7 @@ from .errors import (
     NonConvergence,
 )
 from .expressions import Lagrangian
-from .timescale import POINT_TOLERANCE, TimeScale, make_points
+from .timescale import TimeScale, _is_finite_number, _is_whole, _store_finite, make_points
 
 # A trajectory is just a grid function; corners are registered as its
 # break points.
@@ -49,6 +49,7 @@ class VariationalProblem:
     beta: float
 
     def __post_init__(self):
+        _store_finite(self, "t0", "t1", "alpha", "beta")
         if self.t1 <= self.t0:
             raise EmptyInterval(f"problem requires t0 < t1, got [{self.t0!r}, {self.t1!r}]")
         i0 = self.scale.index_of(self.t0)
@@ -358,6 +359,9 @@ def solve_el_discrete(
 
     Raises NonConvergence, carrying the best iterate and diagnostics.
     """
+    if not _is_whole(max_iter, 0):
+        raise InvalidParameter(f"max_iter must be a nonnegative integer, got {max_iter!r}")
+    max_iter = int(max_iter)
     ts = problem.scale
     i0, i1 = problem.window()
     if ts.right_dense_mask[i0:i1].any():  # a dense span overlaps [t0, t1]
@@ -430,15 +434,16 @@ def spike_perturbation(
     if d == 0:
         raise InvalidParameter("spike height d must be nonzero")
     ts = problem.scale
+    i0, i1 = problem.window()
     i = ts.index_of(t_at)
     t_at = float(ts.points[i])
-    if not (problem.t0 + POINT_TOLERANCE < t_at < problem.t1 - POINT_TOLERANCE):
+    if not i0 < i < i1:
         raise InvalidSpikeLocation(f"t_at={t_at!r} must lie strictly inside (t0, t1)")
-    if ts.mu(t_at) == 0.0:
+    if ts.mu_values()[i] == 0.0:
         raise InvalidSpikeLocation(f"t_at={t_at!r} is right-dense; a spike needs mu(t_at) > 0")
-    s = ts.sigma(t_at)
-    if abs(s - problem.t1) <= POINT_TOLERANCE:
+    if i + 1 == i1:  # sigma(t_at) is node i + 1
         raise InvalidSpikeLocation("sigma(t_at) coincides with t1; the spike would move the boundary")
+    s = float(ts.points[i + 1])
     return base.with_value_at(s, base.value_at(s) + d)
 
 
@@ -460,8 +465,8 @@ def find_spike_below(problem: VariationalProblem, delta: float) -> Optional[Spik
     graininess drops below delta admits a height d with d/mu(sigma(t_at)) > 1,
     which is returned once the functional decrease is verified numerically.
     """
-    if not delta > 0:  # NaN too, which would find no spike
-        raise InvalidParameter("delta must be positive")
+    if not (_is_finite_number(delta) and delta > 0):  # NaN would find no spike, inf no height
+        raise InvalidParameter(f"delta must be positive and finite, got {delta!r}")
     ts = problem.scale
     base = problem.zero_trajectory()
     base_value = functional(problem, base)

@@ -16,13 +16,13 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InvalidParameter
 from .expressions import Lagrangian, Number, _varies, check, eval_ast, eval_rows
-from .timescale import _vector, evenly_spaced
+from .timescale import _is_finite_number, _vector, evenly_spaced
 # el_residual is not called here; it stays in this namespace, where
 # bench/tracing.py looks for it
 from .variational import Trajectory, VariationalProblem, el_residual  # noqa: F401
@@ -255,8 +255,7 @@ def weierstrass_scan(
     q = _vector(q_grid, "q_grid must be a nonempty 1-d sequence")
     if not np.isfinite(q).all():
         raise InvalidParameter("q_grid must be finite")
-    if not tol >= 0:  # NaN too, which would find no violation
-        raise InvalidParameter("tol must be nonnegative")
+    _check_tol(tol, "tol")
     t, xs, r, kind, _ = _rows(problem, x)
     block = max(1, _BLOCK_ROWS // q.size)
     hits = []
@@ -267,6 +266,12 @@ def weierstrass_scan(
         hits.append((i + start, j, E[i, j]))
     i, j, e = (np.concatenate(column) for column in zip(*hits))
     return ExcessTable(t[i], xs[i], r[i], q[j], e, kind[i])
+
+
+def _check_tol(tol, name: str) -> None:
+    """InvalidParameter naming tol unless a finite number >= 0: a NaN or inf would find no violation."""
+    if not (_is_finite_number(tol) and tol >= 0):
+        raise InvalidParameter(f"{name} must be nonnegative and finite, got {tol!r}")
 
 
 def observed_slopes(problem: VariationalProblem, x: Trajectory) -> np.ndarray:
@@ -280,7 +285,7 @@ DEFAULT_Q_COUNT = 41
 MAX_Q_COUNT = 10**6
 
 
-def default_q_grid(slopes: Iterable[float], count: int = DEFAULT_Q_COUNT) -> np.ndarray:
+def default_q_grid(slopes: Sequence[float], count: int = DEFAULT_Q_COUNT) -> np.ndarray:
     """Comparison-slope grid spanning the observed slopes plus 5 times their spread.
 
     The necessary condition quantifies over every real q, which is not
@@ -293,9 +298,7 @@ def default_q_grid(slopes: Iterable[float], count: int = DEFAULT_Q_COUNT) -> np.
         raise InvalidParameter(f"q count {count} is below 1")
     if count > MAX_Q_COUNT:
         raise InvalidParameter(f"q count {count} exceeds the limit of {MAX_Q_COUNT:,}")
-    s = np.asarray(list(slopes), dtype=float)
-    if s.size == 0:
-        raise InvalidParameter("need at least one observed slope")
+    s = _vector(slopes, "slopes must be a nonempty 1-d sequence of numbers")
     with np.errstate(over="ignore", invalid="ignore"):
         spread = float(np.std(s))
         if not math.isfinite(spread):  # the squares overflow above about 1.3e154
@@ -342,6 +345,7 @@ def classify_candidate(
     candidate is NOT a strong local minimum; all other outcomes are
     inconclusive in the positive direction.
     """
+    _check_tol(scan_tol, "scan_tol")
     el_max = float(np.max(np.abs(_el_residual(problem, x)[1])))
     xs = _rows(problem, x)[1]
     slopes = observed_slopes(problem, x)  # the same memoized column; bench/tracing.py counts rows here

@@ -293,6 +293,23 @@ class TestGridFunctionValidation:
         with pytest.raises(PointNotInScale):
             GridFunction(make_points([0, 1, 2]), [0.0, 0.0, 0.0], break_points=(0.5,))
 
+    @pytest.mark.parametrize("t", ["a", None, True, math.nan])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda x, t: x.value_at(t),
+            lambda x, t: delta_integral(x, t, 2.0),
+            lambda x, t: delta_integral(x, 0.0, t),
+            lambda x, t: norm_strong(x, t, 2.0),
+            lambda x, t: norm_weak(x, 0.0, t),
+            lambda x, t: delta_derivative(x, t),
+        ],
+    )
+    def test_a_t_that_is_not_a_finite_real_number_is_not_in_the_scale(self, read, t):
+        x = GridFunction(make_points([0, 1, 2]), [0.0, 1.0, 3.0])
+        with pytest.raises(PointNotInScale):
+            read(x, t)
+
     def test_values_read_only(self):
         x = GridFunction(make_points([0, 1]), [1.0, 2.0])
         with pytest.raises(ValueError):

@@ -355,6 +355,13 @@ class TestInspect:
         lines = [l for l in out.splitlines() if l.strip().startswith("0 ")]
         assert lines and lines[0].split()[3] == "-"  # cut artifact marked at t=0
 
+    @pytest.mark.parametrize("t0, marked", [(-1.0, ["0"]), (0.0, ["0"]), (0.25, [])])
+    def test_the_cut_artifact_is_marked_at_the_cut_node_of_any_window(self, tmp_path, capsys, t0, marked):
+        scale = [{"kind": "points", "values": [-1.0]}, {"kind": "harmonic", "n_max": 4}]
+        assert main(["inspect", write_problem(tmp_path, scale=scale, t0=t0)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [row[0] for row in rows if row[3] == "-"] == marked
+
     def test_integer_window_unit_graininess(self, tmp_path, capsys):
         path = write_problem(
             tmp_path,

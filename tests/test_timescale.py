@@ -145,6 +145,24 @@ class TestSegments:
         ts = TimeScale([Uniform(0.0, 2.0, 1.0), Uniform(2.0, 4.0, 1.0)])
         assert np.allclose(ts.points, [0, 1, 2, 3, 4])
 
+    def test_an_endpoint_shared_by_three_segments_is_one_node(self):
+        ts = TimeScale([Uniform(0, 2, 1), DiscretePoints((2.0,)), Uniform(2, 4, 1)])
+        assert ts.points.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_dense(0, 1e-11, 100),
+            lambda: TimeScale([Uniform(0, 1e-11, 1e-13)]),
+            lambda: TimeScale([Geometric(1e-20, 1e-10, 10)]),
+            # an endpoint shared within tolerance, and a third point that would join it
+            lambda: TimeScale([DiscretePoints((0.0, 1.0 - 1.5e-12, 1.0)), DiscretePoints((1.0 - 0.9e-12, 2.0))]),
+        ],
+    )
+    def test_segment_points_that_would_merge_are_rejected(self, build):
+        with pytest.raises(InvalidParameter, match="^segment points closer than 1e-12 would merge$"):
+            build()
+
 
 class TestSegmentSize:
     """Every segment is rejected before it allocates more than MAX_SEGMENT_POINTS points."""
@@ -215,6 +233,14 @@ class TestJumpOperators:
         assert ts.mu(1.0 - 1e-13) == 1.0
         with pytest.raises(PointNotInScale):
             ts.sigma(0.7)
+
+    @pytest.mark.parametrize("t", ["a", None, True, False, 1j, [1.0], math.nan, math.inf, 10**400])
+    @pytest.mark.parametrize("lookup", ["sigma", "rho", "mu", "classify", "index_of"])
+    def test_a_t_that_is_not_a_finite_real_number_is_not_in_the_scale(self, lookup, t):
+        ts = union(make_points([0.0, 1.0]), make_dense(1.0, 2.0, 4))
+        with pytest.raises(PointNotInScale):
+            getattr(ts, lookup)(t)
+        assert ts.node_index(t) is None
 
 
 class TestClassify:
@@ -416,3 +442,6 @@ def test_a_scale_constructor_builds_a_scale_or_raises_invalid_parameter(name, da
     assert pts.ndim == 1 and pts.size >= 1 and np.isfinite(pts).all()
     assert (np.diff(pts) > 0).all()
     assert np.isfinite(ts.mu_values()).all()
+    # every point a segment asked for is a node (the drawn shared endpoints are exact)
+    for segment in ts.segments:
+        assert np.isin(segment.realize(), pts).all()

@@ -62,6 +62,14 @@ class TestProblemConstruction:
         with pytest.raises(EmptyInterval, match="same scale point"):
             VariationalProblem(make_points([0, 1, 2]), 0.0, 1e-13, parse_lagrangian("r^2"), 0, 0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "a", None, True, 10**400])
+    @pytest.mark.parametrize("field", ["t0", "t1", "alpha", "beta"])
+    def test_a_field_that_is_not_a_finite_number_is_named(self, field, value):
+        # with alpha = NaN, |x(t0) - alpha| > tol is False, so any x passed the left boundary
+        args = {"t0": 0.0, "t1": 2.0, "alpha": 0.0, "beta": 1.0, field: value}
+        with pytest.raises(InvalidParameter, match=f"^VariationalProblem {field} must be a finite number$"):
+            VariationalProblem(make_points([0, 1, 2]), lagrangian=parse_lagrangian("r^2"), **args)
+
 
 class TestAdmissibility:
     def test_zero_trajectory(self, harmonic_problem):
@@ -522,6 +530,11 @@ class TestSolver:
         assert values[0] == -1e308 and values[-1] == 1e308
         np.testing.assert_allclose(values[1:-1], [-1e308 / 3, 1e308 / 3], rtol=1e-15)
 
+    @pytest.mark.parametrize("max_iter", [2.5, -1, "a", None, True, float("nan"), float("inf")])
+    def test_an_iteration_limit_that_is_not_a_count_is_rejected(self, max_iter):
+        with pytest.raises(InvalidParameter, match="^max_iter must be a nonnegative integer"):
+            solve_el_discrete(quadratic_problem(), max_iter=max_iter)
+
     def test_nonconvergence_carries_best_iterate(self):
         P = VariationalProblem(
             make_uniform(0.0, 4.0, 1.0), 0.0, 4.0, parse_lagrangian("r^2 + x^2"), 0.0, 1.0
@@ -711,7 +724,7 @@ class TestMinimalityFalsification:
         # every admissible location has mu(sigma(t_at)) >= 1/(49*48)
         assert find_spike_below(harmonic_problem, 1e-8) is None
 
-    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf"), "a", None, True])
     def test_a_radius_that_is_not_positive_is_rejected(self, harmonic_problem, delta):
         with pytest.raises(InvalidParameter, match="delta must be positive"):
             find_spike_below(harmonic_problem, delta)

@@ -452,9 +452,22 @@ def test_a_scan_tolerance_must_be_a_nonnegative_number():
     zero = P.zero_trajectory()
     assert len(weierstrass_scan(P, zero, q_grid=[-3.0, 3.0])) == 20
     # E < -nan holds nowhere, so a NaN tolerance would hide all 20 violations
-    for tol in (-1.0, float("nan")):
+    for tol in (-1.0, float("nan"), float("inf"), "a", None, True):
         with pytest.raises(InvalidParameter, match="tol must be nonnegative"):
             weierstrass_scan(P, zero, q_grid=[-3.0, 3.0], tol=tol)
+
+
+@pytest.mark.parametrize("scan_tol", [-1.0, float("nan"), "a", None])
+def test_a_classify_scan_tolerance_must_be_a_nonnegative_number(scan_tol):
+    P = VariationalProblem(make_harmonic(10), 0.0, 1.0, parse_lagrangian("r^2 - r^4"), 0.0, 0.0)
+    with pytest.raises(InvalidParameter, match="^scan_tol must be nonnegative and finite"):
+        classify_candidate(P, P.zero_trajectory(), scan_tol=scan_tol)
+
+
+@pytest.mark.parametrize("slopes", [[[1.0], [1.0, 2.0]], "ab", None, [], ["1"], 1.0])
+def test_default_q_grid_slopes_that_are_not_numbers_are_rejected(slopes):
+    with pytest.raises(InvalidParameter, match="^slopes must be a nonempty 1-d sequence of numbers$"):
+        default_q_grid(slopes)
 
 
 def test_a_default_q_grid_beyond_the_float_range_is_an_error():
