@@ -95,6 +95,14 @@ class GridFunction:
         return GridFunction(self.scale, vals, self.break_points)
 
     @cached_property
+    def break_mask(self) -> np.ndarray:
+        """True at the nodes registered as break points, read-only, built on first use."""
+        mask = np.zeros(len(self.scale), dtype=bool)
+        mask[[self.scale.index_of(b) for b in self.break_points]] = True
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
     def slopes(self) -> np.ndarray:
         """x^Delta at every node by the rule of side None, read-only, built on first use.
 
@@ -116,7 +124,7 @@ class GridFunction:
         out[starts] = self.one_sided(starts, 1)
         out[-1:] = self.one_sided(np.array([p.size - 1]), -1)
         if self.break_points:
-            out[_break_mask(self) & (ts.mu_values() == 0.0)] = np.nan
+            out[self.break_mask & (ts.mu_values() == 0.0)] = np.nan
         out.setflags(write=False)
         return out
 
@@ -161,13 +169,6 @@ class GridFunction:
         return {}
 
 
-def _break_mask(x: GridFunction) -> np.ndarray:
-    """True at the nodes registered as break points of x."""
-    mask = np.zeros(len(x.scale), dtype=bool)
-    mask[[x.scale.index_of(b) for b in x.break_points]] = True
-    return mask
-
-
 def delta_derivative(x: GridFunction, t: float, side: Optional[str] = None) -> DerivativeValue:
     """Delta derivative of a grid function at a representative point.
 
@@ -197,7 +198,7 @@ def delta_derivative(x: GridFunction, t: float, side: Optional[str] = None) -> D
         return DerivativeValue(float(x.one_sided(np.array([i]), step)[0]), kind)
     if ts.mu_values()[i] > 0.0:
         kind = DerivativeKind.EXACT_SCATTERED
-    elif _break_mask(x)[i]:
+    elif x.break_mask[i]:
         kind = DerivativeKind.UNDEFINED_AT_BREAK
     else:
         kind = DerivativeKind.DENSE_APPROX

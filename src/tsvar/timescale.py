@@ -88,26 +88,32 @@ def evenly_spaced(lo: float, hi: float, count: int) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretePoints:
-    """A finite, strictly increasing list of isolated points."""
+    """A finite, strictly increasing list of isolated points.
 
-    points: tuple[float, ...]
+    points is a read-only float64 array, a copy of the values passed in.
+    Because that field is an array, a DiscretePoints compares by identity,
+    as a TimeScale does; the other segments compare by value.
+    """
+
+    points: np.ndarray
 
     def __post_init__(self):
         message = "DiscretePoints points must be a nonempty 1-d sequence of finite numbers"
-        pts = _vector(self.points, message, finite=True)
+        pts = _vector(self.points, message, finite=True).copy()
         with np.errstate(over="ignore"):  # a gap beyond the float range still increases
             increasing = (np.diff(pts) > POINT_TOLERANCE).all()
         if not increasing:
             raise InvalidParameter("DiscretePoints must be strictly increasing")
-        object.__setattr__(self, "points", tuple(pts.tolist()))
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
 
     def realize(self) -> np.ndarray:
-        return np.array(self.points, dtype=float)
+        return self.points
 
     def bounds(self) -> tuple[float, float]:
-        return self.points[0], self.points[-1]
+        return float(self.points[0]), float(self.points[-1])
 
 
 @dataclass(frozen=True)
@@ -250,7 +256,13 @@ class TimeScale:
     segments :
         Nonempty iterable of segments. Segments must be pairwise disjoint;
         they may share endpoints, each then one node; any other two points
-        closer than POINT_TOLERANCE raise InvalidParameter.
+        closer than POINT_TOLERANCE raise InvalidParameter. The segments are
+        ordered by midpoint (ties by bounds), and a segment whose start lies
+        within POINT_TOLERANCE of the previous segment's end shares that
+        endpoint with it, in either order of the two values: the node takes
+        the lower value. All the values one node takes in must lie within
+        POINT_TOLERANCE of each other, so a chain of shared endpoints is no
+        wider than the tolerance.
     metadata :
         Free-form construction notes (e.g. the truncation parameter of a
         harmonic scale).
@@ -262,25 +274,40 @@ class TimeScale:
             raise InvalidParameter("TimeScale segments must be a nonempty sequence of segments")
         if metadata is not None and not isinstance(metadata, Mapping):
             raise InvalidParameter("TimeScale metadata must be a mapping")
-        segs = tuple(sorted(segs, key=lambda s: s.bounds()))
-        joints = []  # per pair of neighbours: True when they share an endpoint, which is one node
-        for a, b in zip(segs, segs[1:]):
-            if b.bounds()[0] < a.bounds()[1] - POINT_TOLERANCE:
-                raise InvalidParameter(
-                    f"segments overlap near t={b.bounds()[0]!r}; "
-                    "segments may only share endpoints"
-                )
-            joints.append(b.bounds()[0] <= a.bounds()[1] + POINT_TOLERANCE)
+        # by midpoint: unlike (lo, hi), it puts a single point just above a segment's start first
+        segs = tuple(sorted(segs, key=lambda s: (0.5 * s.bounds()[0] + 0.5 * s.bounds()[1], *s.bounds())))
         parts = [s.realize() for s in segs]
-        first_nodes = np.cumsum([0] + [p.size - joint for p, joint in zip(parts, joints)])
-        count = first_nodes[-1] + parts[-1].size
-        pts = np.sort(np.concatenate(parts))
+        crowded = f"segment points closer than {POINT_TOLERANCE:g} would merge"
+        first_nodes = [0]
+        shared = {}  # node index -> value of each shared endpoint: one node, the lowest value
+        count = parts[0].size
+        low = high = segs[0].bounds()[1]  # the lowest and highest value merged into node count - 1
+        for j in range(1, len(segs)):
+            start, (lo, end) = segs[j - 1].bounds()[0], segs[j].bounds()
+            if high - lo > POINT_TOLERANCE:
+                raise InvalidParameter(
+                    f"segments overlap near t={max(start, lo)!r}; segments may only share endpoints"
+                )
+            joint = lo - high <= POINT_TOLERANCE
+            if joint:
+                low, high = min(low, lo), max(high, lo)
+                if high - low > POINT_TOLERANCE:  # a chain of shared endpoints wider than the tolerance
+                    raise InvalidParameter(crowded)
+                shared[count - 1] = low
+                parts[j] = parts[j][1:]
+            first_nodes.append(count - joint)
+            count += parts[j].size
+            if parts[j].size:
+                low = high = end
+        pts = np.concatenate(parts)
         del parts  # the segment arrays are not kept
+        for i, value in shared.items():
+            pts[i] = value
         if math.isinf(float(pts[-1]) - float(pts[0])):
             raise InvalidParameter("TimeScale segments must span less than the float range")
-        pts = np.ascontiguousarray(pts[np.concatenate(([True], np.diff(pts) > POINT_TOLERANCE))])
-        if pts.size != count:  # points merged that are no shared endpoint
-            raise InvalidParameter(f"segment points closer than {POINT_TOLERANCE:g} would merge")
+        gaps = np.diff(pts)
+        if not (gaps > POINT_TOLERANCE).all():  # points that are no shared endpoint
+            raise InvalidParameter(crowded)
         pts.setflags(write=False)
 
         right_dense = np.zeros(pts.size, dtype=bool)
@@ -290,7 +317,7 @@ class TimeScale:
                 right_dense[i : i + s.resolution] = True
                 left_dense[i + 1 : i + s.resolution + 1] = True
         mu = np.zeros(pts.size)
-        mu[:-1] = np.where(right_dense[:-1], 0.0, np.diff(pts))
+        mu[:-1] = np.where(right_dense[:-1], 0.0, gaps)
         index = np.arange(pts.size)
         sigma_idx = index + (mu > 0.0)
         rho_idx = index - ~left_dense
@@ -400,10 +427,12 @@ class TimeScale:
         return 0.0 if i is None else float(self._mu[i])
 
     def classify(self, t: float) -> PointClass:
-        t, _ = self._canonical(t)
+        _, i = self._canonical(t)
+        if i is None:  # inside a dense span
+            return PointClass(right=Side.DENSE, left=Side.DENSE)
         return PointClass(
-            right=Side.SCATTERED if self.sigma(t) > t else Side.DENSE,
-            left=Side.SCATTERED if self.rho(t) < t else Side.DENSE,
+            right=Side.SCATTERED if self._mu[i] > 0.0 else Side.DENSE,
+            left=Side.SCATTERED if self._rho_idx[i] < i else Side.DENSE,
         )
 
     # -- windows -------------------------------------------------------------

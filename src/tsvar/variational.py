@@ -13,12 +13,14 @@ searches used to falsify strong/weak local minimality.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .calculus import GridFunction, _break_mask
+from .calculus import GridFunction
 from .errors import (
     DomainError,
     EmptyInterval,
@@ -144,7 +146,7 @@ def _build_rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray,
     pts, v, mu = ts.points, x.values, ts.mu_values()
     rd, ld = ts.right_dense_mask, ts.left_dense_mask
     i0, i1 = problem.window()
-    brk = _break_mask(x)
+    brk = x.break_mask
     here, ahead = slice(i0, i1), slice(i0 + 1, i1 + 1)
     gap = np.diff(pts[i0 : i1 + 1])
 
@@ -431,8 +433,8 @@ def spike_perturbation(
     delta derivative takes the values d/mu(t_at) at t_at and
     -d/mu(sigma(t_at)) at sigma(t_at) (for a flat base).
     """
-    if d == 0:
-        raise InvalidParameter("spike height d must be nonzero")
+    if not (_is_finite_number(d) and d != 0):
+        raise InvalidParameter(f"spike height d must be a nonzero finite number, got {d!r}")
     ts = problem.scale
     i0, i1 = problem.window()
     i = ts.index_of(t_at)
@@ -497,6 +499,8 @@ def random_bounded_slope_trajectory(
     Draws slopes uniformly, projects them so the boundary conditions hold
     exactly, then rescales the fluctuation so the bound is respected.
     """
+    if not isinstance(slope_bound, numbers.Real) or isinstance(slope_bound, bool):
+        raise InvalidParameter(f"slope_bound must be a number, got {slope_bound!r}")
     ts = problem.scale
     i0, i1 = problem.window()
     pts = ts.points[i0 : i1 + 1]
@@ -508,7 +512,7 @@ def random_bounded_slope_trajectory(
     u = rng.uniform(-1.0, 1.0, gaps.size)
     v = u - float(np.sum(u * gaps)) / span
     m = float(np.max(np.abs(v)))
-    room = slope_bound - abs(c)
+    room = math.inf if slope_bound > sys.float_info.max else slope_bound - abs(c)  # an int beyond floats too
     s = c + v * (min(1.0, room / m) if m > 0 else 0.0)
     window_vals = problem.alpha + np.concatenate(([0.0], np.cumsum(s * gaps)))
     full = np.empty(len(ts))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tsvar
 from tsvar import DenseInterval, DiscretePoints, Geometric, InvalidParameter, PointNotInScale, TimeScale, Uniform
@@ -18,7 +18,9 @@ class SpanRuleScale:
     Dense spans are kept as (lo, hi) pairs and applied to coordinates with
     the tolerance: a node is right-dense when it lies in [lo - TOL, hi - TOL)
     of a span, and a t off the nodes is in the scale when it lies in
-    (lo + TOL, hi - TOL) of one.
+    (lo + TOL, hi - TOL) of one. Each test is a difference (p - lo > TOL,
+    not p > lo + TOL), as the build's are: where one ulp exceeds 2 * TOL,
+    lo + TOL rounds to lo.
     """
 
     def __init__(self, segments):
@@ -29,11 +31,8 @@ class SpanRuleScale:
         self.right_dense = np.zeros(pts.size, dtype=bool)
         self.left_dense = np.zeros(pts.size, dtype=bool)
         for lo, hi in self.spans:
-            i0 = int(np.searchsorted(pts, lo - TOL))
-            i1 = int(np.searchsorted(pts, hi + TOL))
-            inside = pts[i0:i1]
-            self.right_dense[i0:i1] |= inside < hi - TOL
-            self.left_dense[i0:i1] |= inside > lo + TOL
+            self.right_dense |= (lo - pts <= TOL) & (hi - pts > TOL)
+            self.left_dense |= (pts - lo > TOL) & (pts - hi <= TOL)
         self.mu = np.zeros(pts.size)
         self.mu[:-1] = np.where(self.right_dense[:-1], 0.0, np.diff(pts))
         index = np.arange(pts.size)
@@ -47,7 +46,7 @@ class SpanRuleScale:
         for j in (i - 1, i):
             if 0 <= j < self.points.size and abs(self.points[j] - t) <= TOL:
                 return float(self.points[j]), j
-        if any(lo + TOL < t < hi - TOL for lo, hi in self.spans):
+        if any(t - lo > TOL and hi - t > TOL for lo, hi in self.spans):
             return float(t), None
         raise PointNotInScale(t)
 
@@ -68,13 +67,24 @@ class SpanRuleScale:
         return ("scattered" if self.sigma(t) > t else "dense", "scattered" if self.rho(t) < t else "dense")
 
 
+SHIFTS = (0.0, 0.4 * TOL, -0.4 * TOL)  # a shared end, exact or within the tolerance
+
+
 @st.composite
 def laid_out_segments(draw):
-    """Two to five segments from left to right, each after a gap or sharing the last one's end."""
+    """Two to five segments from left to right, each after a gap or sharing the last one's end.
+
+    Gives the segments in a drawn order, and whether a chain of shared ends
+    (a segment's end, single points, the next segment's start) spans more
+    than the tolerance: such a layout is invalid.
+    """
     segments, cursor = [], draw(st.sampled_from((0.5, 1.0, 3.25)))
+    chain, wide = [], False  # the values of the current chain of shared ends
     for _ in range(draw(st.integers(2, 5))):
-        if segments:  # a gap, or a shared end, exact or within the tolerance
-            cursor += draw(st.sampled_from((1e-9, 0.003, 0.5, 2.0, 0.0, 0.0, 0.0, 0.4 * TOL, -0.4 * TOL)))
+        if segments:
+            shift = draw(st.sampled_from((1e-9, 0.003, 0.5, 2.0, *SHIFTS, 0.0, 0.0)))
+            cursor += shift
+            chain = chain if shift in SHIFTS else []
         kind = draw(st.sampled_from(("points", "uniform", "geometric", "dense")))
         if kind == "points":
             gaps = draw(st.lists(st.sampled_from((0.01, 0.1, 0.37, 1.0)), max_size=4))
@@ -89,8 +99,11 @@ def laid_out_segments(draw):
             width = draw(st.sampled_from((0.001, 0.3, 1.0, 2.5)))
             segment = DenseInterval(cursor, cursor + width, draw(st.integers(1, 12)))
         segments.append(segment)
-        cursor = segment.bounds()[1]
-    return draw(st.permutations(segments))
+        lo, cursor = segment.bounds()
+        chain.append(lo)
+        wide = wide or max(chain) - min(chain) > TOL
+        chain = chain if lo == cursor else [cursor]
+    return draw(st.permutations(segments)), wide
 
 
 def _outcome(lookup, t):
@@ -100,14 +113,25 @@ def _outcome(lookup, t):
         return PointNotInScale
 
 
+def _chain_after_dense(step, points):
+    """Dense [0, 1], then single points and a uniform segment's start, each step past the last."""
+    ends = [1.0 + k * step for k in range(1, points + 2)]
+    return [DenseInterval(0.0, 1.0, 4), *(DiscretePoints((e,)) for e in ends[:-1]), Uniform(ends[-1], ends[-1] + 1, 0.5)]
+
+
 @settings(max_examples=300)
-@given(segments=laid_out_segments(), seed=st.integers(0, 2**32 - 1))
-def test_nodes_and_lookups_match_the_span_rule(segments, seed):
-    try:
-        ts = TimeScale(segments)
-    except InvalidParameter as e:  # a segment that starts just below a single point sorts before it
-        assert "segments overlap" in str(e)
+@given(layout=laid_out_segments(), seed=st.integers(0, 2**32 - 1))
+@example(layout=(_chain_after_dense(0.4 * TOL, 1), False), seed=0)
+@example(layout=(_chain_after_dense(-0.4 * TOL, 1), False), seed=0)
+@example(layout=(_chain_after_dense(0.4 * TOL, 2), True), seed=0)
+@example(layout=(_chain_after_dense(-0.4 * TOL, 2), True), seed=0)
+def test_nodes_and_lookups_match_the_span_rule(layout, seed):
+    segments, wide = layout
+    if wide:
+        with pytest.raises(InvalidParameter):
+            TimeScale(segments)
         return
+    ts = TimeScale(segments)
     ref = SpanRuleScale(segments)
     assert np.array_equal(ts.points, ref.points)
     assert np.array_equal(ts.right_dense_mask, ref.right_dense)

@@ -1,5 +1,6 @@
 """Time scale construction, jump operators, and classification."""
 
+import itertools
 import math
 import warnings
 
@@ -70,6 +71,10 @@ class TestSegments:
             TimeScale([DenseInterval(0.0, 1.0, 10), DiscretePoints((0.5,))])
         with pytest.raises(InvalidParameter):
             TimeScale([Uniform(0.0, 4.0, 1.0), Uniform(3.0, 6.0, 1.0)])
+        # a chain of shared endpoints that takes the last start more than 1e-12 below the dense end
+        chain = [DiscretePoints((1 - 0.8e-12,)), DiscretePoints((1 - 0.4e-12,)), Uniform(1 - 1.2e-12, 2 - 1.2e-12, 0.5)]
+        with pytest.raises(InvalidParameter, match="^segments overlap near t="):
+            TimeScale([DenseInterval(0.0, 1.0, 4), *chain])
 
     @pytest.mark.parametrize("point_first", [True, False])
     def test_a_point_at_the_start_of_a_dense_interval_joins_in_either_order(self, point_first):
@@ -117,7 +122,7 @@ class TestSegments:
     def test_points_may_be_ints_beyond_int64(self):
         # numpy holds these in an object array; they are numbers all the same
         assert make_points([1.5, 2**70]).points.tolist() == [1.5, 2.0**70]
-        assert DiscretePoints(np.array([0, 2**64], dtype=object)).points == (0.0, 2.0**64)
+        assert DiscretePoints(np.array([0, 2**64], dtype=object)).points.tolist() == [0.0, 2.0**64]
 
     def test_a_uniform_span_beyond_the_float_range(self):
         # end - start overflows; the halves count 2 steps
@@ -149,6 +154,47 @@ class TestSegments:
         ts = TimeScale([Uniform(0, 2, 1), DiscretePoints((2.0,)), Uniform(2, 4, 1)])
         assert ts.points.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
+    @pytest.mark.parametrize("point_first", [True, False])
+    @pytest.mark.parametrize(
+        "segment", [Uniform(1.0 - 4e-13, 2.0 - 4e-13, 0.5), DenseInterval(1.0 - 4e-13, 2.0, 4)]
+    )
+    def test_a_point_just_above_a_segment_start_joins_it(self, segment, point_first):
+        # the segment starts just below the point and ends far above it
+        segments = [DiscretePoints((1.0,)), segment]
+        ts = TimeScale(segments if point_first else segments[::-1])
+        assert ts.points.tolist() == segment.realize().tolist()
+        assert ts.min == 1.0 - 4e-13  # the lower of the two values
+        if isinstance(segment, DenseInterval):
+            assert ts.classify(ts.min).right is Side.DENSE
+
+    @pytest.mark.parametrize("segment_first", [True, False])
+    @pytest.mark.parametrize("offset", [0.3e-12, -0.3e-12])
+    def test_a_point_within_tolerance_of_a_segment_end_joins_it(self, offset, segment_first):
+        segments = [Uniform(0.0, 1.0, 0.25), DiscretePoints((1.0 + offset,))]
+        ts = TimeScale(segments if segment_first else segments[::-1])
+        assert ts.points.tolist() == [0.0, 0.25, 0.5, 0.75, min(1.0, 1.0 + offset)]
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_an_endpoint_shared_within_tolerance_by_three_segments_is_one_node(self, order):
+        dense = DenseInterval(1.0 + 0.8e-12, 2.0, 2)
+        segments = [Uniform(0.0, 1.0, 0.5), DiscretePoints((1.0 + 0.4e-12,)), dense]
+        ts = TimeScale([segments[i] for i in order])
+        assert ts.points.tolist() == [0.0, 0.5, 1.0, dense.realize()[1], 2.0]
+        assert ts.classify(1.0).describe() == "right-dense, left-scattered"
+
+    @pytest.mark.parametrize("inner_first", [True, False])
+    def test_nested_dense_intervals_overlap(self, inner_first):
+        segments = [DenseInterval(0.0, 10.0, 10), DenseInterval(4.0, 5.0, 2)]
+        with pytest.raises(InvalidParameter, match="^segments overlap near t=4.0;"):
+            TimeScale(segments[::-1] if inner_first else segments)
+
+    def test_a_points_array_is_copied(self):
+        values = np.array([0.0, 1.0, 2.0])
+        segment = DiscretePoints(values)
+        values[1] = 5.0
+        assert segment.points.tolist() == [0.0, 1.0, 2.0]
+        assert not segment.points.flags.writeable
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -157,6 +203,10 @@ class TestSegments:
             lambda: TimeScale([Geometric(1e-20, 1e-10, 10)]),
             # an endpoint shared within tolerance, and a third point that would join it
             lambda: TimeScale([DiscretePoints((0.0, 1.0 - 1.5e-12, 1.0)), DiscretePoints((1.0 - 0.9e-12, 2.0))]),
+            # a point that joins an end below it, and a segment within tolerance of that end only
+            lambda: TimeScale([Uniform(0, 1, 0.5), DiscretePoints((1.0 - 0.4e-12,)), Uniform(1.0 + 0.7e-12, 2.0 + 0.7e-12, 0.5)]),
+            # a chain of shared endpoints wider than the tolerance
+            lambda: TimeScale([Uniform(0, 1, 0.5), DiscretePoints((1 + 0.4e-12,)), DiscretePoints((1 + 0.8e-12,)), DenseInterval(1 + 1.2e-12, 2, 2)]),
         ],
     )
     def test_segment_points_that_would_merge_are_rejected(self, build):

@@ -689,6 +689,11 @@ class TestSpikePerturbation:
         with pytest.raises(InvalidParameter):
             spike_perturbation(harmonic_problem, harmonic_problem.zero_trajectory(), 1 / 3, 0.0)
 
+    @pytest.mark.parametrize("d", ["a", None, True])
+    def test_a_height_that_is_not_a_number_is_rejected(self, harmonic_problem, d):
+        with pytest.raises(InvalidParameter, match="spike height d must be"):
+            spike_perturbation(harmonic_problem, harmonic_problem.zero_trajectory(), 1 / 3, d)
+
     def test_adjacent_to_right_boundary_rejected(self, harmonic_problem):
         # sigma(1/2) = 1 = t1
         with pytest.raises(InvalidSpikeLocation):
@@ -733,6 +738,16 @@ class TestMinimalityFalsification:
     def test_a_slope_bound_below_the_boundary_slope_is_rejected(self, harmonic_problem, rng, bound):
         with pytest.raises(InvalidParameter, match="boundary slope exceeds the requested bound"):
             random_bounded_slope_trajectory(harmonic_problem, rng, slope_bound=bound)
+
+    @pytest.mark.parametrize("bound", ["a", None, True])
+    def test_a_slope_bound_that_is_not_a_number_is_rejected(self, harmonic_problem, rng, bound):
+        with pytest.raises(InvalidParameter, match="slope_bound must be a number"):
+            random_bounded_slope_trajectory(harmonic_problem, rng, slope_bound=bound)
+
+    def test_a_slope_bound_beyond_the_float_range_bounds_nothing(self, harmonic_problem):
+        unbounded = random_bounded_slope_trajectory(harmonic_problem, np.random.default_rng(3), float("inf"))
+        huge = random_bounded_slope_trajectory(harmonic_problem, np.random.default_rng(3), 10**400)
+        assert np.array_equal(huge.values, unbounded.values)
 
     def test_random_bounded_slope_trajectories(self, harmonic_problem, rng):
         for _ in range(100):
