@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     DomainError,
     ExpressionSyntaxError,
+    InvalidParameter,
     NonDifferentiablePoint,
     TsvarError,
     UnknownIdentifier,
@@ -139,11 +140,21 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Most levels an expression may nest: each operation, call and parenthesized
+# group is one level above its operands, and r+r+r is three levels deep.
+# Parsing, deriving and evaluating f, its partials and its second partials
+# at this depth stay within Python's default recursion limit of 1000 frames.
+MAX_DEPTH = 150
+
+
 class _Parser:
+    """Recursive descent; each rule returns its node and the node's depth."""
+
     def __init__(self, src: str):
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.open = 0  # factor rules being parsed, one inside another
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -153,6 +164,13 @@ class _Parser:
         self.i += 1
         return tok
 
+    def level(self, pos: int, *depths: int) -> int:
+        """The depth of the node at pos over operands of these depths, raising past MAX_DEPTH."""
+        depth = 1 + max(depths)
+        if depth > MAX_DEPTH:
+            raise ExpressionSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        return depth
+
     def expect_op(self, op: str):
         tok = self.peek()
         if tok is None or tok[0] != "op" or tok[1] != op:
@@ -161,63 +179,72 @@ class _Parser:
         self.advance()
 
     def parse(self) -> ExprAst:
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok is not None:
             raise ExpressionSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return node
 
-    def expr(self) -> ExprAst:
-        node = self.term()
+    def expr(self) -> tuple[ExprAst, int]:
+        node, depth = self.term()
         while (tok := self.peek()) and tok[0] == "op" and tok[1] in "+-":
             self.advance()
-            node = BinOp(tok[1], node, self.term())
-        return node
+            rhs, rhs_depth = self.term()
+            node, depth = BinOp(tok[1], node, rhs), self.level(tok[2], depth, rhs_depth)
+        return node, depth
 
-    def term(self) -> ExprAst:
-        node = self.factor()
+    def term(self) -> tuple[ExprAst, int]:
+        node, depth = self.factor()
         while (tok := self.peek()) and tok[0] == "op" and tok[1] in "*/":
             self.advance()
-            node = BinOp(tok[1], node, self.factor())
-        return node
+            rhs, rhs_depth = self.factor()
+            node, depth = BinOp(tok[1], node, rhs), self.level(tok[2], depth, rhs_depth)
+        return node, depth
 
-    def factor(self) -> ExprAst:
+    def factor(self) -> tuple[ExprAst, int]:
+        # every factor inside another is a level deeper: bound the recursion on the way down
         tok = self.peek()
+        self.open += 1
+        self.level(tok[2] if tok else len(self.src), self.open - 1)
         if tok and tok[0] == "op" and tok[1] == "-":
             self.advance()
-            return Neg(self.factor())
-        node = self.base()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.advance()
-            return BinOp("^", node, self.factor())
-        return node
+            arg, depth = self.factor()
+            node, depth = Neg(arg), self.level(tok[2], depth)
+        else:
+            node, depth = self.base()
+            tok = self.peek()
+            if tok and tok[0] == "op" and tok[1] == "^":
+                self.advance()
+                rhs, rhs_depth = self.factor()
+                node, depth = BinOp("^", node, rhs), self.level(tok[2], depth, rhs_depth)
+        self.open -= 1
+        return node, depth
 
-    def base(self) -> ExprAst:
+    def base(self) -> tuple[ExprAst, int]:
         tok = self.advance()
         if tok is None:
             raise ExpressionSyntaxError("unexpected end of expression", len(self.src))
         kind, text, pos = tok
         if kind == "number":
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "ident":
             nxt = self.peek()
             if nxt and nxt[0] == "op" and nxt[1] == "(":
                 if text not in _FUNCTIONS:
                     raise UnknownIdentifier(f"unknown function {text!r} at position {pos}")
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.expr()
                 self.expect_op(")")
-                return Call(text, arg)
+                return Call(text, arg), self.level(pos, depth)
             if text not in VARIABLES:
                 raise UnknownIdentifier(
                     f"unknown identifier {text!r} at position {pos}; variables are t, x, r"
                 )
-            return Var(text)
+            return Var(text), 1
         if kind == "op" and text == "(":
-            node = self.expr()
+            node, depth = self.expr()
             self.expect_op(")")
-            return node
+            return node, self.level(pos, depth)
         raise ExpressionSyntaxError(f"unexpected token {text!r}", pos)
 
 
@@ -371,8 +398,8 @@ def _guard(node: Guard, env: Mapping[str, np.ndarray]) -> np.ndarray:
 _RAISE_FLAGS = {"over": "raise", "divide": "raise", "invalid": "raise", "under": "ignore"}
 
 
-def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> tuple[Any, Optional[TsvarError]]:
-    """fn over the rows of env's values, broadcast together in C order.
+def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> Any:
+    """fn's values over the rows of env's values, broadcast together in C order.
 
     fn maps a dict of float arrays (0-d for a float) to an array, a numpy
     scalar, or a tuple of them. It is called once on env's values as given,
@@ -381,66 +408,69 @@ def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> tuple[Any, O
     FloatingPointError and underflow ignored, which eval_ast's overflow
     check reads (see eval_ast); arithmetic of fn's own that may meet those
     flags runs under np.errstate(all="ignore") and checks its result.
-    Returns (out, error).
-    Without a DomainError or NonDifferentiablePoint, error is None and out
-    is read-only, broadcast to env's shape. Otherwise error is the one a
-    loop over the rows would meet first: the values are flattened into rows
-    and fn is re-run on the rows before the first bad row its error names
-    until those rows evaluate cleanly. error.index is then that row, its
-    message gives the row's values, and out covers the rows before it. out
-    is None where fn fails even on no rows (a failing constant sub-expression).
+
+    Returns fn's values, read-only arrays of the broadcast shape, or floats
+    when every value of env is a scalar. Otherwise raises the DomainError or
+    NonDifferentiablePoint that a loop over the rows would meet first: fn is
+    re-run on the flattened rows before the first bad row its error names
+    until they evaluate cleanly. The error's index is that row, its message
+    gives the row's values, and its `before` holds fn's values on the rows
+    before it, as read-only 1-d arrays. A constant sub-expression that fails
+    fails on no rows too: then `before` is None, and without rows fn's own
+    located error is raised.
     """
     names = list(env)
     values = [np.asarray(env[k], dtype=float) for k in names]
-    grid = np.broadcast(*values)
-    shape = rows = grid.shape
-    error = None
+    try:
+        grid = np.broadcast(*values)
+    except ValueError:
+        shapes = ", ".join(f"{k} {v.shape}" for k, v in zip(names, values))
+        raise InvalidParameter(f"arguments of shapes {shapes} do not broadcast together") from None
     try:
         with np.errstate(**_RAISE_FLAGS):
-            out = fn(dict(zip(names, values)))
+            return _values(fn(dict(zip(names, values))), grid.shape, grid.shape)
     except (DomainError, NonDifferentiablePoint):
-        columns = [c.ravel() for c in np.broadcast_arrays(*values)]
-        stop = grid.size
-        while True:
-            try:
-                with np.errstate(**_RAISE_FLAGS):
-                    out = fn({k: c[:stop] for k, c in zip(names, columns)})
+        pass
+    columns = [c.ravel() for c in np.broadcast_arrays(*values)]
+    stop, error, out = grid.size, None, None
+    while out is None:
+        try:
+            with np.errstate(**_RAISE_FLAGS):
+                out = fn({k: c[:stop] for k, c in zip(names, columns)})
+        except (DomainError, NonDifferentiablePoint) as e:
+            if stop == 0:  # fails on no rows: a failing constant sub-expression
+                if error is None:
+                    raise
                 break
-            except (DomainError, NonDifferentiablePoint) as e:
-                if stop == 0:  # fails on no rows at all: nothing for a row loop to meet
-                    out = None
-                    break
-                stop, error = e.index, e
-        rows = (stop,)  # every row if fn failed only on values that no row holds
-        if error is not None:
-            shape = rows
-            where = ", ".join(f"{k}={float(c[stop])!r}" for k, c in zip(names, columns))
-            error = type(error)(f"{error.args[0]} at {where}")
-            error.index = stop
-    if out is not None:
-        out = (
-            tuple(_read_only(o, rows, shape) for o in out)
-            if isinstance(out, tuple)
-            else _read_only(out, rows, shape)
-        )
-    return out, error
+            stop, error = e.index, e
+    if error is None:  # fn failed only on values that no row holds
+        return _values(out, (stop,), grid.shape)
+    where = ", ".join(f"{k}={float(c[stop])!r}" for k, c in zip(names, columns))
+    located = type(error)(f"{error.args[0]} at {where}")
+    located.index = stop
+    located.before = None if out is None else _values(out, (stop,), (stop,))
+    raise located
 
 
-def _read_only(o, rows: tuple, shape: tuple) -> np.ndarray:
-    """A read-only view of o broadcast to rows, reshaped to shape."""
-    view = np.asarray(o).view()
+def _values(out, rows: tuple, shape: tuple):
+    """Each output of fn's out as a read-only view broadcast to rows, reshaped to shape; floats for ()."""
+    if isinstance(out, tuple):
+        return tuple(_values(o, rows, shape) for o in out)
+    if not shape:
+        return float(out)
+    view = np.asarray(out).view()
     if view.shape != rows:
         view = np.broadcast_to(view, rows)
     view.flags.writeable = False
     return view.reshape(shape)
 
 
-def evaluate(ast: ExprAst, env: Mapping[str, np.ndarray]) -> np.ndarray:
-    """eval_ast over the rows of array-valued env, raising the first bad row's error."""
-    out, error = eval_rows(lambda columns: eval_ast(ast, columns), env)
-    if error is not None:
-        raise error
-    return out
+def evaluate(ast: ExprAst, env: Mapping[str, np.ndarray]) -> Number:
+    """ast's values over the rows of env's values, or the error a loop over the rows meets first.
+
+    As eval_rows: read-only arrays of the broadcast shape, floats when every value is a scalar.
+    """
+    return eval_rows(lambda columns: eval_ast(ast, columns), env)
 
 
 # -- symbolic differentiation ---------------------------------------------------
@@ -630,11 +660,7 @@ class Lagrangian:
         return self._evaluate(self._second, t, x, r)
 
     def _evaluate(self, asts: tuple, t: Number, x: Number, r: Number) -> tuple:
-        env = {"t": t, "x": x, "r": r}
-        out, error = eval_rows(lambda columns: tuple(eval_ast(a, columns) for a in asts), env)
-        if error is not None:
-            raise error
-        return tuple(map(float, out)) if out[0].ndim == 0 else out
+        return eval_rows(lambda columns: tuple(eval_ast(a, columns) for a in asts), {"t": t, "x": x, "r": r})
 
     def to_source(self) -> str:
         """Parenthesized rendering that re-parses to an equivalent AST."""
@@ -647,7 +673,8 @@ class Lagrangian:
 def parse_lagrangian(src: str) -> Lagrangian:
     """Parse expression text into a Lagrangian.
 
-    Raises ExpressionSyntaxError (with position) or UnknownIdentifier.
+    Raises ExpressionSyntaxError (with position), also for an expression
+    nested deeper than MAX_DEPTH levels, or UnknownIdentifier.
     """
     if not src or not src.strip():
         raise ExpressionSyntaxError("empty expression", 0)

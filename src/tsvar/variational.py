@@ -152,7 +152,7 @@ def _build_rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray,
 
     at_break = brk[here]
     t = pts[here]
-    xs = np.where(mu[here] > 0.0, v[ahead], v[here])  # x(sigma(t))
+    xs = v[ts.sigma_indices()[here]]  # x(sigma(t))
     r = x.slopes[here].copy()
     breaks = np.flatnonzero(at_break)
     r[breaks] = x.one_sided(i0 + breaks, 1)

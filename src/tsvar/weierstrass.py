@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameter
+from .errors import DomainError, InvalidParameter, NonDifferentiablePoint
 from .expressions import Lagrangian, Number, _varies, check, eval_ast, eval_rows
 from .timescale import _is_finite_number, _vector, evenly_spaced
 # el_residual is not called here; it stays in this namespace, where
@@ -140,10 +140,7 @@ def excess(lagr: Lagrangian, t: Number, x: Number, r: Number, q: Number) -> Numb
         check(~np.isfinite(value), DomainError, f"overflow in the excess of '{lagr.source}'")
         return value
 
-    out, error = eval_rows(row, {"t": t, "x": x, "r": r, "q": q})
-    if error is not None:
-        raise error
-    return float(out) if out.ndim == 0 else out
+    return eval_rows(row, {"t": t, "x": x, "r": r, "q": q})
 
 
 # Rows of one block of the convexity sweep or of the excess scan: the
@@ -187,12 +184,14 @@ def check_convexity_condition(
     i0, ik = ts.kappa_range(problem.t0, problem.t1)
     points = ts.points[i0 + np.flatnonzero(mu[i0 : ik + 1])]  # trivially satisfied where mu = 0
     first, second = np.nonzero(rs[:, None] != rs[None, :])
+    if not first.size:  # no two distinct slopes: nothing to check, and f is not evaluated
+        return ConvexityReport(True, None, 0)
     # one check per (t, x, pair, gamma), in scan order
     x_col = xs[None, :, None, None]
     r1, r2 = rs[first][None, None, :, None], rs[second][None, None, :, None]
     g = gs[None, None, None, :]
     per_point = xs.size * first.size * gs.size
-    block = max(1, _BLOCK_ROWS // max(per_point, 1))
+    block = max(1, _BLOCK_ROWS // per_point)
 
     def midpoint_sides(c: dict) -> tuple:
         """(f at the midpoint, the chord) for each check; f1, f2, mid in the loop's order."""
@@ -208,26 +207,29 @@ def check_convexity_condition(
 
     swept = points if _varies(lagr.ast, "t") else points[:1]
     checks = 0
-    # the first point alone: a Lagrangian that is not convex in r mostly fails there
-    edges = sorted({0, *range(1, swept.size, block), swept.size})
-    for start, stop in zip(edges, edges[1:]):
-        t = swept[start:stop, None, None, None]
+    for start in range(0, swept.size, block):
+        t = swept[start : start + block, None, None, None]
         env = {"t": t, "x": x_col, "r1": r1, "r2": r2, "g": g}
-        sides, error = eval_rows(midpoint_sides, env)
-        if sides is not None:
-            lhs, rhs = (np.ravel(side) for side in sides)
-            hit = np.flatnonzero(lhs > rhs + CONVEXITY_TOL)
-            if hit.size:
-                k = int(hit[0])
-                it, ix, ip, ig = np.unravel_index(k, (t.shape[0], xs.size, first.size, gs.size))
-                return ConvexityReport(
-                    False,
-                    ConvexityCounterexample(
-                        float(t[it, 0, 0, 0]), float(xs[ix]), float(rs[first[ip]]),
-                        float(rs[second[ip]]), float(gs[ig]), float(lhs[k]), float(rhs[k]),
-                    ),
-                    checks + k + 1,
-                )
+        error = None
+        try:
+            lhs, rhs = eval_rows(midpoint_sides, env)
+        except (DomainError, NonDifferentiablePoint) as e:
+            if e.before is None:  # f fails on every row: no check comes before the error
+                raise
+            (lhs, rhs), error = e.before, e
+        lhs, rhs = np.ravel(lhs), np.ravel(rhs)
+        hit = np.flatnonzero(lhs > rhs + CONVEXITY_TOL)
+        if hit.size:
+            k = int(hit[0])
+            it, ix, ip, ig = np.unravel_index(k, (t.shape[0], xs.size, first.size, gs.size))
+            return ConvexityReport(
+                False,
+                ConvexityCounterexample(
+                    float(t[it, 0, 0, 0]), float(xs[ix]), float(rs[first[ip]]),
+                    float(rs[second[ip]]), float(gs[ig]), float(lhs[k]), float(rhs[k]),
+                ),
+                checks + k + 1,
+            )
         if error is not None:
             raise error
         checks += t.shape[0] * per_point

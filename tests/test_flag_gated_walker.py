@@ -114,10 +114,12 @@ def _outcome(fn, env):
     before = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a RuntimeWarning fails the test
-        out, error = eval_rows(fn, env)
+        try:
+            out, raised = eval_rows(fn, env), None
+        except (DomainError, NonDifferentiablePoint) as error:  # with the rows before it
+            out, raised = error.before, (type(error), error.args[0], error.index)
     assert np.geterr() == before
-    value = None if out is None else (out.shape, np.asarray(out, dtype=float).tobytes())
-    raised = None if error is None else (type(error), error.args[0], error.index)
+    value = None if out is None else (np.shape(out), np.asarray(out, dtype=float).tobytes())
     return value, raised
 
 
