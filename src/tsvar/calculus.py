@@ -121,7 +121,8 @@ class GridFunction:
             np.divide(v[1:] - v[:-1], p[1:] - p[:-1], out=out[:-1])
             np.divide(v[2:] - v[:-2], p[2:] - p[:-2], out=out[1:-1], where=rd[1:-1] & ld[1:-1])
         starts = np.flatnonzero(rd & ~ld)
-        out[starts] = self.one_sided(starts, 1)
+        if starts.size:
+            out[starts] = self.one_sided(starts, 1)
         out[-1:] = self.one_sided(np.array([p.size - 1]), -1)
         if self.break_points:
             out[self.break_mask & (ts.mu_values() == 0.0)] = np.nan
@@ -143,8 +144,9 @@ class GridFunction:
         ts = self.scale
         p, v = ts.points, self.values
         dense = ts.right_dense_mask if step > 0 else ts.left_dense_mask
-        j1 = np.clip(nodes + step, 0, p.size - 1)
-        j2 = np.clip(nodes + 2 * step, 0, p.size - 1)
+        # nodes are indexes of the scale: only the end that step moves towards can be passed
+        bound, end = (np.minimum, p.size - 1) if step > 0 else (np.maximum, 0)
+        j1, j2 = bound(nodes + step, end), bound(nodes + 2 * step, end)
         v0, v1, v2 = v[nodes], v[j1], v[j2]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             h = p[j1] - p[nodes]

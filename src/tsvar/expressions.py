@@ -9,17 +9,23 @@ with the functions sin, cos, exp, log, sqrt, abs:
     base   := number | ident | ident '(' expr ')' | '(' expr ')'
 
 '^' is right-associative and binds tighter than unary minus, so -x^2 parses
-as -(x^2). One walker, eval_ast, evaluates an AST over numpy values: an
-array in a variable slot evaluates the expression on many (t, x, r) rows at
-once, with the domain checks applied as masks, and a float is a 0-d array,
-a single row. eval_rows makes an evaluation fail exactly where a loop over
-the rows would, naming that row. A result that is not finite although its
-operands are (an overflow) is an error too. It is looked for only at the
-nodes where numpy raised a floating-point flag: IEEE 754 arithmetic on
-finite operands gives inf only with the overflow or divide-by-zero flag and
-NaN only with the invalid flag, so a node without a flag needs no check.
-The partial derivatives of f are ASTs too, derived once per Lagrangian by
-the chain rule (see derivative) and evaluated by the same walker.
+as -(x^2). The partial derivatives of f are ASTs too, derived once per
+Lagrangian by the chain rule (see derivative).
+
+One evaluator, a plan (_Plan), evaluates a tuple of ASTs over numpy
+values: an array in a variable slot evaluates the expressions on many
+(t, x, r) rows at once, with the domain checks applied as masks, and a
+float is a 0-d array, a single row. The plan lists the distinct steps of
+the ASTs, which the derivative ASTs repeat often, in first-visit
+post-order, and one flat loop runs each once; values, errors and messages
+are those of a walk of each tree in turn. A Lagrangian builds one plan per
+tuple of outputs it evaluates, on first use. eval_rows makes an evaluation
+fail exactly where a loop over the rows would, naming that row. A result
+that is not finite although its operands are (an overflow) is an error
+too. It is looked for only at the steps where numpy raised a
+floating-point flag: IEEE 754 arithmetic on finite operands gives inf only
+with the overflow or divide-by-zero flag and NaN only with the invalid
+flag, so a step without a flag needs no check.
 """
 
 from __future__ import annotations
@@ -305,49 +311,121 @@ def _check_finite(out: np.ndarray, operands: tuple) -> None:
     check(bad, DomainError, "overflow")
 
 
-def eval_ast(node: ExprAst, env: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Evaluate an AST over numpy values (arrays, 0-d included, and numpy scalars).
+class _Plan:
+    """The distinct steps of a tuple of ASTs, in first-visit post-order, and the loop that runs them.
 
-    Every function call and binary operation must stay finite: a result that
-    overflows from finite operands raises DomainError like a domain violation.
-    Errors name the failing sub-expression (for a node of a derivative AST,
-    the user's sub-expression it came from) and keep the `index` of the
-    check that raised them (see check).
-
-    The finiteness check runs only at a node where numpy raised a
-    floating-point flag: under IEEE 754, finite operands give inf only with
-    the overflow or divide-by-zero flag set and NaN only with the invalid
-    flag set. eval_rows calls it with those flags raising FloatingPointError;
-    such a node is computed again with the flags off and then checked, so
-    values and errors are those of a check at every node. Outside eval_rows'
-    setting an overflow is not reported.
+    Two nodes are one step when what changes their evaluation is the same:
+    the class, op or fn and the operand steps; a Num's bits (0.0 and -0.0
+    stay apart); for '/', whether the node has an origin (only one without
+    tests its divisor); for a Guard, its rule. A repeat has the same operand
+    values as the first visit, so it cannot fail where that did not; the
+    first visit's node names the sub-expression of an error. Post-order over
+    the ASTs in turn is the order in which a walk of each tree meets each
+    step first, so values and the first error are those of that walk.
+    Building is linear in the distinct node objects, however often the
+    trees share them.
     """
-    kind = node.__class__
-    if kind is Num:
-        return np.float64(node.value)
-    if kind is Var:
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnknownIdentifier(f"variable {node.name!r} is not available here") from None
-    if kind is Neg:
-        return -eval_ast(node.arg, env)
-    if kind is Guard:
-        return _guard(node, env)
-    if kind is Call:
-        lhs, rhs = eval_ast(node.arg, env), None
-    else:
-        lhs, rhs = eval_ast(node.lhs, env), eval_ast(node.rhs, env)
-    try:
-        try:
-            return _apply(node, lhs, rhs)
-        except FloatingPointError:
-            with np.errstate(all="ignore"):
-                out = _apply(node, lhs, rhs)
-            _check_finite(out, (lhs,) if rhs is None else (lhs, rhs))
-            return out
-    except (DomainError, NonDifferentiablePoint) as e:
-        raise _located(e, node) from None
+
+    def __init__(self, asts: tuple):
+        # (kind, a, b, node): a and b index operand steps, a Num's a is its
+        # value and a Var's its name; self.steps adds the values each drops
+        steps: list = []
+        keys: dict = {}
+        seen: dict = {}  # id(node) -> index into steps
+
+        def visit(node: ExprAst) -> int:
+            i = seen.get(id(node))
+            if i is not None:
+                return i
+            kind, b = node.__class__, None
+            if kind is BinOp:
+                a, b = visit(node.lhs), visit(node.rhs)
+                key = (kind, node.op, a, b, node.op == "/" and node.origin is None)
+            elif kind is Call:
+                a = visit(node.arg)
+                key = (kind, node.fn, a)
+            elif kind is Num:
+                a = np.float64(node.value)
+                key = (kind, float(node.value).hex())
+            elif kind is Var:
+                a = key = node.name
+            elif kind is Neg:
+                a = visit(node.arg)
+                key = (kind, a)
+            else:
+                a, b = visit(node.test), visit(node.arg)
+                key = (kind, node.rule, a, b)
+            i = keys.get(key)
+            if i is None:
+                i = keys[key] = len(steps)
+                steps.append((kind, a, b, node))
+            seen[id(node)] = i
+            return i
+
+        self.outputs = tuple(visit(a) for a in asts)
+        # each step drops the operand values that no later step reads, as a
+        # walk of the tree does: large row arrays do not pile up
+        last = {}
+        for k, (kind, a, b, _) in enumerate(steps):
+            if kind is not Num and kind is not Var:
+                last[a] = last[b] = k
+        drops: list = [[] for _ in steps]
+        for i, k in last.items():
+            if i is not None and i not in self.outputs:
+                drops[k].append(i)
+        self.steps = tuple((*step, tuple(drop)) for step, drop in zip(steps, drops))
+
+    def run(self, env: Mapping[str, np.ndarray]) -> tuple:
+        """The ASTs' values over numpy values (arrays, 0-d included, and numpy scalars).
+
+        Every function call and binary operation must stay finite: a result
+        that overflows from finite operands raises DomainError like a domain
+        violation. Errors name the failing sub-expression (for a node of a
+        derivative AST, the user's sub-expression it came from) and keep the
+        `index` of the check that raised them (see check).
+
+        The finiteness check runs only at a step where numpy raised a
+        floating-point flag: under IEEE 754, finite operands give inf only
+        with the overflow or divide-by-zero flag set and NaN only with the
+        invalid flag set. eval_rows runs plans with those flags raising
+        FloatingPointError; such a step is computed again with the flags off
+        and then checked, so values and errors are those of a check at every
+        node. Outside eval_rows' setting an overflow is not reported.
+        """
+        values: list = []
+        push = values.append
+        for kind, a, b, node, drop in self.steps:
+            if kind is BinOp or kind is Call:
+                lhs, rhs = values[a], None if b is None else values[b]
+                try:
+                    try:
+                        out = _apply(node, lhs, rhs)
+                    except FloatingPointError:
+                        with np.errstate(all="ignore"):
+                            out = _apply(node, lhs, rhs)
+                        _check_finite(out, (lhs,) if rhs is None else (lhs, rhs))
+                except (DomainError, NonDifferentiablePoint) as e:
+                    raise _located(e, node) from None
+                push(out)
+            elif kind is Num:
+                push(a)
+            elif kind is Var:
+                try:
+                    push(env[a])
+                except KeyError:
+                    raise UnknownIdentifier(f"variable {a!r} is not available here") from None
+            elif kind is Neg:
+                push(-values[a])
+            else:
+                push(_guard(node, values[a], values[b]))
+            for i in drop:
+                values[i] = None
+        return tuple(values[i] for i in self.outputs)
+
+
+def eval_ast(node: ExprAst, env: Mapping[str, np.ndarray]) -> np.ndarray:
+    """node's value over numpy values: a plan of the one AST, run once (see _Plan.run)."""
+    return _Plan((node,)).run(env)[0]
 
 
 def _apply(node: Union[Call, BinOp], lhs: np.ndarray, rhs: Optional[np.ndarray]) -> np.ndarray:
@@ -379,8 +457,8 @@ def _located(e: TsvarError, node: ExprAst) -> TsvarError:
     return located
 
 
-def _guard(node: Guard, env: Mapping[str, np.ndarray]) -> np.ndarray:
-    test, value = eval_ast(node.test, env), eval_ast(node.arg, env)
+def _guard(node: Guard, test: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """value, once node's rule holds for test and value everywhere."""
     if node.rule == "positive":
         bad = test <= 0.0
     elif node.rule == "nonzero":
@@ -394,19 +472,21 @@ def _guard(node: Guard, env: Mapping[str, np.ndarray]) -> np.ndarray:
     return value
 
 
-# the floating-point flags that eval_ast's overflow check reads (see eval_ast)
+# the floating-point flags that a plan's overflow check reads (see _Plan.run)
 _RAISE_FLAGS = {"over": "raise", "divide": "raise", "invalid": "raise", "under": "ignore"}
 
 
 def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> Any:
     """fn's values over the rows of env's values, broadcast together in C order.
 
+    env's values are numbers or arrays of numbers; any other value, such as
+    None, a string or a ragged list, raises InvalidParameter naming its key.
     fn maps a dict of float arrays (0-d for a float) to an array, a numpy
     scalar, or a tuple of them. It is called once on env's values as given,
     so each node of an expression spans only the axes of its operands.
     fn runs with numpy's overflow, divide-by-zero and invalid flags raising
-    FloatingPointError and underflow ignored, which eval_ast's overflow
-    check reads (see eval_ast); arithmetic of fn's own that may meet those
+    FloatingPointError and underflow ignored, which a plan's overflow
+    check reads (see _Plan.run); arithmetic of fn's own that may meet those
     flags runs under np.errstate(all="ignore") and checks its result.
 
     Returns fn's values, read-only arrays of the broadcast shape, or floats
@@ -420,7 +500,7 @@ def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> Any:
     located error is raised.
     """
     names = list(env)
-    values = [np.asarray(env[k], dtype=float) for k in names]
+    values = [_argument(k, env[k]) for k in names]
     try:
         grid = np.broadcast(*values)
     except ValueError:
@@ -452,17 +532,32 @@ def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> Any:
     raise located
 
 
+def _argument(name: str, value) -> np.ndarray:
+    """value as a float array; InvalidParameter naming name unless it is a number or an array of numbers."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise InvalidParameter(f"{name} must be a number or an array of numbers, not {type(value).__name__}")
+    return array.astype(float, copy=False)
+
+
 def _values(out, rows: tuple, shape: tuple):
-    """Each output of fn's out as a read-only view broadcast to rows, reshaped to shape; floats for ()."""
+    """Each output of fn's out as a read-only array of rows' shape, reshaped to shape; floats for ()."""
     if isinstance(out, tuple):
         return tuple(_values(o, rows, shape) for o in out)
     if not shape:
         return float(out)
-    view = np.asarray(out).view()
-    if view.shape != rows:
+    view = np.asarray(out)
+    if view.shape == rows:
+        view = view.view()
+    elif view.ndim:
         view = np.broadcast_to(view, rows)
+    else:  # a constant: a new array costs less than a broadcast view
+        view = np.full(rows, view)
     view.flags.writeable = False
-    return view.reshape(shape)
+    return view if rows == shape else view.reshape(shape)
 
 
 def evaluate(ast: ExprAst, env: Mapping[str, np.ndarray]) -> Number:
@@ -470,12 +565,21 @@ def evaluate(ast: ExprAst, env: Mapping[str, np.ndarray]) -> Number:
 
     As eval_rows: read-only arrays of the broadcast shape, floats when every value is a scalar.
     """
-    return eval_rows(lambda columns: eval_ast(ast, columns), env)
+    plan = _Plan((ast,))
+    return eval_rows(lambda columns: plan.run(columns)[0], env)
 
 
 # -- symbolic differentiation ---------------------------------------------------
 
 _ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _constant(node: ExprAst) -> float:
+    """The value of node, an AST without variables; its TsvarError where it fails (as eval_rows)."""
+    if node.__class__ is Num:  # most exponents
+        return float(node.value)
+    with np.errstate(**_RAISE_FLAGS):
+        return float(_Plan((node,)).run({})[0])
 
 
 def _is_num(node: ExprAst, value: float) -> bool:
@@ -493,7 +597,7 @@ def _varies(node: ExprAst, name: Optional[str] = None) -> bool:
 
 
 # Builders of derivative nodes that drop 0 terms and factors of 1, and fold
-# an operation on two numbers into its value, so that the walker does not
+# an operation on two numbers into its value, so that the plan does not
 # redo it at every call.
 
 
@@ -501,7 +605,7 @@ def _op(op: str, a: ExprAst, b: ExprAst, origin: ExprAst) -> ExprAst:
     node = BinOp(op, a, b, origin)
     if a.__class__ is Num and b.__class__ is Num:
         try:
-            return Num(float(evaluate(node, {})))
+            return Num(_constant(node))
         except TsvarError:  # kept as a node, which raises its located error when evaluated
             pass
     return node
@@ -605,7 +709,7 @@ def _power_derivative(node: BinOp, v: str, origin: ExprAst) -> ExprAst:
         )
         return _mul(node, rate, origin)
     try:
-        n = float(evaluate(w, {}))
+        n = _constant(w)
     except TsvarError:
         return node  # the exponent fails wherever f is evaluated, and so does node
     if n == 0.0:
@@ -638,13 +742,34 @@ class Lagrangian:
         _, fx, fr = self._first
         return self._first + (derivative(fx, "x"), derivative(fx, "r"), derivative(fr, "r"))
 
+    # One plan per tuple of outputs, built on first use. Each runs only the
+    # steps of its own outputs, in their order, so each meets errors as a
+    # walk of its trees would: the excess needs f and f_r, never f_x.
+
+    @cached_property
+    def _f_plan(self) -> _Plan:
+        return _Plan((self.ast,))
+
+    @cached_property
+    def _first_plan(self) -> _Plan:
+        return _Plan(self._first)
+
+    @cached_property
+    def _second_plan(self) -> _Plan:
+        return _Plan(self._second)
+
+    @cached_property
+    def _excess_plan(self) -> _Plan:
+        """The plan of f and f_r, the terms of the excess at r."""
+        return _Plan((self.ast, self._first[2]))
+
     def eval(self, t: Number, x: Number, r: Number) -> Number:
         """f(t, x, r); array arguments are broadcast together (see eval_rows).
 
-        Floats are evaluated as one row of the same array walker and give a
-        float; an error names the failing row's t, x and r.
+        Floats are evaluated as one row of the same plan and give a float;
+        an error names the failing row's t, x and r.
         """
-        return self._evaluate((self.ast,), t, x, r)[0]
+        return self._evaluate(self._f_plan, t, x, r)[0]
 
     def partials(self, t: Number, x: Number, r: Number) -> tuple[Number, Number, Number]:
         """(f, f_x, f_r) at (t, x, r).
@@ -653,14 +778,14 @@ class Lagrangian:
         the derivatives. Arguments are broadcast together, and floats give
         floats, as in eval.
         """
-        return self._evaluate(self._first, t, x, r)
+        return self._evaluate(self._first_plan, t, x, r)
 
     def second_partials(self, t: Number, x: Number, r: Number) -> tuple[Number, ...]:
         """(f, f_x, f_r, f_xx, f_xr, f_rr) at (t, x, r), in that order; arguments as in partials."""
-        return self._evaluate(self._second, t, x, r)
+        return self._evaluate(self._second_plan, t, x, r)
 
-    def _evaluate(self, asts: tuple, t: Number, x: Number, r: Number) -> tuple:
-        return eval_rows(lambda columns: tuple(eval_ast(a, columns) for a in asts), {"t": t, "x": x, "r": r})
+    def _evaluate(self, plan: _Plan, t: Number, x: Number, r: Number) -> tuple:
+        return eval_rows(plan.run, {"t": t, "x": x, "r": r})
 
     def to_source(self) -> str:
         """Parenthesized rendering that re-parses to an equivalent AST."""

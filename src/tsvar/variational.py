@@ -155,7 +155,8 @@ def _build_rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray,
     xs = v[ts.sigma_indices()[here]]  # x(sigma(t))
     r = x.slopes[here].copy()
     breaks = np.flatnonzero(at_break)
-    r[breaks] = x.one_sided(i0 + breaks, 1)
+    if breaks.size:
+        r[breaks] = x.one_sided(i0 + breaks, 1)
     kind = np.where(at_break, _RIGHT, _TWO_SIDED).astype(np.int8)
     weight = np.where(rd[here], 0.5 * gap, mu[here])
     # a dense node inside the window with no LEFT row also closes the panel to its left
@@ -166,14 +167,16 @@ def _build_rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray,
     closes = ld[ahead] & (brk[ahead] | ~rd[ahead])
     closes[-1] = ld[i1]
     at = np.flatnonzero(closes) + 1
-    left = i0 + at
-    rows = (
-        np.insert(t, at, pts[left]),
-        np.insert(xs, at, v[left]),
-        np.insert(r, at, x.one_sided(left, -1)),
-        np.insert(kind, at, _LEFT),
-        np.insert(weight, at, 0.5 * gap[at - 1]),
-    )
+    rows = (t, xs, r, kind, weight)
+    if at.size:
+        left = i0 + at
+        rows = (
+            np.insert(t, at, pts[left]),
+            np.insert(xs, at, v[left]),
+            np.insert(r, at, x.one_sided(left, -1)),
+            np.insert(kind, at, _LEFT),
+            np.insert(weight, at, 0.5 * gap[at - 1]),
+        )
     for column in rows:
         column.setflags(write=False)
     return rows

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidParameter, NonDifferentiablePoint
-from .expressions import Lagrangian, Number, _varies, check, eval_ast, eval_rows
+from .expressions import Lagrangian, Number, _varies, check, eval_rows
 from .timescale import _is_finite_number, _vector, evenly_spaced
 # el_residual is not called here; it stays in this namespace, where
 # bench/tracing.py looks for it
@@ -132,9 +132,8 @@ def excess(lagr: Lagrangian, t: Number, x: Number, r: Number, q: Number) -> Numb
     """
 
     def row(c: dict):
-        f_at_q = eval_ast(lagr.ast, {"t": c["t"], "x": c["x"], "r": c["q"]})
-        at_r = {"t": c["t"], "x": c["x"], "r": c["r"]}
-        f_at_r, slope = eval_ast(lagr.ast, at_r), eval_ast(lagr._first[2], at_r)
+        (f_at_q,) = lagr._f_plan.run({"t": c["t"], "x": c["x"], "r": c["q"]})
+        f_at_r, slope = lagr._excess_plan.run(c)
         with np.errstate(all="ignore"):  # checked here, not by eval_rows' raising flags
             value = f_at_q - f_at_r - (c["q"] - c["r"]) * slope
         check(~np.isfinite(value), DomainError, f"overflow in the excess of '{lagr.source}'")
@@ -197,7 +196,7 @@ def check_convexity_condition(
         """(f at the midpoint, the chord) for each check; f1, f2, mid in the loop's order."""
 
         def f(r):
-            return eval_ast(lagr.ast, {"t": c["t"], "x": c["x"], "r": r})
+            return lagr._f_plan.run({"t": c["t"], "x": c["x"], "r": r})[0]
 
         g = c["g"]
         f1, f2 = f(c["r1"]), f(c["r2"])

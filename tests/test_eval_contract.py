@@ -3,7 +3,8 @@
 Lagrangian.eval, .partials, .second_partials and excess return their
 values or raise; a constant sub-expression that fails raises its own
 located DomainError even on zero rows, and arguments that do not broadcast
-together raise InvalidParameter. Expressions nest at most
+together, or an argument that is not a number or an array of numbers,
+raise InvalidParameter. Expressions nest at most
 MAX_DEPTH levels, and a deeper one is an ExpressionSyntaxError with its
 position, also through the CLI, never a RecursionError.
 """
@@ -130,6 +131,33 @@ def test_every_evaluation_returns_its_values_or_raises_a_tsvar_error(src, args, 
             assert value.shape == shape and not value.flags.writeable
         else:
             assert type(value) is float
+
+
+_JUNK = (None, "1.0", [1.0, "a"], [1.0, [2.0]], np.array([1.0, None], dtype=object), object())
+
+
+@settings(max_examples=200)
+@given(
+    src=st.sampled_from(_SOURCES),
+    args=st.lists(st.one_of(_argument(), st.sampled_from(_JUNK)), min_size=4, max_size=4),
+    bad=st.integers(0, 3),
+    value=st.sampled_from(_JUNK),
+    name=st.sampled_from(("eval", "partials", "second_partials", "excess")),
+)
+def test_a_non_numeric_argument_is_invalid_parameter_naming_it(src, args, bad, value, name):
+    names = "txrq" if name == "excess" else "txr"
+    args[bad % len(names)] = value
+    first = next(k for k, a in zip(names, args) if any(a is j for j in _JUNK))
+    with pytest.raises(InvalidParameter, match=f"^{first} must be a number or an array of numbers, not "):
+        calls(parse_lagrangian(src), *args)[name]()
+
+
+def test_none_is_not_a_number():
+    lagr = parse_lagrangian("t + r")
+    with pytest.raises(InvalidParameter, match="^t must be a number or an array of numbers, not NoneType$"):
+        lagr.eval(None, 0.0, 1.0)
+    with pytest.raises(InvalidParameter, match="^r must be a number or an array of numbers, not NoneType$"):
+        excess(lagr, 0.0, 0.0, None, 1.0)
 
 
 # -- the depth bound -------------------------------------------------------------

@@ -1,0 +1,123 @@
+"""The evaluation plan: each distinct sub-expression evaluated once, in one flat loop.
+
+A Lagrangian keeps one plan per tuple of outputs it evaluates. Its values
+and its errors must be those of a walk of each tree in turn, bit for bit:
+the reference is test_flag_gated_walker's walker, which checks every node.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tsvar import DomainError, NonDifferentiablePoint, excess, parse_lagrangian
+from tsvar import expressions
+from tsvar.expressions import MAX_DEPTH, BinOp, Call, Guard, Lagrangian, Num, Var, _Plan, eval_rows
+
+from test_flag_gated_walker import _ASTS, _ROWS, _outcome, reference_eval
+
+R, X = Var("r"), Var("x")
+
+
+def _reference(asts):
+    def fn(columns):
+        with np.errstate(all="ignore"):
+            return tuple(reference_eval(a, columns) for a in asts)
+
+    return fn
+
+
+def _plans(lagr):
+    """Each plan of lagr with the ASTs of its outputs."""
+    f, fx, fr = lagr._first
+    return {
+        "f": (lagr._f_plan, (f,)),
+        "partials": (lagr._first_plan, lagr._first),
+        "second": (lagr._second_plan, lagr._second),
+        "excess": (lagr._excess_plan, (f, fr)),
+    }
+
+
+@settings(max_examples=300)
+@given(ast=_ASTS, rows=_ROWS, as_floats=st.booleans())
+def test_every_plan_matches_a_walk_of_each_tree_bit_for_bit(ast, rows, as_floats):
+    lagr = Lagrangian(ast, ast.to_source())
+    if as_floats:
+        env = dict(zip("txr", rows[0]))
+    else:
+        env = dict(zip("txr", (np.array(column) for column in zip(*rows))))
+    for name, (plan, asts) in _plans(lagr).items():
+        assert _outcome(plan.run, env) == _outcome(_reference(asts), env), (name, ast.to_source())
+
+
+# -- the key: what changes a step's evaluation keeps two steps apart ---------------
+
+
+def test_a_signed_zero_keeps_its_sign_bit():
+    asts = (Num(0.0), Num(-0.0), BinOp("*", Num(0.0), R), BinOp("*", Num(-0.0), R))
+    plan = _Plan(asts)
+    assert sum(kind is Num for kind, *_ in plan.steps) == 2
+    for env in ({"r": 1.0}, {"r": np.ones(3)}):
+        out = eval_rows(plan.run, env)
+        assert [bool(np.signbit(v).all()) for v in out] == [False, True, False, True]
+        assert [bool(np.signbit(v).any()) for v in out] == [False, True, False, True]
+
+
+def test_a_derived_and_a_user_division_stay_two_steps():
+    derived = BinOp("/", R, X, Call("log", R))  # a divisor of f: not tested
+    user = BinOp("/", R, X)
+    plan = _Plan((BinOp("+", derived, user),))
+    assert sum(kind is BinOp and node.op == "/" for kind, _, _, node, _ in plan.steps) == 2
+    env = {"t": 0.0, "x": 0.0, "r": np.inf}  # inf / 0 is inf from an operand that is not finite
+    assert eval_rows(_Plan((derived,)).run, env) == (np.inf,)
+    with pytest.raises(DomainError, match=re.escape("division by zero in '(r / x)' at t=0.0, x=0.0, r=inf")):
+        eval_rows(plan.run, env)
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("sqrt(x) + x^0.5", "sqrt is not differentiable at 0 in 'sqrt(x)'"),
+        ("x^0.5 + sqrt(x)", "power 0.5 is not differentiable at base 0 in '(x ^ 0.5)'"),
+    ],
+)
+def test_a_repeated_guard_is_one_step_and_raises_the_first_visits_message(src, message):
+    lagr = parse_lagrangian(src)
+    assert sum(kind is Guard for kind, *_ in lagr._first_plan.steps) == 1
+    with pytest.raises(NonDifferentiablePoint, match=re.escape(f"{message} at t=0.0, x=0.0, r=1.0")):
+        lagr.partials(0.0, 0.0, 1.0)
+
+
+def test_the_excess_runs_no_step_of_f_x():
+    # f_x of sqrt(x) fails at x = 0; E needs only f and f_r
+    lagr = parse_lagrangian("sqrt(x) + r^2")
+    assert excess(lagr, 0.0, 0.0, 1.0, 3.0) == 4.0
+    with pytest.raises(NonDifferentiablePoint):
+        lagr.partials(0.0, 0.0, 1.0)
+
+
+# -- each distinct node once: deep repetition costs its distinct steps ---------------
+
+DEEP = {
+    f"sin nested {MAX_DEPTH} levels": "sin(" * (MAX_DEPTH - 1) + "r" + ")" * (MAX_DEPTH - 1),
+    "a power tower of 40 terms": "^".join(["r"] * 40),
+}
+
+
+@pytest.mark.parametrize("src", DEEP.values(), ids=DEEP.keys())
+def test_second_partials_apply_each_distinct_operation_once(monkeypatch, src):
+    lagr = parse_lagrangian(src)
+    r = np.linspace(0.5, 1.4, 60)
+    distinct = sum(kind is Call or kind is BinOp for kind, *_ in lagr._second_plan.steps)
+    calls = []
+    apply = expressions._apply
+
+    def spy(node, lhs, rhs):
+        calls.append(1)
+        return apply(node, lhs, rhs)
+
+    monkeypatch.setattr(expressions, "_apply", spy)
+    out = lagr.second_partials(0.0, 0.0, r)
+    assert len(calls) == distinct
+    assert all(v.shape == (60,) and np.isfinite(v).all() for v in out)
