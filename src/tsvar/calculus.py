@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AtScaleMaximum, InvalidParameter, ReversedBounds
-from .timescale import TimeScale
+from .timescale import TimeScale, _vector
 
 
 class DerivativeKind(str, Enum):
@@ -41,7 +41,7 @@ class DerivativeValue:
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """A real-valued function sampled on the representative points of a scale.
 
@@ -49,6 +49,10 @@ class GridFunction:
     of the underlying function does not exist (corners of a piecewise
     trajectory). The weak norm skips them where the derivative does not
     exist; integration and excess scans take one-sided values there.
+
+    values are read as the scales read theirs: real numbers, not text,
+    complex numbers or other objects. The grid keeps its own read-only
+    copy. Two grid functions are equal only when they are the same object.
     """
 
     scale: TimeScale
@@ -56,18 +60,22 @@ class GridFunction:
     break_points: tuple[float, ...] = ()
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (len(self.scale),):
-            raise InvalidParameter(
-                f"expected {len(self.scale)} values (one per scale point), got {vals.shape}"
-            )
+        ts = self.scale
+        if not isinstance(ts, TimeScale):
+            raise InvalidParameter(f"a grid function needs a TimeScale, not {type(ts).__name__}")
+        vals = _vector(self.values, "grid values must be a sequence of numbers")
+        if vals.shape != (len(ts),):
+            raise InvalidParameter(f"expected {len(ts)} values (one per scale point), got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise InvalidParameter("grid values must all be finite")
+        vals = vals.copy()  # _vector may give back the caller's array
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        canon = tuple(
-            float(self.scale.points[self.scale.index_of(b)]) for b in self.break_points
-        )
+        try:
+            breaks = tuple(self.break_points)
+        except TypeError:
+            raise InvalidParameter("break_points must be a sequence of scale points") from None
+        canon = tuple(float(ts.points[ts.index_of(b)]) for b in breaks)
         object.__setattr__(self, "break_points", canon)
 
     @classmethod
@@ -77,7 +85,8 @@ class GridFunction:
         fn: Callable[[float], float],
         break_points: tuple[float, ...] = (),
     ) -> "GridFunction":
-        return cls(scale, np.array([fn(float(t)) for t in scale.points]), break_points)
+        points = scale.points if isinstance(scale, TimeScale) else ()  # else the constructor raises
+        return cls(scale, [fn(float(t)) for t in points], break_points)
 
     @classmethod
     def zeros(cls, scale: TimeScale) -> "GridFunction":

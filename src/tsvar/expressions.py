@@ -586,14 +586,32 @@ def _is_num(node: ExprAst, value: float) -> bool:
     return node.__class__ is Num and node.value == value
 
 
+_BITS = {name: 1 << i for i, name in enumerate(VARIABLES)}  # a variable's bit in a node's _bits
+
+
 def _varies(node: ExprAst, name: Optional[str] = None) -> bool:
-    """Whether node contains a variable, or the variable name when one is given."""
-    kind = node.__class__
-    if kind is Num or kind is Var:
-        return kind is Var and (name is None or node.name == name)
-    if kind is BinOp:
-        return _varies(node.lhs, name) or _varies(node.rhs, name)
-    return (kind is Guard and _varies(node.test, name)) or _varies(node.arg, name)
+    """Whether node contains a variable, or the variable name when one is given.
+
+    The variables of each node object are found once and kept on it, as
+    bits (a node's hash walks its whole tree, so it cannot key a memo):
+    deriving a tree whose sub-trees are shared is linear in its distinct
+    nodes.
+    """
+    bits = node.__dict__.get("_bits")
+    if bits is None:
+        kind = node.__class__
+        if kind is Num or kind is Var:
+            bits = _BITS[node.name] if kind is Var else 0
+        else:
+            parts = (node.lhs, node.rhs) if kind is BinOp else (node.arg,)
+            if kind is Guard:
+                parts += (node.test,)
+            bits = 0
+            for part in parts:
+                if _varies(part):
+                    bits |= part._bits
+        node.__dict__["_bits"] = bits
+    return bits != 0 if name is None else bits & _BITS[name] != 0
 
 
 # Builders of derivative nodes that drop 0 terms and factors of 1, and fold

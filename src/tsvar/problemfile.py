@@ -79,7 +79,8 @@ class ScanConfig:
         return evenly_spaced(self.q_min, self.q_max, self.q_count)
 
 
-@dataclass(frozen=True)
+# compares by identity, as the GridFunction it holds does
+@dataclass(frozen=True, eq=False)
 class LoadedProblem:
     problem: VariationalProblem
     trajectory: Optional[Trajectory]

@@ -140,9 +140,8 @@ def _build_rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray,
     one-sided slope: x.one_sided runs only at the registered breaks (r+)
     and at the LEFT rows (r-).
     """
+    _check_scale(problem, x)
     ts = problem.scale
-    if x.scale is not ts and not all(map(np.array_equal, _nodes(x.scale), _nodes(ts))):
-        raise InvalidParameter("the trajectory is sampled on another scale than the problem's")
     pts, v, mu = ts.points, x.values, ts.mu_values()
     rd, ld = ts.right_dense_mask, ts.left_dense_mask
     i0, i1 = problem.window()
@@ -180,6 +179,13 @@ def _build_rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray,
     for column in rows:
         column.setflags(write=False)
     return rows
+
+
+def _check_scale(problem: VariationalProblem, x: Trajectory) -> None:
+    """InvalidParameter unless x is sampled on the problem's scale or one with the same nodes."""
+    ts = problem.scale
+    if x.scale is not ts and not all(map(np.array_equal, _nodes(x.scale), _nodes(ts))):
+        raise InvalidParameter("the trajectory is sampled on another scale than the problem's")
 
 
 def _nodes(ts: TimeScale) -> tuple[np.ndarray, ...]:
@@ -241,7 +247,8 @@ def _el_terms(t: np.ndarray, fx: np.ndarray, fr: np.ndarray) -> np.ndarray:
 # -- discrete Euler-Lagrange solver -------------------------------------------
 
 
-@dataclass(frozen=True)
+# compares by identity, as the GridFunction it holds does
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     trajectory: Trajectory
     iterations: int
@@ -271,16 +278,6 @@ def _window_state(lagr: Lagrangian, t: np.ndarray, x: np.ndarray) -> tuple:
     diag = (mu * fxx + 2.0 * fxr + a)[:-1] + a[1:]
     off = -(a + fxr)[1:-1]
     return float(np.sum(mu * f)), float(np.sum(mu * np.abs(f))), _el_terms(t[:-1], fx, fr), diag, off
-
-
-def _merit(lagr: Lagrangian, t: np.ndarray, x: np.ndarray) -> float:
-    """L at the window values x; infinite where f is not defined."""
-    mu = np.diff(t)
-    try:
-        f = lagr.eval(t[:-1], x[1:], np.diff(x) / mu)
-    except DomainError:
-        return math.inf
-    return float(np.sum(mu * f))
 
 
 def _ldl(diag: list, off: list, shift: float = 0.0) -> tuple[list, list]:
@@ -357,12 +354,17 @@ def solve_el_discrete(
     iteration solves H s = -grad L, H the tridiagonal Hessian of L from
     the symbolic second partials, by LDL^T without pivoting. Where H has
     a negative or zero pivot, it is shifted to H + lam*I, so s descends.
-    The step length is halved until Armijo's condition on L holds. An
-    iteration costs O(n). The iteration stops when the residual max-norm
-    is at most SOLVE_TOL, and the result's second_order reports the pivot
-    signs of the unshifted H there.
+    The step length is halved until Armijo's condition on L holds. Each
+    trial point is evaluated once, by one second_partials call giving L,
+    R and H, and an accepted trial's state is the next iterate's. A trial
+    where f or a partial is undefined or overflows (DomainError) counts
+    as one where L does not fall. An iteration costs O(n). The iteration
+    stops when the residual max-norm is at most SOLVE_TOL, and the
+    result's second_order reports the pivot signs of the unshifted H there.
 
-    Raises NonConvergence, carrying the best iterate and diagnostics.
+    Raises NonConvergence, carrying the best iterate and diagnostics, and
+    InvalidParameter for an x_init sampled on another scale than the
+    problem's, before any evaluation.
     """
     if not _is_whole(max_iter, 0):
         raise InvalidParameter(f"max_iter must be a nonnegative integer, got {max_iter!r}")
@@ -378,6 +380,7 @@ def solve_el_discrete(
     pts = ts.points[i0 : i1 + 1]
     mu = np.diff(pts)
     base = x_init if x_init is not None else problem.linear_trajectory()
+    _check_scale(problem, base)
     xw = base.values[i0 : i1 + 1].astype(float).copy()
     xw[0], xw[-1] = problem.alpha, problem.beta
 
@@ -404,13 +407,18 @@ def solve_el_discrete(
         while True:
             trial = xw.copy()
             trial[1:-1] += lam * step
-            if _merit(lagr, pts, trial) <= merit + lam * decrease + _MERIT_ROUNDING * size:
-                break
+            try:
+                state = _window_state(lagr, pts, trial)
+            except DomainError:  # f or a partial is undefined or overflows there: L does not fall
+                pass
+            else:
+                if state[0] <= merit + lam * decrease + _MERIT_ROUNDING * size:
+                    break
             lam *= 0.5
             if lam < 1e-10:
                 raise failure("Newton stalled: no step decreases L")
         xw = trial
-        merit, size, residual, diag, off = _window_state(lagr, pts, xw)
+        merit, size, residual, diag, off = state
         res_max = float(np.max(np.abs(residual)))
         iterations += 1
         history.append((res_max, lam, merit))

@@ -1,6 +1,7 @@
 """Delta derivative, delta integral, norms, and the calculus identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,58 @@ class TestGridFunctionValidation:
         x = GridFunction(make_points([0, 1]), [1.0, 2.0])
         with pytest.raises(ValueError):
             x.values[0] = 9.0
+
+    @pytest.mark.parametrize(
+        "values",
+        [["a"] * 3, ["0"] * 3, [b"0"] * 3, [1j] * 3, [None] * 3, [[0.0], [1.0, 2.0], [3.0]], np.zeros((3, 1)), []],
+        ids=["text", "numeric text", "bytes", "complex", "None", "ragged", "2-d", "empty"],
+    )
+    def test_values_that_are_not_a_sequence_of_numbers_are_rejected(self, values):
+        # text and ragged lists raised numpy's ValueError, complex a TypeError; "0" was read as 0.0
+        with pytest.raises(InvalidParameter, match="^grid values must be a sequence of numbers$"):
+            GridFunction(make_points([0, 1, 2]), values)
+
+    @pytest.mark.parametrize("value", ["a", 1j, None])
+    def test_a_callable_that_gives_no_number_is_rejected(self, value):
+        with pytest.raises(InvalidParameter, match="sequence of numbers"):
+            GridFunction.from_callable(make_points([0, 1, 2]), lambda t: value)
+
+    @pytest.mark.parametrize("scale", ["abcd", [0.0, 1.0, 2.0, 3.0], None, 4])
+    def test_the_scale_must_be_a_time_scale(self, scale):
+        with pytest.raises(InvalidParameter, match="^a grid function needs a TimeScale"):
+            GridFunction(scale, [0.0] * 4)
+        with pytest.raises(InvalidParameter, match="^a grid function needs a TimeScale"):
+            GridFunction.from_callable(scale, lambda t: 0.0)
+
+    @pytest.mark.parametrize("breaks", [0.5, None, 1j])
+    def test_break_points_that_are_not_a_sequence_are_rejected(self, breaks):
+        with pytest.raises(InvalidParameter, match="^break_points must be a sequence"):
+            GridFunction(make_points([0, 1, 2]), [0.0] * 3, break_points=breaks)
+
+    def test_length_and_finiteness_messages(self):
+        ts = make_points([0, 1, 2])
+        with pytest.raises(InvalidParameter, match=re.escape("expected 3 values (one per scale point), got (2,)")):
+            GridFunction(ts, [1.0, 2.0])
+        with pytest.raises(InvalidParameter, match="^grid values must all be finite$"):
+            GridFunction(ts, [1.0, math.inf, 0.0])
+
+    def test_real_numbers_of_every_kind_are_read_as_floats(self):
+        x = GridFunction(make_points([0, 1, 2]), [True, np.int8(-3), 2**70])
+        assert x.values.dtype == np.float64 and x.values.tolist() == [1.0, -3.0, 2.0**70]
+
+    def test_the_grid_keeps_its_own_copy(self):
+        values = np.array([1.0, 2.0])
+        x = GridFunction(make_points([0, 1]), values)
+        values[0] = 9.0
+        assert x.values.tolist() == [1.0, 2.0]
+        assert values.flags.writeable
+
+    def test_grid_functions_compare_by_identity(self):
+        # value equality raised numpy's "truth value of an array is ambiguous", and hash a TypeError
+        ts = make_points([0, 1, 2])
+        a, b = GridFunction.zeros(ts), GridFunction.zeros(ts)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 # -- the slope table against a per-node reference ----------------------------------

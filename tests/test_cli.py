@@ -45,6 +45,13 @@ class TestProblemFileLoading:
         assert loaded.problem.t0 == 0.0 and loaded.problem.t1 == 1.0
         assert loaded.trajectory is not None
 
+    def test_loaded_problems_compare_by_identity(self, tmp_path):
+        # value equality reached the trajectory's array and raised numpy's "truth value ... is ambiguous"
+        path = write_problem(tmp_path)
+        a, b = load_problem(path), load_problem(path)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
     def test_scale_union_list(self, tmp_path):
         path = write_problem(
             tmp_path,

@@ -121,3 +121,38 @@ def test_second_partials_apply_each_distinct_operation_once(monkeypatch, src):
     out = lagr.second_partials(0.0, 0.0, r)
     assert len(calls) == distinct
     assert all(v.shape == (60,) and np.isfinite(v).all() for v in out)
+
+
+DERIVED = {
+    **DEEP,
+    "sqrt nested 140 levels": "sqrt(" * 140 + "r^2 + 1" + ")" * 140,
+    "a product of 70 factors": "*".join(f"(r + {k})" for k in range(70)),
+}
+
+
+def _distinct_nodes(asts) -> int:
+    """The number of distinct node objects in asts."""
+    seen, todo = set(), list(asts)
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(getattr(node, part) for part in ("lhs", "rhs", "arg", "test") if hasattr(node, part))
+    return len(seen)
+
+
+@pytest.mark.parametrize("src", DERIVED.values(), ids=DERIVED.keys())
+def test_deriving_is_linear_in_the_distinct_nodes(monkeypatch, src):
+    # _varies re-walked each sub-tree: 585,119 calls for the 22,938 distinct
+    # nodes of the second partials of sin nested 148 levels
+    lagr = parse_lagrangian(src)
+    calls = []
+    varies = expressions._varies
+
+    def spy(node, name=None):
+        calls.append(1)
+        return varies(node, name)
+
+    monkeypatch.setattr(expressions, "_varies", spy)
+    second = lagr._second
+    assert len(calls) <= 3 * _distinct_nodes(second)

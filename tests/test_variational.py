@@ -17,6 +17,7 @@ from tsvar import (
     InvalidParameter,
     InvalidSpikeLocation,
     NonConvergence,
+    NonDifferentiablePoint,
     PointNotInScale,
     VariationalProblem,
     classify_candidate,
@@ -451,6 +452,65 @@ class TestSolver:
         assert merits[-1] == functional(P, result.trajectory)
         assert all(0.0 < step <= 1.0 for _, step, _ in result.history)
 
+    def test_each_point_is_evaluated_once_by_the_second_partials(self, monkeypatch):
+        # a second evaluator of L at each trial point called Lagrangian.eval once per iteration
+        calls = {"eval": 0, "second_partials": 0}
+
+        def counted(name):
+            method = getattr(Lagrangian, name)
+
+            def call(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(Lagrangian, name, counted(name))
+        P = VariationalProblem(
+            make_uniform(0.0, 4.0, 1.0), 0.0, 4.0, parse_lagrangian("r^2 + exp(x)"), 0.0, 1.0
+        )
+        result = solve_el_discrete(P)
+        assert result.iterations > 1 and all(step == 1.0 for _, step, _ in result.history)
+        assert calls == {"eval": 0, "second_partials": 1 + result.iterations}
+
+    def test_a_trial_whose_state_is_undefined_halves_the_step(self, monkeypatch):
+        # such a trial once passed on f alone, and the partials then ended the solve
+        _fail_at_the_first_trial(monkeypatch, DomainError("overflow in the partials"))
+        P = quadratic_problem()
+        result = solve_el_discrete(P, x_init=P.zero_trajectory())
+        assert result.history[0][1] == 0.5
+        assert result.residual_max <= 1e-10
+        np.testing.assert_allclose(result.trajectory.values, [0.0, 1.0, 2.0, 3.0, 4.0], atol=1e-12)
+
+    def test_a_non_differentiable_trial_still_ends_the_solve(self, monkeypatch):
+        _fail_at_the_first_trial(monkeypatch, NonDifferentiablePoint("sqrt is not differentiable at 0"))
+        P = quadratic_problem()
+        with pytest.raises(NonDifferentiablePoint):
+            solve_el_discrete(P, x_init=P.zero_trajectory())
+
+    @pytest.mark.parametrize(
+        "scale",
+        [make_uniform(0.0, 2.0, 1.0), make_uniform(0.0, 8.0, 1.0), make_uniform(10.0, 14.0, 1.0)],
+        ids=["fewer points", "more points", "other points"],
+    )
+    def test_a_start_on_another_scale_is_rejected_before_any_evaluation(self, scale, monkeypatch):
+        # these raised numpy's broadcast error, a wrong-length error after the whole solve, or nothing
+        monkeypatch.setattr(variational, "_window_state", None)  # an evaluation would raise TypeError
+        with pytest.raises(InvalidParameter, match="another scale than the problem's"):
+            solve_el_discrete(quadratic_problem(), x_init=GridFunction.zeros(scale))
+
+    def test_a_start_on_an_equal_but_distinct_scale_solves(self):
+        start = GridFunction.zeros(make_points([0, 1, 2, 3, 4]))
+        result = solve_el_discrete(quadratic_problem(), x_init=start)
+        np.testing.assert_allclose(result.trajectory.values, [0.0, 1.0, 2.0, 3.0, 4.0], atol=1e-12)
+
+    def test_solve_results_compare_by_identity(self):
+        # value equality raised numpy's "truth value of an array is ambiguous"
+        a, b = solve_el_discrete(quadratic_problem()), solve_el_discrete(quadratic_problem())
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
     def test_nonconvergence_carries_history(self):
         P = VariationalProblem(
             make_uniform(0.0, 4.0, 1.0), 0.0, 4.0, parse_lagrangian("r^2 + exp(x)"), 0.0, 1.0
@@ -571,6 +631,20 @@ class TestSolver:
         P = VariationalProblem(make_points([0, 1]), 0.0, 1.0, parse_lagrangian("r^2"), 0, 1)
         with pytest.raises(InsufficientPoints):
             solve_el_discrete(P)
+
+
+def _fail_at_the_first_trial(monkeypatch, error: Exception) -> None:
+    """Make variational._window_state raise error at its second call, the first trial point."""
+    calls = []
+    window_state = variational._window_state
+
+    def patched(lagr, t, x):
+        calls.append(1)
+        if len(calls) == 2:
+            raise error
+        return window_state(lagr, t, x)
+
+    monkeypatch.setattr(variational, "_window_state", patched)
 
 
 def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
