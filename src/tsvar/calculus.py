@@ -125,10 +125,14 @@ class GridFunction:
         ts = self.scale
         p, v = ts.points, self.values
         rd, ld = ts.right_dense_mask, ts.left_dense_mask
-        out = np.empty(p.size)
+        out, rise = np.empty(p.size), np.empty(p.size - 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(v[1:] - v[:-1], p[1:] - p[:-1], out=out[:-1])
-            np.divide(v[2:] - v[:-2], p[2:] - p[:-2], out=out[1:-1], where=rd[1:-1] & ld[1:-1])
+            # the symmetric quotients, then the forward ones at right-scattered nodes, where
+            # the gap is mu; the rest of the right-dense nodes take one_sided below
+            np.subtract(p[2:], p[:-2], out=out[1:-1])
+            np.divide(np.subtract(v[2:], v[:-2], out=rise[:-1]), out[1:-1], out=out[1:-1])
+            mu = ts.mu_values()[:-1]
+            np.divide(np.subtract(v[1:], v[:-1], out=rise), mu, out=out[:-1], where=mu > 0.0)
         starts = np.flatnonzero(rd & ~ld)
         if starts.size:
             out[starts] = self.one_sided(starts, 1)
@@ -238,9 +242,9 @@ def delta_integral(g: GridFunction, c: float, d: float) -> float:
 
 def norm_strong(x: GridFunction, t0: float, t1: float) -> float:
     """Strong norm: sup of |x(sigma(t))| over [t0, t1]^kappa."""
-    ts = x.scale
-    i0, ik = ts.kappa_range(t0, t1)
-    return float(np.max(np.abs(x.values[ts.sigma_indices()[i0 : ik + 1]])))
+    i0, ik = x.scale.kappa_range(t0, t1)
+    size = x.scale.at_sigma(x.values, i0, ik + 1)
+    return float(np.max(np.abs(size, out=size)))
 
 
 def norm_weak(x: GridFunction, t0: float, t1: float) -> float:
@@ -250,5 +254,5 @@ def norm_weak(x: GridFunction, t0: float, t1: float) -> float:
     right-dense points) are excluded from the second supremum.
     """
     i0, ik = x.scale.kappa_range(t0, t1)
-    slopes = np.abs(x.slopes[i0 : ik + 1])
-    return norm_strong(x, t0, t1) + float(np.max(slopes, initial=0.0, where=~np.isnan(slopes)))
+    # fmax skips the NaN slopes
+    return norm_strong(x, t0, t1) + float(np.fmax.reduce(np.abs(x.slopes[i0 : ik + 1]), initial=0.0))

@@ -305,8 +305,10 @@ class TimeScale:
             pts[i] = value
         if math.isinf(float(pts[-1]) - float(pts[0])):
             raise InvalidParameter("TimeScale segments must span less than the float range")
-        gaps = np.diff(pts)
-        if not (gaps > POINT_TOLERANCE).all():  # points that are no shared endpoint
+        mu = np.empty(pts.size)  # the gaps first: the graininess off the dense spans
+        np.subtract(pts[1:], pts[:-1], out=mu[:-1])
+        mu[-1] = 0.0
+        if not (mu[:-1] > POINT_TOLERANCE).all():  # points that are no shared endpoint
             raise InvalidParameter(crowded)
         pts.setflags(write=False)
 
@@ -316,13 +318,8 @@ class TimeScale:
             if isinstance(s, DenseInterval):
                 right_dense[i : i + s.resolution] = True
                 left_dense[i + 1 : i + s.resolution + 1] = True
-        mu = np.zeros(pts.size)
-        mu[:-1] = np.where(right_dense[:-1], 0.0, gaps)
-        index = np.arange(pts.size)
-        sigma_idx = index + (mu > 0.0)
-        rho_idx = index - ~left_dense
-        rho_idx[0] = 0  # the minimum is its own rho
-        for arr in (right_dense, left_dense, mu, sigma_idx, rho_idx):
+                mu[i : i + s.resolution] = 0.0
+        for arr in (right_dense, left_dense, mu):
             arr.setflags(write=False)
 
         self._segments = segs
@@ -330,8 +327,6 @@ class TimeScale:
         self._right_dense = right_dense
         self._left_dense = left_dense
         self._mu = mu
-        self._sigma_idx = sigma_idx
-        self._rho_idx = rho_idx
         self.metadata = MappingProxyType(dict(metadata or {}))
 
     # -- basic introspection -------------------------------------------------
@@ -414,12 +409,16 @@ class TimeScale:
     def sigma(self, t: float) -> float:
         """Least scale point strictly above t; t itself at the maximum."""
         t, i = self._canonical(t)
-        return t if i is None else float(self._points[self._sigma_idx[i]])
+        return t if i is None else float(self._points[i + (self._mu[i] > 0.0)])
 
     def rho(self, t: float) -> float:
         """Greatest scale point strictly below t; t itself at the minimum."""
         t, i = self._canonical(t)
-        return t if i is None else float(self._points[self._rho_idx[i]])
+        return t if i is None else float(self._points[i - self._left_scattered(i)])
+
+    def _left_scattered(self, i: int) -> bool:
+        """Whether node i lies above a gap: any node but the minimum that is not left-dense."""
+        return i > 0 and not self._left_dense[i]
 
     def mu(self, t: float) -> float:
         """Graininess sigma(t) - t; zero at right-dense points and at the maximum."""
@@ -432,7 +431,7 @@ class TimeScale:
             return PointClass(right=Side.DENSE, left=Side.DENSE)
         return PointClass(
             right=Side.SCATTERED if self._mu[i] > 0.0 else Side.DENSE,
-            left=Side.SCATTERED if self._rho_idx[i] < i else Side.DENSE,
+            left=Side.SCATTERED if self._left_scattered(i) else Side.DENSE,
         )
 
     # -- windows -------------------------------------------------------------
@@ -465,13 +464,30 @@ class TimeScale:
         """Graininess per representative point, as a read-only array."""
         return self._mu
 
+    def at_sigma(self, values: np.ndarray, i0: int, i1: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """x(sigma(t)) at nodes i0 .. i1 - 1 of values given per node.
+
+        The value at node i + 1 where mu > 0 and at node i itself where mu
+        is 0, copied from two slices into out (a new array when None).
+        """
+        out = np.empty(i1 - i0) if out is None else out
+        np.copyto(out, values[i0:i1])
+        ahead = values[i0 + 1 : i1 + 1]  # one short when i1 is past the maximum, where mu is 0
+        np.copyto(out[: ahead.size], ahead, where=self._mu[i0 : i0 + ahead.size] > 0.0)
+        return out
+
     def sigma_indices(self) -> np.ndarray:
-        """Per-node index of sigma(node), read-only; the node itself when right-dense or last."""
-        return self._sigma_idx
+        """Per-node index of sigma(node), read-only, built on each call; the node itself when right-dense or last."""
+        index = np.arange(self._points.size) + (self._mu > 0.0)
+        index.setflags(write=False)
+        return index
 
     def rho_indices(self) -> np.ndarray:
-        """Per-node index of rho(node), read-only; the node itself when left-dense or first."""
-        return self._rho_idx
+        """Per-node index of rho(node), read-only, built on each call; the node itself when left-dense or first."""
+        index = np.arange(self._points.size) - ~self._left_dense
+        index[0] = 0  # the minimum is its own rho
+        index.setflags(write=False)
+        return index
 
 
 def make_points(values: Sequence[float]) -> TimeScale:

@@ -134,48 +134,61 @@ def _rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray, ...]:
 
 
 def _build_rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray, ...]:
-    """The table of _rows.
+    """The table of _rows, each column allocated once at its final size.
 
-    r is the two-sided column x.slopes, except at the rows that need a
-    one-sided slope: x.one_sided runs only at the registered breaks (r+)
-    and at the LEFT rows (r-).
+    The right-going rows are computed from slices into the first rows of
+    the columns; the ones after the first LEFT row inside the window then
+    move down to their places in one indexed copy. r is the two-sided
+    column x.slopes (a slice of it when the window has no LEFT row and no
+    break), except at the rows that need a one-sided slope: x.one_sided
+    runs only at the registered breaks (r+) and at the LEFT rows (r-).
     """
     _check_scale(problem, x)
     ts = problem.scale
-    pts, v, mu = ts.points, x.values, ts.mu_values()
+    pts, v = ts.points, x.values
     rd, ld = ts.right_dense_mask, ts.left_dense_mask
     i0, i1 = problem.window()
-    brk = x.break_mask
-    here, ahead = slice(i0, i1), slice(i0 + 1, i1 + 1)
-    gap = np.diff(pts[i0 : i1 + 1])
-
-    at_break = brk[here]
-    t = pts[here]
-    xs = v[ts.sigma_indices()[here]]  # x(sigma(t))
-    r = x.slopes[here].copy()
-    breaks = np.flatnonzero(at_break)
-    if breaks.size:
-        r[breaks] = x.one_sided(i0 + breaks, 1)
-    kind = np.where(at_break, _RIGHT, _TWO_SIDED).astype(np.int8)
-    weight = np.where(rd[here], 0.5 * gap, mu[here])
-    # a dense node inside the window with no LEFT row also closes the panel to its left
-    open_left = ld[i0 + 1 : i1] & rd[i0 + 1 : i1] & ~at_break[1:]
-    weight[1:][open_left] += 0.5 * gap[:-1][open_left]
-
-    # LEFT rows go in before the right-going row of their node: at offset node - i0
+    n, brk = i1 - i0, x.break_mask
+    node, ahead = slice(i0, i1), slice(i0 + 1, i1 + 1)
+    # a LEFT row goes in before the right-going row of its node: at offset node - i0
     closes = ld[ahead] & (brk[ahead] | ~rd[ahead])
     closes[-1] = ld[i1]
     at = np.flatnonzero(closes) + 1
-    rows = (t, xs, r, kind, weight)
+    breaks = np.flatnonzero(brk[node])
+    size = n + at.size
+    t, xs, weight = np.empty(size), np.empty(size), np.empty(size)
+    copy_r = bool(at.size or breaks.size)
+    r = np.empty(size) if copy_r else x.slopes[node]
+    np.copyto(t[:n], pts[node])
+    if copy_r:
+        np.copyto(r[:n], x.slopes[node])
+    # weight is the gap (mu) at a right-scattered node and half of it at a right-dense one;
+    # xs holds the half-gaps until it takes x(sigma(t))
+    w, half = weight[:n], xs[:n]
+    np.subtract(pts[ahead], pts[node], out=w)
+    np.multiply(w, 0.5, out=half)
+    np.copyto(w, half, where=rd[node])
+    # a dense node inside the window with no LEFT row also closes the panel to its left
+    open_left = ld[i0 + 1 : i1] & rd[i0 + 1 : i1] & ~brk[i0 + 1 : i1]
+    np.add(w[1:], half[:-1], out=w[1:], where=open_left)
+    ts.at_sigma(v, i0, i1, out=half)
+    inner = at[: np.searchsorted(at, n)]  # the LEFT rows before the last right-going row
+    if inner.size:  # each right-going row moves down by the LEFT rows before it
+        moved = slice(inner[0], n)
+        to = np.arange(inner[0], n) + np.repeat(np.arange(1, inner.size + 1), np.diff(inner, append=n))
+        for column in (t, xs, r, weight):
+            column[to] = column[moved].copy()  # the rows overlap their destinations
+    kind = np.zeros(size, dtype=np.int8)  # _TWO_SIDED
+    if breaks.size:
+        row = breaks + np.searchsorted(at, breaks, side="right")
+        r[row] = x.one_sided(i0 + breaks, 1)
+        kind[row] = _RIGHT
     if at.size:
-        left = i0 + at
-        rows = (
-            np.insert(t, at, pts[left]),
-            np.insert(xs, at, v[left]),
-            np.insert(r, at, x.one_sided(left, -1)),
-            np.insert(kind, at, _LEFT),
-            np.insert(weight, at, 0.5 * gap[at - 1]),
-        )
+        row, left = at + np.arange(at.size), i0 + at
+        t[row], xs[row], kind[row] = pts[left], v[left], _LEFT
+        r[row] = x.one_sided(left, -1)
+        weight[row] = 0.5 * (pts[left] - pts[left - 1])
+    rows = (t, xs, r, kind, weight)
     for column in rows:
         column.setflags(write=False)
     return rows
@@ -339,7 +352,7 @@ _MERIT_ROUNDING = 1e-12
 SOLVE_TOL = 1e-10
 
 
-# an iterate whose L or residual overflows is rejected or ends in NonConvergence
+# a trial whose L overflows is rejected; an iterate whose residual overflows ends in NonConvergence
 @np.errstate(over="ignore", invalid="ignore")
 def solve_el_discrete(
     problem: VariationalProblem,
@@ -357,12 +370,14 @@ def solve_el_discrete(
     The step length is halved until Armijo's condition on L holds. Each
     trial point is evaluated once, by one second_partials call giving L,
     R and H, and an accepted trial's state is the next iterate's. A trial
-    where f or a partial is undefined or overflows (DomainError) counts
-    as one where L does not fall. An iteration costs O(n). The iteration
-    stops when the residual max-norm is at most SOLVE_TOL, and the
-    result's second_order reports the pivot signs of the unshifted H there.
+    where f or a partial is undefined or overflows (DomainError), or where
+    the sum L overflows, counts as one where L does not fall. An iteration
+    costs O(n). The iteration stops when the residual max-norm is at most
+    SOLVE_TOL, and the result's second_order reports the pivot signs of
+    the unshifted H there.
 
-    Raises NonConvergence, carrying the best iterate and diagnostics, and
+    Raises NonConvergence, carrying the best iterate and diagnostics;
+    DomainError when L overflows at the starting point; and
     InvalidParameter for an x_init sampled on another scale than the
     problem's, before any evaluation.
     """
@@ -395,6 +410,8 @@ def solve_el_discrete(
         )
 
     merit, size, residual, diag, off = _window_state(lagr, pts, xw)
+    if not math.isfinite(merit):
+        raise DomainError(f"overflow in the functional of '{lagr.source}'")
     res_max = float(np.max(np.abs(residual)))
     best, best_max = xw.copy(), res_max
     history: list[tuple[float, float, float]] = []
@@ -411,8 +428,8 @@ def solve_el_discrete(
                 state = _window_state(lagr, pts, trial)
             except DomainError:  # f or a partial is undefined or overflows there: L does not fall
                 pass
-            else:
-                if state[0] <= merit + lam * decrease + _MERIT_ROUNDING * size:
+            else:  # L may overflow to inf, or to -inf, which any test of its decrease would pass
+                if math.isfinite(state[0]) and state[0] <= merit + lam * decrease + _MERIT_ROUNDING * size:
                     break
             lam *= 0.5
             if lam < 1e-10:

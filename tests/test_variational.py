@@ -1,6 +1,7 @@
 """Functional evaluation, Euler-Lagrange residual/solver, and spike machinery."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -573,16 +574,39 @@ class TestSolver:
 
     @pytest.mark.parametrize(
         "src, scale, x_init, beta",
-        [
-            ("t*x + r^3", make_geometric(1.0, 4.0, 2.0), np.exp, 0.0),  # L unbounded below
-            ("exp(r/3)", make_points([0.0, 0.5, 1.0]), lambda t: 0.0, 1e308),  # last slope 2e308
-        ],
+        [("t*x + r^3", make_geometric(1.0, 4.0, 2.0), np.exp, 0.0)],  # L unbounded below
     )
     def test_overflowing_iterates_end_in_nonconvergence(self, src, scale, x_init, beta):
         P = VariationalProblem(scale, scale.min, scale.max, parse_lagrangian(src), 0.0, beta)
         start = GridFunction.from_callable(scale, x_init)
         with pytest.raises(NonConvergence):  # and no numpy warning, which the suite makes an error
             solve_el_discrete(P, x_init=start)
+
+    @pytest.mark.parametrize(
+        "src, scale, x_init, beta",
+        [
+            # each term is finite, their sum is not: these returned strict-minimum with merit inf
+            ("1e308 + r^2 + x^2", make_uniform(0.0, 4.0, 1.0), None, 1.0),
+            ("1e308 + r^2 + r^4 + x^2", make_uniform(0.0, 4.0, 1.0), None, 1.0),
+            # the last slope is 2e308: this ended in NonConvergence
+            ("exp(r/3)", make_points([0.0, 0.5, 1.0]), lambda t: 0.0, 1e308),
+        ],
+    )
+    def test_a_starting_L_that_overflows_is_a_domain_error(self, src, scale, x_init, beta):
+        P = VariationalProblem(scale, scale.min, scale.max, parse_lagrangian(src), 0.0, beta)
+        start = x_init and GridFunction.from_callable(scale, x_init)
+        with pytest.raises(DomainError, match=f"^overflow in the functional of '{re.escape(src)}'$"):
+            solve_el_discrete(P, x_init=start)
+
+    def test_a_trial_whose_L_overflows_halves_the_step(self):
+        # L falls without bound; a trial where it overflowed to -inf passed the Armijo test
+        P = VariationalProblem(
+            make_uniform(0.0, 20.0, 1.0), 0.0, 20.0, parse_lagrangian("r^4 - 1e306*r^2"), 0.0, 1.0
+        )
+        with pytest.raises(NonConvergence) as caught:
+            solve_el_discrete(P)
+        merits = [merit for _, _, merit in caught.value.history]
+        assert merits and all(np.isfinite(merits))
 
     def test_linear_trajectory_across_the_float_range(self):
         P = VariationalProblem(make_uniform(0.0, 3.0, 1.0), 0.0, 3.0, parse_lagrangian("r^2"), -1e308, 1e308)
