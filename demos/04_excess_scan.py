@@ -4,7 +4,8 @@ E(t, x, r, q) = f(t, x, q) - f(t, x, r) - (q - r) f_r(t, x, r) compares the
 integrand at a competitor slope q against the tangent line at the candidate
 slope r. When the integrand is convex in the slope at every scattered point
 (the graininess-weighted hypothesis), a strong local minimizer must keep
-E >= 0 for every q; one negative sample disqualifies the candidate.
+E >= 0 for every q. One negative sample at a right-dense t disqualifies the
+candidate; at a right-scattered t it refutes the hypothesis instead.
 """
 
 import numpy as np
@@ -28,21 +29,30 @@ print("  convexity hypothesis holds (sampled):", report.convexity_ok)
 print("  violations:", len(report.weierstrass_violations), "-> verdict:", report.verdict.value)
 
 # A candidate that is disqualified: the integrand is convex near the
-# origin (so sampled convexity passes) but bends down for large slopes.
-P2 = tv.VariationalProblem(
-    tv.make_uniform(0, 4, 1), 0, 4, tv.parse_lagrangian("r^2 - 0.001*r^4"), 0.0, 0.0
-)
+# origin but bends down for large slopes. On a dense scale the hypothesis
+# holds vacuously (mu = 0), and E < 0 at a right-dense t refutes the candidate.
+f = tv.parse_lagrangian("r^2 - 0.001*r^4")
+P2 = tv.VariationalProblem(tv.make_dense(0, 1, 50), 0, 1, f, 0.0, 0.0)
 report2 = tv.classify_candidate(P2, P2.zero_trajectory(), q_grid=np.linspace(-40, 40, 81))
-print("\ninteger window, f = r^2 - 0.001 r^4, x = 0:")
-print("  convexity hypothesis (sampled near the candidate):", report2.convexity_ok)
+print("\ndense [0, 1], f = r^2 - 0.001 r^4, x = 0:")
 v = report2.weierstrass_violations
 print(f"  first violation: E(q={v.q[0]:g}) = {v.E[0]:.4g} -> verdict: {report2.verdict.value}")
 
+# The same integrand on the integers: every t is right-scattered, where the
+# hypothesis is convexity in r. Sampled near the candidate it holds, but the
+# scan's E < 0 refutes it, and the midpoint check between r and q fails.
+P3 = tv.VariationalProblem(tv.make_uniform(0, 4, 1), 0, 4, f, 0.0, 0.0)
+report3 = tv.classify_candidate(P3, P3.zero_trajectory(), q_grid=np.linspace(-40, 40, 81))
+cx = report3.convexity_counterexample
+print("\ninteger window, same f, x = 0:")
+print(f"  violations: {len(report3.weierstrass_violations)} -> verdict: {report3.verdict.value}")
+print(f"  f(gamma r + (1 - gamma) q) = {cx.lhs:g} > {cx.rhs:g} at r={cx.r1:g}, q={cx.r2:g}, gamma={cx.gamma:g}")
+
 # Trajectories with corners scan both one-sided slopes at the corner.
 dense = tv.make_dense(0.0, 1.0, 100)
-P3 = tv.VariationalProblem(dense, 0.0, 1.0, tv.parse_lagrangian("0 - r^2"), 0.0, 0.0)
+P4 = tv.VariationalProblem(dense, 0.0, 1.0, tv.parse_lagrangian("0 - r^2"), 0.0, 0.0)
 corner = tv.GridFunction.from_callable(dense, lambda t: abs(t - 0.5), break_points=(0.5,))
-hits = tv.weierstrass_scan(P3, corner, q_grid=[4.0])
+hits = tv.weierstrass_scan(P4, corner, q_grid=[4.0])
 print("\ncorner at t = 0.5 on a dense scale (concave integrand):")
 for i in np.flatnonzero(hits.t == 0.5):
     kind = list(tv.SlopeKind)[hits.kind[i]]

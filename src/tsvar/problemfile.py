@@ -32,6 +32,7 @@ from .calculus import GridFunction
 from .errors import PointNotInScale, ProblemFileError, TsvarError
 from .expressions import evaluate, parse_lagrangian
 from .timescale import (
+    MAX_SCALE_POINTS,
     POINT_TOLERANCE,
     DenseInterval,
     DiscretePoints,
@@ -172,11 +173,15 @@ def scale_from_spec(spec, field: str = "scale", resolution: Optional[int] = None
         raise ProblemFileError(field, "scale spec list is empty")
     segments = []
     metadata = {}
+    total = 0
     for i, s in enumerate(specs):
         sub = f"{field}[{i}]" if isinstance(spec, list) else field
         segment, meta = _segment_from_spec(s, sub, resolution)
         segments.append(segment)
         metadata = meta or metadata
+        total += segment._count
+        if total > MAX_SCALE_POINTS:  # TimeScale rejects them; build no more
+            break
     if len(specs) == 1 and isinstance(specs[0], dict) and not metadata:
         metadata = {"kind": specs[0].get("kind")}
     try:
@@ -275,7 +280,7 @@ def analysis_to_document(analysis: AnalysisReport) -> dict:
         "el_max_residual": analysis.el_max_residual,
         "convexity_ok": analysis.convexity_ok,
         "convexity_counterexample": None if cx is None else asdict(cx),
-        "weierstrass_violations": analysis.weierstrass_violations,  # written column by column
+        "weierstrass_violations": analysis.weierstrass_violations,  # serialize_report renders it
         "verdict": analysis.verdict.value,
     }
 
@@ -300,9 +305,11 @@ def serialize_report(doc: dict) -> str:
     allow_nan=False) + "\n" for any document with string keys, a top-level
     ExcessTable value standing for the list of its samples as objects with
     the keys t, x_sigma, r, q, E and slope_kind. An ExcessTable is rendered
-    column by column, each distinct float once (see _excess_table); every
-    other value by json's encoder, and an ExcessTable anywhere else raises
-    TypeError. A non-finite float raises TsvarError naming its field.
+    a sample at a time, from one text per run of equal row fields, one per
+    distinct q and one per distinct E (see _excess_table); every other value
+    by json's encoder, and an ExcessTable anywhere else raises TypeError.
+    The pieces of all values are joined once. A non-finite float raises
+    TsvarError naming its field.
     """
     try:
         if not isinstance(doc, dict) or not doc:
@@ -368,34 +375,58 @@ _KIND_TEXT = np.array([encode_basestring_ascii(_SLOPE_KINDS[k].value) for k in r
 
 
 def _excess_table(table: ExcessTable, pad: str, out: list[str]) -> None:
-    """Append the JSON text of the list of table's samples as objects, built from its columns."""
+    """Append the JSON text of the list of table's samples as objects, three pieces a sample.
+
+    Neighbouring samples whose t, x_sigma, r and slope kind are bit-equal, as
+    the violations of one scan row are, form a run and share one tail: the
+    r, slope_kind, t and x_sigma lines, the closing brace and the next
+    sample's opening up to its E. A sample is then its E text, its q line,
+    rendered once per distinct q, and its run's tail. Bit-equal values have
+    one text, so the rendering holds for samples in any order.
+    """
     n = len(table)
     if not n:
         out.append("[]")
         return
-    columns = [(key, getattr(table, name)) for key, name in _EXCESS_KEYS]
     inner, field = pad + "  ", pad + "    "
-    width = 2 * len(columns)
-    pieces: list = [None] * (width * n)
-    for k, (key, column) in enumerate(columns):
-        prefix = ("," if k else "{") + field + encode_basestring_ascii(key) + ": "
-        pieces[2 * k :: width] = [prefix] * n
-        pieces[2 * k + 1 :: width] = (
-            _KIND_TEXT[column].tolist() if key == "slope_kind" else _float_texts(column)
-        )
-    start = pieces[0]  # each row after the first also closes the one before it
-    pieces[0::width] = [inner + "}," + inner + start] * n
-    pieces[0] = "[" + inner + start
-    pieces.append(inner + "}" + pad + "]")
-    out.append("".join(pieces))
+    # a run ends where a row field changes bits, so 0.0 and -0.0 stay apart
+    ends = table.kind[1:] != table.kind[:-1]
+    for column in (table.t, table.x_sigma, table.r):
+        bits = column.view(np.int64)
+        ends |= bits[1:] != bits[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], ends)))
+
+    def line(key: str) -> str:  # the end of the line before, and the key
+        return "," + field + encode_basestring_ascii(key) + ": "
+
+    def texts(column: np.ndarray) -> np.ndarray:
+        distinct, inverse = _float_texts(column)
+        return distinct[inverse]
+
+    tails = (
+        line("r") + texts(table.r[starts])
+        + line("slope_kind") + _KIND_TEXT[table.kind[starts]]
+        + line("t") + texts(table.t[starts])
+        + line("x_sigma") + texts(table.x_sigma[starts])
+        + (inner + "}")
+    )
+    opener = "{" + field + encode_basestring_ascii("E") + ": "
+    q_texts, q_index = _float_texts(table.q)
+    pieces: list = [None] * (3 * n)
+    pieces[0::3] = texts(table.E).tolist()
+    pieces[1::3] = (line("q") + q_texts)[q_index].tolist()
+    pieces[2::3] = np.repeat(tails + ("," + inner + opener), np.diff(starts, append=n)).tolist()
+    pieces[-1] = tails[-1] + pad + "]"
+    out.append("[" + inner + opener)
+    out.extend(pieces)
 
 
-def _float_texts(column: np.ndarray) -> list[str]:
-    """The JSON texts of a float64 column, each distinct value rendered once.
+def _float_texts(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The JSON text of each distinct value of a float64 column, and each entry's index into them.
 
-    A NaN or infinity raises ValueError.
+    The texts are an object array, the values distinct by bit pattern, so
+    0.0 and -0.0 stay apart. A NaN or infinity raises ValueError.
     """
-    # distinct by bit pattern, so 0.0 and -0.0 stay apart
-    _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
-    texts = json.dumps(column[first].tolist(), allow_nan=False)[1:-1].split(", ")
-    return np.array(texts, dtype=object)[inverse].tolist()
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = json.dumps(bits.view(np.float64).tolist(), allow_nan=False)[1:-1].split(", ")
+    return np.array(texts, dtype=object), inverse

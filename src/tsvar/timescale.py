@@ -31,6 +31,9 @@ POINT_TOLERANCE = 1e-12
 
 # Most points one segment may have; each constructor checks before it allocates.
 MAX_SEGMENT_POINTS = 10**7
+# Most points the segments of one scale may have together, a shared endpoint
+# once per segment; TimeScale checks before it realizes any segment.
+MAX_SCALE_POINTS = 10**7
 
 
 def _check_count(kind: str, count: float) -> None:
@@ -108,6 +111,7 @@ class DiscretePoints:
             raise InvalidParameter("DiscretePoints must be strictly increasing")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_count", pts.size)
 
     def realize(self) -> np.ndarray:
         return self.points
@@ -216,9 +220,10 @@ class DenseInterval:
             raise InvalidParameter("DenseInterval resolution must be a positive integer")
         _check_count("DenseInterval", self.resolution + 1)
         object.__setattr__(self, "resolution", int(self.resolution))
+        object.__setattr__(self, "_count", self.resolution + 1)
 
     def realize(self) -> np.ndarray:
-        return evenly_spaced(self.lo, self.hi, self.resolution + 1)
+        return evenly_spaced(self.lo, self.hi, self._count)
 
     def bounds(self) -> tuple[float, float]:
         return self.lo, self.hi
@@ -254,8 +259,10 @@ class TimeScale:
     Parameters
     ----------
     segments :
-        Nonempty iterable of segments. Segments must be pairwise disjoint;
-        they may share endpoints, each then one node; any other two points
+        Nonempty iterable of segments, with at most MAX_SCALE_POINTS points
+        together (checked before any is realized; a shared endpoint counts in
+        each of its segments). Segments must be pairwise disjoint; they may
+        share endpoints, each then one node; any other two points
         closer than POINT_TOLERANCE raise InvalidParameter. The segments are
         ordered by midpoint (ties by bounds), and a segment whose start lies
         within POINT_TOLERANCE of the previous segment's end shares that
@@ -274,6 +281,10 @@ class TimeScale:
             raise InvalidParameter("TimeScale segments must be a nonempty sequence of segments")
         if metadata is not None and not isinstance(metadata, Mapping):
             raise InvalidParameter("TimeScale metadata must be a mapping")
+        total = sum(s._count for s in segs)
+        if total > MAX_SCALE_POINTS:
+            limit = f"a scale has at most {MAX_SCALE_POINTS:,}"
+            raise InvalidParameter(f"the segments would have {total:,} points; {limit}")
         # by midpoint: unlike (lo, hi), it puts a single point just above a segment's start first
         segs = tuple(sorted(segs, key=lambda s: (0.5 * s.bounds()[0] + 0.5 * s.bounds()[1], *s.bounds())))
         parts = [s.realize() for s in segs]

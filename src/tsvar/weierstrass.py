@@ -4,10 +4,13 @@ The excess function E(t, x, r, q) = f(t,x,q) - f(t,x,r) - (q-r) f_r(t,x,r)
 measures how far f is from supporting its tangent line in the slope
 argument. Along a candidate trajectory of a problem whose integrand
 satisfies the graininess-weighted convexity hypothesis, a strong local
-minimum forces E >= 0 for every slope q; finding E < 0 therefore certifies
-that the candidate is not a strong local minimum. The checks here are
-sampling-based: "no violation found" is the strongest positive statement
-they ever make.
+minimum forces E >= 0 for every slope q; finding E < 0 at a right-dense t
+(or on the left limit that closes a dense run) therefore certifies that the
+candidate is not a strong local minimum. At a right-scattered t the
+hypothesis is plain convexity of f in the slope, under which E >= 0 for
+every q, so an E < 0 there refutes the hypothesis instead. The checks here
+are sampling-based: "no violation found" is the strongest positive
+statement they ever make.
 """
 
 from __future__ import annotations
@@ -107,9 +110,11 @@ class AnalysisReport:
     """Combined Euler-Lagrange, convexity-hypothesis, and excess-scan outcome.
 
     The verdict is hypothesis-not-met when the sampled convexity condition
-    fails, necessary-condition-violated when the hypothesis held but the
-    scan found E < -tol, and consistent-with-strong-min otherwise. No
-    verdict ever certifies that the candidate IS a strong minimum.
+    fails or the scan found E < -tol on a right-scattered row that is no
+    left limit, necessary-condition-violated when the scan found E < -tol
+    only on right-dense rows and left limits, and consistent-with-strong-min
+    otherwise. No verdict ever certifies that the candidate IS a strong
+    minimum.
     """
 
     el_max_residual: float
@@ -342,9 +347,12 @@ def classify_candidate(
     with q_count grid points. The convexity sweep takes its default samples;
     check_convexity_condition takes any others.
 
-    A violated excess condition under a satisfied hypothesis certifies the
-    candidate is NOT a strong local minimum; all other outcomes are
-    inconclusive in the positive direction.
+    A violation on a right-scattered row that is no left limit refutes the
+    hypothesis there: the report's counterexample is then the midpoint check
+    between r1 = r and r2 = q that fails (see _tangent_counterexample), and
+    convexity_ok is False. A violation on the other rows under a satisfied
+    hypothesis certifies the candidate is NOT a strong local minimum; all
+    other outcomes are inconclusive in the positive direction.
     """
     _check_tol(scan_tol, "scan_tol")
     el_max = float(np.max(np.abs(_el_residual(problem, x)[1])))
@@ -359,7 +367,16 @@ def classify_candidate(
         q_grid if q_grid is not None else default_q_grid(slopes, q_count),
         tol=scan_tol,
     )
-    if not convexity.ok:
+    convex, counterexample = convexity.ok, convexity.counterexample
+    # where mu > 0 and the row is no left limit, E < 0 shows f is not convex in the slope
+    ts, v = problem.scale, violations
+    scattered = (ts.mu_values()[np.searchsorted(ts.points, v.t)] > 0.0) & (v.kind != _LEFT)
+    if convex and scattered.any():
+        k = int(scattered.argmax())
+        convex, counterexample = False, _tangent_counterexample(
+            problem.lagrangian, *(float(c[k]) for c in (v.t, v.x_sigma, v.r, v.q))
+        )
+    if not convex:
         verdict = Verdict.HYPOTHESIS_NOT_MET
     elif violations:
         verdict = Verdict.NECESSARY_CONDITION_VIOLATED
@@ -367,8 +384,36 @@ def classify_candidate(
         verdict = Verdict.CONSISTENT_WITH_STRONG_MIN
     return AnalysisReport(
         el_max_residual=el_max,
-        convexity_ok=convexity.ok,
-        convexity_counterexample=convexity.counterexample,
+        convexity_ok=convex,
+        convexity_counterexample=counterexample,
         weierstrass_violations=violations,
         verdict=verdict,
     )
+
+
+def _tangent_counterexample(
+    lagr: Lagrangian, t: float, x: float, r: float, q: float
+) -> ConvexityCounterexample:
+    """The midpoint check between r1 = r and r2 = q that an excess E(t, x, r, q) < 0 fails.
+
+    With s = 1 - gamma, the midpoint lies above the chord by s*|E| + O(s^2),
+    so s is halved from 1/2 until the check fails by more than
+    CONVEXITY_TOL; a midpoint where f fails to evaluate is skipped. Should
+    no s down to 2^-52 fail (an |E| near the tolerance), the check with the
+    largest excess of f over the chord is returned: gamma = 1, where both
+    sides are f(r), if no midpoint lies above the chord.
+    """
+    f1, f2 = lagr.eval(t, x, r), lagr.eval(t, x, q)
+    best = ConvexityCounterexample(t, x, r, q, 1.0, f1, f1)
+    for k in range(1, 53):
+        g = 1.0 - 0.5**k
+        try:
+            lhs = lagr.eval(t, x, g * r + (1.0 - g) * q)
+        except (DomainError, NonDifferentiablePoint):
+            continue
+        found = ConvexityCounterexample(t, x, r, q, g, lhs, g * f1 + (1.0 - g) * f2)
+        if found.lhs > found.rhs + CONVEXITY_TOL:
+            return found
+        if found.lhs - found.rhs > best.lhs - best.rhs:
+            best = found
+    return best

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,35 @@ class TestProblemFileLoading:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith("error: scale") and "a segment has at most 10,000,000" in err
+
+    def test_two_dense_segments_over_the_scale_budget_fail_before_allocating(self, tmp_path, capsys):
+        n = 10**7
+        halves = [{"kind": "dense", "lo": lo, "hi": lo + 1, "resolution": n - 1} for lo in (0, 2)]
+        path = write_problem(tmp_path, scale=halves)
+        tracemalloc.start()
+        try:
+            code = main(["eval", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: scale: the segments would have 20,000,000 points; a scale has at most 10,000,000\n"
+        )
+        assert peak < 8 * n / 100  # far below one float per node
+
+    def test_the_scale_budget_covers_the_resolution_override(self, tmp_path, capsys):
+        halves = [{"kind": "dense", "lo": lo, "hi": lo + 1, "resolution": 10} for lo in (0, 2)]
+        path = write_problem(tmp_path, scale=halves)
+        assert main(["eval", path, "--resolution", str(6 * 10**6)]) == 1
+        assert capsys.readouterr().err.startswith("error: scale: the segments would have 12,000,002 points")
+
+    def test_no_segment_is_built_past_the_scale_budget(self, tmp_path, capsys):
+        # the third spec is never read: the first two are already over the budget
+        halves = [{"kind": "dense", "lo": lo, "hi": lo + 1, "resolution": 6 * 10**6} for lo in (0, 2)]
+        path = write_problem(tmp_path, scale=[*halves, {"kind": "bogus"}])
+        assert main(["eval", path]) == 1
+        assert "a scale has at most 10,000,000" in capsys.readouterr().err
 
     def test_oversized_resolution_override_fails_at_once(self, tmp_path, capsys):
         path = write_problem(tmp_path, scale={"kind": "dense", "lo": 0, "hi": 1, "resolution": 10})
@@ -727,12 +757,25 @@ class TestAnalyze:
     def test_necessary_condition_violated_exit_three(self, tmp_path):
         path = write_problem(
             tmp_path,
+            scale={"kind": "dense", "lo": 0, "hi": 1, "resolution": 50},
+            lagrangian="r^2 - 0.001*r^4",
+            trajectory={"kind": "expr", "formula": "0"},
+        )
+        assert main(["analyze", path, "--q-min", "-40", "--q-max", "40"]) == 3
+
+    def test_a_violation_at_a_right_scattered_point_exits_four(self, tmp_path, capsys):
+        # the sampled sweep passes; E < 0 at a right-scattered t refutes convexity in r there
+        path = write_problem(
+            tmp_path,
             scale={"kind": "uniform", "start": 0, "end": 4, "step": 1},
             t1=4.0,
             lagrangian="r^2 - 0.001*r^4",
             trajectory={"kind": "expr", "formula": "0"},
         )
-        assert main(["analyze", path, "--q-min", "-40", "--q-max", "40"]) == 3
+        assert main(["analyze", path, "--q-min", "-40", "--q-max", "40"]) == 4
+        out = capsys.readouterr().out
+        assert "convexity hypothesis: FAILS, e.g. t=0, x=0, r1=0, r2=-40, gamma=0.5: f=240 > -480" in out
+        assert "excess-scan violations: 40" in out and "verdict: hypothesis-not-met" in out
 
     def test_a_nan_tol_is_an_error_not_a_pass(self, tmp_path, capsys):
         # E < -nan holds nowhere: the candidate above was reported consistent, exit 0

@@ -1,7 +1,8 @@
 """The canonical report writer against json.dumps, its reference.
 
-serialize_report renders a top-level ExcessTable value itself, column by
-column, and every other value with json's encoder; its text must equal
+serialize_report renders a top-level ExcessTable value itself, a sample at
+a time from texts shared by runs of equal row fields, and every other value
+with json's encoder; its text must equal
 json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n" for every
 document, and a non-finite float must raise a TsvarError naming its field.
 """
@@ -11,10 +12,22 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsvar import ExcessTable, SlopeKind, TsvarError
+from tsvar import (
+    DenseInterval,
+    ExcessTable,
+    GridFunction,
+    SlopeKind,
+    TimeScale,
+    TsvarError,
+    VariationalProblem,
+    classify_candidate,
+    parse_lagrangian,
+)
+from tsvar import problemfile
 from tsvar.problemfile import serialize_report, write_report
 
 
@@ -250,3 +263,133 @@ def test_a_non_finite_table_cell_names_the_first_in_row_then_key_order(table, ce
     assert str(exc.value) == (
         f"report field weierstrass_violations[{row}].{key}: {bad!r} is not a finite number"
     )
+
+
+# -- scan-shaped tables: runs of samples that share their row ------------------
+
+ROW_FIELDS = ("t", "x_sigma", "r", "kind")
+
+
+def scan_table(runs) -> ExcessTable:
+    """The table of runs, each a (t, x_sigma, r, kind) row and its (q, E) samples."""
+    columns = {name: [] for name in (*ROW_FIELDS, "q", "E")}
+    for row, samples in runs:
+        for q, e in samples:
+            for name, value in zip((*ROW_FIELDS, "q", "E"), (*row, q, e)):
+                columns[name].append(value)
+    return ExcessTable(**columns)
+
+
+def assert_renders_as_json(table: ExcessTable):
+    doc = {"verdict": "x", "weierstrass_violations": table}
+    text = serialize_report(doc)
+    assert text == reference(as_rows(doc))
+    assert serialize_report(json.loads(text)) == text
+
+
+Q_GRID = [-2.0, -0.5, -0.0, 0.0, 0.75, 3.0]
+
+
+@st.composite
+def scan_runs(draw):
+    """Runs of 1 to 6 samples, each run one row with some of its q in grid order."""
+    rows = st.tuples(
+        st.sampled_from([0.0, -0.0, 0.25, 1.5]),
+        st.sampled_from([0.0, -0.0, 1e-300, 2.0]),
+        st.sampled_from([0.0, -0.0, -1.25]) | floats,
+        st.integers(0, 2),
+    )
+    runs = []
+    for _ in range(draw(st.integers(1, 6))):
+        qs = sorted(draw(st.sets(st.integers(0, len(Q_GRID) - 1), min_size=1)))
+        es = draw(st.lists(st.sampled_from([-1.0, -2.5e-9]) | floats, min_size=len(qs), max_size=len(qs)))
+        runs.append((draw(rows), [(Q_GRID[k], e) for k, e in zip(qs, es)]))
+    return runs
+
+
+@PROPERTY
+@given(runs=scan_runs())
+def test_scan_shaped_tables_render_as_their_rows_do(runs):
+    assert_renders_as_json(scan_table(runs))
+
+
+@settings(max_examples=50)
+@given(runs=scan_runs(), seed=st.integers(0, 2**32 - 1))
+def test_a_table_in_no_scan_order_renders_as_its_rows_do(runs, seed):
+    table = scan_table(runs)
+    order = np.random.default_rng(seed).permutation(len(table))
+    columns = {name: getattr(table, name)[order] for name in (*ROW_FIELDS, "q", "E")}
+    assert_renders_as_json(ExcessTable(**columns))
+
+
+def test_a_left_row_then_the_two_sided_row_at_its_t():
+    left, two_sided = list(SlopeKind).index(SlopeKind.LEFT), list(SlopeKind).index(SlopeKind.TWO_SIDED)
+    runs = [
+        ((0.5, 1.0, -1.0, left), [(-2.0, -3.0), (3.0, -0.5)]),
+        ((0.5, 1.0, 2.0, two_sided), [(-2.0, -1.5), (0.75, -0.25), (3.0, -0.5)]),
+        ((0.75, 1.25, 2.0, two_sided), [(-2.0, -1.5)]),
+    ]
+    assert_renders_as_json(scan_table(runs))
+
+
+@pytest.mark.parametrize("field", range(4), ids=ROW_FIELDS)
+def test_runs_split_by_the_sign_of_zero_or_by_kind_alone(field):
+    first = [0.0, 0.0, 0.0, 0]
+    second = list(first)
+    second[field] = 1 if field == 3 else -0.0
+    table = scan_table([(tuple(first), [(1.0, -1.0), (2.0, -2.0)]), (tuple(second), [(1.0, -1.0), (2.0, -2.0)])])
+    assert_renders_as_json(table)
+    rows = json.loads(serialize_report({"v": table}))["v"]
+    key = "slope_kind" if field == 3 else ROW_FIELDS[field]
+    assert [row[key] for row in rows] == [as_rows(table)[i][key] for i in range(4)]
+    if field < 3:
+        assert [math.copysign(1.0, row[key]) for row in rows] == [1.0, 1.0, -1.0, -1.0]
+
+
+def test_runs_of_one_sample():
+    runs = [((i / 8, -i / 3, 2.0**-i, i % 3), [(Q_GRID[i % 6], -1.0 - i)]) for i in range(9)]
+    assert_renders_as_json(scan_table(runs))
+
+
+def test_a_classify_candidate_table_with_a_registered_break():
+    ts = TimeScale([DenseInterval(0.0, 1.0, 40)])
+    x = GridFunction(ts, np.abs(ts.points - 0.5), break_points=(0.5,))
+    problem = VariationalProblem(ts, 0.0, 1.0, parse_lagrangian("r^2 - r^4"), x(0.0), x(1.0))
+    table = classify_candidate(problem, x, q_grid=np.linspace(-3.0, 3.0, 13)).weierstrass_violations
+    kinds = set(table.kind.tolist())
+    assert kinds == {0, 1, 2} and len(table) > 100
+    assert_renders_as_json(table)
+
+
+@pytest.mark.parametrize("key", ["t", "r"])
+def test_a_non_finite_run_field_names_its_first_sample(key):
+    runs = [((0.0, 0.0, 1.0, 0), [(1.0, -1.0)]), ((0.5, 0.0, 1.0, 0), [(1.0, -1.0), (2.0, -2.0), (3.0, -3.0)])]
+    table = scan_table(runs)
+    columns = {name: getattr(table, name).copy() for name in (*ROW_FIELDS, "q", "E")}
+    columns[key][1:] = math.nan
+    with pytest.raises(TsvarError, match=rf"^report field weierstrass_violations\[1\]\.{key}: nan "):
+        serialize_report({"weierstrass_violations": ExcessTable(**columns)})
+
+
+def test_a_sample_formats_only_its_e_and_q_beyond_its_run(monkeypatch):
+    """The floats a table's text is made from: each distinct E and q once, and three a run."""
+    formatted = []
+    float_texts = problemfile._float_texts
+
+    def counting(column):
+        texts, inverse = float_texts(column)
+        formatted.append(texts.size)
+        return texts, inverse
+
+    rng = np.random.default_rng(5)
+    grid = np.linspace(-4.0, 4.0, 41)
+    # 80 rows of 41 violations each; E repeats across rows, as for an f without t and x
+    runs = [
+        ((k / 80, float(rng.normal()), float(rng.normal()), k % 3), [(q, -1.0 - q * q - k % 2) for q in grid])
+        for k in range(80)
+    ]
+    table = scan_table(runs)
+    monkeypatch.setattr(problemfile, "_float_texts", counting)
+    assert_renders_as_json(table)
+    distinct = np.unique(table.E).size + np.unique(table.q).size + 3 * len(runs)
+    assert sum(formatted) <= distinct < len(table) / 5  # formatting every cell would take 5 n

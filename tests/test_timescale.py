@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from tsvar import (
     make_uniform,
     union,
 )
-from tsvar.timescale import MAX_SEGMENT_POINTS
+from tsvar.timescale import MAX_SCALE_POINTS, MAX_SEGMENT_POINTS
 from conftest import random_discrete_scale
 
 
@@ -234,6 +235,40 @@ class TestSegmentSize:
     def test_largest_segment_is_accepted(self):
         assert DenseInterval(0.0, 1.0, MAX_SEGMENT_POINTS - 1).resolution + 1 == MAX_SEGMENT_POINTS
         assert Uniform(0.0, MAX_SEGMENT_POINTS - 1.0, 1.0)._count == MAX_SEGMENT_POINTS
+
+
+class TestScaleSize:
+    """A scale is rejected before it realizes a segment when its segments have too many points."""
+
+    def test_two_largest_segments_are_rejected_before_any_is_realized(self):
+        big = DenseInterval(0.0, 1.0, MAX_SEGMENT_POINTS - 1), DenseInterval(2.0, 3.0, MAX_SEGMENT_POINTS - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                InvalidParameter,
+                match="^the segments would have 20,000,000 points; a scale has at most 10,000,000$",
+            ):
+                TimeScale(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * MAX_SCALE_POINTS / 1000  # far below one float per node
+
+    def test_a_shared_endpoint_counts_in_each_of_its_segments(self):
+        half = MAX_SCALE_POINTS // 2
+        with pytest.raises(InvalidParameter, match="would have 10,000,001 points"):
+            TimeScale([DenseInterval(0.0, 1.0, half - 1), DenseInterval(1.0, 2.0, half)])
+
+    def test_every_kind_of_segment_counts(self):
+        kinds = [
+            DiscretePoints([-3.0, -2.5]),
+            Uniform(-2.0, -1.0, 0.5),
+            Geometric(4.0, 16.0, 2.0),
+            DenseInterval(0.0, 1.0, MAX_SCALE_POINTS - 9),
+        ]
+        assert [s._count for s in kinds] == [2, 3, 3, MAX_SCALE_POINTS - 8]
+        with pytest.raises(InvalidParameter, match="would have 10,000,001 points"):
+            TimeScale([*kinds, DiscretePoints([20.0])])
 
 
 class TestJumpOperators:

@@ -511,8 +511,25 @@ class TestClassification:
         assert len(report.weierstrass_violations) > 0
 
     def test_violated_verdict_when_hypothesis_sampled_convex(self):
-        # f is convex for |r| <= sqrt(2/0.012) ~ 12.9, so the default samples
-        # pass, but large comparison slopes still expose E < 0
+        # f is convex for |r| <= sqrt(2/0.012) ~ 12.9, but large comparison
+        # slopes expose E < 0; on a dense scale every row is right-dense or a
+        # left limit, where that refutes the candidate
+        P = VariationalProblem(
+            make_dense(0.0, 1.0, 50),
+            0.0,
+            1.0,
+            parse_lagrangian("r^2 - 0.001*r^4"),
+            0.0,
+            0.0,
+        )
+        report = classify_candidate(P, P.zero_trajectory(), q_grid=np.linspace(-40, 40, 41))
+        assert report.verdict is Verdict.NECESSARY_CONDITION_VIOLATED
+        assert report.convexity_ok and report.convexity_counterexample is None
+        assert len(report.weierstrass_violations) == 510
+
+    def test_a_violation_on_a_right_scattered_row_refutes_the_hypothesis(self):
+        # the sampled sweep passes on [-2, 2], but at a right-scattered t the
+        # hypothesis is convexity in r, which E(t, 0, 0, +-40) < 0 refutes
         P = VariationalProblem(
             make_uniform(0.0, 4.0, 1.0),
             0.0,
@@ -521,10 +538,56 @@ class TestClassification:
             0.0,
             0.0,
         )
-        report = classify_candidate(P, P.zero_trajectory(), q_grid=np.linspace(-40, 40, 41))
-        assert report.verdict is Verdict.NECESSARY_CONDITION_VIOLATED
+        zero = P.zero_trajectory()
+        default = weierstrass._default_r_samples(np.zeros(1))
+        assert check_convexity_condition(P, [-1.0, 0.0, 1.0], default, weierstrass.DEFAULT_GAMMAS).ok
+        report = classify_candidate(P, zero, q_grid=np.linspace(-40, 40, 41))
+        assert report.verdict is Verdict.HYPOTHESIS_NOT_MET
+        assert not report.convexity_ok
+        assert len(report.weierstrass_violations) == 40
+        cx = report.convexity_counterexample
+        v = report.weierstrass_violations
+        assert (cx.t, cx.x, cx.r1, cx.r2) == (v.t[0], v.x_sigma[0], v.r[0], v.q[0]) == (0.0, 0.0, 0.0, -40.0)
+        f = P.lagrangian.eval
+        assert cx.gamma == 0.5 and cx.lhs == f(0.0, 0.0, -20.0) == 240.0
+        assert cx.rhs == 0.5 * f(0.0, 0.0, 0.0) + 0.5 * f(0.0, 0.0, -40.0) == -480.0
+
+    def test_the_refuting_midpoint_moves_towards_r(self):
+        # a dip at r = 0.5 puts the gamma = 1/2 midpoint below the chord from
+        # r = 0 to q = 1; at gamma = 3/4 it lies above it
+        lagr = parse_lagrangian("r^2 - exp(-400*(r-0.5)^2) - 1.5*exp(-400*(r-1)^2)")
+        assert excess(lagr, 0.0, 0.0, 0.0, 1.0) == pytest.approx(-0.5)
+        cx = weierstrass._tangent_counterexample(lagr, 0.0, 0.0, 0.0, 1.0)
+        assert cx.gamma == 0.75 and (cx.r1, cx.r2) == (0.0, 1.0)
+        assert cx.lhs == lagr.eval(0.0, 0.0, 0.25)
+        assert cx.lhs > cx.rhs + weierstrass.CONVEXITY_TOL
+
+    def test_a_midpoint_where_f_fails_is_skipped(self):
+        # E(0, 0, 1, -1) = -8, and the gamma = 1/2 midpoint is r = 0, where 3/r^2 fails
+        lagr = parse_lagrangian("r^2 + 3/r^2")
+        assert excess(lagr, 0.0, 0.0, 1.0, -1.0) == -8.0
+        cx = weierstrass._tangent_counterexample(lagr, 0.0, 0.0, 1.0, -1.0)
+        assert (cx.gamma, cx.lhs, cx.rhs) == (0.75, 12.25, 4.0)
+
+    def test_a_refuting_midpoint_within_the_tolerance_falls_back_to_the_largest_excess(self):
+        # E = -1e-12: no midpoint lies above the chord by CONVEXITY_TOL
+        lagr = parse_lagrangian("-1e-12*r^2")
+        cx = weierstrass._tangent_counterexample(lagr, 0.0, 0.0, 0.0, 1.0)
+        assert cx.gamma == 0.5 and cx.lhs - cx.rhs == pytest.approx(2.5e-13)
+
+    def test_a_left_limit_at_a_right_scattered_node_carries_the_condition(self):
+        # the LEFT row at t = 1 closes the dense run [0, 1] with x(1) = 1, where
+        # f bends down for large slopes; the right-going row at the scattered
+        # t = 1 has x(sigma(1)) = 0, where f = r^2 is convex
+        ts = union(make_dense(0.0, 1.0, 10), make_points([2.0]))
+        x = GridFunction.from_callable(ts, lambda t: t if t <= 1.0 else 0.0, break_points=(1.0,))
+        P = VariationalProblem(ts, 0.0, 2.0, parse_lagrangian("r^2 - 0.001*x*r^4"), 0.0, 0.0)
+        report = classify_candidate(P, x, q_grid=[-40.0, 40.0])
+        v = report.weierstrass_violations
         assert report.convexity_ok
-        assert len(report.weierstrass_violations) > 0
+        assert list(SlopeKind)[v.kind[-1]] is SlopeKind.LEFT and v.t[-1] == 1.0
+        assert v.t.max() == 1.0
+        assert report.verdict is Verdict.NECESSARY_CONDITION_VIOLATED
 
     def test_left_limit_pairs_with_x_at_t_not_x_sigma(self):
         # at the right-scattered break t = 1 the left limit r- = 5 belongs
