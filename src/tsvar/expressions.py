@@ -9,17 +9,18 @@ with the functions sin, cos, exp, log, sqrt, abs:
     base   := number | ident | ident '(' expr ')' | '(' expr ')'
 
 '^' is right-associative and binds tighter than unary minus, so -x^2 parses
-as -(x^2). The partial derivatives of f are ASTs too, derived once per
-Lagrangian by the chain rule (see derivative).
+as -(x^2). The partial derivatives of f are ASTs too, derived by the chain
+rule once per node object of a Lagrangian (see derivative): a sub-expression
+that the derivatives repeat is one object.
 
 One evaluator, a plan (_Plan), evaluates a tuple of ASTs over numpy
 values: an array in a variable slot evaluates the expressions on many
 (t, x, r) rows at once, with the domain checks applied as masks, and a
-float is a 0-d array, a single row. The plan lists the distinct steps of
-the ASTs, which the derivative ASTs repeat often, in first-visit
-post-order, and one flat loop runs each once; values, errors and messages
-are those of a walk of each tree in turn. A Lagrangian builds one plan per
-tuple of outputs it evaluates, on first use. eval_rows makes an evaluation
+float is a 0-d array, a single row. The plan lists the distinct node
+objects of the ASTs in first-visit post-order, and one flat loop runs each
+once; values, errors and messages are those of a walk of each tree in
+turn. A Lagrangian builds one plan per tuple of outputs it evaluates, on
+first use. eval_rows makes an evaluation
 fail exactly where a loop over the rows would, naming that row. A result
 that is not finite although its operands are (an overflow) is an error
 too. It is looked for only at the steps where numpy raised a
@@ -232,7 +233,10 @@ class _Parser:
             raise ExpressionSyntaxError("unexpected end of expression", len(self.src))
         kind, text, pos = tok
         if kind == "number":
-            return Num(float(text)), 1
+            value = float(text)
+            if value == np.inf:  # the grammar has no sign, so no literal is -inf
+                raise ExpressionSyntaxError(f"number {text!r} is outside the float range", pos)
+            return Num(value), 1
         if kind == "ident":
             nxt = self.peek()
             if nxt and nxt[0] == "op" and nxt[1] == "(":
@@ -312,25 +316,19 @@ def _check_finite(out: np.ndarray, operands: tuple) -> None:
 
 
 class _Plan:
-    """The distinct steps of a tuple of ASTs, in first-visit post-order, and the loop that runs them.
+    """The distinct node objects of a tuple of ASTs, in first-visit post-order, and the loop that runs them.
 
-    Two nodes are one step when what changes their evaluation is the same:
-    the class, op or fn and the operand steps; a Num's bits (0.0 and -0.0
-    stay apart); for '/', whether the node has an origin (only one without
-    tests its divisor); for a Guard, its rule. A repeat has the same operand
-    values as the first visit, so it cannot fail where that did not; the
-    first visit's node names the sub-expression of an error. Post-order over
-    the ASTs in turn is the order in which a walk of each tree meets each
-    step first, so values and the first error are those of that walk.
-    Building is linear in the distinct node objects, however often the
-    trees share them.
+    Each node object is one step, however many paths reach it: it has the
+    same operand values at every visit, so it cannot fail where its first
+    visit did not. Post-order over the ASTs in turn is the order in which a
+    walk of each tree meets each node first, so values and the first error
+    are those of that walk. Building is linear in the distinct node objects.
     """
 
     def __init__(self, asts: tuple):
         # (kind, a, b, node): a and b index operand steps, a Num's a is its
         # value and a Var's its name; self.steps adds the values each drops
         steps: list = []
-        keys: dict = {}
         seen: dict = {}  # id(node) -> index into steps
 
         def visit(node: ExprAst) -> int:
@@ -340,26 +338,16 @@ class _Plan:
             kind, b = node.__class__, None
             if kind is BinOp:
                 a, b = visit(node.lhs), visit(node.rhs)
-                key = (kind, node.op, a, b, node.op == "/" and node.origin is None)
-            elif kind is Call:
-                a = visit(node.arg)
-                key = (kind, node.fn, a)
+            elif kind is Guard:
+                a, b = visit(node.test), visit(node.arg)
             elif kind is Num:
                 a = np.float64(node.value)
-                key = (kind, float(node.value).hex())
             elif kind is Var:
-                a = key = node.name
-            elif kind is Neg:
+                a = node.name
+            else:  # Call, Neg
                 a = visit(node.arg)
-                key = (kind, a)
-            else:
-                a, b = visit(node.test), visit(node.arg)
-                key = (kind, node.rule, a, b)
-            i = keys.get(key)
-            if i is None:
-                i = keys[key] = len(steps)
-                steps.append((kind, a, b, node))
-            seen[id(node)] = i
+            i = seen[id(node)] = len(steps)
+            steps.append((kind, a, b, node))
             return i
 
         self.outputs = tuple(visit(a) for a in asts)
@@ -421,11 +409,6 @@ class _Plan:
             for i in drop:
                 values[i] = None
         return tuple(values[i] for i in self.outputs)
-
-
-def eval_ast(node: ExprAst, env: Mapping[str, np.ndarray]) -> np.ndarray:
-    """node's value over numpy values: a plan of the one AST, run once (see _Plan.run)."""
-    return _Plan((node,)).run(env)[0]
 
 
 def _apply(node: Union[Call, BinOp], lhs: np.ndarray, rhs: Optional[np.ndarray]) -> np.ndarray:
@@ -670,23 +653,39 @@ def derivative(node: ExprAst, v: str) -> ExprAst:
     power with a varying exponent at a non-positive base. A sub-expression
     without v has the derivative 0 and no guard, so the f_r of
     sqrt(x) + r^2 is 2r at x = 0 too.
+
+    Each node object is derived once: a sub-tree reached by several paths
+    has one derivative object, which a plan runs once.
     """
+    return _derived(node, v, {})
+
+
+def _derived(node: ExprAst, v: str, memo: dict) -> ExprAst:
+    """d(node)/dv, derived once per (node object, v) of memo; memo holds node, so its id stays unique."""
+    key = (id(node), v)
+    if key not in memo:
+        memo[key] = (node, _derivative(node, v, memo))
+    return memo[key][1]
+
+
+def _derivative(node: ExprAst, v: str, memo: dict) -> ExprAst:
+    """d(node)/dv by the chain rule, its operands' derivatives taken from memo (see derivative)."""
     if not _varies(node, v):
         return _ZERO
     kind = node.__class__
     if kind is Var:
         return _ONE
     if kind is Neg:
-        return _neg(derivative(node.arg, v))
+        return _neg(_derived(node.arg, v, memo))
     origin = node.origin or node
     if kind is Guard:
-        d = derivative(node.arg, v)
+        d = _derived(node.arg, v, memo)
         if node.rule == "abs" and _is_num(d, 0.0):
             return _ZERO
         return Guard(node.rule, node.message, node.test, d, origin)
     if kind is Call:
         u, fn = node.arg, node.fn
-        du = derivative(u, v)
+        du = _derived(u, v, memo)
         if _is_num(du, 0.0) or fn == "sign":
             return _ZERO
         if fn == "sqrt":
@@ -704,8 +703,8 @@ def derivative(node: ExprAst, v: str) -> ExprAst:
         return _div(du, u, origin)  # log
     u, w, op = node.lhs, node.rhs, node.op
     if op == "^":
-        return _power_derivative(node, v, origin)
-    du, dw = derivative(u, v), derivative(w, v)
+        return _power_derivative(node, v, origin, memo)
+    du, dw = _derived(u, v, memo), _derived(w, v, memo)
     if op == "+":
         return _add(du, dw, origin)
     if op == "-":
@@ -716,10 +715,10 @@ def derivative(node: ExprAst, v: str) -> ExprAst:
     return _div(_sub(du, _mul(node, dw, origin), origin), w, origin)
 
 
-def _power_derivative(node: BinOp, v: str, origin: ExprAst) -> ExprAst:
+def _power_derivative(node: BinOp, v: str, origin: ExprAst, memo: dict) -> ExprAst:
     u, w = node.lhs, node.rhs
     if _varies(w):  # d(u^w) = u^w (w du/u + dw log u), for u > 0 only
-        du, dw = derivative(u, v), derivative(w, v)
+        du, dw = _derived(u, v, memo), _derived(w, v, memo)
         message = "power with varying exponent requires a positive base"
         checked = Guard("positive", message, u, du, origin)  # before du/u and log(u)
         rate = _add(
@@ -732,7 +731,7 @@ def _power_derivative(node: BinOp, v: str, origin: ExprAst) -> ExprAst:
         return node  # the exponent fails wherever f is evaluated, and so does node
     if n == 0.0:
         return _ZERO
-    du = derivative(u, v)
+    du = _derived(u, v, memo)
     if n == 1.0 or _is_num(du, 0.0):
         return du
     slope = _mul(Num(n), u if n == 2.0 else BinOp("^", u, Num(n - 1.0), origin), origin)
@@ -748,17 +747,19 @@ class Lagrangian:
 
     ast: ExprAst
     source: str
+    # the derivative of each node object, shared by _first and _second (see _derived)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def _first(self) -> tuple[ExprAst, ExprAst, ExprAst]:
         """The ASTs of f, f_x and f_r."""
-        return self.ast, derivative(self.ast, "x"), derivative(self.ast, "r")
+        return self.ast, _derived(self.ast, "x", self._memo), _derived(self.ast, "r", self._memo)
 
     @cached_property
     def _second(self) -> tuple[ExprAst, ...]:
         """The ASTs of f, f_x, f_r, f_xx, f_xr and f_rr."""
-        _, fx, fr = self._first
-        return self._first + (derivative(fx, "x"), derivative(fx, "r"), derivative(fr, "r"))
+        (_, fx, fr), memo = self._first, self._memo
+        return self._first + (_derived(fx, "x", memo), _derived(fx, "r", memo), _derived(fr, "r", memo))
 
     # One plan per tuple of outputs, built on first use. Each runs only the
     # steps of its own outputs, in their order, so each meets errors as a

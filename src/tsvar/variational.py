@@ -51,6 +51,11 @@ class VariationalProblem:
     beta: float
 
     def __post_init__(self):
+        for name, kind in (("scale", TimeScale), ("lagrangian", Lagrangian)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                given = type(value).__name__
+                raise InvalidParameter(f"VariationalProblem {name} must be a {kind.__name__}, not {given}")
         _store_finite(self, "t0", "t1", "alpha", "beta")
         if self.t1 <= self.t0:
             raise EmptyInterval(f"problem requires t0 < t1, got [{self.t0!r}, {self.t1!r}]")
@@ -92,7 +97,8 @@ class Admissibility:
 
 
 def is_admissible(problem: VariationalProblem, x: Trajectory) -> Admissibility:
-    """Check the boundary conditions x(t0) = alpha, x(t1) = beta."""
+    """Check the boundary conditions x(t0) = alpha, x(t1) = beta; x as in _check_scale."""
+    _check_scale(problem, x)
     reasons = []
     left = x.value_at(problem.t0)
     if abs(left - problem.alpha) > ADMISSIBILITY_TOLERANCE:
@@ -122,10 +128,10 @@ def _rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray, ...]:
 
     The table is built once per trajectory, problem scale object and window,
     and kept in x.sample_rows: the functional, the EL residual and the
-    excess scan of one analysis share it. Its arrays are read-only. A
-    trajectory on a scale whose points or dense masks differ from the
-    problem's raises InvalidParameter.
+    excess scan of one analysis share it. Its arrays are read-only. An x
+    that _check_scale rejects raises InvalidParameter.
     """
+    _check_scale(problem, x)
     key = (problem.scale, *problem.window())
     rows = x.sample_rows.get(key)
     if rows is None:
@@ -143,7 +149,6 @@ def _build_rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray,
     break), except at the rows that need a one-sided slope: x.one_sided
     runs only at the registered breaks (r+) and at the LEFT rows (r-).
     """
-    _check_scale(problem, x)
     ts = problem.scale
     pts, v = ts.points, x.values
     rd, ld = ts.right_dense_mask, ts.left_dense_mask
@@ -195,7 +200,9 @@ def _build_rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray,
 
 
 def _check_scale(problem: VariationalProblem, x: Trajectory) -> None:
-    """InvalidParameter unless x is sampled on the problem's scale or one with the same nodes."""
+    """InvalidParameter unless x is a GridFunction on the problem's scale or one with the same nodes."""
+    if not isinstance(x, GridFunction):
+        raise InvalidParameter(f"the trajectory must be a GridFunction, not {type(x).__name__}")
     ts = problem.scale
     if x.scale is not ts and not all(map(np.array_equal, _nodes(x.scale), _nodes(ts))):
         raise InvalidParameter("the trajectory is sampled on another scale than the problem's")

@@ -591,6 +591,25 @@ class TestEval:
         err = capsys.readouterr().err
         assert "error:" in err and "trajectory.formula" in err and "overflow" in err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"lagrangian": "1e400*r"},
+                "lagrangian: number '1e400' is outside the float range (at position 0)",
+            ),
+            (
+                {"trajectory": {"kind": "expr", "formula": "1e400*t"}},
+                "trajectory.formula: number '1e400' is outside the float range (at position 0)",
+            ),
+        ],
+    )
+    def test_a_literal_beyond_the_float_range_names_its_field(self, tmp_path, capsys, overrides, message):
+        # it was inf: "overflow in the functional of '1e400*r'", or "grid values must all be finite"
+        path = write_problem(tmp_path, **overrides)
+        assert main(["eval", path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_overflowing_lagrangian_is_an_input_error(self, tmp_path, capsys):
         path = write_problem(
             tmp_path,

@@ -1,4 +1,4 @@
-"""The evaluation plan: each distinct sub-expression evaluated once, in one flat loop.
+"""The evaluation plan: each distinct node object evaluated once, in one flat loop.
 
 A Lagrangian keeps one plan per tuple of outputs it evaluates. Its values
 and its errors must be those of a walk of each tree in turn, bit for bit:
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from tsvar import DomainError, NonDifferentiablePoint, excess, parse_lagrangian
 from tsvar import expressions
-from tsvar.expressions import MAX_DEPTH, BinOp, Call, Guard, Lagrangian, Num, Var, _Plan, eval_rows
+from tsvar.expressions import MAX_DEPTH, BinOp, Call, Guard, Lagrangian, Neg, Num, Var, _Plan, eval_rows
 
 from test_flag_gated_walker import _ASTS, _ROWS, _outcome, reference_eval
 
@@ -51,13 +51,12 @@ def test_every_plan_matches_a_walk_of_each_tree_bit_for_bit(ast, rows, as_floats
         assert _outcome(plan.run, env) == _outcome(_reference(asts), env), (name, ast.to_source())
 
 
-# -- the key: what changes a step's evaluation keeps two steps apart ---------------
+# -- each node object is its own step: what it evaluates and the error it names --------
 
 
 def test_a_signed_zero_keeps_its_sign_bit():
     asts = (Num(0.0), Num(-0.0), BinOp("*", Num(0.0), R), BinOp("*", Num(-0.0), R))
     plan = _Plan(asts)
-    assert sum(kind is Num for kind, *_ in plan.steps) == 2
     for env in ({"r": 1.0}, {"r": np.ones(3)}):
         out = eval_rows(plan.run, env)
         assert [bool(np.signbit(v).all()) for v in out] == [False, True, False, True]
@@ -82,9 +81,9 @@ def test_a_derived_and_a_user_division_stay_two_steps():
         ("x^0.5 + sqrt(x)", "power 0.5 is not differentiable at base 0 in '(x ^ 0.5)'"),
     ],
 )
-def test_a_repeated_guard_is_one_step_and_raises_the_first_visits_message(src, message):
+def test_a_repeated_guard_is_two_steps_and_raises_the_first_visits_message(src, message):
     lagr = parse_lagrangian(src)
-    assert sum(kind is Guard for kind, *_ in lagr._first_plan.steps) == 1
+    assert sum(kind is Guard for kind, *_ in lagr._first_plan.steps) == 2
     with pytest.raises(NonDifferentiablePoint, match=re.escape(f"{message} at t=0.0, x=0.0, r=1.0")):
         lagr.partials(0.0, 0.0, 1.0)
 
@@ -156,3 +155,55 @@ def test_deriving_is_linear_in_the_distinct_nodes(monkeypatch, src):
     monkeypatch.setattr(expressions, "_varies", spy)
     second = lagr._second
     assert len(calls) <= 3 * _distinct_nodes(second)
+
+
+@pytest.mark.parametrize("src", DERIVED.values(), ids=DERIVED.keys())
+def test_each_node_object_is_derived_once_per_variable(monkeypatch, src):
+    lagr = parse_lagrangian(src)
+    derived = []
+    derivative = expressions._derivative
+
+    def spy(node, v, memo):
+        derived.append((id(node), v))
+        return derivative(node, v, memo)
+
+    monkeypatch.setattr(expressions, "_derivative", spy)
+    second = lagr._second
+    assert len(derived) == len(set(derived))
+    # every node derived is one of f, f_x or f_r, derived in x, r or both
+    assert len(derived) <= 2 * _distinct_nodes(second)
+
+
+def test_the_second_partials_reuse_the_derivatives_of_the_first():
+    # f_rr of sqrt(r^2 + 1) + x^2/2 reads d/dr of sqrt(r^2 + 1), which is f_r
+    lagr = parse_lagrangian("sqrt(r^2 + 1) + x^2/2")
+    _, _, fr, _, _, frr = lagr._second
+    alone = expressions.derivative(fr, "r")  # a fresh memo derives sqrt(r^2 + 1) again
+    assert _distinct_nodes((frr,)) < _distinct_nodes((alone,))
+
+
+# -- the traffic: array-op steps of each plan on the benchmark's Lagrangian families ----
+
+# [f, partials, excess, second]: BinOp, Call, Guard and Neg steps of each plan
+TRAFFIC = {
+    "0.7368*r^2 + 0.8211*x^2": [5, 9, 7, 9],
+    "0.5*r^2 + 0.25*t*x + 0.75*x^2": [8, 13, 10, 13],
+    "0.5*r^2 + r^4/4 + 0.75*x^2": [8, 16, 14, 21],
+    "sqrt(r^2 + 1.5) + 0.5*x^2": [6, 12, 10, 17],
+    "0.5*r^2 - r^4": [4, 9, 9, 13],
+    "0.5*r^2 - r^4 + 0.75*x^2": [7, 14, 12, 18],
+    "sin(r) + cos(x) + 0.3*t*x": [6, 10, 7, 14],
+    "exp(r/3) + 0.75*x^2": [5, 8, 6, 9],
+    "r^2 + r^4/4 + x^2": [6, 12, 11, 17],
+    "sqrt(r^2 + 1) + x^2/2": [6, 12, 10, 17],
+    "r^2 + r^4/4 + sin(x)": [6, 12, 11, 19],
+}
+
+
+@pytest.mark.parametrize("src, steps", TRAFFIC.items(), ids=TRAFFIC.keys())
+def test_each_plan_runs_a_fixed_number_of_array_operations(src, steps):
+    plans = _plans(parse_lagrangian(src))
+    ops = (BinOp, Call, Guard, Neg)
+    names = ("f", "partials", "excess", "second")
+    counts = [sum(kind in ops for kind, *_ in plans[name][0].steps) for name in names]
+    assert counts == steps

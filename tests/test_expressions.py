@@ -1,6 +1,8 @@
 """Expression parsing, evaluation, and symbolic differentiation."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +62,26 @@ class TestParsing:
             parse_lagrangian("")
         with pytest.raises(ExpressionSyntaxError):
             parse_lagrangian("r @ 2")
+
+    @pytest.mark.parametrize(
+        "src, literal, position",
+        [
+            ("1e400*r", "1e400", 0),
+            ("0*1e400", "1e400", 2),
+            ("r - 2.5e308", "2.5e308", 4),
+            ("-1e309", "1e309", 1),
+        ],
+    )
+    def test_a_number_beyond_the_float_range_is_a_syntax_error(self, src, literal, position):
+        # it parsed to inf: 1e400*r evaluated to inf and 0*1e400 to nan
+        message = f"number '{literal}' is outside the float range (at position {position})"
+        with pytest.raises(ExpressionSyntaxError, match=re.escape(message)) as exc:
+            parse_lagrangian(src)
+        assert exc.value.position == position
+
+    def test_the_largest_and_smallest_literals_parse(self):
+        assert parse_lagrangian("1.7976931348623157e308").eval(0.0, 0.0, 0.0) == sys.float_info.max
+        assert parse_lagrangian("1e-400 + r").eval(0.0, 0.0, 1.0) == 1.0  # rounds to 0, in range
 
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifier):

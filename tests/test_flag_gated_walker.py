@@ -1,6 +1,6 @@
 """The overflow check at the nodes where numpy raised a floating-point flag.
 
-eval_ast checks a node's result for inf and NaN only when numpy raised the
+A plan checks a node's result for inf and NaN only when numpy raised the
 overflow, divide-by-zero or invalid flag computing it. The reference below
 is the walker that checks every node, run with numpy's flags off. Both must
 give the same values, bit for bit, and the same errors, and neither may
@@ -159,7 +159,7 @@ def test_the_gated_walker_matches_a_check_at_every_node(ast, rows, as_floats):
         env = dict(zip("txr", (np.array(column) for column in zip(*rows))))
     # f, its partials and its second partials, derivative nodes and guards included
     for a in lagr._second:
-        got = _outcome(lambda columns: expressions.eval_ast(a, columns), env)
+        got = _outcome(lambda columns: expressions._Plan((a,)).run(columns)[0], env)
         assert got == _outcome(_reference_row_fn(a), env), a.to_source()
 
 
@@ -175,7 +175,7 @@ def test_each_flag_leads_to_the_check(src, r, sub):
     # f_r on its own, at a row where f itself would fail first
     ast = expressions.derivative(parse_lagrangian(src).ast, "r")
     env = {"t": 0.0, "x": 0.0, "r": r}
-    got = _outcome(lambda columns: expressions.eval_ast(ast, columns), env)
+    got = _outcome(lambda columns: expressions._Plan((ast,)).run(columns)[0], env)
     assert got == _outcome(_reference_row_fn(ast), env)
     assert got[1] == (DomainError, f"overflow in '{sub}' at t=0.0, x=0.0, r={r!r}", 0)
 

@@ -37,6 +37,7 @@ from tsvar import (
     solve_el_discrete,
     spike_perturbation,
     union,
+    weierstrass_scan,
 )
 from tsvar import variational
 from tsvar.expressions import Lagrangian
@@ -63,6 +64,18 @@ class TestProblemConstruction:
         # t1 lies within the point tolerance of t0, so both snap to the node 0
         with pytest.raises(EmptyInterval, match="same scale point"):
             VariationalProblem(make_points([0, 1, 2]), 0.0, 1e-13, parse_lagrangian("r^2"), 0, 0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("scale", np.array([0.0, 1.0, 2.0])), ("scale", None), ("lagrangian", "r^2"), ("lagrangian", None)],
+    )
+    def test_a_scale_or_lagrangian_of_another_type_is_named(self, field, value):
+        # a string Lagrangian failed later on 'str' object has no attribute 'eval'; an array scale on index_of
+        args = {"scale": make_points([0, 1, 2]), "lagrangian": parse_lagrangian("r^2"), field: value}
+        kind = {"scale": "TimeScale", "lagrangian": "Lagrangian"}[field]
+        message = f"^VariationalProblem {field} must be a {kind}, not {type(value).__name__}$"
+        with pytest.raises(InvalidParameter, match=message):
+            VariationalProblem(t0=0.0, t1=2.0, alpha=0.0, beta=1.0, **args)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), "a", None, True, 10**400])
     @pytest.mark.parametrize("field", ["t0", "t1", "alpha", "beta"])
@@ -145,7 +158,30 @@ class TestFunctional:
         assert functional(P, x) == functional(P, marked)
 
 
+READS_A_TRAJECTORY = {
+    "functional": functional,
+    "el_residual": el_residual,
+    "is_admissible": is_admissible,
+    "weierstrass_scan": lambda P, x: weierstrass_scan(P, x, [1.0]),
+    "classify_candidate": classify_candidate,
+    "solve_el_discrete": lambda P, x: solve_el_discrete(P, x_init=x),
+}
+
+
 class TestTrajectoryScale:
+    @pytest.mark.parametrize("junk", ["x", np.zeros(51), 0.0], ids=["str", "ndarray", "float"])
+    @pytest.mark.parametrize("read", READS_A_TRAJECTORY.values(), ids=READS_A_TRAJECTORY.keys())
+    def test_a_trajectory_that_is_not_a_grid_function_is_named(self, harmonic_problem, read, junk):
+        # these raised AttributeError: no attribute 'sample_rows', 'value_at' or 'scale'
+        message = f"^the trajectory must be a GridFunction, not {type(junk).__name__}$"
+        with pytest.raises(InvalidParameter, match=message):
+            read(harmonic_problem, junk)
+
+    @pytest.mark.parametrize("read", [is_admissible, classify_candidate, functional])
+    def test_a_missing_trajectory_is_named(self, harmonic_problem, read):
+        with pytest.raises(InvalidParameter, match="^the trajectory must be a GridFunction, not NoneType$"):
+            read(harmonic_problem, None)
+
     @pytest.mark.parametrize("n_max", [10, 80])
     def test_a_trajectory_on_another_scale_is_rejected(self, harmonic_problem, n_max):
         # harmonic(10) once failed to broadcast; harmonic(80) silently gave L = 0
