@@ -11,8 +11,7 @@ Exit codes: 0 success / consistent-with-strong-min, 1 usage or input error,
 2 solver non-convergence, 3 necessary-condition-violated, 4 hypothesis-not-met.
 
 Each cmd_* prints its summary and returns its exit code with the fields of
-its report, or None for no report; main adds the provenance and writes the
-one report.
+its report; main adds the provenance and writes the one report.
 """
 
 from __future__ import annotations
@@ -151,10 +150,10 @@ def _require_trajectory(loaded: LoadedProblem):
     return loaded.trajectory
 
 
-def _measured(problem: VariationalProblem, x) -> dict:
-    """L[x] and the strong and weak norms of x on [t0, t1]."""
+def _measured(problem: VariationalProblem, x, value: float) -> dict:
+    """value, the caller's L[x], and the strong and weak norms of x on [t0, t1]."""
     return {
-        "functional_value": functional(problem, x),
+        "functional_value": value,
         "norm_strong": norm_strong(x, problem.t0, problem.t1),
         "norm_weak": norm_weak(x, problem.t0, problem.t1),
     }
@@ -163,7 +162,7 @@ def _measured(problem: VariationalProblem, x) -> dict:
 def cmd_eval(loaded: LoadedProblem) -> tuple[int, dict]:
     problem = loaded.problem
     x = _require_trajectory(loaded)
-    measured = _measured(problem, x)
+    measured = _measured(problem, x, functional(problem, x))
     admissible = is_admissible(problem, x)
     print(f"functional value: {measured['functional_value']!r}")
     print(f"norm_strong:      {measured['norm_strong']!r}")
@@ -173,7 +172,30 @@ def cmd_eval(loaded: LoadedProblem) -> tuple[int, dict]:
     return EXIT_OK, {**measured, **_NO_ANALYSIS, "admissibility": admissibility}
 
 
-def cmd_solve(loaded: LoadedProblem, max_iter: int) -> tuple[int, Optional[dict]]:
+def _solution_fields(problem: VariationalProblem, x, solved, second_order: Optional[str] = None) -> dict:
+    """The report fields of a solve at x, L[x] and the diagnostics read from solved.
+
+    solved is the SolveResult that returned x, or the NonConvergence whose best iterate x is.
+    """
+    i0, i1 = problem.window()
+    return {
+        **_measured(problem, x, solved.functional),
+        **_NO_ANALYSIS,
+        "trajectory": {
+            "points": problem.scale.points[i0 : i1 + 1].tolist(),
+            "values": x.values[i0 : i1 + 1].tolist(),
+        },
+        "iterations": solved.iterations,
+        "residual_max": solved.residual_max,
+        "second_order": second_order,
+        "history": [
+            {"residual_max": res, "step": lam, "merit": merit}
+            for res, lam, merit in solved.history
+        ],
+    }
+
+
+def cmd_solve(loaded: LoadedProblem, max_iter: int) -> tuple[int, dict]:
     problem = loaded.problem
     try:
         result = solve_el_discrete(problem, x_init=loaded.trajectory, max_iter=max_iter)
@@ -183,29 +205,13 @@ def cmd_solve(loaded: LoadedProblem, max_iter: int) -> tuple[int, Optional[dict]
             f"iterations: {e.iterations}, best residual max-norm: {e.residual_max!r}",
             file=sys.stderr,
         )
-        return EXIT_NONCONVERGENCE, None
-    x = result.trajectory
-    measured = _measured(problem, x)
+        return EXIT_NONCONVERGENCE, _solution_fields(problem, e.best, e)
+    fields = _solution_fields(problem, result.trajectory, result, result.second_order)
     print(f"converged in {result.iterations} Newton iteration(s)")
     print(f"el residual max-norm: {result.residual_max!r}")
-    print(f"functional value:     {measured['functional_value']!r}")
+    print(f"functional value:     {result.functional!r}")
     print(f"second order:         {result.second_order}")
-    i0, i1 = problem.window()
-    return EXIT_OK, {
-        **measured,
-        **_NO_ANALYSIS,
-        "trajectory": {
-            "points": [float(t) for t in problem.scale.points[i0 : i1 + 1]],
-            "values": [float(v) for v in x.values[i0 : i1 + 1]],
-        },
-        "iterations": result.iterations,
-        "residual_max": result.residual_max,
-        "second_order": result.second_order,
-        "history": [
-            {"residual_max": res, "step": lam, "merit": merit}
-            for res, lam, merit in result.history
-        ],
-    }
+    return EXIT_OK, fields
 
 
 def _scan_config(loaded: LoadedProblem, args) -> ScanConfig:
@@ -228,7 +234,7 @@ def cmd_analyze(loaded: LoadedProblem, args) -> tuple[int, dict]:
     report = classify_candidate(
         problem, x, q_grid=scan.q_grid(), scan_tol=scan.tol, q_count=scan.q_count
     )
-    measured = _measured(problem, x)
+    measured = _measured(problem, x, functional(problem, x))
     print(f"functional value:     {measured['functional_value']!r}")
     print(f"norms: strong={measured['norm_strong']!r} weak={measured['norm_weak']!r}")
     print(f"el residual max-norm: {report.el_max_residual!r}")
@@ -504,7 +510,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             code, fields = cmd_solve(loaded, args.max_iter)
         else:
             code, fields = cmd_analyze(loaded, args)
-        if args.report and fields is not None:
+        if args.report:
             write_report(args.report, build_run_report(loaded.path, __version__, fields))
         return code
     except TsvarError as e:

@@ -56,7 +56,7 @@ class InvalidSpikeLocation(TsvarError):
 
 
 class NonConvergence(TsvarError):
-    """Newton iteration did not reach tolerance; carries the best iterate and diagnostics."""
+    """Newton iteration did not reach tolerance; carries the best iterate, its L and diagnostics."""
 
     def __init__(
         self,
@@ -64,12 +64,15 @@ class NonConvergence(TsvarError):
         best=None,
         iterations: int = 0,
         residual_max: float = float("inf"),
+        functional: float = float("nan"),
         history: tuple = (),
     ):
         super().__init__(message)
         self.best = best
         self.iterations = iterations
         self.residual_max = residual_max
+        # L at the best iterate
+        self.functional = functional
         # (residual max-norm, accepted step length, L) per completed Newton iteration
         self.history = history
 

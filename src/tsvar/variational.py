@@ -273,6 +273,8 @@ class SolveResult:
     trajectory: Trajectory
     iterations: int
     residual_max: float
+    # L at the trajectory, the sum _window_state accepted last
+    functional: float
     # the pivot signs of L's Hessian at the solution: "strict-minimum",
     # "not-minimum" (a saddle or a maximum) or "degenerate"
     second_order: str
@@ -383,7 +385,10 @@ def solve_el_discrete(
     SOLVE_TOL, and the result's second_order reports the pivot signs of
     the unshifted H there.
 
-    Raises NonConvergence, carrying the best iterate and diagnostics;
+    The result carries L at the returned trajectory: the sum of mu f that
+    _window_state formed there, which is the value functional() gives for
+    it. Raises NonConvergence, carrying the best iterate, its L and
+    diagnostics;
     DomainError when L overflows at the starting point; and
     InvalidParameter for an x_init sampled on another scale than the
     problem's, before any evaluation.
@@ -413,14 +418,14 @@ def solve_el_discrete(
 
     def failure(message: str) -> NonConvergence:
         return NonConvergence(
-            message, rebuild(best), iterations, residual_max=best_max, history=tuple(history)
+            message, rebuild(best), iterations, residual_max=best_max, functional=best_merit, history=tuple(history)
         )
 
     merit, size, residual, diag, off = _window_state(lagr, pts, xw)
     if not math.isfinite(merit):
         raise DomainError(f"overflow in the functional of '{lagr.source}'")
     res_max = float(np.max(np.abs(residual)))
-    best, best_max = xw.copy(), res_max
+    best, best_max, best_merit = xw.copy(), res_max, merit
     history: list[tuple[float, float, float]] = []
     iterations = 0
     while res_max > SOLVE_TOL and iterations < max_iter:
@@ -447,10 +452,10 @@ def solve_el_discrete(
         iterations += 1
         history.append((res_max, lam, merit))
         if res_max < best_max:
-            best, best_max = xw.copy(), res_max
+            best, best_max, best_merit = xw.copy(), res_max, merit
     if res_max <= SOLVE_TOL:
         return SolveResult(
-            rebuild(xw), iterations, res_max, _second_order(diag, off), history=tuple(history)
+            rebuild(xw), iterations, res_max, merit, _second_order(diag, off), history=tuple(history)
         )
     raise failure(f"no convergence within {max_iter} iterations (residual {best_max:.3e})")
 
@@ -466,8 +471,10 @@ def spike_perturbation(
     t_at must be a right-scattered interior point with sigma(t_at) != t1;
     the perturbation then leaves both boundary values untouched while its
     delta derivative takes the values d/mu(t_at) at t_at and
-    -d/mu(sigma(t_at)) at sigma(t_at) (for a flat base).
+    -d/mu(sigma(t_at)) at sigma(t_at) (for a flat base). A base that
+    _check_scale rejects raises InvalidParameter.
     """
+    _check_scale(problem, base)
     if not (_is_finite_number(d) and d != 0):
         raise InvalidParameter(f"spike height d must be a nonzero finite number, got {d!r}")
     ts = problem.scale

@@ -1,5 +1,6 @@
 """Command-line interface: problem files, commands, exit codes, reports."""
 
+import functools
 import json
 import math
 import os
@@ -12,8 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tsvar import ProblemFileError, cli, make_harmonic, variational, weierstrass
+from tsvar import NonConvergence, ProblemFileError, cli, make_harmonic, variational, weierstrass
+from tsvar.calculus import norm_strong, norm_weak
 from tsvar.cli import main
+from tsvar.expressions import Lagrangian
 from tsvar.problemfile import ScanConfig, load_problem, scale_from_spec, serialize_report
 from tsvar.timescale import POINT_TOLERANCE
 
@@ -747,6 +750,27 @@ class TestSolve:
         assert main(["solve", path, "--max-iter", "0"]) == 2
         assert "did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, trajectory, builds",
+        [("solve", None, 0), ("eval", {"kind": "expr", "formula": "t*(4 - t)"}, 1)],
+    )
+    def test_a_solve_reports_the_solvers_L_without_a_sample_table(
+        self, tmp_path, monkeypatch, command, trajectory, builds
+    ):
+        # L comes from the solver's last _window_state; eval, which runs functional(), is the control
+        rows, f_plans = [], []
+        build = variational._build_rows
+        monkeypatch.setattr(variational, "_build_rows", lambda P, x: rows.append(1) or build(P, x))
+        f_plan = Lagrangian._f_plan.func
+        spy = functools.cached_property(lambda lagr: f_plans.append(1) or f_plan(lagr))
+        spy.__set_name__(Lagrangian, "_f_plan")
+        monkeypatch.setattr(Lagrangian, "_f_plan", spy)
+        path = write_problem(tmp_path, **dict(QUADRATIC, lagrangian="r^2 + exp(x)", trajectory=trajectory))
+        report = tmp_path / "report.json"
+        assert main([command, path, "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["functional_value"] > 0.0
+        assert len(rows) == len(f_plans) == builds
+
 
 class TestAnalyze:
     def test_consistent_exit_zero(self, tmp_path):
@@ -949,11 +973,27 @@ class TestReports:
                 "slope_kind",
             }
 
-    def test_a_solve_that_does_not_converge_writes_no_report(self, tmp_path):
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_a_solve_that_does_not_converge_reports_its_best_iterate(self, tmp_path, max_iter):
         report = tmp_path / "solve.json"
-        path = write_problem(tmp_path, **dict(QUADRATIC, lagrangian="r^2 + x^2"))
-        assert main(["solve", path, "--max-iter", "0", "--report", str(report)]) == 2
-        assert not report.exists()
+        path = write_problem(tmp_path, **dict(QUADRATIC, lagrangian="r^2 + exp(x)"))
+        assert main(["solve", path, "--max-iter", str(max_iter), "--report", str(report)]) == 2
+        text = report.read_text()
+        doc = json.loads(text)
+        assert serialize_report(doc) == text
+        assert set(doc) == MEASURED | ANALYSIS | SOLVE | {"provenance"}
+        problem = load_problem(path).problem
+        with pytest.raises(NonConvergence) as stopped:
+            variational.solve_el_discrete(problem, max_iter=max_iter)
+        best = stopped.value.best
+        assert doc["trajectory"] == {"points": [0.0, 1.0, 2.0, 3.0, 4.0], "values": best.values.tolist()}
+        assert doc["functional_value"] == variational.functional(problem, best)
+        assert doc["norm_strong"] == norm_strong(best, 0.0, 4.0)
+        assert doc["norm_weak"] == norm_weak(best, 0.0, 4.0)
+        assert doc["iterations"] == max_iter == len(doc["history"])
+        assert doc["residual_max"] == stopped.value.residual_max > 1e-10
+        assert doc["second_order"] is None
+        assert all(doc[key] is None for key in ANALYSIS)
 
     @pytest.mark.parametrize(
         "target, reason",

@@ -1,5 +1,6 @@
 """Functional evaluation, Euler-Lagrange residual/solver, and spike machinery."""
 
+import math
 import os
 import re
 import subprocess
@@ -165,6 +166,7 @@ READS_A_TRAJECTORY = {
     "weierstrass_scan": lambda P, x: weierstrass_scan(P, x, [1.0]),
     "classify_candidate": classify_candidate,
     "solve_el_discrete": lambda P, x: solve_el_discrete(P, x_init=x),
+    "spike_perturbation": lambda P, x: spike_perturbation(P, x, 1 / 3, 1.0),
 }
 
 
@@ -188,6 +190,12 @@ class TestTrajectoryScale:
         x = GridFunction.zeros(make_harmonic(n_max))
         with pytest.raises(InvalidParameter, match="another scale"):
             functional(harmonic_problem, x)
+
+    def test_a_spike_on_another_scale_is_rejected(self):
+        # the base once came back on its own 21-point scale, the spike put at a point of the problem's 11
+        P = VariationalProblem(make_harmonic(10), 0.0, 1.0, parse_lagrangian("r^2 - r^4"), 0.0, 0.0)
+        with pytest.raises(InvalidParameter, match="another scale"):
+            spike_perturbation(P, GridFunction.zeros(make_harmonic(20)), 1 / 3, 1.0)
 
     def test_classification_rejects_it_too(self, harmonic_problem):
         # it once reported 1,600 violations computed on the wrong points
@@ -764,6 +772,55 @@ def test_solver_finds_the_minimum_bfgs_finds_on_convex_windows(src, gaps, start,
     result = solve_el_discrete(P)
     assert functional(P, result.trajectory) <= oracle.fun + 1e-9
     np.testing.assert_allclose(result.trajectory.values[1:-1], oracle.x, rtol=0.0, atol=1e-6)
+
+
+# the solve families of the benchmark pool, with their coefficients a, b, c
+SOLVE_FAMILIES = (
+    "{a!r}*r^2 + {b!r}*x^2",
+    "{a!r}*r^2 + {b!r}*t*x + {c!r}*x^2",
+    "{a!r}*r^2 + r^4/4 + {b!r}*x^2",
+    "sqrt(r^2 + {a!r}) + {b!r}*x^2",
+    "r^2 + r^4/4 + sin(x)",
+)
+
+
+@settings(max_examples=150)
+@given(
+    family=st.sampled_from(SOLVE_FAMILIES),
+    a=st.floats(0.5, 2.0),
+    b=st.floats(0.1, 1.0),
+    c=st.floats(0.1, 1.0),
+    n=st.integers(3, 80),
+    step=st.sampled_from([None, 0.25, 0.5, 1.0]),  # None: random points
+    outside=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    start=st.floats(-1.0, 1.0),
+    alpha=st.floats(-1.5, 1.5),
+    beta=st.floats(-1.5, 1.5),
+    max_iter=st.sampled_from([0, 1, 100]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_solvers_L_is_the_functional_bit_for_bit(
+    family, a, b, c, n, step, outside, start, alpha, beta, max_iter, seed
+):
+    # a converged solve and a NonConvergence both carry L at their trajectory
+    before, after = outside
+    size = before + n + after
+    if step is None:
+        gaps = np.random.default_rng(seed).uniform(0.5, 1.5, size - 1)
+        ts = make_points(start + np.concatenate(([0.0], np.cumsum(gaps))))
+    else:
+        ts = make_uniform(start, start + step * (size - 1), step)
+    pts = ts.points
+    lagr = parse_lagrangian(family.format(a=a, b=b, c=c))
+    P = VariationalProblem(ts, pts[before], pts[before + n - 1], lagr, alpha, beta)
+    try:
+        result = solve_el_discrete(P, max_iter=max_iter)
+    except NonConvergence as e:
+        x, value = e.best, e.functional
+    else:
+        x, value = result.trajectory, result.functional
+    assert math.isfinite(value)
+    assert value == functional(P, x)
 
 
 class TestTridiagonalSolve:
