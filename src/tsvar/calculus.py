@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AtScaleMaximum, InvalidParameter, ReversedBounds
-from .timescale import TimeScale, _vector
+from .timescale import TimeScale, _is_finite_number, _vector
 
 
 class DerivativeKind(str, Enum):
@@ -98,6 +98,8 @@ class GridFunction:
     __call__ = value_at
 
     def with_value_at(self, t: float, value: float) -> "GridFunction":
+        if not _is_finite_number(value):
+            raise InvalidParameter(f"value must be a finite number, got {value!r}")
         i = self.scale.index_of(t)
         vals = self.values.copy()
         vals[i] = value
@@ -240,9 +242,16 @@ def delta_integral(g: GridFunction, c: float, d: float) -> float:
     return float(pieces.sum())
 
 
+def _kappa_range(x: GridFunction, t0: float, t1: float) -> tuple[int, int]:
+    """x's scale's kappa_range(t0, t1); InvalidParameter unless x is a GridFunction."""
+    if not isinstance(x, GridFunction):
+        raise InvalidParameter(f"x must be a GridFunction, not {type(x).__name__}")
+    return x.scale.kappa_range(t0, t1)
+
+
 def norm_strong(x: GridFunction, t0: float, t1: float) -> float:
     """Strong norm: sup of |x(sigma(t))| over [t0, t1]^kappa."""
-    i0, ik = x.scale.kappa_range(t0, t1)
+    i0, ik = _kappa_range(x, t0, t1)
     size = x.scale.at_sigma(x.values, i0, ik + 1)
     return float(np.max(np.abs(size, out=size)))
 
@@ -253,6 +262,6 @@ def norm_weak(x: GridFunction, t0: float, t1: float) -> float:
     Points where the derivative does not exist (registered breaks at
     right-dense points) are excluded from the second supremum.
     """
-    i0, ik = x.scale.kappa_range(t0, t1)
+    i0, ik = _kappa_range(x, t0, t1)
     # fmax skips the NaN slopes
     return norm_strong(x, t0, t1) + float(np.fmax.reduce(np.abs(x.slopes[i0 : ik + 1]), initial=0.0))

@@ -818,8 +818,11 @@ def parse_lagrangian(src: str) -> Lagrangian:
     """Parse expression text into a Lagrangian.
 
     Raises ExpressionSyntaxError (with position), also for an expression
-    nested deeper than MAX_DEPTH levels, or UnknownIdentifier.
+    nested deeper than MAX_DEPTH levels, or UnknownIdentifier; src other
+    than a string or None is InvalidParameter.
     """
+    if src is not None and not isinstance(src, str):
+        raise InvalidParameter(f"src must be a string, not {type(src).__name__}")
     if not src or not src.strip():
         raise ExpressionSyntaxError("empty expression", 0)
     return Lagrangian(ast=_Parser(src).parse(), source=src)

@@ -39,6 +39,8 @@ from .timescale import (
     Geometric,
     TimeScale,
     Uniform,
+    _is_finite_number,
+    _is_whole,
     evenly_spaced,
     harmonic_segment,
 )
@@ -96,15 +98,16 @@ def _checked_scan_settings(values: dict, name: Callable[[str], str]) -> dict:
     1 to MAX_Q_COUNT, and tol is finite and at least 0. An error names a
     setting as name(key).
     """
-    parsers = {"q_min": _as_number, "q_max": _as_number, "q_count": _as_int, "tol": _as_number}
+    def as_count(value, field: str) -> int:
+        return _as_int(value, field, 1)
+
+    parsers = {"q_min": _as_number, "q_max": _as_number, "q_count": as_count, "tol": _as_number}
     new = {k: parse(values[k], name(k)) for k, parse in parsers.items() if k in values}
     if ("q_min" in new) != ("q_max" in new):
         given, other = ("q_min", "q_max") if "q_min" in new else ("q_max", "q_min")
         raise ProblemFileError(name(given), f"must be given together with {name(other)}")
     if "q_min" in new and new["q_min"] >= new["q_max"]:
         raise ProblemFileError(name("q_min"), f"must be below {name('q_max')}")
-    if new.get("q_count", 1) < 1:
-        raise ProblemFileError(name("q_count"), "must be at least 1")
     if new.get("q_count", 1) > MAX_Q_COUNT:
         raise ProblemFileError(name("q_count"), f"must be at most {MAX_Q_COUNT:,}")
     if new.get("tol", 0.0) < 0.0:
@@ -119,16 +122,22 @@ def _need(obj: dict, key: str, field: str):
 
 
 def _as_number(value, field: str) -> float:
+    """value as a float if it is a JSON number that is a finite float (_is_finite_number)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFileError(field, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ProblemFileError(field, "must be finite")
+    if not _is_finite_number(value):
+        raise ProblemFileError(field, "is beyond the float range" if isinstance(value, int) else "must be finite")
     return float(value)
 
 
-def _as_int(value, field: str) -> int:
+def _as_int(value, field: str, least: int) -> int:
+    """value if it is a JSON integer of at least least within the float range (_is_whole)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProblemFileError(field, f"expected an integer, got {value!r}")
+    if value < least:
+        raise ProblemFileError(field, f"must be at least {least}")
+    if not _is_whole(value, least):
+        raise ProblemFileError(field, "is beyond the float range")
     return value
 
 
@@ -143,17 +152,14 @@ def _segment_from_spec(spec: dict, field: str, resolution: Optional[int]) -> tup
 
     try:
         if kind == "harmonic":
-            n_max = _as_int(_need(spec, "n_max", f"{field}.n_max"), f"{field}.n_max")
-            if n_max < 2:
-                raise ProblemFileError(f"{field}.n_max", "must be >= 2")
-            return harmonic_segment(n_max)
+            return harmonic_segment(_as_int(_need(spec, "n_max", f"{field}.n_max"), f"{field}.n_max", 2))
         if kind == "uniform":
             return Uniform(number("start"), number("end"), number("step")), {}
         if kind == "geometric":
             return Geometric(number("min"), number("max"), number("ratio")), {}
         if kind == "dense":
             res = spec.get("resolution", 1000) if resolution is None else resolution
-            return DenseInterval(number("lo"), number("hi"), _as_int(res, f"{field}.resolution")), {}
+            return DenseInterval(number("lo"), number("hi"), _as_int(res, f"{field}.resolution", 1)), {}
         if kind == "points":
             values = _need(spec, "values", f"{field}.values")
             if not isinstance(values, list) or not values:
@@ -240,6 +246,8 @@ def load_problem(path: str, resolution: Optional[int] = None) -> LoadedProblem:
         raise ProblemFileError("file", str(e)) from None
     except json.JSONDecodeError as e:
         raise ProblemFileError("file", f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # bytes that are not UTF-8, or an integer of more digits than int() reads
+        raise ProblemFileError("file", str(e)) from None
     if not isinstance(doc, dict):
         raise ProblemFileError("file", "top level must be a JSON object")
 
@@ -299,21 +307,29 @@ _ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
 
 
 def serialize_report(doc: dict) -> str:
-    """Canonical rendering; serialize -> parse -> serialize is byte-identical.
+    """Canonical rendering: the join of _render_report's pieces.
 
-    The text is that of json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False) + "\n" for any document with string keys, a top-level
-    ExcessTable value standing for the list of its samples as objects with
-    the keys t, x_sigma, r, q, E and slope_kind. An ExcessTable is rendered
-    a sample at a time, from one text per run of equal row fields, one per
-    distinct q and one per distinct E (see _excess_table); every other value
-    by json's encoder, and an ExcessTable anywhere else raises TypeError.
-    The pieces of all values are joined once. A non-finite float raises
-    TsvarError naming its field.
+    serialize -> parse -> serialize is byte-identical, and the text is what
+    write_report writes.
+    """
+    return "".join(_render_report(doc))
+
+
+def _render_report(doc: dict) -> list[str]:
+    """The pieces of the report text of doc, every render error raised before they are returned.
+
+    Their join is json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    + "\n" for any document with string keys, a top-level ExcessTable value
+    standing for the list of its samples as objects with the keys t,
+    x_sigma, r, q, E and slope_kind. An ExcessTable is rendered a sample at
+    a time, from one text per run of equal row fields, one per distinct q
+    and one per distinct E (see _excess_table); every other value by json's
+    encoder, and an ExcessTable anywhere else raises TypeError. A non-finite
+    float raises TsvarError naming its field.
     """
     try:
         if not isinstance(doc, dict) or not doc:
-            return _ENCODER.encode(doc) + "\n"
+            return [_ENCODER.encode(doc) + "\n"]
         out: list[str] = []
         separator = "{\n  "
         for key in sorted(doc):
@@ -326,7 +342,7 @@ def serialize_report(doc: dict) -> str:
                 # json escapes a newline in a string, so each raw one starts an indented line
                 out.append(_ENCODER.encode(value).replace("\n", "\n  "))
         out.append("\n}\n")
-        return "".join(out)
+        return out
     except ValueError:
         found = _first_non_finite(doc, None)
         if found is None:
@@ -357,11 +373,25 @@ def _first_non_finite(value, field: Optional[str]) -> Optional[tuple]:
     return None
 
 
+# Pieces joined for one write. A table sample is three pieces, some 200
+# bytes of text, so a chunk is about 140 KB: small beside a report of
+# megabytes, whose whole text and encoded copy are never held, and large
+# enough that the cost of a write call is spread over hundreds of samples.
+WRITE_CHUNK_PIECES = 2048
+
+
 def write_report(path: str, doc: dict) -> None:
-    text = serialize_report(doc)  # before opening, so a failed render leaves no file
+    """Write serialize_report(doc) to path, WRITE_CHUNK_PIECES rendered pieces at a time.
+
+    The pieces are all rendered before the file is opened, so a failed
+    render leaves no file; neither the whole text nor its encoded copy is
+    ever held.
+    """
+    pieces = _render_report(doc)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for start in range(0, len(pieces), WRITE_CHUNK_PIECES):
+                fh.write("".join(pieces[start : start + WRITE_CHUNK_PIECES]))
     except OSError as e:
         raise TsvarError(f"cannot write report {path!r}: {e.strerror}") from None
 
@@ -425,8 +455,12 @@ def _float_texts(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The JSON text of each distinct value of a float64 column, and each entry's index into them.
 
     The texts are an object array, the values distinct by bit pattern, so
-    0.0 and -0.0 stay apart. A NaN or infinity raises ValueError.
+    0.0 and -0.0 stay apart. A text is float.__repr__ of its value, which
+    is json's own float text. A NaN or infinity raises the ValueError json
+    would raise.
     """
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    texts = json.dumps(bits.view(np.float64).tolist(), allow_nan=False)[1:-1].split(", ")
-    return np.array(texts, dtype=object), inverse
+    values = bits.view(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return np.array(list(map(float.__repr__, values.tolist())), dtype=object), inverse

@@ -541,6 +541,8 @@ def random_bounded_slope_trajectory(
     Draws slopes uniformly, projects them so the boundary conditions hold
     exactly, then rescales the fluctuation so the bound is respected.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidParameter(f"rng must be a numpy.random.Generator, not {type(rng).__name__}")
     if not isinstance(slope_bound, numbers.Real) or isinstance(slope_bound, bool):
         raise InvalidParameter(f"slope_bound must be a number, got {slope_bound!r}")
     ts = problem.scale

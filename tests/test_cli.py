@@ -21,6 +21,9 @@ from tsvar.problemfile import ScanConfig, load_problem, scale_from_spec, seriali
 from tsvar.timescale import POINT_TOLERANCE
 
 
+BEYOND_FLOATS = 10**400  # an integer that no float holds
+
+
 def write_problem(tmp_path, name="problem.json", **overrides):
     doc = {
         "scale": {"kind": "harmonic", "n_max": 50},
@@ -154,6 +157,41 @@ class TestProblemFileLoading:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == f"error: {names[key]}: {message.format(**names)}\n"
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"t0": BEYOND_FLOATS}, "t0"),
+            ({"alpha": -BEYOND_FLOATS}, "alpha"),
+            ({"scale": {"kind": "uniform", "start": 0, "end": 1, "step": BEYOND_FLOATS}}, "scale.step"),
+            ({"scale": {"kind": "points", "values": [0, 1, BEYOND_FLOATS]}}, "scale.values[2]"),
+            ({"scale": {"kind": "harmonic", "n_max": BEYOND_FLOATS}}, "scale.n_max"),
+            ({"scale": {"kind": "dense", "lo": 0, "hi": 1, "resolution": BEYOND_FLOATS}}, "scale.resolution"),
+            ({"scan": {"q_min": BEYOND_FLOATS, "q_max": 10 * BEYOND_FLOATS}}, "scan.q_min"),
+            ({"scan": {"q_count": BEYOND_FLOATS}}, "scan.q_count"),
+            ({"scan": {"tol": BEYOND_FLOATS}}, "scan.tol"),
+        ],
+    )
+    def test_an_integer_beyond_the_float_range_is_named(self, tmp_path, capsys, overrides, field):
+        # these raised OverflowError out of main, all but n_max, resolution and q_count
+        path = write_problem(tmp_path, **overrides)
+        assert main(["analyze", path]) == 1
+        assert capsys.readouterr().err == f"error: {field}: is beyond the float range\n"
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"t0": 1' + b"0" * 5000 + b"}", "error: file: Exceeds the limit (4300 digits)"),
+            (b'\xff{"t0": 0}', "error: file: 'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["too-many-digits", "not-utf-8"],
+    )
+    def test_a_file_json_cannot_read_is_one_error_line(self, tmp_path, capsys, content, message):
+        path = tmp_path / "problem.json"
+        path.write_bytes(content)
+        assert main(["eval", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
     @pytest.mark.parametrize("key", ["q_min", "q_count", "tol"])
     def test_a_null_scan_field_is_rejected(self, tmp_path, key):
         path = write_problem(tmp_path, scan={"q_min": -1.0, "q_max": 1.0, key: None})
@@ -203,6 +241,8 @@ class TestProblemFileLoading:
             ({"q_count": 10**7}, "q_count", "must be at most 1,000,000"),
             ({"tol": math.nan}, "tol", "must be finite"),
             ({"tol": -1.0}, "tol", "must be nonnegative"),
+            ({"q_min": BEYOND_FLOATS, "q_max": 10 * BEYOND_FLOATS}, "q_min", "is beyond the float range"),
+            ({"tol": BEYOND_FLOATS}, "tol", "is beyond the float range"),
         ],
     )
     def test_a_config_built_directly_checks_its_fields(self, fields, key, message):

@@ -1,9 +1,9 @@
 """Random problem files through the CLI: a result or one error line, never a traceback.
 
 Valid skeletons of every scale kind get mutated fields (wrong types, missing
-keys, +-1e308, zero and negative sizes) and random expression strings, and
-each file runs through inspect, eval, solve and analyze in-process with
---report. Every run must exit 0-4, and an exit 1 must print exactly one
+keys, +-1e308, integers beyond the float range, zero and negative sizes) and
+random expression strings, and each file runs through inspect, eval, solve
+and analyze in-process with --report. Every run must exit 0-4, and an exit 1 must print exactly one
 "error: " line to stderr. Scale sizes and q counts stay at most 10^3.
 """
 
@@ -28,7 +28,8 @@ def mostly(common, rare):
 
 
 sizes = mostly(st.integers(2, 12), st.integers(2, SIZE))
-numbers = mostly(st.floats(-4.0, 4.0), st.sampled_from([0.0, 1e308, -1e308]))
+BEYOND_FLOATS = 10**400  # a JSON integer that no float holds
+numbers = mostly(st.floats(-4.0, 4.0), st.sampled_from([0.0, 1e308, -1e308, BEYOND_FLOATS, -BEYOND_FLOATS]))
 # values that replace a field: other types, extreme numbers, zero and negative sizes
 replacements = st.sampled_from(
     ["", "x", [], [1.0], {}, {"kind": "dense"}, None, True, 1e308, -1e308, 0, -1, -1000, 0.0, 2.5]
@@ -91,7 +92,7 @@ def skeletons(draw):
         q_min = draw(numbers)
         doc["scan"] = {
             "q_min": q_min,
-            "q_max": q_min + draw(st.floats(0.0, 8.0)),
+            "q_max": q_min + draw(st.integers(0, 8) if isinstance(q_min, int) else st.floats(0.0, 8.0)),
             "q_count": draw(mostly(st.integers(1, 40), st.integers(1, SIZE))),
             "tol": 1e-9,
         }
@@ -123,7 +124,7 @@ def problem_files(draw):
         if action == "delete" and isinstance(container, dict):
             del container[key]
         elif action == "extreme" and isinstance(value, (int, float)) and not isinstance(value, bool):
-            container[key] = draw(st.sampled_from([1e308, -1e308, 0, -value, -abs(value) - 1]))
+            container[key] = draw(st.sampled_from([1e308, -1e308, 0, -value, -abs(value) - 1, BEYOND_FLOATS]))
         else:
             container[key] = copy.deepcopy(draw(replacements))
     return doc

@@ -393,3 +393,75 @@ def test_a_sample_formats_only_its_e_and_q_beyond_its_run(monkeypatch):
     assert_renders_as_json(table)
     distinct = np.unique(table.E).size + np.unique(table.q).size + 3 * len(runs)
     assert sum(formatted) <= distinct < len(table) / 5  # formatting every cell would take 5 n
+
+
+# -- the written file: the rendered pieces, a chunk at a time ------------------
+
+
+def chunked_table() -> ExcessTable:
+    """About 4,000 samples in runs of 1 to 41: all three kinds, zeros of both signs, repeated E."""
+    rng = np.random.default_rng(11)
+    runs = []
+    for k in range(200):
+        qs = Q_GRID if k % 4 == 0 else np.linspace(-4.0, 4.0, 1 + k % 41).tolist()
+        es = rng.choice([-1.0, -2.5e-9], len(qs)) if k % 3 == 0 else -rng.random(len(qs)) - 1e-3
+        row = (k / 200, -0.0 if k % 5 == 0 else float(rng.normal()), 0.0 if k % 7 == 0 else float(rng.normal()), k % 3)
+        runs.append((row, list(zip(qs, es.tolist()))))
+    return scan_table(runs)
+
+
+PROVENANCE = {"file": "p.json", "timestamp": "2026-01-01T00:00:00+00:00", "tool_version": "0"}
+MEASURED = {"functional_value": 0.25, "norm_strong": 1.0, "norm_weak": -0.0}
+NO_ANALYSIS = dict.fromkeys(
+    ["el_max_residual", "convexity_ok", "convexity_counterexample", "weierstrass_violations", "verdict"]
+)
+WRITTEN_DOCUMENTS = {
+    "analyze": lambda: {
+        **MEASURED, "el_max_residual": 0.0, "convexity_ok": False, "convexity_counterexample": None,
+        "weierstrass_violations": chunked_table(), "verdict": "necessary-condition-violated",
+        "provenance": PROVENANCE,
+    },
+    "eval": lambda: {**MEASURED, **NO_ANALYSIS, "admissibility": {"ok": True}, "provenance": PROVENANCE},
+    "solve": lambda: {
+        **MEASURED, **NO_ANALYSIS, "provenance": PROVENANCE,
+        "trajectory": {"points": [0.0, 1.0, 2.0], "values": [0.0, -0.0, 1.5]},
+        "iterations": 2, "residual_max": 1e-13, "second_order": {"ok": True},
+        "history": [{"merit": 1.0, "residual_max": 0.5, "step": 1.0}] * 2,
+    },
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64, problemfile.WRITE_CHUNK_PIECES])
+@pytest.mark.parametrize("command", WRITTEN_DOCUMENTS)
+def test_the_written_file_is_the_serialized_report(tmp_path, monkeypatch, command, chunk):
+    doc = WRITTEN_DOCUMENTS[command]()
+    monkeypatch.setattr(problemfile, "WRITE_CHUNK_PIECES", chunk)
+    path = tmp_path / "report.json"
+    write_report(str(path), doc)
+    assert path.read_bytes() == serialize_report(doc).encode()
+    assert path.read_text() == reference(as_rows(doc))
+
+
+def test_a_chunk_boundary_falls_inside_a_run():
+    table = chunked_table()
+    pieces = problemfile._render_report({"weierstrass_violations": table})
+    first = 2  # the key and the table's opening bracket come before the samples
+    chunk = problemfile.WRITE_CHUNK_PIECES
+    assert len(pieces) > 3 * chunk
+    samples = [(b - first) // 3 for b in range(chunk, len(pieces), chunk)]
+    rows = list(zip(*(getattr(table, name).tolist() for name in ROW_FIELDS)))
+    assert any(rows[i - 1] == rows[i] for i in samples)
+
+
+@pytest.mark.parametrize("key", EXCESS_FLOATS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_cell_fails_the_write_and_leaves_no_file(tmp_path, key, bad):
+    table = chunked_table()
+    columns = {name: getattr(table, name).copy() for name in (*ROW_FIELDS, "q", "E")}
+    row = len(table) - 5  # in the last chunk
+    columns[key][row] = bad
+    path = tmp_path / "report.json"
+    with pytest.raises(TsvarError) as exc:
+        write_report(str(path), {"verdict": "x", "weierstrass_violations": ExcessTable(**columns)})
+    assert str(exc.value) == f"report field weierstrass_violations[{row}].{key}: {bad!r} is not a finite number"
+    assert not path.exists()

@@ -14,6 +14,7 @@ from scipy.optimize import minimize
 from tsvar import (
     DomainError,
     EmptyInterval,
+    ExpressionSyntaxError,
     GridFunction,
     InsufficientPoints,
     InvalidParameter,
@@ -34,6 +35,8 @@ from tsvar import (
     make_points,
     make_uniform,
     parse_lagrangian,
+    norm_strong,
+    norm_weak,
     random_bounded_slope_trajectory,
     solve_el_discrete,
     spike_perturbation,
@@ -980,3 +983,35 @@ class TestMinimalityFalsification:
             assert run.returncode == 0, run.stderr
             values.append(run.stdout.split())
         assert len(values[0]) == 20001 and values[0] == values[1]
+
+
+# each raised AttributeError or numpy's ValueError, not a TsvarError
+WRONG_ARGUMENTS = {
+    "norm_strong": (lambda P: norm_strong(P.scale.points, 0.0, 1.0), "^x must be a GridFunction, not ndarray$"),
+    "norm_weak": (lambda P: norm_weak(None, 0.0, 1.0), "^x must be a GridFunction, not NoneType$"),
+    "rng": (
+        lambda P: random_bounded_slope_trajectory(P, np.random.RandomState(0)),
+        r"^rng must be a numpy\.random\.Generator, not RandomState$",
+    ),
+    "value-text": (
+        lambda P: GridFunction.zeros(P.scale).with_value_at(0.5, "a"),
+        "^value must be a finite number, got 'a'$",
+    ),
+    "value-list": (
+        lambda P: GridFunction.zeros(P.scale).with_value_at(0.5, [1, 2]),
+        r"^value must be a finite number, got \[1, 2\]$",
+    ),
+    "lagrangian-list": (lambda P: parse_lagrangian(["r"]), "^src must be a string, not list$"),
+    "lagrangian-int": (lambda P: parse_lagrangian(3), "^src must be a string, not int$"),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_ARGUMENTS.values(), ids=WRONG_ARGUMENTS.keys())
+def test_an_argument_of_the_wrong_type_is_named(harmonic_problem, call, message):
+    with pytest.raises(InvalidParameter, match=message):
+        call(harmonic_problem)
+
+
+def test_no_lagrangian_is_still_an_empty_expression():
+    with pytest.raises(ExpressionSyntaxError, match="^empty expression"):
+        parse_lagrangian(None)
