@@ -203,12 +203,13 @@ def delta_derivative(x: GridFunction, t: float, side: Optional[str] = None) -> D
         raise AtScaleMaximum(
             f"t={t!r} is the left-scattered maximum; the delta derivative needs t in T^kappa"
         )
+    # an array side would make each comparison below an array, whose truth numpy refuses
+    if side is not None and not (isinstance(side, str) and side in ("left", "right")):
+        raise InvalidParameter(f"side must be None, 'left' or 'right', got {side!r}")
     if side == "right" and i == last:
         raise InvalidParameter("no right neighbour at the scale maximum")
     if side == "left" and i == 0:
         raise InvalidParameter("no left neighbour at the scale minimum")
-    if side not in (None, "left", "right"):
-        raise InvalidParameter(f"side must be None, 'left' or 'right', got {side!r}")
     if side is not None:
         step = 1 if side == "right" else -1
         kind = DerivativeKind.RIGHT_LIMIT if step > 0 else DerivativeKind.LEFT_LIMIT

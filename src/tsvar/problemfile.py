@@ -303,9 +303,6 @@ def build_run_report(path: str, tool_version: str, fields: dict) -> dict:
     return {**fields, "provenance": provenance}
 
 
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
-
-
 def serialize_report(doc: dict) -> str:
     """Canonical rendering: the join of _render_report's pieces.
 
@@ -323,25 +320,14 @@ def _render_report(doc: dict) -> list[str]:
     standing for the list of its samples as objects with the keys t,
     x_sigma, r, q, E and slope_kind. An ExcessTable is rendered a sample at
     a time, from one text per run of equal row fields, one per distinct q
-    and one per distinct E (see _excess_table); every other value by json's
-    encoder, and an ExcessTable anywhere else raises TypeError. A non-finite
+    and one per distinct E (see _excess_table); every other value by
+    _render, and an ExcessTable anywhere else raises TypeError. A non-finite
     float raises TsvarError naming its field.
     """
+    out: list[str] = []
     try:
-        if not isinstance(doc, dict) or not doc:
-            return [_ENCODER.encode(doc) + "\n"]
-        out: list[str] = []
-        separator = "{\n  "
-        for key in sorted(doc):
-            out.append(separator + encode_basestring_ascii(key) + ": ")
-            separator = ",\n  "
-            value = doc[key]
-            if isinstance(value, ExcessTable):
-                _excess_table(value, "\n  ", out)
-            else:
-                # json escapes a newline in a string, so each raw one starts an indented line
-                out.append(_ENCODER.encode(value).replace("\n", "\n  "))
-        out.append("\n}\n")
+        _render(doc, "\n", out, tables=True)
+        out.append("\n")
         return out
     except ValueError:
         found = _first_non_finite(doc, None)
@@ -350,6 +336,64 @@ def _render_report(doc: dict) -> list[str]:
         field, value = found
         where = "report" if field is None else f"report field {field}"
         raise TsvarError(f"{where}: {value!r} is not a finite number") from None
+
+
+def _render(value, pad: str, out: list[str], tables: bool = False) -> None:
+    """Append the text json.dumps(value, indent=2, sort_keys=True, allow_nan=False) gives.
+
+    pad is the newline and indent of the line value starts on, which its
+    closing bracket ends on. Every float goes through float.__repr__, json's
+    own float text, and a list of plain floats is one piece. With tables, a
+    dict value may be an ExcessTable (see _excess_table). A NaN or infinity
+    raises ValueError and any other type TypeError, as json does.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON compliant")
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if {*map(type, value)} == {float}:  # a trajectory's points or values
+            if not all(map(math.isfinite, value)):
+                raise ValueError("Out of range float values are not JSON compliant")
+            out.append("[" + inner + ("," + inner).join(map(float.__repr__, value)) + pad + "]")
+            return
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            separator = "," + inner
+            _render(item, inner, out)
+        out.append(pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            separator = "," + inner
+            item = value[key]
+            if tables and isinstance(item, ExcessTable):
+                _excess_table(item, inner, out)
+            else:
+                _render(item, inner, out)
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _first_non_finite(value, field: Optional[str]) -> Optional[tuple]:

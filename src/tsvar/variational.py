@@ -98,6 +98,7 @@ class Admissibility:
 
 def is_admissible(problem: VariationalProblem, x: Trajectory) -> Admissibility:
     """Check the boundary conditions x(t0) = alpha, x(t1) = beta; x as in _check_scale."""
+    _check_problem(problem)
     _check_scale(problem, x)
     reasons = []
     left = x.value_at(problem.t0)
@@ -199,6 +200,12 @@ def _build_rows(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray,
     return rows
 
 
+def _check_problem(problem: VariationalProblem) -> None:
+    """InvalidParameter unless problem is a VariationalProblem: called before anything reads it."""
+    if not isinstance(problem, VariationalProblem):
+        raise InvalidParameter(f"problem must be a VariationalProblem, not {type(problem).__name__}")
+
+
 def _check_scale(problem: VariationalProblem, x: Trajectory) -> None:
     """InvalidParameter unless x is a GridFunction on the problem's scale or one with the same nodes."""
     if not isinstance(x, GridFunction):
@@ -221,6 +228,7 @@ def functional(problem: VariationalProblem, x: Trajectory) -> float:
     panel closed with its own one-sided slope at registered breaks. A sum
     that overflows although every term is finite raises DomainError.
     """
+    _check_problem(problem)
     lagr = problem.lagrangian
     t, xs, r, _, weight = _rows(problem, x)
     terms = lagr.eval(t, xs, r)  # finite, or eval raised
@@ -239,6 +247,7 @@ def el_residual(problem: VariationalProblem, x: Trajectory) -> GridFunction:
     the window, i.e. all window points except the last two on a discrete
     scale. The result is returned as a grid function over those points.
     """
+    _check_problem(problem)
     t, residual = _el_residual(problem, x)
     return GridFunction(make_points(t), residual)
 
@@ -253,15 +262,15 @@ def _el_residual(problem: VariationalProblem, x: Trajectory) -> tuple[np.ndarray
     t, xs, r = t[one_per_node], xs[one_per_node], r[one_per_node]
     _, fx, fr = problem.lagrangian.partials(t, xs, r)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = _el_terms(t, fx, fr)
+        residual = _el_terms(np.diff(t), fx, fr)
     if not np.isfinite(residual).all():
         raise DomainError(f"overflow in the Euler-Lagrange residual of '{problem.lagrangian.source}'")
     return t[:-1], residual
 
 
-def _el_terms(t: np.ndarray, fx: np.ndarray, fr: np.ndarray) -> np.ndarray:
-    """f_r^Delta - f_x between consecutive rows at the times t: the EL residual at t[:-1]."""
-    return (fr[1:] - fr[:-1]) / np.diff(t) - fx[:-1]
+def _el_terms(gaps: np.ndarray, fx: np.ndarray, fr: np.ndarray) -> np.ndarray:
+    """f_r^Delta - f_x between consecutive rows, gaps[k] apart: the EL residual at all rows but the last."""
+    return (fr[1:] - fr[:-1]) / gaps - fx[:-1]
 
 
 # -- discrete Euler-Lagrange solver -------------------------------------------
@@ -283,10 +292,11 @@ class SolveResult:
     history: tuple[tuple[float, float, float], ...] = ()
 
 
-def _window_state(lagr: Lagrangian, t: np.ndarray, x: np.ndarray) -> tuple:
+def _window_state(lagr: Lagrangian, t: np.ndarray, mu: np.ndarray, x: np.ndarray) -> tuple:
     """(L, sum of mu |f|, EL residual R, Hessian diagonal, Hessian off-diagonal) at x.
 
-    t holds the n nodes of a discrete window and x the values there. Row k,
+    t holds the n nodes of a discrete window, mu its n - 1 gaps (the
+    solver's, computed once per solve) and x the values there. Row k,
     k < n - 1, is (t_k, x_{k+1}, (x_{k+1} - x_k)/mu_k), and L is the sum of
     mu_k f over the rows. R_k, k < n - 2, is the EL residual, and
     dL/dx_{k+1} = -mu_k R_k. Term k adds a 2x2 block in x_k and x_{k+1} to
@@ -294,12 +304,12 @@ def _window_state(lagr: Lagrangian, t: np.ndarray, x: np.ndarray) -> tuple:
     b = f_xr and c = mu f_xx per row, its diagonal entry j is
     (c + 2b + a)_{j-1} + a_j and its entry (j, j+1) is -(a + b)_j.
     """
-    mu = np.diff(t)
     f, fx, fr, fxx, fxr, frr = lagr.second_partials(t[:-1], x[1:], np.diff(x) / mu)
     a = frr / mu
     diag = (mu * fxx + 2.0 * fxr + a)[:-1] + a[1:]
     off = -(a + fxr)[1:-1]
-    return float(np.sum(mu * f)), float(np.sum(mu * np.abs(f))), _el_terms(t[:-1], fx, fr), diag, off
+    terms = mu * f  # mu > 0, so |mu f| is mu |f| bit for bit
+    return float(np.sum(terms)), float(np.sum(np.abs(terms))), _el_terms(mu[:-1], fx, fr), diag, off
 
 
 def _ldl(diag: list, off: list, shift: float = 0.0) -> tuple[list, list]:
@@ -393,6 +403,7 @@ def solve_el_discrete(
     InvalidParameter for an x_init sampled on another scale than the
     problem's, before any evaluation.
     """
+    _check_problem(problem)
     if not _is_whole(max_iter, 0):
         raise InvalidParameter(f"max_iter must be a nonnegative integer, got {max_iter!r}")
     max_iter = int(max_iter)
@@ -421,7 +432,7 @@ def solve_el_discrete(
             message, rebuild(best), iterations, residual_max=best_max, functional=best_merit, history=tuple(history)
         )
 
-    merit, size, residual, diag, off = _window_state(lagr, pts, xw)
+    merit, size, residual, diag, off = _window_state(lagr, pts, mu, xw)
     if not math.isfinite(merit):
         raise DomainError(f"overflow in the functional of '{lagr.source}'")
     res_max = float(np.max(np.abs(residual)))
@@ -437,7 +448,7 @@ def solve_el_discrete(
             trial = xw.copy()
             trial[1:-1] += lam * step
             try:
-                state = _window_state(lagr, pts, trial)
+                state = _window_state(lagr, pts, mu, trial)
             except DomainError:  # f or a partial is undefined or overflows there: L does not fall
                 pass
             else:  # L may overflow to inf, or to -inf, which any test of its decrease would pass
@@ -474,6 +485,7 @@ def spike_perturbation(
     -d/mu(sigma(t_at)) at sigma(t_at) (for a flat base). A base that
     _check_scale rejects raises InvalidParameter.
     """
+    _check_problem(problem)
     _check_scale(problem, base)
     if not (_is_finite_number(d) and d != 0):
         raise InvalidParameter(f"spike height d must be a nonzero finite number, got {d!r}")
@@ -509,6 +521,7 @@ def find_spike_below(problem: VariationalProblem, delta: float) -> Optional[Spik
     graininess drops below delta admits a height d with d/mu(sigma(t_at)) > 1,
     which is returned once the functional decrease is verified numerically.
     """
+    _check_problem(problem)
     if not (_is_finite_number(delta) and delta > 0):  # NaN would find no spike, inf no height
         raise InvalidParameter(f"delta must be positive and finite, got {delta!r}")
     ts = problem.scale
@@ -541,6 +554,7 @@ def random_bounded_slope_trajectory(
     Draws slopes uniformly, projects them so the boundary conditions hold
     exactly, then rescales the fluctuation so the bound is respected.
     """
+    _check_problem(problem)
     if not isinstance(rng, np.random.Generator):
         raise InvalidParameter(f"rng must be a numpy.random.Generator, not {type(rng).__name__}")
     if not isinstance(slope_bound, numbers.Real) or isinstance(slope_bound, bool):

@@ -29,7 +29,7 @@ from .timescale import _is_finite_number, _vector, evenly_spaced
 # el_residual is not called here; it stays in this namespace, where
 # bench/tracing.py looks for it
 from .variational import Trajectory, VariationalProblem, el_residual  # noqa: F401
-from .variational import _LEFT, _RIGHT, _TWO_SIDED, _el_residual, _rows
+from .variational import _LEFT, _RIGHT, _TWO_SIDED, _check_problem, _el_residual, _rows
 
 
 class SlopeKind(str, Enum):
@@ -175,6 +175,7 @@ def check_convexity_condition(
     points gives, and on success checks counts the checks of every point
     the verdict covers.
     """
+    _check_problem(problem)
     samples = {"x_samples": x_samples, "r_samples": r_samples, "gamma_samples": gamma_samples}
     xs, rs, gs = (
         _vector(s, f"{name} must be a nonempty 1-d sequence of finite numbers", finite=True)
@@ -258,6 +259,7 @@ def weierstrass_scan(
     row, in the row order of the functional (by t, a left limit before the
     right-going row of its node), and within a row in the order of q_grid.
     """
+    _check_problem(problem)
     q = _vector(q_grid, "q_grid must be a nonempty 1-d sequence")
     if not np.isfinite(q).all():
         raise InvalidParameter("q_grid must be finite")
@@ -354,6 +356,7 @@ def classify_candidate(
     hypothesis certifies the candidate is NOT a strong local minimum; all
     other outcomes are inconclusive in the positive direction.
     """
+    _check_problem(problem)
     _check_tol(scan_tol, "scan_tol")
     el_max = float(np.max(np.abs(_el_residual(problem, x)[1])))
     xs = _rows(problem, x)[1]

@@ -5,6 +5,8 @@ The benchmark is not run here: the pairs are canned result lines.
 
 import importlib.util
 import json
+import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,25 @@ def test_one_pair_has_its_own_value_as_quartiles_and_the_lines_name_every_metric
     lines = ab_pairs.summary_lines(summary)
     assert [line.split(":")[0] for line in lines] == list(BETTER)
     assert "change won 1/1 (ties 0)" in lines[0] and lines[0].endswith("claim holds")
+
+
+def test_each_run_writes_no_bytecode(tmp_path, monkeypatch):
+    (tmp_path / "src" / "tsvar").mkdir(parents=True)
+    seen = {}
+
+    def run(command, cwd, env, **kwargs):
+        seen.update(cwd=cwd, env=env)
+        return subprocess.CompletedProcess(command, 0, stdout=result_line(3.5, 300.0), stderr="")
+
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setattr(ab_pairs.subprocess, "run", run)
+    assert ab_pairs.run_side(tmp_path, "solve-discrete", 1, 1.0)["op_p50_ms"] == 3.5
+    assert seen["cwd"] == tmp_path and seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def test_a_tree_with_bytecode_under_src_is_refused_before_it_runs(tmp_path, monkeypatch):
+    stale = tmp_path / "src" / "tsvar" / "__pycache__"
+    stale.mkdir(parents=True)
+    monkeypatch.setattr(ab_pairs.subprocess, "run", None)  # a run would raise TypeError
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(stale))}: compiled bytecode"):
+        ab_pairs.run_side(tmp_path, "solve-discrete", 1, 1.0)

@@ -66,7 +66,7 @@ def test_a_report_is_written_without_its_whole_text(tmp_path):
     )
     doc = {"verdict": "necessary-condition-violated", "weierstrass_violations": table}
     path = str(tmp_path / "report.json")
-    write_report(path, doc)  # the encoder and file objects, built once
+    write_report(path, doc)  # what a first write builds once is not counted
     tracemalloc.start()
     try:
         write_report(path, doc)

@@ -100,6 +100,13 @@ class TestDeltaDerivative:
         with pytest.raises(InvalidParameter):
             delta_derivative(x, 1.0, side="up")
 
+    @pytest.mark.parametrize("side", [np.array([]), np.array(["right", "left"]), np.array("right"), 1, b"left"])
+    def test_a_side_that_is_no_string_is_named(self, side):
+        # an array side once raised numpy's ValueError from side == "right"
+        x = GridFunction.zeros(make_points([0.0, 1.0, 3.0]))
+        with pytest.raises(InvalidParameter, match="^side must be None, 'left' or 'right', got "):
+            delta_derivative(x, 1.0, side=side)
+
 
 class TestDeltaIntegral:
     def test_unit_integrand_counts_steps(self):

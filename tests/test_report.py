@@ -2,12 +2,15 @@
 
 serialize_report renders a top-level ExcessTable value itself, a sample at
 a time from texts shared by runs of equal row fields, and every other value
-with json's encoder; its text must equal
+with its own recursive renderer, a list of plain floats as one piece and
+never through json's pure-Python indenting encoder; its text must equal
 json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n" for every
 document, and a non-finite float must raise a TsvarError naming its field.
 """
 
+import contextlib
 import copy
+import io
 import json
 import math
 import re
@@ -28,6 +31,7 @@ from tsvar import (
     parse_lagrangian,
 )
 from tsvar import problemfile
+from tsvar.cli import main
 from tsvar.problemfile import serialize_report, write_report
 
 
@@ -185,6 +189,77 @@ def test_failed_render_writes_no_file(tmp_path):
     with pytest.raises(TsvarError):
         write_report(str(path), {"functional_value": math.nan})
     assert not path.exists()
+
+
+# -- lists of plain floats: one piece each --------------------------------------
+
+
+def rendered(value, pad="\n") -> list[str]:
+    out = []
+    problemfile._render(value, pad, out)
+    return out
+
+
+@pytest.mark.parametrize(
+    "floats",
+    [[-0.0, 0.0], [5e-324, 1e16, 1e-05, 123456789012345.0], [0.1], (2.5, -1e-300)],
+    ids=["signed-zeros", "repr-edges", "single", "tuple"],
+)
+def test_a_float_list_is_one_piece_of_json_text(floats):
+    assert rendered(floats) == [json.dumps(floats, indent=2)]
+
+
+def test_float_lists_nested_in_dicts_in_lists_are_one_piece_each():
+    inner, deeper = [0.1, -0.0], [1e300, 5e-324, -2.5]
+    doc = [{"a": inner, "n": 1}, {"b": {"c": deeper}}]
+    pieces = rendered(doc)
+    assert "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True)
+    # a value's pad is the newline and the indent of its key's line
+    assert json.dumps(inner, indent=2).replace("\n", "\n    ") in pieces
+    assert json.dumps(deeper, indent=2).replace("\n", "\n      ") in pieces
+
+
+@pytest.mark.parametrize(
+    "mixed",
+    [[1.0, np.float64(2.5)], [np.float64(-0.0), np.float64(0.5)], [1.0, 2], [1.0, True], [0.5, None]],
+    ids=["float64", "float64-only", "int", "bool", "none"],
+)
+def test_a_list_of_other_than_plain_floats_takes_the_general_path(mixed):
+    pieces = rendered(mixed)
+    assert len(pieces) > 1  # an opening, a piece per item and a closing
+    assert "".join(pieces) == json.dumps(mixed, indent=2)
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_float_in_a_float_list_is_named_by_its_index(k, bad):
+    values = [0.0, 0.5, 1.0, 1.5, 2.0]
+    values[k] = bad
+    doc = {"trajectory": {"points": [0.0, 1.0, 2.0, 3.0, 4.0], "values": values}}
+    with pytest.raises(TsvarError) as exc:
+        serialize_report(doc)
+    assert str(exc.value) == f"report field trajectory.values[{k}]: {bad!r} is not a finite number"
+
+
+@pytest.mark.parametrize("command, exit_code", [("solve", 0), ("eval", 0), ("analyze", 4)])
+def test_reports_are_rendered_without_jsons_indenting_encoder(tmp_path, monkeypatch, command, exit_code):
+    """json.dumps with an indent runs the pure-Python encoder; a report never reaches it."""
+    calls = []
+    make_iterencode = json.encoder._make_iterencode
+    monkeypatch.setattr(json.encoder, "_make_iterencode", lambda *a, **k: calls.append(1) or make_iterencode(*a, **k))
+    json.dumps([1.0], indent=2)  # the spy's control
+    assert calls == [1]
+    problem = {
+        "scale": {"kind": "harmonic", "n_max": 50}, "t0": 0.0, "t1": 1.0, "lagrangian": "r^2 - r^4",
+        "alpha": 0.0, "beta": 0.0, "trajectory": {"kind": "expr", "formula": "0"},
+    }
+    path, report = tmp_path / "problem.json", tmp_path / "report.json"
+    path.write_text(json.dumps(problem))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, str(path), "--report", str(report)]) == exit_code
+    assert calls == [1]
+    doc = json.loads(report.read_text())
+    assert report.read_text() == reference(doc)
 
 
 # -- excess tables: written from their columns ----------------------------------

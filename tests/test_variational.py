@@ -23,6 +23,7 @@ from tsvar import (
     NonDifferentiablePoint,
     PointNotInScale,
     VariationalProblem,
+    check_convexity_condition,
     classify_candidate,
     delta_derivative,
     el_residual,
@@ -171,6 +172,23 @@ READS_A_TRAJECTORY = {
     "solve_el_discrete": lambda P, x: solve_el_discrete(P, x_init=x),
     "spike_perturbation": lambda P, x: spike_perturbation(P, x, 1 / 3, 1.0),
 }
+
+# each takes a zero trajectory and the problem's other arguments
+READS_A_PROBLEM = {
+    **{name: read for name, read in READS_A_TRAJECTORY.items() if name != "solve_el_discrete"},
+    "solve_el_discrete": lambda P, x: solve_el_discrete(P),
+    "find_spike_below": lambda P, x: find_spike_below(P, 0.5),
+    "random_bounded_slope_trajectory": lambda P, x: random_bounded_slope_trajectory(P, np.random.default_rng(0)),
+    "check_convexity_condition": lambda P, x: check_convexity_condition(P, [0.0], [0.0, 1.0], [0.5]),
+}
+
+
+@pytest.mark.parametrize("read", READS_A_PROBLEM.values(), ids=READS_A_PROBLEM.keys())
+def test_a_problem_that_is_not_a_variational_problem_is_named(harmonic_problem, read):
+    # these raised AttributeError: 'str' object has no attribute 'scale', 'window' or 'lagrangian'
+    x = harmonic_problem.zero_trajectory()
+    with pytest.raises(InvalidParameter, match="^problem must be a VariationalProblem, not str$"):
+        read("P", x)
 
 
 class TestTrajectoryScale:
@@ -376,14 +394,14 @@ class TestSolver:
         pts = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         xv = np.array([0.0, 0.3, -0.2, 0.7, 1.0])
         h = 1e-7
-        _, _, _, diag, off = _window_state(lagr, pts, xv)
+        _, _, _, diag, off = _window_state(lagr, pts, np.diff(pts), xv)
         jacobian = -_dense(diag, off) / np.diff(pts)[:-1, None]
         for j in range(1, 4):
             bumped = xv.copy()
             bumped[j] = xv[j] + h
-            f1 = _window_state(lagr, pts, bumped)[2]
+            f1 = _window_state(lagr, pts, np.diff(pts), bumped)[2]
             bumped[j] = xv[j] - h
-            f0 = _window_state(lagr, pts, bumped)[2]
+            f0 = _window_state(lagr, pts, np.diff(pts), bumped)[2]
             fd = (f1 - f0) / (2 * h)
             assert np.allclose(jacobian[:, j - 1], fd, atol=1e-6)
 
@@ -692,7 +710,7 @@ class TestSolver:
             make_uniform(0.0, 5.0, 1.0), 0.0, 5.0, parse_lagrangian("r^2 + (x^2 - 1)^2"), 0.0, 0.0
         )
         start = GridFunction(P.scale, np.array([0.0, 0.0, 0.5, -0.5, 0.25, 0.0]))
-        _, _, _, diag, off = _window_state(P.lagrangian, P.scale.points, start.values)
+        _, _, _, diag, off = _window_state(P.lagrangian, P.scale.points, np.diff(P.scale.points), start.values)
         assert diag[0] == 0.0
         result = solve_el_discrete(P, x_init=start)
         assert (result.iterations, result.second_order) == (7, "strict-minimum")
@@ -709,11 +727,11 @@ def _fail_at_the_first_trial(monkeypatch, error: Exception) -> None:
     calls = []
     window_state = variational._window_state
 
-    def patched(lagr, t, x):
+    def patched(lagr, t, mu, x):
         calls.append(1)
         if len(calls) == 2:
             raise error
-        return window_state(lagr, t, x)
+        return window_state(lagr, t, mu, x)
 
     monkeypatch.setattr(variational, "_window_state", patched)
 
@@ -745,7 +763,7 @@ def test_hessian_bands_match_a_dense_per_term_assembly(src, gaps, start, data):
         want[k, k + 1] -= f_xr + f_rr / mu
         want[k + 1, k] -= f_xr + f_rr / mu
     want = want[1:-1, 1:-1]  # the pinned boundary values are no unknowns
-    got = _dense(*_window_state(lagr, pts, xv)[3:])
+    got = _dense(*_window_state(lagr, pts, np.diff(pts), xv)[3:])
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 

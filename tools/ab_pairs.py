@@ -5,7 +5,10 @@
 
 Each pair runs `python3 bench/run.py --workload W --seed N --seconds S`
 once in each tree, from that tree's root, so each side builds and checks
-what it runs from its own source. The parent runs first in even-numbered
+what it runs from its own source. Each run has PYTHONDONTWRITEBYTECODE=1,
+and a tree whose src/ holds a __pycache__ is refused before it runs: so
+every run's setup_s times a fresh compile of the library, not the bytecode
+an earlier run left. The parent runs first in even-numbered
 pairs (0, 2, ...) and the change first in odd ones. Each pair is printed as
 it completes; then, for every end-to-end metric of BENCHMARK.json, each
 side's median and quartiles, how many pairs the change won (ties count for
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -49,8 +53,12 @@ def parse_result(stdout: str) -> dict[str, float]:
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    stale = next((tree / "src").rglob("__pycache__"), None)
+    if stale is not None:
+        raise SystemExit(f"{stale}: compiled bytecode would stand in for a fresh compile; remove it")
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True, check=False)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True, check=False)
     try:
         return parse_result(done.stdout)
     except ValueError as e:
