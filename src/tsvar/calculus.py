@@ -11,15 +11,14 @@ points plus composite trapezoid quadrature over dense segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import AtScaleMaximum, InvalidParameter, ReversedBounds
-from .timescale import TimeScale, _is_finite_number, _vector
+from .timescale import TimeScale, _Frozen, _is_finite_number, _vector
 
 
 class DerivativeKind(str, Enum):
@@ -30,8 +29,7 @@ class DerivativeKind(str, Enum):
     UNDEFINED_AT_BREAK = "undefined-at-break"
 
 
-@dataclass(frozen=True)
-class DerivativeValue:
+class DerivativeValue(NamedTuple):
     """A delta-derivative sample together with how it was obtained."""
 
     value: float
@@ -41,8 +39,14 @@ class DerivativeValue:
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
+def _grid_scale(scale) -> TimeScale:
+    """scale, which must be a TimeScale: InvalidParameter naming the type otherwise."""
+    if not isinstance(scale, TimeScale):
+        raise InvalidParameter(f"a grid function needs a TimeScale, not {type(scale).__name__}")
+    return scale
+
+
+class GridFunction(_Frozen):
     """A real-valued function sampled on the representative points of a scale.
 
     break_points lists the finitely many points where the delta derivative
@@ -55,27 +59,26 @@ class GridFunction:
     copy. Two grid functions are equal only when they are the same object.
     """
 
-    scale: TimeScale
-    values: np.ndarray
-    break_points: tuple[float, ...] = ()
+    _fields = ("scale", "values", "break_points")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        ts = self.scale
-        if not isinstance(ts, TimeScale):
-            raise InvalidParameter(f"a grid function needs a TimeScale, not {type(ts).__name__}")
-        vals = _vector(self.values, "grid values must be a sequence of numbers")
+    def __init__(self, scale: TimeScale, values: np.ndarray, break_points: tuple[float, ...] = ()):
+        ts = _grid_scale(scale)
+        vals = _vector(values, "grid values must be a sequence of numbers")
         if vals.shape != (len(ts),):
             raise InvalidParameter(f"expected {len(ts)} values (one per scale point), got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise InvalidParameter("grid values must all be finite")
         vals = vals.copy()  # _vector may give back the caller's array
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
         try:
-            breaks = tuple(self.break_points)
+            breaks = tuple(break_points)
         except TypeError:
             raise InvalidParameter("break_points must be a sequence of scale points") from None
         canon = tuple(float(ts.points[ts.index_of(b)]) for b in breaks)
+        object.__setattr__(self, "scale", ts)
+        object.__setattr__(self, "values", vals)
         object.__setattr__(self, "break_points", canon)
 
     @classmethod
@@ -85,12 +88,14 @@ class GridFunction:
         fn: Callable[[float], float],
         break_points: tuple[float, ...] = (),
     ) -> "GridFunction":
-        points = scale.points if isinstance(scale, TimeScale) else ()  # else the constructor raises
+        points = _grid_scale(scale).points
+        if not callable(fn):
+            raise InvalidParameter(f"fn must be callable, not {type(fn).__name__}")
         return cls(scale, [fn(float(t)) for t in points], break_points)
 
     @classmethod
     def zeros(cls, scale: TimeScale) -> "GridFunction":
-        return cls(scale, np.zeros(len(scale)))
+        return cls(scale, np.zeros(len(_grid_scale(scale))))
 
     def value_at(self, t: float) -> float:
         return float(self.values[self.scale.index_of(t)])

@@ -17,7 +17,6 @@ its report; main adds the provenance and writes the one report.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 import time
@@ -72,7 +71,7 @@ _VERDICT_EXIT = {
 INSPECT_ROW_CAP = 200
 
 # the analysis fields of an eval or solve report, which analyze fills in
-_NO_ANALYSIS = dict.fromkeys(field.name for field in dataclasses.fields(AnalysisReport))
+_NO_ANALYSIS = dict.fromkeys(AnalysisReport._fields)
 
 
 def _fmt(v: float) -> str:

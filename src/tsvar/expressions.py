@@ -32,7 +32,6 @@ flag, so a step without a flag needs no check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping, Optional, Union
 
@@ -46,6 +45,7 @@ from .errors import (
     TsvarError,
     UnknownIdentifier,
 )
+from .timescale import _Frozen
 
 VARIABLES = ("t", "x", "r")
 
@@ -54,54 +54,75 @@ Number = Union[float, np.ndarray]
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class _Node(_Frozen):
+    """An AST node: equal, hashed and shown by its _fields (see _Frozen).
+
+    A derivative node's origin is outside them. _bits holds the node's
+    variables once _varies has found them.
+    """
+
+    __slots__ = ("_bits",)
+
+
+class Num(_Node):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
     def to_source(self) -> str:
         return repr(self.value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Node):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
     def to_source(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "ExprAst"
+class Neg(_Node):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: ExprAst):
+        object.__setattr__(self, "arg", arg)
 
     def to_source(self) -> str:
         return f"(-{self.arg.to_source()})"
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "ExprAst"
-    # the user's sub-expression that a node of a derivative AST came from
-    origin: Optional["ExprAst"] = field(default=None, compare=False, repr=False)
+class Call(_Node):
+    __slots__ = ("fn", "arg", "origin")
+    _fields = ("fn", "arg")
+
+    # origin is the user's sub-expression that a node of a derivative AST came from
+    def __init__(self, fn: str, arg: ExprAst, origin: Optional[ExprAst] = None):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "origin", origin)
 
     def to_source(self) -> str:
         return f"{self.fn}({self.arg.to_source()})"
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    lhs: "ExprAst"
-    rhs: "ExprAst"
-    origin: Optional["ExprAst"] = field(default=None, compare=False, repr=False)
+class BinOp(_Node):
+    __slots__ = ("op", "lhs", "rhs", "origin")
+    _fields = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: ExprAst, rhs: ExprAst, origin: Optional[ExprAst] = None):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "origin", origin)
 
     def to_source(self) -> str:
         return f"({self.lhs.to_source()} {self.op} {self.rhs.to_source()})"
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(_Node):
     """arg's value where the derivative of origin exists; a node of derivative ASTs only.
 
     arg is the tangent of origin's argument test. Both are evaluated first,
@@ -111,11 +132,14 @@ class Guard:
     sub-expression.
     """
 
-    rule: str
-    message: str
-    test: "ExprAst"
-    arg: "ExprAst"
-    origin: "ExprAst"
+    __slots__ = _fields = ("rule", "message", "test", "arg", "origin")
+
+    def __init__(self, rule: str, message: str, test: ExprAst, arg: ExprAst, origin: ExprAst):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "test", test)
+        object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "origin", origin)
 
 
 ExprAst = Union[Num, Var, Neg, Call, BinOp, Guard]
@@ -580,7 +604,7 @@ def _varies(node: ExprAst, name: Optional[str] = None) -> bool:
     deriving a tree whose sub-trees are shared is linear in its distinct
     nodes.
     """
-    bits = node.__dict__.get("_bits")
+    bits = getattr(node, "_bits", None)
     if bits is None:
         kind = node.__class__
         if kind is Num or kind is Var:
@@ -593,7 +617,7 @@ def _varies(node: ExprAst, name: Optional[str] = None) -> bool:
             for part in parts:
                 if _varies(part):
                     bits |= part._bits
-        node.__dict__["_bits"] = bits
+        object.__setattr__(node, "_bits", bits)
     return bits != 0 if name is None else bits & _BITS[name] != 0
 
 
@@ -741,14 +765,16 @@ def _power_derivative(node: BinOp, v: str, origin: ExprAst, memo: dict) -> ExprA
     return _mul(slope, du, origin)
 
 
-@dataclass(frozen=True)
-class Lagrangian:
+class Lagrangian(_Frozen):
     """A parsed integrand f(t, x, r); the ASTs of its partials are derived on first use."""
 
-    ast: ExprAst
-    source: str
-    # the derivative of each node object, shared by _first and _second (see _derived)
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _fields = ("ast", "source")
+
+    def __init__(self, ast: ExprAst, source: str):
+        object.__setattr__(self, "ast", ast)
+        object.__setattr__(self, "source", source)
+        # the derivative of each node object, shared by _first and _second (see _derived)
+        object.__setattr__(self, "_memo", {})
 
     @cached_property
     def _first(self) -> tuple[ExprAst, ExprAst, ExprAst]:

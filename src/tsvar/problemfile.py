@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import os
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .timescale import (
     Geometric,
     TimeScale,
     Uniform,
+    _Frozen,
     _is_finite_number,
     _is_whole,
     evenly_spaced,
@@ -54,18 +55,22 @@ from .weierstrass import (
 )
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(_Frozen):
     """Scan settings, checked when built (see _checked_scan_settings); errors name the field."""
 
-    q_min: Optional[float] = None
-    q_max: Optional[float] = None
-    q_count: int = DEFAULT_Q_COUNT
-    tol: float = 1e-9
+    _fields = ("q_min", "q_max", "q_count", "tol")
 
-    def __post_init__(self):
-        given = {k: v for k, v in vars(self).items() if v is not None}
-        _checked_scan_settings(given, lambda key: key)
+    def __init__(
+        self,
+        q_min: Optional[float] = None,
+        q_max: Optional[float] = None,
+        q_count: int = DEFAULT_Q_COUNT,
+        tol: float = 1e-9,
+    ):
+        settings = {"q_min": q_min, "q_max": q_max, "q_count": q_count, "tol": tol}
+        _checked_scan_settings({k: v for k, v in settings.items() if v is not None}, lambda key: key)
+        for name, value in settings.items():
+            object.__setattr__(self, name, value)
 
     def overlay(self, values: dict, name: Callable[[str], str]) -> "ScanConfig":
         """This config with the settings in values laid over it; other keys are ignored.
@@ -73,7 +78,7 @@ class ScanConfig:
         Each setting is checked first (see _checked_scan_settings). An error
         names a setting as name(key), its file field or its flag.
         """
-        return replace(self, **_checked_scan_settings(values, name))
+        return ScanConfig(**{**vars(self), **_checked_scan_settings(values, name)})
 
     def q_grid(self) -> Optional[np.ndarray]:
         """The fixed comparison-slope grid, or None to derive one from the trajectory."""
@@ -82,13 +87,14 @@ class ScanConfig:
         return evenly_spaced(self.q_min, self.q_max, self.q_count)
 
 
-# compares by identity, as the GridFunction it holds does
-@dataclass(frozen=True, eq=False)
-class LoadedProblem:
+class LoadedProblem(NamedTuple):
     problem: VariationalProblem
     trajectory: Optional[Trajectory]
     scan: ScanConfig
     path: str
+
+    # compares by identity, as the GridFunction it holds does; != too, which tuple's would not
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _checked_scan_settings(values: dict, name: Callable[[str], str]) -> dict:
@@ -238,7 +244,13 @@ def _trajectory_from_spec(spec: dict, scale: TimeScale, field: str) -> Trajector
 
 
 def load_problem(path: str, resolution: Optional[int] = None) -> LoadedProblem:
-    """Load and validate a problem file; raises ProblemFileError."""
+    """Load and validate a problem file; raises ProblemFileError.
+
+    path is a str or an os.PathLike. Anything else is refused before open,
+    which would take an int (or a bool) as a file descriptor to read and close.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ProblemFileError("file", f"expected a path (str or os.PathLike), not {type(path).__name__}")
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -287,7 +299,7 @@ def analysis_to_document(analysis: AnalysisReport) -> dict:
     return {
         "el_max_residual": analysis.el_max_residual,
         "convexity_ok": analysis.convexity_ok,
-        "convexity_counterexample": None if cx is None else asdict(cx),
+        "convexity_counterexample": None if cx is None else cx._asdict(),
         "weierstrass_violations": analysis.weierstrass_violations,  # serialize_report renders it
         "verdict": analysis.verdict.value,
     }
@@ -362,7 +374,7 @@ def _render(value, pad: str, out: list[str], tables: bool = False) -> None:
             raise ValueError("Out of range float values are not JSON compliant")
         out.append(float.__repr__(value))
     elif isinstance(value, (list, tuple)):
-        if not value:
+        if not len(value):  # not truth: a record such as Admissibility is a tuple with its own __bool__
             out.append("[]")
             return
         inner = pad + "  "

@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -75,13 +74,47 @@ def _is_whole(value, least: int) -> bool:
     return _is_finite_number(value) and int(value) == value >= least
 
 
-def _store_finite(segment, *names: str) -> None:
-    """Store each named field of segment as a float; InvalidParameter naming it unless finite."""
-    for name in names:
-        value = getattr(segment, name)
+def _store_finite(record, **fields) -> None:
+    """Store each field of record as a float, in order; InvalidParameter naming it unless finite."""
+    for name, value in fields.items():
         if not _is_finite_number(value):
-            raise InvalidParameter(f"{type(segment).__name__} {name} must be a finite number")
-        object.__setattr__(segment, name, float(value))
+            raise InvalidParameter(f"{type(record).__name__} {name} must be a finite number")
+        object.__setattr__(record, name, float(value))
+
+
+class _Frozen:
+    """A record whose fields its __init__ sets once, with object.__setattr__.
+
+    Setting or deleting an attribute afterwards raises AttributeError. ==,
+    hash and repr read the fields named in _fields, in order, and == holds
+    only between records of one class; a record that compares by identity
+    puts object's __eq__ and __hash__ back. A subclass without __slots__
+    has a __dict__, which functools.cached_property needs.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 def evenly_spaced(lo: float, hi: float, count: int) -> np.ndarray:
@@ -91,8 +124,7 @@ def evenly_spaced(lo: float, hi: float, count: int) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-@dataclass(frozen=True, eq=False)
-class DiscretePoints:
+class DiscretePoints(_Frozen):
     """A finite, strictly increasing list of isolated points.
 
     points is a read-only float64 array, a copy of the values passed in.
@@ -100,11 +132,13 @@ class DiscretePoints:
     as a TimeScale does; the other segments compare by value.
     """
 
-    points: np.ndarray
+    _fields = ("points",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, points: np.ndarray):
         message = "DiscretePoints points must be a nonempty 1-d sequence of finite numbers"
-        pts = _vector(self.points, message, finite=True).copy()
+        pts = _vector(points, message, finite=True).copy()
         with np.errstate(over="ignore"):  # a gap beyond the float range still increases
             increasing = (np.diff(pts) > POINT_TOLERANCE).all()
         if not increasing:
@@ -120,16 +154,13 @@ class DiscretePoints:
         return float(self.points[0]), float(self.points[-1])
 
 
-@dataclass(frozen=True)
-class Uniform:
+class Uniform(_Frozen):
     """Arithmetic progression from start to end with positive step."""
 
-    start: float
-    end: float
-    step: float
+    _fields = ("start", "end", "step")
 
-    def __post_init__(self):
-        _store_finite(self, "start", "end", "step")
+    def __init__(self, start: float, end: float, step: float):
+        _store_finite(self, start=start, end=end, step=step)
         if self.step <= 0:
             raise InvalidParameter("Uniform step must be positive")
         if self.end <= self.start:
@@ -153,16 +184,13 @@ class Uniform:
         return self.start, self.end
 
 
-@dataclass(frozen=True)
-class Geometric:
+class Geometric(_Frozen):
     """Geometric progression minimum, minimum*ratio, ..., maximum."""
 
-    minimum: float
-    maximum: float
-    ratio: float
+    _fields = ("minimum", "maximum", "ratio")
 
-    def __post_init__(self):
-        _store_finite(self, "minimum", "maximum", "ratio")
+    def __init__(self, minimum: float, maximum: float, ratio: float):
+        _store_finite(self, minimum=minimum, maximum=maximum, ratio=ratio)
         if self.minimum <= 0:
             raise InvalidParameter("Geometric minimum must be positive")
         if self.ratio <= 1:
@@ -200,26 +228,23 @@ class Geometric:
         return self.minimum, self.maximum
 
 
-@dataclass(frozen=True)
-class DenseInterval:
+class DenseInterval(_Frozen):
     """A real interval [lo, hi], sampled on resolution+1 quadrature nodes.
 
     The interval itself belongs to the scale; the nodes are only the
     representative points used for grid functions and quadrature.
     """
 
-    lo: float
-    hi: float
-    resolution: int = 1000
+    _fields = ("lo", "hi", "resolution")
 
-    def __post_init__(self):
-        _store_finite(self, "lo", "hi")
+    def __init__(self, lo: float, hi: float, resolution: int = 1000):
+        _store_finite(self, lo=lo, hi=hi)
         if self.hi <= self.lo:
             raise InvalidParameter("DenseInterval requires lo < hi")
-        if not _is_whole(self.resolution, 1):
+        if not _is_whole(resolution, 1):
             raise InvalidParameter("DenseInterval resolution must be a positive integer")
-        _check_count("DenseInterval", self.resolution + 1)
-        object.__setattr__(self, "resolution", int(self.resolution))
+        _check_count("DenseInterval", resolution + 1)
+        object.__setattr__(self, "resolution", int(resolution))
         object.__setattr__(self, "_count", self.resolution + 1)
 
     def realize(self) -> np.ndarray:
@@ -237,8 +262,7 @@ class Side(str, Enum):
     DENSE = "dense"
 
 
-@dataclass(frozen=True)
-class PointClass:
+class PointClass(NamedTuple):
     """Right/left classification of a scale point.
 
     A point is right-scattered iff sigma(t) > t and left-scattered iff

@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .errors import (
     NonConvergence,
 )
 from .expressions import Lagrangian
-from .timescale import TimeScale, _is_finite_number, _is_whole, _store_finite, make_points
+from .timescale import TimeScale, _Frozen, _is_finite_number, _is_whole, _store_finite, make_points
 
 # A trajectory is just a grid function; corners are registered as its
 # break points.
@@ -39,24 +38,21 @@ Trajectory = GridFunction
 ADMISSIBILITY_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class VariationalProblem:
+class VariationalProblem(_Frozen):
     """Scale, endpoints, integrand, and boundary values of the basic problem."""
 
-    scale: TimeScale
-    t0: float
-    t1: float
-    lagrangian: Lagrangian
-    alpha: float
-    beta: float
+    _fields = ("scale", "t0", "t1", "lagrangian", "alpha", "beta")
 
-    def __post_init__(self):
-        for name, kind in (("scale", TimeScale), ("lagrangian", Lagrangian)):
-            value = getattr(self, name)
+    def __init__(
+        self, scale: TimeScale, t0: float, t1: float, lagrangian: Lagrangian, alpha: float, beta: float
+    ):
+        for name, value, kind in (("scale", scale, TimeScale), ("lagrangian", lagrangian, Lagrangian)):
             if not isinstance(value, kind):
                 given = type(value).__name__
                 raise InvalidParameter(f"VariationalProblem {name} must be a {kind.__name__}, not {given}")
-        _store_finite(self, "t0", "t1", "alpha", "beta")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "lagrangian", lagrangian)
+        _store_finite(self, t0=t0, t1=t1, alpha=alpha, beta=beta)
         if self.t1 <= self.t0:
             raise EmptyInterval(f"problem requires t0 < t1, got [{self.t0!r}, {self.t1!r}]")
         i0 = self.scale.index_of(self.t0)
@@ -87,8 +83,7 @@ class VariationalProblem:
         return GridFunction.zeros(self.scale)
 
 
-@dataclass(frozen=True)
-class Admissibility:
+class Admissibility(NamedTuple):
     ok: bool
     reasons: tuple[str, ...] = ()
 
@@ -276,9 +271,7 @@ def _el_terms(gaps: np.ndarray, fx: np.ndarray, fr: np.ndarray) -> np.ndarray:
 # -- discrete Euler-Lagrange solver -------------------------------------------
 
 
-# compares by identity, as the GridFunction it holds does
-@dataclass(frozen=True, eq=False)
-class SolveResult:
+class SolveResult(NamedTuple):
     trajectory: Trajectory
     iterations: int
     residual_max: float
@@ -290,6 +283,9 @@ class SolveResult:
     converged: bool = True
     # (residual max-norm, accepted step length, L) after each Newton iteration
     history: tuple[tuple[float, float, float], ...] = ()
+
+    # compares by identity, as the GridFunction it holds does; != too, which tuple's would not
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _window_state(lagr: Lagrangian, t: np.ndarray, mu: np.ndarray, x: np.ndarray) -> tuple:
@@ -503,8 +499,7 @@ def spike_perturbation(
     return base.with_value_at(s, base.value_at(s) + d)
 
 
-@dataclass(frozen=True)
-class SpikeWitness:
+class SpikeWitness(NamedTuple):
     """A spike that certifies the zero of the strong-norm ball: small height, negative value."""
 
     t_at: float

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -84,8 +83,7 @@ class ExcessTable:
         return f"ExcessTable({len(self)} samples)"
 
 
-@dataclass(frozen=True)
-class ConvexityCounterexample:
+class ConvexityCounterexample(NamedTuple):
     t: float
     x: float
     r1: float
@@ -95,8 +93,7 @@ class ConvexityCounterexample:
     rhs: float
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(NamedTuple):
     ok: bool
     counterexample: Optional[ConvexityCounterexample]
     checks: int
@@ -105,8 +102,7 @@ class ConvexityReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Combined Euler-Lagrange, convexity-hypothesis, and excess-scan outcome.
 
     The verdict is hypothesis-not-met when the sampled convexity condition

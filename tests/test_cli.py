@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +59,47 @@ class TestProblemFileLoading:
         a, b = load_problem(path), load_problem(path)
         assert a == a and a != b
         assert len({a, b}) == 2
+
+    def test_a_path_like_is_read(self, tmp_path):
+        assert load_problem(Path(write_problem(tmp_path))).problem.t1 == 1.0
+
+    @pytest.mark.parametrize("path", [None, 3.5, [1], b"problem.json"], ids=["None", "float", "list", "bytes"])
+    def test_a_path_of_another_type_is_refused(self, path):
+        # None, 3.5 and [1] reached open() and raised its TypeError
+        name = type(path).__name__
+        with pytest.raises(ProblemFileError, match=rf"^file: expected a path \(str or os\.PathLike\), not {name}$"):
+            load_problem(path)
+
+    def test_a_file_descriptor_is_neither_read_nor_closed(self):
+        # open() takes an int as a descriptor: it read the pipe, then closed it
+        read, write = os.pipe()
+        try:
+            os.write(write, b"{}")
+            with pytest.raises(ProblemFileError, match=r"^file: .*, not int$"):
+                load_problem(read)
+            os.fstat(read)
+            assert os.read(read, 2) == b"{}"
+        finally:
+            os.close(read)
+            os.close(write)
+
+    def test_a_bool_does_not_close_stdout(self):
+        # load_problem(True) read and closed descriptor 1, so os.fstat(1) failed after it; in a child process
+        script = (
+            "import os\n"
+            "from tsvar import ProblemFileError\n"
+            "from tsvar.problemfile import load_problem\n"
+            "try:\n"
+            "    load_problem(True)\n"
+            "except ProblemFileError as e:\n"
+            "    os.fstat(1)\n"
+            "    print(e)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "file: expected a path (str or os.PathLike), not bool\n"
 
     def test_scale_union_list(self, tmp_path):
         path = write_problem(

@@ -1021,6 +1021,24 @@ WRONG_ARGUMENTS = {
     ),
     "lagrangian-list": (lambda P: parse_lagrangian(["r"]), "^src must be a string, not list$"),
     "lagrangian-int": (lambda P: parse_lagrangian(3), "^src must be a string, not int$"),
+    # zeros reached len(scale) and from_callable called fn before either was checked: TypeError
+    **{
+        f"zeros-{name}": (lambda P, s=scale: GridFunction.zeros(s), f"^a grid function needs a TimeScale, not {name}$")
+        for name, scale in [("NoneType", None), ("int", 3), ("float", 1.5), ("bool", True), ("object", object())]
+    },
+    "from-callable-scale": (
+        lambda P: GridFunction.from_callable(None, math.sin),
+        "^a grid function needs a TimeScale, not NoneType$",
+    ),
+    **{
+        f"from-callable-{name}": (
+            lambda P, fn=fn: GridFunction.from_callable(P.scale, fn),
+            f"^fn must be callable, not {name}$",
+        )
+        for name, fn in [
+            ("NoneType", None), ("str", "sin"), ("list", [1.0]), ("dict", {}), ("ndarray", np.zeros(3)), ("float", 2.0)
+        ]
+    },
 }
 
 
