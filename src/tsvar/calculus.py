@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import AtScaleMaximum, InvalidParameter, ReversedBounds
-from .timescale import TimeScale, _Frozen, _is_finite_number, _vector
+from .timescale import _BY_VALUE, TimeScale, _Frozen, _is_finite_number, _vector
 
 
 class DerivativeKind(str, Enum):
@@ -34,6 +34,7 @@ class DerivativeValue(NamedTuple):
 
     value: float
     kind: DerivativeKind
+    __eq__, __ne__, __hash__ = _BY_VALUE
 
     def __float__(self) -> float:
         return self.value

@@ -19,9 +19,14 @@ values: an array in a variable slot evaluates the expressions on many
 float is a 0-d array, a single row. The plan lists the distinct node
 objects of the ASTs in first-visit post-order, and one flat loop runs each
 once; values, errors and messages are those of a walk of each tree in
-turn. A Lagrangian builds one plan per tuple of outputs it evaluates, on
-first use. eval_rows makes an evaluation
-fail exactly where a loop over the rows would, naming that row. A result
+turn. Each step's callable is bound when the plan is built, so the loop
+calls it on its operands' values with no dispatch on the node. A
+Lagrangian builds one plan per tuple of outputs it evaluates, on first
+use. eval_rows makes an evaluation
+fail exactly where a loop over the rows would, naming that row. It takes a
+float64 array as it is and makes the arrays the plan created read-only in
+place; an output that is one of its arguments comes back as a read-only
+view, so a caller's array is never made read-only. A result
 that is not finite although its operands are (an overflow) is an error
 too. It is looked for only at the steps where numpy raised a
 floating-point flag: IEEE 754 arithmetic on finite operands gives inf only
@@ -31,8 +36,10 @@ flag, so a step without a flag needs no check.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable, Mapping, Optional, Union
 
 import numpy as np
@@ -328,6 +335,30 @@ def _power(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lhs**rhs
 
 
+def _divide(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lhs / rhs for a division of the user's: DomainError where rhs is 0.
+
+    One divisor for every row, such as a constant, is tested once without a mask.
+    """
+    if rhs.ndim or rhs == 0.0:
+        check(rhs == 0.0, DomainError, "division by zero")
+    return lhs / rhs
+
+
+def _binary(node: BinOp) -> Callable:
+    """The callable that computes node from its operands' values.
+
+    A derived divisor is a divisor of f, a log or power base of f or
+    2*sqrt(u): nonzero wherever f is defined, so it is not tested.
+    """
+    if node.op == "/":
+        return _divide if node.origin is None else operator.truediv
+    return _BINARY[node.op]
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": _power}
+
+
 def _check_finite(out: np.ndarray, operands: tuple) -> None:
     """DomainError where out is not finite although every operand is (an overflow)."""
     ok = np.isfinite(out)
@@ -347,13 +378,19 @@ class _Plan:
     visit did not. Post-order over the ASTs in turn is the order in which a
     walk of each tree meets each node first, so values and the first error
     are those of that walk. Building is linear in the distinct node objects.
+
+    Each step's callable is bound here: an arithmetic operator (numpy's
+    ufunc on arrays, its scalar arithmetic on numpy scalars), the checked
+    divide, _power, a function of _EVAL_FUNCTIONS or the guard. A Num's
+    value is in its slot before the loop starts, and a Var's step reads
+    env, which sits in the slot after the nodes'.
     """
 
     def __init__(self, asts: tuple):
-        # (kind, a, b, node): a and b index operand steps, a Num's a is its
-        # value and a Var's its name; self.steps adds the values each drops
-        steps: list = []
-        seen: dict = {}  # id(node) -> index into steps
+        nodes: list = []  # the distinct node objects; node i's value goes to slot i
+        constants: list = []  # slot i's value before the loop: a Num's, or None
+        steps: list = []  # (callable, operand slot, second operand slot or None, slot)
+        seen: dict = {}  # id(node) -> its slot
 
         def visit(node: ExprAst) -> int:
             i = seen.get(id(node))
@@ -361,31 +398,40 @@ class _Plan:
                 return i
             kind, b = node.__class__, None
             if kind is BinOp:
-                a, b = visit(node.lhs), visit(node.rhs)
+                a, b, fn = visit(node.lhs), visit(node.rhs), _binary(node)
             elif kind is Guard:
-                a, b = visit(node.test), visit(node.arg)
-            elif kind is Num:
-                a = np.float64(node.value)
+                a, b, fn = visit(node.test), visit(node.arg), partial(_guard, node)
+            elif kind is Call:
+                a, fn = visit(node.arg), _EVAL_FUNCTIONS[node.fn]
+            elif kind is Neg:
+                a, fn = visit(node.arg), operator.neg
             elif kind is Var:
-                a = node.name
-            else:  # Call, Neg
-                a = visit(node.arg)
-            i = seen[id(node)] = len(steps)
-            steps.append((kind, a, b, node))
+                a, fn = -1, operator.itemgetter(node.name)
+            i = seen[id(node)] = len(nodes)
+            nodes.append(node)
+            if kind is Num:
+                constants.append(np.float64(node.value))
+            else:
+                constants.append(None)
+                steps.append((fn, a, b, i))
             return i
 
         self.outputs = tuple(visit(a) for a in asts)
+        self.nodes, self.constants = tuple(nodes), constants
         # each step drops the operand values that no later step reads, as a
         # walk of the tree does: large row arrays do not pile up
-        last = {}
-        for k, (kind, a, b, _) in enumerate(steps):
-            if kind is not Num and kind is not Var:
-                last[a] = last[b] = k
-        drops: list = [[] for _ in steps]
-        for i, k in last.items():
-            if i is not None and i not in self.outputs:
-                drops[k].append(i)
-        self.steps = tuple((*step, tuple(drop)) for step, drop in zip(steps, drops))
+        read = {-1, *self.outputs}  # env and the outputs stay
+        bound = []
+        for fn, a, b, i in reversed(steps):
+            drop = ()
+            if a not in read:
+                read.add(a)
+                drop = (a,)
+            if b is not None and b not in read:
+                read.add(b)
+                drop += (b,)
+            bound.append((fn, a, b, i, drop))
+        self.steps = tuple(reversed(bound))
 
     def run(self, env: Mapping[str, np.ndarray]) -> tuple:
         """The ASTs' values over numpy values (arrays, 0-d included, and numpy scalars).
@@ -404,56 +450,24 @@ class _Plan:
         and then checked, so values and errors are those of a check at every
         node. Outside eval_rows' setting an overflow is not reported.
         """
-        values: list = []
-        push = values.append
-        for kind, a, b, node, drop in self.steps:
-            if kind is BinOp or kind is Call:
-                lhs, rhs = values[a], None if b is None else values[b]
+        values = [*self.constants, env]
+        for fn, a, b, i, drop in self.steps:
+            try:
                 try:
-                    try:
-                        out = _apply(node, lhs, rhs)
-                    except FloatingPointError:
-                        with np.errstate(all="ignore"):
-                            out = _apply(node, lhs, rhs)
-                        _check_finite(out, (lhs,) if rhs is None else (lhs, rhs))
-                except (DomainError, NonDifferentiablePoint) as e:
-                    raise _located(e, node) from None
-                push(out)
-            elif kind is Num:
-                push(a)
-            elif kind is Var:
-                try:
-                    push(env[a])
-                except KeyError:
-                    raise UnknownIdentifier(f"variable {a!r} is not available here") from None
-            elif kind is Neg:
-                push(-values[a])
-            else:
-                push(_guard(node, values[a], values[b]))
-            for i in drop:
-                values[i] = None
-        return tuple(values[i] for i in self.outputs)
-
-
-def _apply(node: Union[Call, BinOp], lhs: np.ndarray, rhs: Optional[np.ndarray]) -> np.ndarray:
-    """The value of a Call (rhs None) or BinOp node at its operands' values."""
-    if rhs is None:
-        return _EVAL_FUNCTIONS[node.fn](lhs)
-    op = node.op
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        # a derived divisor is a divisor of f, a log or power base of f or
-        # 2*sqrt(u): nonzero wherever f is defined; one divisor for every
-        # row, such as a constant, is tested once without a mask
-        if node.origin is None and (rhs.ndim or rhs == 0.0):
-            check(rhs == 0.0, DomainError, "division by zero")
-        return lhs / rhs
-    return _power(lhs, rhs)
+                    values[i] = fn(values[a]) if b is None else fn(values[a], values[b])
+                except FloatingPointError:
+                    operands = (values[a],) if b is None else (values[a], values[b])
+                    with np.errstate(all="ignore"):
+                        out = fn(*operands)
+                    _check_finite(out, operands)
+                    values[i] = out
+            except (DomainError, NonDifferentiablePoint) as e:
+                raise _located(e, self.nodes[i]) from None
+            except KeyError:  # a Var's step
+                raise UnknownIdentifier(f"variable {self.nodes[i].name!r} is not available here") from None
+            for k in drop:
+                values[k] = None
+        return tuple([values[i] for i in self.outputs])
 
 
 def _located(e: TsvarError, node: ExprAst) -> TsvarError:
@@ -472,15 +486,13 @@ def _guard(node: Guard, test: np.ndarray, value: np.ndarray) -> np.ndarray:
         bad = test == 0.0
     else:  # abs at 0 is differentiable along a direction that does not move it
         bad = (test == 0.0) & (value != 0.0)
-    try:
-        check(bad, DomainError if node.rule == "positive" else NonDifferentiablePoint, node.message)
-    except TsvarError as e:
-        raise _located(e, node) from None
+    check(bad, DomainError if node.rule == "positive" else NonDifferentiablePoint, node.message)
     return value
 
 
 # the floating-point flags that a plan's overflow check reads (see _Plan.run)
 _RAISE_FLAGS = {"over": "raise", "divide": "raise", "invalid": "raise", "under": "ignore"}
+_FLOAT = np.dtype(float)
 
 
 def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> Any:
@@ -490,14 +502,19 @@ def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> Any:
     None, a string or a ragged list, raises InvalidParameter naming its key.
     fn maps a dict of float arrays (0-d for a float) to an array, a numpy
     scalar, or a tuple of them. It is called once on env's values as given,
-    so each node of an expression spans only the axes of its operands.
+    a float64 array as it is, so each node of an expression spans only the
+    axes of its operands.
     fn runs with numpy's overflow, divide-by-zero and invalid flags raising
     FloatingPointError and underflow ignored, which a plan's overflow
     check reads (see _Plan.run); arithmetic of fn's own that may meet those
     flags runs under np.errstate(all="ignore") and checks its result.
 
     Returns fn's values, read-only arrays of the broadcast shape, or floats
-    when every value of env is a scalar. Otherwise raises the DomainError or
+    when every value of env is a scalar. An array of that shape that fn
+    made is sealed as it is; one that fn was given comes back as a
+    read-only view, so a caller's array stays writable. An output over
+    fewer axes is a broadcast view, and a constant a new array.
+    Otherwise raises the DomainError or
     NonDifferentiablePoint that a loop over the rows would meet first: fn is
     re-run on the flattened rows before the first bad row its error names
     until they evaluate cleanly. The error's index is that row, its message
@@ -508,18 +525,24 @@ def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> Any:
     """
     names = list(env)
     values = [_argument(k, env[k]) for k in names]
-    try:
-        grid = np.broadcast(*values)
-    except ValueError:
-        shapes = ", ".join(f"{k} {v.shape}" for k, v in zip(names, values))
-        raise InvalidParameter(f"arguments of shapes {shapes} do not broadcast together") from None
+    shapes = {v.shape for v in values}
+    if len(shapes) == 1:
+        (shape,) = shapes
+    else:
+        try:
+            shape = np.broadcast(*values).shape
+        except ValueError:
+            given = ", ".join(f"{k} {v.shape}" for k, v in zip(names, values))
+            raise InvalidParameter(f"arguments of shapes {given} do not broadcast together") from None
     try:
         with np.errstate(**_RAISE_FLAGS):
-            return _values(fn(dict(zip(names, values))), grid.shape, grid.shape)
+            out = fn(dict(zip(names, values)))
     except (DomainError, NonDifferentiablePoint):
         pass
+    else:
+        return _values(out, shape, shape, {id(v) for v in values})
     columns = [c.ravel() for c in np.broadcast_arrays(*values)]
-    stop, error, out = grid.size, None, None
+    stop, error, out = math.prod(shape), None, None
     while out is None:
         try:
             with np.errstate(**_RAISE_FLAGS):
@@ -531,7 +554,7 @@ def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> Any:
                 break
             stop, error = e.index, e
     if error is None:  # fn failed only on values that no row holds
-        return _values(out, (stop,), grid.shape)
+        return _values(out, (stop,), shape)
     where = ", ".join(f"{k}={float(c[stop])!r}" for k, c in zip(names, columns))
     located = type(error)(f"{error.args[0]} at {where}")
     located.index = stop
@@ -541,6 +564,8 @@ def eval_rows(fn: Callable[[dict], Any], env: Mapping[str, Any]) -> Any:
 
 def _argument(name: str, value) -> np.ndarray:
     """value as a float array; InvalidParameter naming name unless it is a number or an array of numbers."""
+    if value.__class__ is np.ndarray and value.dtype is _FLOAT:
+        return value
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged sequence
@@ -550,30 +575,49 @@ def _argument(name: str, value) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
-def _values(out, rows: tuple, shape: tuple):
-    """Each output of fn's out as a read-only array of rows' shape, reshaped to shape; floats for ()."""
-    if isinstance(out, tuple):
-        return tuple(_values(o, rows, shape) for o in out)
+def _values(out, rows: tuple, shape: tuple, given: set = frozenset()):
+    """Each output of fn's out as a read-only array of rows' shape, reshaped to shape; floats for ().
+
+    An array of rows' shape is sealed as it is, unless given holds its id:
+    an array fn was given comes back as a read-only view of it.
+    """
     if not shape:
-        return float(out)
-    view = np.asarray(out)
-    if view.shape == rows:
-        view = view.view()
-    elif view.ndim:
-        view = np.broadcast_to(view, rows)
-    else:  # a constant: a new array costs less than a broadcast view
-        view = np.full(rows, view)
-    view.flags.writeable = False
-    return view if rows == shape else view.reshape(shape)
+        return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
+    single = not isinstance(out, tuple)
+    sealed = []
+    for o in (out,) if single else out:
+        if o.__class__ is not np.ndarray:  # a numpy scalar, such as a constant's value
+            o = np.asarray(o)
+        if o.shape == rows:
+            if id(o) in given:
+                o = o.view()
+        elif o.ndim:
+            o = np.broadcast_to(o, rows)
+        else:  # a constant: filling a new array costs less than a broadcast view
+            o, value = np.empty(rows, o.dtype), o
+            o.fill(value)
+        o.setflags(write=False)
+        sealed.append(o if rows == shape else o.reshape(shape))
+    return sealed[0] if single else tuple(sealed)
 
 
 def evaluate(ast: ExprAst, env: Mapping[str, np.ndarray]) -> Number:
     """ast's values over the rows of env's values, or the error a loop over the rows meets first.
 
     As eval_rows: read-only arrays of the broadcast shape, floats when every value is a scalar.
+    An ast that is not an AST, or an env that is not a mapping, is InvalidParameter.
     """
+    _check_node("ast", ast)
+    if not isinstance(env, Mapping):
+        raise InvalidParameter(f"env must be a mapping of variable names to values, not {type(env).__name__}")
     plan = _Plan((ast,))
     return eval_rows(lambda columns: plan.run(columns)[0], env)
+
+
+def _check_node(name: str, node) -> None:
+    """InvalidParameter naming name unless node is an expression AST."""
+    if not isinstance(node, _Node):
+        raise InvalidParameter(f"{name} must be an expression AST, not {type(node).__name__}")
 
 
 # -- symbolic differentiation ---------------------------------------------------
@@ -629,9 +673,12 @@ def _varies(node: ExprAst, name: Optional[str] = None) -> bool:
 def _op(op: str, a: ExprAst, b: ExprAst, origin: ExprAst) -> ExprAst:
     node = BinOp(op, a, b, origin)
     if a.__class__ is Num and b.__class__ is Num:
+        # the plan's own callable, under the flags of eval_rows: finite
+        # operands raise a flag only where the value is not finite
         try:
-            return Num(_constant(node))
-        except TsvarError:  # kept as a node, which raises its located error when evaluated
+            with np.errstate(**_RAISE_FLAGS):
+                return Num(float(_binary(node)(np.float64(a.value), np.float64(b.value))))
+        except (TsvarError, FloatingPointError):  # kept as a node, which raises its located error when evaluated
             pass
     return node
 
@@ -679,8 +726,12 @@ def derivative(node: ExprAst, v: str) -> ExprAst:
     sqrt(x) + r^2 is 2r at x = 0 too.
 
     Each node object is derived once: a sub-tree reached by several paths
-    has one derivative object, which a plan runs once.
+    has one derivative object, which a plan runs once. A node that is not
+    an AST, or a v that is not a variable, is InvalidParameter.
     """
+    _check_node("node", node)
+    if not (isinstance(v, str) and v in VARIABLES):
+        raise InvalidParameter(f"v must be one of 't', 'x', 'r', not {v!r}")
     return _derived(node, v, {})
 
 

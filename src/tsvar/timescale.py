@@ -117,6 +117,29 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+def _record_eq(self, other):
+    # a NamedTuple is a tuple, and tuple's == takes any tuple of the same
+    # items; NotImplemented would hand a tuple to it, so a tuple is unequal
+    if other.__class__ is self.__class__:
+        return tuple.__eq__(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _record_ne(self, other):
+    if other.__class__ is self.__class__:
+        return tuple.__ne__(self, other)
+    return True if isinstance(other, tuple) else NotImplemented
+
+
+def _record_hash(self) -> int:
+    return hash((self.__class__, tuple.__hash__(self)))
+
+
+# ==, != and hash of a NamedTuple record that compares by value: only with
+# a record of its own class, field by field, and hashed with its class
+_BY_VALUE = (_record_eq, _record_ne, _record_hash)
+
+
 def evenly_spaced(lo: float, hi: float, count: int) -> np.ndarray:
     """np.linspace(lo, hi, count), with every value finite also when hi - lo overflows."""
     if math.isinf(hi - lo):  # halving is exact, and brings the span into range
@@ -272,6 +295,7 @@ class PointClass(NamedTuple):
 
     right: Side
     left: Side
+    __eq__, __ne__, __hash__ = _BY_VALUE
 
     def describe(self) -> str:
         return f"right-{self.right.value}, left-{self.left.value}"

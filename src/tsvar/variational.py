@@ -29,7 +29,7 @@ from .errors import (
     NonConvergence,
 )
 from .expressions import Lagrangian
-from .timescale import TimeScale, _Frozen, _is_finite_number, _is_whole, _store_finite, make_points
+from .timescale import _BY_VALUE, TimeScale, _Frozen, _is_finite_number, _is_whole, _store_finite, make_points
 
 # A trajectory is just a grid function; corners are registered as its
 # break points.
@@ -86,6 +86,7 @@ class VariationalProblem(_Frozen):
 class Admissibility(NamedTuple):
     ok: bool
     reasons: tuple[str, ...] = ()
+    __eq__, __ne__, __hash__ = _BY_VALUE
 
     def __bool__(self) -> bool:
         return self.ok
@@ -506,6 +507,7 @@ class SpikeWitness(NamedTuple):
     d: float
     functional_value: float
     slope_ratio: float  # d / mu(sigma(t_at)), chosen > 1
+    __eq__, __ne__, __hash__ = _BY_VALUE
 
 
 def find_spike_below(problem: VariationalProblem, delta: float) -> Optional[SpikeWitness]:

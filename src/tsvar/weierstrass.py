@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidParameter, NonDifferentiablePoint
 from .expressions import Lagrangian, Number, _varies, check, eval_rows
-from .timescale import _is_finite_number, _vector, evenly_spaced
+from .timescale import _BY_VALUE, _is_finite_number, _vector, evenly_spaced
 # el_residual is not called here; it stays in this namespace, where
 # bench/tracing.py looks for it
 from .variational import Trajectory, VariationalProblem, el_residual  # noqa: F401
@@ -91,12 +91,14 @@ class ConvexityCounterexample(NamedTuple):
     gamma: float
     lhs: float
     rhs: float
+    __eq__, __ne__, __hash__ = _BY_VALUE
 
 
 class ConvexityReport(NamedTuple):
     ok: bool
     counterexample: Optional[ConvexityCounterexample]
     checks: int
+    __eq__, __ne__, __hash__ = _BY_VALUE
 
     def __bool__(self) -> bool:
         return self.ok
@@ -118,6 +120,7 @@ class AnalysisReport(NamedTuple):
     convexity_counterexample: Optional[ConvexityCounterexample]
     weierstrass_violations: ExcessTable
     verdict: Verdict
+    __eq__, __ne__, __hash__ = _BY_VALUE
 
 
 def excess(lagr: Lagrangian, t: Number, x: Number, r: Number, q: Number) -> Number:

@@ -4,7 +4,9 @@ Lagrangian.eval, .partials, .second_partials and excess return their
 values or raise; a constant sub-expression that fails raises its own
 located DomainError even on zero rows, and arguments that do not broadcast
 together, or an argument that is not a number or an array of numbers,
-raise InvalidParameter. Expressions nest at most
+raise InvalidParameter. An argument of any numeric dtype or layout gives
+the bits of its float64 copy, and a caller's array is never made
+read-only, also where an output is that array's values. Expressions nest at most
 MAX_DEPTH levels, and a deeper one is an ExpressionSyntaxError with its
 position, also through the CLI, never a RecursionError.
 """
@@ -26,7 +28,7 @@ from tsvar import (
     parse_lagrangian,
 )
 from tsvar.cli import main
-from tsvar.expressions import MAX_DEPTH
+from tsvar.expressions import MAX_DEPTH, Guard, Var, derivative, evaluate
 
 EMPTY = np.empty(0)
 FAILING_CONSTANTS = {
@@ -158,6 +160,112 @@ def test_none_is_not_a_number():
         lagr.eval(None, 0.0, 1.0)
     with pytest.raises(InvalidParameter, match="^r must be a number or an array of numbers, not NoneType$"):
         excess(lagr, 0.0, 0.0, None, 1.0)
+
+
+# -- arguments as given: dtypes, layouts and the caller's arrays ----------------
+
+_BASE = np.array([0.5, 2.0, 3.0, 0.25, 1.5, 4.0])
+ARGUMENTS = {
+    "float32": _BASE.astype(np.float32),
+    "int": np.array([1, 2, 3, 1, 2, 4]),
+    "bool": np.array([True, False, True, True, False, True]),
+    "0-d": np.array(1.5),
+    "strided": np.repeat(_BASE, 2)[::2],
+    "broadcasting": _BASE.reshape(2, 3)[:, :1],
+    "big-endian": _BASE.astype(">f8"),
+    "read-only": _BASE.copy(),
+}
+ARGUMENTS["read-only"].flags.writeable = False
+
+
+def _bits(out) -> list:
+    return [(np.shape(v), np.asarray(v, dtype=float).tobytes()) for v in (out if isinstance(out, tuple) else (out,))]
+
+
+# each call with the argument in each slot it reads: t, x, r, and q for the excess
+SLOTS = [(name, slot) for name in ("eval", "partials", "second_partials", "excess") for slot in range(3 + (name == "excess"))]
+
+
+@pytest.mark.parametrize("kind", ARGUMENTS)
+@pytest.mark.parametrize("name, slot", SLOTS, ids=[f"{name}-{'txrq'[slot]}" for name, slot in SLOTS])
+def test_an_argument_gives_the_bits_of_its_float64_copy(kind, name, slot):
+    lagr = parse_lagrangian("r^2 - r^4 + t*x + exp(r/3)*sin(x)")
+    given = [np.linspace(0.0, 1.0, 6), _BASE.copy(), _BASE[::-1] - 1.0, _BASE + 1.0]
+    argument = ARGUMENTS[kind]
+    before = (argument.copy(), argument.flags.writeable)
+    copy = np.array(argument, dtype=float)
+    got = calls(lagr, *given[:slot], argument, *given[slot + 1 :])[name]()
+    want = calls(lagr, *given[:slot], copy, *given[slot + 1 :])[name]()
+    assert _bits(got) == _bits(want)
+    assert np.array_equal(argument, before[0]) and argument.flags.writeable == before[1]
+
+
+# an output that is an argument's values: (source, call, output, the argument's slot)
+ALIASES = {
+    "f = r": ("r", "eval", 0, 2),
+    "f_r of r*x is x": ("r*x", "partials", 2, 1),
+    "f_x of r*x is r": ("r*x", "second_partials", 1, 2),
+}
+
+
+@pytest.mark.parametrize("src, name, output, slot", ALIASES.values(), ids=ALIASES.keys())
+@pytest.mark.parametrize("t_shape", [(4,), (), (3, 1)], ids=["one shape", "a 0-d t", "fewer axes"])
+def test_an_output_that_is_an_argument_is_read_only_and_the_argument_is_not(src, name, output, slot, t_shape):
+    args = [np.full(t_shape, 0.5), np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.5, 1.5, 2.5, 3.5]), np.ones(4)]
+    before = [a.copy() for a in args]
+    out = calls(parse_lagrangian(src), *args)[name]()
+    value = out[output] if isinstance(out, tuple) else out
+    assert value.shape == np.broadcast_shapes(t_shape, (4,)) and not value.flags.writeable
+    assert np.array_equal(np.broadcast_to(args[slot], value.shape), value)
+    with pytest.raises(ValueError):
+        value[..., 0] = 7.0
+    assert all(a.flags.writeable for a in args)
+    assert all(np.array_equal(a, b) for a, b in zip(args, before))
+
+
+@pytest.mark.parametrize(
+    "ast",
+    [Var("r"), Guard("nonzero", "m", Var("x"), Var("r"), Var("x"))],
+    ids=["a variable", "a guard passing its argument on"],
+)
+def test_evaluate_gives_an_argument_back_read_only_and_leaves_the_array_writable(ast):
+    r = np.array([1.0, -2.0, 3.0])
+    out = evaluate(ast, {"t": 0.0, "x": np.ones(3), "r": r})
+    assert out is not r and not out.flags.writeable and r.flags.writeable
+    assert out.tolist() == [1.0, -2.0, 3.0]
+
+
+# -- derivative and evaluate check their own arguments ---------------------------
+
+AST = parse_lagrangian("r^2 + x*t").ast
+BAD_CALLS = {
+    "derivative in None": (lambda: derivative(AST, None), "v must be one of 't', 'x', 'r', not None"),
+    "derivative in q": (lambda: derivative(AST, "q"), "v must be one of 't', 'x', 'r', not 'q'"),
+    "derivative in an array": (lambda: derivative(AST, np.array(["r"])), "v must be one of 't', 'x', 'r', not "),
+    "derivative of text": (lambda: derivative("r^2", "r"), "node must be an expression AST, not str"),
+    "derivative of a Lagrangian": (
+        lambda: derivative(parse_lagrangian("r"), "r"), "node must be an expression AST, not Lagrangian"
+    ),
+    "evaluate text": (lambda: evaluate("r", {"r": 1.0}), "ast must be an expression AST, not str"),
+    "evaluate None": (lambda: evaluate(None, {"r": 1.0}), "ast must be an expression AST, not NoneType"),
+    "evaluate over None": (
+        lambda: evaluate(AST, None), "env must be a mapping of variable names to values, not NoneType"
+    ),
+    "evaluate over pairs": (
+        lambda: evaluate(AST, [("r", 1.0)]), "env must be a mapping of variable names to values, not list"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_a_wrong_argument_of_derivative_or_evaluate_is_named(call, message):
+    with pytest.raises(InvalidParameter) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
+def test_derivative_in_each_variable_still_derives():
+    assert [derivative(AST, v).to_source() for v in "txr"] == ["x", "t", "(2.0 * r)"]
 
 
 # -- the depth bound -------------------------------------------------------------

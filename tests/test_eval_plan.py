@@ -67,7 +67,7 @@ def test_a_derived_and_a_user_division_stay_two_steps():
     derived = BinOp("/", R, X, Call("log", R))  # a divisor of f: not tested
     user = BinOp("/", R, X)
     plan = _Plan((BinOp("+", derived, user),))
-    assert sum(kind is BinOp and node.op == "/" for kind, _, _, node, _ in plan.steps) == 2
+    assert sum(node.__class__ is BinOp and node.op == "/" for node in plan.nodes) == 2
     env = {"t": 0.0, "x": 0.0, "r": np.inf}  # inf / 0 is inf from an operand that is not finite
     assert eval_rows(_Plan((derived,)).run, env) == (np.inf,)
     with pytest.raises(DomainError, match=re.escape("division by zero in '(r / x)' at t=0.0, x=0.0, r=inf")):
@@ -83,7 +83,7 @@ def test_a_derived_and_a_user_division_stay_two_steps():
 )
 def test_a_repeated_guard_is_two_steps_and_raises_the_first_visits_message(src, message):
     lagr = parse_lagrangian(src)
-    assert sum(kind is Guard for kind, *_ in lagr._first_plan.steps) == 2
+    assert sum(node.__class__ is Guard for node in lagr._first_plan.nodes) == 2
     with pytest.raises(NonDifferentiablePoint, match=re.escape(f"{message} at t=0.0, x=0.0, r=1.0")):
         lagr.partials(0.0, 0.0, 1.0)
 
@@ -108,15 +108,23 @@ DEEP = {
 def test_second_partials_apply_each_distinct_operation_once(monkeypatch, src):
     lagr = parse_lagrangian(src)
     r = np.linspace(0.5, 1.4, 60)
-    distinct = sum(kind is Call or kind is BinOp for kind, *_ in lagr._second_plan.steps)
+    plan = lagr._second_plan
+    distinct = sum(node.__class__ is Call or node.__class__ is BinOp for node in plan.nodes)
     calls = []
-    apply = expressions._apply
 
-    def spy(node, lhs, rhs):
-        calls.append(1)
-        return apply(node, lhs, rhs)
+    def spy(fn):
+        def counted(*operands):
+            calls.append(1)
+            return fn(*operands)
 
-    monkeypatch.setattr(expressions, "_apply", spy)
+        return counted
+
+    # each step's bound callable, counted where its node is an operation
+    steps = [
+        (spy(fn) if plan.nodes[i].__class__ in (Call, BinOp) else fn, a, b, i, drop)
+        for fn, a, b, i, drop in plan.steps
+    ]
+    monkeypatch.setattr(plan, "steps", tuple(steps))
     out = lagr.second_partials(0.0, 0.0, r)
     assert len(calls) == distinct
     assert all(v.shape == (60,) and np.isfinite(v).all() for v in out)
@@ -205,5 +213,5 @@ def test_each_plan_runs_a_fixed_number_of_array_operations(src, steps):
     plans = _plans(parse_lagrangian(src))
     ops = (BinOp, Call, Guard, Neg)
     names = ("f", "partials", "excess", "second")
-    counts = [sum(kind in ops for kind, *_ in plans[name][0].steps) for name in names]
+    counts = [sum(node.__class__ in ops for node in plans[name][0].nodes) for name in names]
     assert counts == steps

@@ -1,5 +1,6 @@
 """The contract of tsvar's 23 records: built as before, immutable, equal and shown as before, no dataclasses."""
 
+import collections
 import dataclasses
 import importlib
 import json
@@ -123,6 +124,41 @@ def test_identity_records_compare_by_identity(cls):
     a, b = build(cls), build(cls)
     assert a == a and a != b and not a == b
     assert len({a, b}) == 2
+
+
+NAMED_TUPLES = [cls for cls in RECORDS if issubclass(cls, tuple)]
+VALUE_TUPLES = [cls for cls in NAMED_TUPLES if cls not in BY_IDENTITY]
+
+
+@pytest.mark.parametrize("cls", VALUE_TUPLES, ids=lambda cls: cls.__name__)
+def test_a_value_record_equals_no_bare_tuple(cls):
+    # a NamedTuple is a tuple, but == holds only with a record of its class, as the dataclasses had it
+    record = build(cls)
+    bare = tuple(record)
+    assert not record == bare and not bare == record
+    assert record != bare and bare != record
+    # a named tuple of another class with the same fields: its own == is tuple's, but the record's is not
+    other = collections.namedtuple(cls.__name__, cls._fields)(*record)
+    assert not record == other and record != other
+    assert record == cls(*bare) and not record != cls(*bare)
+    if cls not in UNHASHABLE:
+        assert len({record: 1, bare: 2}) == 2
+        assert {record: 1}.get(bare) is None and {bare: 1}.get(record) is None
+        assert {other: 1}.get(record) is None
+
+
+def test_the_examples_of_tuples_that_records_equalled():
+    assert PointClass(Side.DENSE, Side.DENSE) != ("dense", "dense")
+    assert Admissibility(True) != (True, ()) and not Admissibility(True) == (True, ())
+    assert ConvexityReport(True, None, 0) != (True, None, 0)
+    assert len({PointClass(Side.DENSE, Side.DENSE): 1, ("dense", "dense"): 2}) == 2
+
+
+@pytest.mark.parametrize("cls", NAMED_TUPLES, ids=lambda cls: cls.__name__)
+def test_a_named_tuple_record_gives_its_fields_as_a_dict(cls):
+    fields = build(cls)._asdict()
+    assert list(fields) == list(ARGUMENTS[cls])
+    assert all(same(fields[name], value) for name, value in ARGUMENTS[cls].items())
 
 
 def test_defaults():
